@@ -19,15 +19,10 @@ import numpy as np
 from splitgame.hamiltonian import HamiltonianField
 from splitgame.hj import ValueGrid
 from splitgame.sde import (
-    DEFAULT_ETA,
     FeedbackControl,
     NoiseGrid,
-    _block_ranges,
-    _BlockSim,
-    _run_blocks,
     directional_control,
     estimate_j,
-    simulate,
     zero_control,
 )
 from splitgame.splitting import SplitSpec, make_split_control
@@ -126,18 +121,6 @@ def table_strategies(dim: int, grid: np.ndarray, catalogue: list[np.ndarray],
     return StrategyFamily(dim, strategies)
 
 
-def resolve_controls(t: float, p, q, alpha: FeedbackControl, beta: FeedbackControl,
-                     noise: NoiseGrid, threads: int = 1):
-    """The unique realized control pair induced by two feedback maps.
-
-    Both feedbacks read strictly prior histories, so one forward pass resolves
-    the fixed point; the realized piecewise-constant paths are returned per
-    sample path, one matrix per control interval.
-    """
-    bundle = simulate(t, p, q, alpha, beta, noise, threads=threads)
-    return bundle.u_realized, bundle.v_realized
-
-
 @dataclass
 class ValueBracket:
     """Restricted bounds around the PDE value at one (t, p, q)."""
@@ -157,12 +140,11 @@ class ValueBracket:
         return self.lower - 3.0 * self.lower_se <= self.upper + 3.0 * self.upper_se
 
 
-def value_bracket(t: float, p, q, H: HamiltonianField, fam_1: StrategyFamily,
-                  fam_2: StrategyFamily, horizon: float, dt: float, n_paths: int,
-                  seed: int, reference: ValueGrid | None = None,
-                  threads: int = 1) -> ValueBracket:
-    """Common-random-numbers payoff table over all strategy pairs, reduced to
-    the restricted upper (min-max) and lower (max-min) values."""
+def _payoff_table(t: float, horizon: float, p, q, H: HamiltonianField,
+                  fam_1: StrategyFamily, fam_2: StrategyFamily, dt: float,
+                  n_paths: int, seed: int, threads: int,
+                  terminal: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Common-random-numbers payoff means and standard errors, player 1 along rows."""
     n1, n2 = len(fam_1.strategies), len(fam_2.strategies)
     if n1 * n2 > MAX_PAIRS:
         raise BudgetExceededError(f"{n1 * n2} strategy pairs exceed the {MAX_PAIRS} budget")
@@ -172,45 +154,36 @@ def value_bracket(t: float, p, q, H: HamiltonianField, fam_1: StrategyFamily,
         for j, sj in enumerate(fam_2.strategies):
             noise = NoiseGrid(t, horizon, dt, n_paths, seed, fam_1.dim, fam_2.dim)
             est = estimate_j(t, p, q, si.build(t, horizon), sj.build(t, horizon),
-                             H, noise, threads=threads)
-            table[i, j] = est.mean
-            se[i, j] = est.std_error
-    i_up = int(np.argmin(table.max(axis=1)))
-    j_up = int(np.argmax(table[i_up]))
-    j_lo = int(np.argmax(table.min(axis=0)))
-    i_lo = int(np.argmin(table[:, j_lo]))
+                             H, noise, threads=threads, terminal=terminal)
+            table[i, j], se[i, j] = est.mean, est.std_error
+    return table, se
+
+
+def _maxmin_cell(table: np.ndarray) -> tuple[int, int]:
+    """Cell (i, j) of the max over columns j of the column minimum over rows."""
+    j = int(np.argmax(table.min(axis=0)))
+    return int(np.argmin(table[:, j])), j
+
+
+def value_bracket(t: float, p, q, H: HamiltonianField, fam_1: StrategyFamily,
+                  fam_2: StrategyFamily, horizon: float, dt: float, n_paths: int,
+                  seed: int, reference: ValueGrid | None = None,
+                  threads: int = 1) -> ValueBracket:
+    """Common-random-numbers payoff table over all strategy pairs, reduced to
+    the restricted upper (min-max) and lower (max-min) values."""
+    table, se = _payoff_table(t, horizon, p, q, H, fam_1, fam_2, dt, n_paths, seed, threads)
+    i_lo, j_lo = _maxmin_cell(table)
+    # the min-max of the table is minus the max-min of the negated transpose
+    j_up, i_up = _maxmin_cell(-table.T)
     ref = None
     if reference is not None:
-        ref = reference.value_at(t, np.asarray(p, dtype=float),
-                                 np.asarray(q, dtype=float) if fam_2.dim > 1 else None)
+        ref = reference.value_at(t, p, q if fam_2.dim > 1 else None)
     return ValueBracket(
         lower=float(table[i_lo, j_lo]), lower_se=float(se[i_lo, j_lo]),
         upper=float(table[i_up, j_up]), upper_se=float(se[i_up, j_up]),
         reference=ref, table=table, se_table=se,
         names_1=fam_1.names, names_2=fam_2.names,
     )
-
-
-def _estimate_with_terminal(t: float, p, q, u_ctrl: FeedbackControl,
-                            v_ctrl: FeedbackControl, H: HamiltonianField,
-                            v_ref: ValueGrid, horizon: float, noise: NoiseGrid,
-                            threads: int = 1) -> tuple[float, float]:
-    """E[int_t^{t+h} H ds + V_ref(t+h, X_{t+h}, Y_{t+h})] and its SE."""
-    dt = noise.dt
-
-    def work(lo, hi):
-        sim = _BlockSim(t, p, q, u_ctrl, v_ctrl, noise, lo, hi, DEFAULT_ETA)
-        acc = np.zeros(hi - lo)
-        for k, s, x, y in sim.steps():
-            if k == noise.n_steps:
-                acc += v_ref.values_at_states(horizon, x, y)
-                break
-            acc += H.on_paths(s, x, y) * dt
-        return acc
-
-    parts = _run_blocks(work, _block_ranges(noise.n_paths, noise.n_steps), threads)
-    vals = np.concatenate(parts)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
 
 
 @dataclass
@@ -237,24 +210,11 @@ def dpp_diagnostic(t: float, h: float, p, q, H: HamiltonianField,
     t + h must be a time-grid point of the reference; the gap is a diagnostic
     (family restriction plus Monte Carlo noise), not an asserted theorem.
     """
-    knots = v_ref.times
-    if np.min(np.abs(knots - (t + h))) > 1e-9:
+    if np.min(np.abs(v_ref.times - (t + h))) > 1e-9:
         raise ValueError("t + h must be a time-grid point of the reference values")
-    n1, n2 = len(fam_1.strategies), len(fam_2.strategies)
-    if n1 * n2 > MAX_PAIRS:
-        raise BudgetExceededError(f"{n1 * n2} strategy pairs exceed the {MAX_PAIRS} budget")
-    pv = np.asarray(p, dtype=float)
-    qv = np.asarray(q, dtype=float)
-    table = np.empty((n1, n2))
-    se = np.empty((n1, n2))
-    for i, si in enumerate(fam_1.strategies):
-        for j, sj in enumerate(fam_2.strategies):
-            noise = NoiseGrid(t, t + h, dt, n_paths, seed, fam_1.dim, fam_2.dim)
-            table[i, j], se[i, j] = _estimate_with_terminal(
-                t, pv, qv, si.build(t, t + h), sj.build(t, t + h), H, v_ref,
-                t + h, noise, threads)
-    j_star = int(np.argmax(table.min(axis=0)))
-    i_star = int(np.argmin(table[:, j_star]))
-    ref = v_ref.value_at(t, pv, qv if fam_2.dim > 1 else None)
+    table, se = _payoff_table(t, t + h, p, q, H, fam_1, fam_2, dt, n_paths, seed, threads,
+                              terminal=lambda x, y: v_ref.values_at_states(t + h, x, y))
+    i_star, j_star = _maxmin_cell(table)
+    ref = v_ref.value_at(t, p, q if fam_2.dim > 1 else None)
     return DppReport(float(table[i_star, j_star]), float(se[i_star, j_star]),
                      float(ref), table)

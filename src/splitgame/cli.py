@@ -2,8 +2,9 @@
 split demo, or game arena, and emit machine-readable artifacts.
 
 Artifacts land in <out>/<config-hash>/ and depend only on the effective
-config (flag overrides included), so a rerun is bit-identical regardless of
-thread count.  Wall-clock timings go to stdout, never into artifacts.
+config (flag overrides included, and the sha256 of a payoff tensor file's
+bytes), so a rerun is bit-identical regardless of thread count.  Wall-clock
+timings go to stdout, never into artifacts.
 
 Payoff tensor files (hamiltonian.kind = "tensor") are JSON objects with two
 keys: "time_samples", a sorted list of times in [0, horizon], and "values", a
@@ -377,6 +378,12 @@ def run(subcommand: str, config: dict, out_dir, threads: int = 1,
         cfg["seed"] = int(seed)
     cfg["_config_dir"] = config.get("_config_dir", ".")
     hashed = {k: v for k, v in cfg.items() if not k.startswith("_")}
+    block = cfg.get("hamiltonian")
+    if isinstance(block, dict) and block.get("kind") == "tensor":
+        tensor = Path(cfg["_config_dir"]) / str(block.get("path", ""))
+        if tensor.is_file():  # otherwise build_field raises the ConfigError
+            sha = hashlib.sha256(tensor.read_bytes()).hexdigest()
+            hashed["hamiltonian"] = {**block, "sha256": sha}
     digest = config_hash(hashed)
     out = Path(out_dir) / digest
     out.mkdir(parents=True, exist_ok=True)

@@ -431,11 +431,6 @@ class HamiltonianField:
             qv = np.atleast_2d(np.asarray(q, dtype=float))
         return float(self.fn(t, pv, qv)[0, 0])
 
-    def on_grid(self, t: float, p_grid: SimplexGrid, q_grid: SimplexGrid) -> GridFunction:
-        if p_grid.nodes.shape[1] != self.dim_p or q_grid.nodes.shape[1] != self.dim_q:
-            raise ValueError("grid dimensions do not match the field")
-        return GridFunction(p_grid, q_grid, self.fn(t, p_grid.nodes, q_grid.nodes))
-
 
 def _outer(fp: np.ndarray, fq: np.ndarray) -> np.ndarray:
     return fp[:, None] * fq[None, :]

@@ -289,15 +289,7 @@ def naive_hji_residual(v: ValueGrid, H: HamiltonianField, k: int, p_node: int,
     patch = v.values[k:k + 2, p_node - 1:p_node + 2, 0]
     if np.max(np.abs(patch)) > flat_tol:
         raise ValueError("value is not locally flat at the requested node")
-    phi_dt = 0.0
-    phi = np.zeros(3)
-    half_trace_candidates = []
-    for _d in pg.directions():
-        second = (phi[2] - 2.0 * phi[1] + phi[0]) / pg.step_length() ** 2
-        half_trace_candidates.append(0.5 * second)
-    inf_term = min(half_trace_candidates) if half_trace_candidates else 0.0
-    hval = H(float(v.times[k]), pg.nodes[p_node])
-    return float(-phi_dt - hval - inf_term)
+    return -H(float(v.times[k]), pg.nodes[p_node])
 
 
 @dataclass

@@ -10,8 +10,10 @@ the layered face-by-face construction that makes the continuous equation well
 posed.
 
 Randomness is counter-based: path i draws its Gaussian increments from a
-Philox stream keyed by (seed, stream, i), so results are bit-identical for
-any batch split or thread count.
+Philox stream keyed by (seed, stream, i).  Every estimator runs through one
+block driver, _ensemble, which simulates the paths in blocks and returns each
+block's partial result in block order; combining them in that order makes
+results bit-identical for any batch split or thread count.
 """
 
 from __future__ import annotations
@@ -208,11 +210,11 @@ def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray, eta: float) -> np.
 
 
 def _support_mask_bits(x: np.ndarray, eta: float) -> np.ndarray:
-    """Pack the per-path support into a uint8 bitmask (n <= 8)."""
+    """Pack the support along the last axis into uint8 bitmasks (n <= 8)."""
     bits = (x > eta).astype(np.uint8)
-    out = np.zeros(x.shape[0], dtype=np.uint8)
-    for c in range(x.shape[1]):
-        out |= bits[:, c] << c
+    out = np.zeros(x.shape[:-1], dtype=np.uint8)
+    for c in range(x.shape[-1]):
+        out |= bits[..., c] << c
     return out
 
 
@@ -245,7 +247,8 @@ class _BlockSim:
         self.own1 = np.zeros((self.b, u_ctrl.n_intervals, nI))
         self.own2 = np.zeros((self.b, v_ctrl.n_intervals, nJ))
 
-    def _eval_feedback(self, ctrl, j, when, own_state, own_noise, opp_real, opp_grid):
+    def _eval_feedback(self, ctrl, j, when, own_state, own_noise, realized, opp_real, opp_grid):
+        """Control matrices of ctrl for interval j, also stored in realized[:, j]."""
         visible = int(np.searchsorted(opp_grid[:-1], when - _GRID_SNAP, side="right"))
         view = HistoryView(j, when, self.noise.dt, own_state,
                            own_noise[:, :j], opp_real[:, :visible],
@@ -255,6 +258,7 @@ class _BlockSim:
             raise ValueError(f"feedback for control {ctrl.label!r} returned a non-finite matrix")
         if mat.ndim == 2:
             mat = np.broadcast_to(mat, (self.b,) + mat.shape)
+        realized[:, j] = mat
         return mat
 
     def steps(self):
@@ -270,14 +274,12 @@ class _BlockSim:
         for k in range(noise.n_steps):
             if ju < self.u_ctrl.n_intervals and k == self.u_steps[ju]:
                 u_mat = self._eval_feedback(self.u_ctrl, ju, times[k], x, self.own1,
-                                            self.v_realized, self.v_ctrl.grid)
-                self.u_realized[:, ju] = u_mat
+                                            self.u_realized, self.v_realized, self.v_ctrl.grid)
                 u_zero = not u_mat.any()
                 ju += 1
             if jv < self.v_ctrl.n_intervals and k == self.v_steps[jv]:
                 v_mat = self._eval_feedback(self.v_ctrl, jv, times[k], y, self.own2,
-                                            self.u_realized, self.u_ctrl.grid)
-                self.v_realized[:, jv] = v_mat
+                                            self.v_realized, self.u_realized, self.u_ctrl.grid)
                 v_zero = not v_mat.any()
                 jv += 1
             yield k, times[k], x, y
@@ -289,23 +291,25 @@ class _BlockSim:
             self.own2[:, jv - 1] += self.db2[:, k]
         yield noise.n_steps, times[-1], x, y
 
-    def b_ends(self):
-        return self.db1.sum(axis=1), self.db2.sum(axis=1)
-
 
 def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
     # cap transient noise memory around tens of MB per block
-    block = max(256, min(n_paths, 2_000_000 // max(1, n_steps)))
+    block = max(1, min(n_paths, 2_000_000 // max(1, n_steps)))
     return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
 
 
-def _run_blocks(fn, ranges, threads: int):
-    """Apply fn to each (lo, hi) range; fixed order, optional thread pool."""
+def _ensemble(t, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+              noise: NoiseGrid, reduce: Callable[[_BlockSim], object], eta: float,
+              threads: int) -> list:
+    """reduce(sim) for each block of paths, in block order for any thread count."""
+    def work(lo_hi):
+        return reduce(_BlockSim(t, p, q, u_ctrl, v_ctrl, noise, *lo_hi, eta))
+
+    ranges = _block_ranges(noise.n_paths, noise.n_steps)
     if threads <= 1 or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
+        return [work(r) for r in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+        return list(pool.map(work, ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -352,36 +356,34 @@ def simulate(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
              noise: NoiseGrid, eta: float = DEFAULT_ETA, threads: int = 1) -> TrajectoryBundle:
     """Simulate the coupled (X, Y) system and keep full paths.
 
-    Memory grows with n_paths * n_steps; use estimate_j / simulation_report
-    for large ensembles where only reductions are needed.
+    Memory grows with n_paths * n_steps; the estimators below (estimate_j,
+    simulation_report, lipschitz_p_check) keep only per-block reductions and
+    suit large ensembles.
     """
-    n = noise.n_paths
+    n, nsteps = noise.n_paths, noise.n_steps
     nI, nJ = noise.dim1, noise.dim2
-    nsteps = noise.n_steps
     x_paths = np.empty((n, nsteps + 1, nI))
     y_paths = np.empty((n, nsteps + 1, nJ))
-    x_sup = np.empty((n, nsteps + 1), dtype=np.uint8)
-    y_sup = np.empty((n, nsteps + 1), dtype=np.uint8)
     u_real = np.empty((n, u_ctrl.n_intervals, nI, nI))
     v_real = np.empty((n, v_ctrl.n_intervals, nJ, nJ))
     b1_end = np.empty((n, nI))
     b2_end = np.empty((n, nJ))
 
-    def work(lo, hi):
-        sim = _BlockSim(t, p, q, u_ctrl, v_ctrl, noise, lo, hi, eta)
+    def reduce(sim):
+        rows = slice(sim.lo, sim.hi)
         for k, _, x, y in sim.steps():
-            x_paths[lo:hi, k] = x
-            y_paths[lo:hi, k] = y
-            x_sup[lo:hi, k] = _support_mask_bits(x, eta)
-            y_sup[lo:hi, k] = _support_mask_bits(y, eta)
-        u_real[lo:hi] = sim.u_realized
-        v_real[lo:hi] = sim.v_realized
-        b1_end[lo:hi], b2_end[lo:hi] = sim.b_ends()
+            x_paths[rows, k] = x
+            y_paths[rows, k] = y
+        u_real[rows] = sim.u_realized
+        v_real[rows] = sim.v_realized
+        b1_end[rows] = sim.db1.sum(axis=1)
+        b2_end[rows] = sim.db2.sum(axis=1)
 
-    _run_blocks(work, _block_ranges(n, nsteps), threads)
+    _ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads)
     return TrajectoryBundle(noise.times(), x_paths, y_paths, u_real, v_real,
                             u_ctrl.grid.copy(), v_ctrl.grid.copy(),
-                            x_sup, y_sup, b1_end, b2_end, noise.seed)
+                            _support_mask_bits(x_paths, eta), _support_mask_bits(y_paths, eta),
+                            b1_end, b2_end, noise.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -397,27 +399,26 @@ class JEstimate:
 
 def estimate_j(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
                H: HamiltonianField, noise: NoiseGrid, eta: float = DEFAULT_ETA,
-               threads: int = 1) -> JEstimate:
-    """Monte Carlo estimate of E[int_t^T H(s, X_s, Y_s) ds].
+               threads: int = 1, terminal: Callable | None = None) -> JEstimate:
+    """Monte Carlo estimate of E[int_t^T H(s, X_s, Y_s) ds + terminal(X_T, Y_T)].
 
     Left-endpoint quadrature on the noise grid; paths stream through in
-    blocks, only the per-path integral is kept.
+    blocks, only the per-path integral is kept.  terminal, if given, maps the
+    batched terminal states (b, nI), (b, nJ) to (b,) values.
     """
     if noise.n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
-    dt = noise.dt
 
-    def work(lo, hi):
-        sim = _BlockSim(t, p, q, u_ctrl, v_ctrl, noise, lo, hi, eta)
-        acc = np.zeros(hi - lo)
+    def reduce(sim):
+        acc = np.zeros(sim.b)
         for k, s, x, y in sim.steps():
-            if k == noise.n_steps:
-                break
-            acc += H.on_paths(s, x, y) * dt
+            if k < noise.n_steps:
+                acc += H.on_paths(s, x, y) * noise.dt
+        if terminal is not None:
+            acc += terminal(x, y)
         return acc
 
-    parts = _run_blocks(work, _block_ranges(noise.n_paths, noise.n_steps), threads)
-    j = np.concatenate(parts)
+    j = np.concatenate(_ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads))
     return JEstimate(float(j.mean()), float(j.std(ddof=1) / np.sqrt(j.size)), j.size)
 
 
@@ -454,18 +455,11 @@ def simulation_report(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackC
                       noise: NoiseGrid, eta: float = DEFAULT_ETA,
                       threads: int = 1) -> SimulationReport:
     """Run the ensemble keeping only martingale / invariance statistics."""
-    nsteps = noise.n_steps
-    nI = noise.dim1
-    sums = np.zeros((nsteps + 1, nI))
-    sq_sums = np.zeros((nsteps + 1, nI))
-    state = {"min_coord": np.inf, "max_sum_err": 0.0, "monotone": True}
-
-    def work(lo, hi):
-        sim = _BlockSim(t, p, q, u_ctrl, v_ctrl, noise, lo, hi, eta)
-        loc_sum = np.zeros_like(sums)
-        loc_sq = np.zeros_like(sq_sums)
+    def reduce(sim):
+        loc_sum = np.zeros((noise.n_steps + 1, noise.dim1))
+        loc_sq = np.zeros_like(loc_sum)
         mn, serr, mono = np.inf, 0.0, True
-        prev_sup = None
+        prev_sup = _support_mask_bits(sim.p, eta)
         for k, _, x, y in sim.steps():
             loc_sum[k] = x.sum(axis=0)
             loc_sq[k] = (x * x).sum(axis=0)
@@ -473,27 +467,19 @@ def simulation_report(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackC
             serr = max(serr, float(np.max(np.abs(x.sum(axis=1) - 1.0))),
                        float(np.max(np.abs(y.sum(axis=1) - 1.0))))
             sup = _support_mask_bits(x, eta)
-            if prev_sup is not None and np.any(sup & ~prev_sup):
-                mono = False
+            mono = mono and not np.any(sup & ~prev_sup)
             prev_sup = sup
         return loc_sum, loc_sq, mn, serr, mono
 
-    parts = _run_blocks(work, _block_ranges(noise.n_paths, nsteps), threads)
-    for loc_sum, loc_sq, mn, serr, mono in parts:
-        sums += loc_sum
-        sq_sums += loc_sq
-        state["min_coord"] = min(state["min_coord"], mn)
-        state["max_sum_err"] = max(state["max_sum_err"], serr)
-        state["monotone"] = state["monotone"] and mono
-
+    parts = _ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads)
+    sums, sq_sums, mns, serrs, monos = zip(*parts)
     n = noise.n_paths
-    mean = sums / n
-    var = np.maximum(sq_sums / n - mean**2, 0.0)
+    mean = sum(sums) / n
+    var = np.maximum(sum(sq_sums) / n - mean**2, 0.0)
     se = np.sqrt(var / n)
     pv = np.asarray(p, dtype=float)
     return SimulationReport(noise.times(), np.abs(mean - pv), se,
-                            state["min_coord"], state["max_sum_err"],
-                            state["monotone"], n)
+                            min(mns), max(serrs), all(monos), n)
 
 
 @dataclass(frozen=True)
@@ -516,15 +502,9 @@ def lipschitz_p_check(t: float, p, p_bar, u_ctrl: FeedbackControl, noise: NoiseG
     pv = np.asarray(p, dtype=float)
     pbv = np.asarray(p_bar, dtype=float)
     nsteps = noise.n_steps
-    sums = np.zeros(nsteps + 1)
-    sqs = np.zeros(nsteps + 1)
 
-    q0 = np.full(noise.dim2, 1.0 / noise.dim2)
-
-    def work(lo, hi):
-        sim = _BlockSim(t, pv, q0, u_ctrl, zero_control(t, noise.horizon, noise.dim2),
-                        noise, lo, hi, eta)
-        xb = np.tile(pbv, (hi - lo, 1))
+    def reduce(sim):
+        xb = np.tile(pbv, (sim.b, 1))
         loc_s = np.zeros(nsteps + 1)
         loc_q = np.zeros(nsteps + 1)
         for k, _, x, _y in sim.steps():
@@ -538,10 +518,10 @@ def lipschitz_p_check(t: float, p, p_bar, u_ctrl: FeedbackControl, noise: NoiseG
             xb = _step_batch(xb, sim.u_realized[:, ju], sim.db1[:, k], eta)
         return loc_s, loc_q
 
-    parts = _run_blocks(work, _block_ranges(noise.n_paths, nsteps), threads)
-    for s_, q_ in parts:
-        sums += s_
-        sqs += q_
+    q0 = np.full(noise.dim2, 1.0 / noise.dim2)
+    parts = _ensemble(t, pv, q0, u_ctrl, zero_control(t, noise.horizon, noise.dim2),
+                      noise, reduce, eta, threads)
+    sums, sqs = (sum(c) for c in zip(*parts))
     n = noise.n_paths
     mean = sums / n
     k_star = int(np.argmax(mean))

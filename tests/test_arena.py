@@ -7,7 +7,6 @@ from splitgame.arena import (
     StrategyFamily,
     dpp_diagnostic,
     preset_family,
-    resolve_controls,
     table_strategies,
     value_bracket,
 )
@@ -18,6 +17,7 @@ from splitgame.sde import (
     NoiseGrid,
     constant_control,
     directional_control,
+    simulate,
     zero_control,
 )
 from splitgame.splitting import unit_segment_spec
@@ -34,7 +34,8 @@ class TestResolveControls:
         noise = NoiseGrid(0.0, 1.0, 1 / 32, 8, 0, 2, 2)
         a = constant_control(0.0, 1.0, np.full((2, 2), 0.2))
         b = constant_control(0.0, 1.0, np.full((2, 2), -0.1))
-        u, v = resolve_controls(0.0, [0.5, 0.5], [0.5, 0.5], a, b, noise)
+        bundle = simulate(0.0, [0.5, 0.5], [0.5, 0.5], a, b, noise)
+        u, v = bundle.u_realized, bundle.v_realized
         np.testing.assert_array_equal(u, np.full((8, 1, 2, 2), 0.2))
         np.testing.assert_array_equal(v, np.full((8, 1, 2, 2), -0.1))
 
@@ -49,7 +50,7 @@ class TestResolveControls:
         alpha = FeedbackControl(np.array([0.0, 0.5, 1.0]), echo, 2)
         beta = constant_control(0.0, 1.0, c)
         noise = NoiseGrid(0.0, 1.0, 1 / 16, 4, 0, 2, 2)
-        u, v = resolve_controls(0.0, [0.5, 0.5], [0.5, 0.5], alpha, beta, noise)
+        u = simulate(0.0, [0.5, 0.5], [0.5, 0.5], alpha, beta, noise).u_realized
         np.testing.assert_array_equal(u[:, 0], 0.0)
         np.testing.assert_array_equal(u[:, 1], np.broadcast_to(c, (4, 2, 2)))
 
@@ -60,14 +61,12 @@ class TestResolveControls:
         fam2 = table_strategies(2, grid, catalogue, count=3, seed=5)
         noise = NoiseGrid(0.0, 1.0, 1 / 16, 6, 3, 2, 2)
         for s1, s2 in zip(fam.strategies, fam2.strategies):
-            u1, v1 = resolve_controls(0.0, [0.5, 0.5], [0.5, 0.5],
-                                      s1.build(0.0, 1.0),
-                                      fam.strategies[0].build(0.0, 1.0), noise)
-            u2, v2 = resolve_controls(0.0, [0.5, 0.5], [0.5, 0.5],
-                                      s2.build(0.0, 1.0),
-                                      fam2.strategies[0].build(0.0, 1.0), noise)
-            np.testing.assert_array_equal(u1, u2)
-            np.testing.assert_array_equal(v1, v2)
+            b1 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s1.build(0.0, 1.0),
+                          fam.strategies[0].build(0.0, 1.0), noise)
+            b2 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s2.build(0.0, 1.0),
+                          fam2.strategies[0].build(0.0, 1.0), noise)
+            np.testing.assert_array_equal(b1.u_realized, b2.u_realized)
+            np.testing.assert_array_equal(b1.v_realized, b2.v_realized)
 
 
 class TestValueBracket:

@@ -125,6 +125,21 @@ class TestSolveHj:
         # the tensor encodes the tent cost whose envelope iteration stays at 0
         assert abs(report["solve_hj"]["min_value"]) <= 1e-12
 
+    def test_tensor_contents_change_hash(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "hamiltonian": {"kind": "tensor", "path": "tensor.json"},
+            "hj": {"p_resolution": 20, "q_resolution": 1, "time_steps": 16},
+        }
+        out = tmp_path / "o"
+        for name, level in (("a", 0.25), ("b", 0.75)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "tensor.json").write_text(json.dumps(
+                {"time_samples": [0.0], "values": np.full((1, 2, 1, 1, 1), level).tolist()}))
+            path = write_config(tmp_path / name, cfg)
+            assert cli.main(["solve-hj", "--config", str(path), "--out", str(out)]) == 0
+        assert len([d for d in out.iterdir() if d.is_dir()]) == 2
+
     def test_missing_tensor_file(self, tmp_path):
         cfg = {
             "schema_version": 1,

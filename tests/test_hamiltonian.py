@@ -324,7 +324,7 @@ class TestAnalyticFields:
         for name in ("tent", "quad_convex", "double_well", "bilinear", "saddle_mix"):
             h = analytic_field(name)
             qg_use = qg if h.dim_q == 2 else SimplexGrid.build(1, 1)
-            vals = h.on_grid(0.0, pg, qg_use).values
+            vals = h.fn(0.0, pg.nodes, qg_use.nodes)
             assert np.max(np.abs(vals)) <= h.bound + 1e-12
 
     def test_unknown_name(self):
