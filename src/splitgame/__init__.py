@@ -9,7 +9,6 @@ restricted game arena (`arena`), and the CLI plus acceptance suite (`cli`,
 """
 
 from splitgame.hamiltonian import (
-    GridFunction,
     HamiltonianField,
     PayoffTensor,
     SimplexGrid,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegeneratePointError",
     "FeedbackControl",
-    "GridFunction",
     "HamiltonianField",
     "NoiseGrid",
     "PayoffTensor",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splitgame.arena import Strategy, StrategyFamily, dpp_diagnostic, value_bracket
-from splitgame.hamiltonian import GridFunction, SimplexGrid, analytic_field, vex_p
+from splitgame.hamiltonian import SimplexGrid, analytic_field, vex_p
 from splitgame.hj import naive_hji_residual, regularity_report, residuals, solve
 from splitgame.sde import (
     NoiseGrid,
@@ -88,8 +88,7 @@ def check_closed_form_family(golden=None) -> CheckResult:
     worst = 0.0
     solve_seconds = sum(sec for _, _, sec in golden.values())
     for name, (h, v, _) in golden.items():
-        env = vex_p(GridFunction(v.p_grid, v.q_grid,
-                                 h.fn(0.0, v.p_grid.nodes, v.q_grid.nodes))).values
+        env = vex_p(h.fn(0.0, v.p_grid.nodes, v.q_grid.nodes), v.p_grid)
         for k, t in enumerate(v.times):
             worst = max(worst, float(np.max(np.abs(v.values[k] - (1.0 - t) * env))))
     dt_wall = time.time() - t0 + solve_seconds

@@ -6,11 +6,14 @@ entries are the bilinear aggregation sum_ij p_i q_j f_ij(t,k,l) over the action
 grids.  Finite action grids need not satisfy a pure-strategy minimax equality,
 so the mixed value (which always exists) is used as the discretization.
 
-Envelopes: vex_p takes the largest grid-convex minorant in the p slot for each
-fixed q node, cav_q the smallest grid-concave majorant in q.  On 1-D slices
-(two-coordinate simplex) this is the exact lower/upper convex hull; on the
-three-coordinate simplex it is an iterated directional-average sweep over the
-edge directions e_i - e_j.
+Envelopes: vex_p(values, p_grid) and cav_q(values, q_grid) take and return
+(n_p, n_q) arrays.  vex_p takes the largest grid-convex minorant in the p slot
+for each fixed q node, cav_q the smallest grid-concave majorant in q.  On 1-D
+slices (two-coordinate simplex) this is the exact lower/upper convex hull; on
+the three-coordinate simplex it is an iterated directional-average sweep over
+the edge directions e_i - e_j.  Grids carry the lattice difference primitives
+(neighbour triples, second differences, edge slopes) that the solver's
+residual and regularity checks use.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def eval_H(f: PayoffTensor, t: float, p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# simplex grids and grid functions
+# simplex grids
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +177,15 @@ class SimplexGrid:
     """Regular lattice on a simplex with 1, 2, or 3 coordinates.
 
     resolution is the number of segments per edge; nodes are all lattice
-    points with coordinates in {0, 1/res, ..., 1} summing to 1.
+    points with coordinates in {0, 1/res, ..., 1} summing to 1.  The grid
+    carries the lattice differences along the edge directions e_a - e_b:
+    neighbour triples, second differences and edge slopes.
     """
 
     n: int
     resolution: int
     nodes: np.ndarray = field(repr=False)
-    _index: np.ndarray | None = field(repr=False, default=None)
+    _index: np.ndarray | None = field(repr=False, default=None)  # node id by first n-1 lattice coords
     _triples: dict = field(repr=False, default_factory=dict)
 
     @staticmethod
@@ -189,21 +194,15 @@ class SimplexGrid:
             return SimplexGrid(1, 1, np.array([[1.0]]), None)
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
+        m = resolution
         if n == 2:
-            x = np.arange(resolution + 1) / resolution
-            nodes = np.column_stack([x, 1.0 - x])
-            return SimplexGrid(2, resolution, nodes, None)
+            x = np.arange(m + 1) / m
+            return SimplexGrid(2, m, np.column_stack([x, 1.0 - x]), np.arange(m + 1))
         if n == 3:
-            m = resolution
+            i, j = np.nonzero(np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m)
             index = -np.ones((m + 1, m + 1), dtype=int)
-            pts = []
-            k = 0
-            for i in range(m + 1):
-                for j in range(m + 1 - i):
-                    index[i, j] = k
-                    pts.append((i / m, j / m, (m - i - j) / m))
-                    k += 1
-            return SimplexGrid(3, m, np.array(pts), index)
+            index[i, j] = np.arange(i.size)
+            return SimplexGrid(3, m, np.column_stack([i / m, j / m, (m - i - j) / m]), index)
         raise ValueError("only 1-, 2-, and 3-coordinate simplices are gridded")
 
     @property
@@ -211,51 +210,53 @@ class SimplexGrid:
         return self.nodes.shape[0]
 
     def directions(self) -> list[tuple[int, int]]:
-        """Edge directions e_a - e_b available on this grid."""
-        if self.n == 1:
-            return []
-        if self.n == 2:
-            return [(0, 1)]
-        return [(0, 1), (0, 2), (1, 2)]
+        """Edge directions e_a - e_b (a < b) available on this grid."""
+        return [(a, b) for a in range(self.n) for b in range(a + 1, self.n)]
+
+    def _shift(self, direction: tuple[int, int], sign: int) -> np.ndarray:
+        """Index of every node + sign * (e_a - e_b)/resolution, -1 off the grid."""
+        if direction not in self.directions():
+            raise ValueError(f"unknown direction {direction} for a {self.n}-coordinate grid")
+        step = np.zeros(self.n, dtype=int)
+        step[list(direction)] = sign, -sign
+        to = np.rint(self.nodes * self.resolution).astype(int) + step
+        inside = np.all(to >= 0, axis=1)
+        out = np.full(self.n_nodes, -1)
+        out[inside] = self._index[tuple(to[inside, :-1].T)]
+        return out
 
     def neighbor_triples(self, direction: tuple[int, int]) -> np.ndarray:
         """(center, plus, minus) node indices with both neighbors in-grid,
-        where plus = center + (e_a - e_b)/resolution."""
-        if direction in self._triples:
-            return self._triples[direction]
-        out = self._build_triples(direction)
-        self._triples[direction] = out
+        where plus = center + (e_a - e_b)/resolution; centers ascend."""
+        if direction not in self._triples:
+            plus, minus = self._shift(direction, 1), self._shift(direction, -1)
+            c = np.flatnonzero((plus >= 0) & (minus >= 0))
+            self._triples[direction] = np.column_stack([c, plus[c], minus[c]])
+        return self._triples[direction]
+
+    def second_differences(self, values: np.ndarray) -> np.ndarray:
+        """Second differences of values (grid nodes on axis 0) along each edge
+        direction, scaled to unit-length directional second derivatives.
+
+        Shape (n_directions, *values.shape); NaN where a node lacks a neighbor.
+        """
+        out = np.full((len(self.directions()), *values.shape), np.nan)
+        h2 = self.step_length() ** 2
+        for k, d in enumerate(self.directions()):
+            c, plus, minus = self.neighbor_triples(d).T
+            out[k, c] = (values[plus] - 2.0 * values[c] + values[minus]) / h2
         return out
 
-    def _build_triples(self, direction: tuple[int, int]) -> np.ndarray:
-        m = self.resolution
-        if self.n == 2:
-            if direction != (0, 1):
-                raise ValueError("unknown direction for a 2-coordinate grid")
-            c = np.arange(1, m)
-            return np.column_stack([c, c + 1, c - 1])
-        if self.n != 3:
-            return np.empty((0, 3), dtype=int)
-        idx = self._index
-        out = []
-        for i in range(m + 1):
-            for j in range(m + 1 - i):
-                if direction == (0, 1):
-                    plus, minus = (i + 1, j - 1), (i - 1, j + 1)
-                elif direction == (0, 2):
-                    plus, minus = (i + 1, j), (i - 1, j)
-                elif direction == (1, 2):
-                    plus, minus = (i, j + 1), (i, j - 1)
-                else:
-                    raise ValueError("unknown direction for a 3-coordinate grid")
-                ok = True
-                for (a, b) in (plus, minus):
-                    if a < 0 or b < 0 or a + b > m:
-                        ok = False
-                        break
-                if ok:
-                    out.append((idx[i, j], idx[plus], idx[minus]))
-        return np.asarray(out, dtype=int) if out else np.empty((0, 3), dtype=int)
+    def max_slope(self, values: np.ndarray, axis: int = 0) -> float:
+        """Largest |difference| / step over every lattice edge, with the grid
+        nodes on the given axis of values; 0 on a grid without edges."""
+        slope = 0.0
+        for d in self.directions():
+            head = self._shift(d, 1)
+            tail = np.flatnonzero(head >= 0)
+            diff = np.take(values, head[tail], axis) - np.take(values, tail, axis)
+            slope = max(slope, float(np.max(np.abs(diff)) / self.step_length()))
+        return slope
 
     def step_length(self) -> float:
         """Euclidean length of one lattice step along an edge direction."""
@@ -300,25 +301,6 @@ class SimplexGrid:
         if self.n == 2:
             return np.interp(pts[:, 0], self.nodes[:, 0], values)
         return np.array([self.interpolate(values, p) for p in pts])
-
-
-@dataclass
-class GridFunction:
-    """Real values on the product of a p-grid and a q-grid."""
-
-    p_grid: SimplexGrid
-    q_grid: SimplexGrid
-    values: np.ndarray  # shape (n_p_nodes, n_q_nodes)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        expect = (self.p_grid.n_nodes, self.q_grid.n_nodes)
-        if v.shape != expect:
-            raise ValueError(f"values shape {v.shape} does not match grid {expect}")
-        self.values = v
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.p_grid, self.q_grid, self.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +356,25 @@ def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
     )
 
 
-def vex_p(g: GridFunction) -> GridFunction:
-    """Largest grid-convex minorant in p, slice by slice over q nodes."""
-    out = np.empty_like(g.values)
-    for jq in range(g.q_grid.n_nodes):
-        out[:, jq] = _grid_vex(g.values[:, jq], g.p_grid)
-    return GridFunction(g.p_grid, g.q_grid, out)
+def _vex_columns(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
+    if values.shape[0] != grid.n_nodes:
+        raise ValueError(f"values have {values.shape[0]} rows, the grid {grid.n_nodes} nodes")
+    out = np.empty_like(values)
+    for j in range(values.shape[1]):
+        out[:, j] = _grid_vex(values[:, j], grid)
+    return out
 
 
-def cav_q(g: GridFunction) -> GridFunction:
-    """Smallest grid-concave majorant in q, slice by slice over p nodes."""
-    out = np.empty_like(g.values)
-    for ip in range(g.p_grid.n_nodes):
-        out[ip, :] = -_grid_vex(-g.values[ip, :], g.q_grid)
-    return GridFunction(g.p_grid, g.q_grid, out)
+def vex_p(values: np.ndarray, p_grid: SimplexGrid) -> np.ndarray:
+    """Largest grid-convex minorant in p of an (n_p, n_q) array, slice by
+    slice over q nodes."""
+    return _vex_columns(np.asarray(values, dtype=float), p_grid)
+
+
+def cav_q(values: np.ndarray, q_grid: SimplexGrid) -> np.ndarray:
+    """Smallest grid-concave majorant in q of an (n_p, n_q) array, slice by
+    slice over p nodes."""
+    return -_vex_columns(-np.asarray(values, dtype=float).T, q_grid).T
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +497,6 @@ def tensor_field(f: PayoffTensor, horizon: float = 1.0) -> HamiltonianField:
         probe_t = ts[:: max(1, ts.size // 4)]
         for t in probe_t:
             h = np.array([[eval_H(f, float(t), p, q) for q in qg.nodes] for p in pg.nodes])
-            for tr in (pg.neighbor_triples(d) for d in pg.directions()):
-                if tr.size:
-                    d = np.abs(h[tr[:, 1], :] - h[tr[:, 0], :]) / pg.step_length()
-                    lip = max(lip, float(np.max(d)))
-            for tr in (qg.neighbor_triples(d) for d in qg.directions()):
-                if tr.size:
-                    d = np.abs(h[:, tr[:, 1]] - h[:, tr[:, 0]]) / qg.step_length()
-                    lip = max(lip, float(np.max(d)))
+            lip = max(lip, pg.max_slope(h, axis=0), qg.max_slope(h, axis=1))
     return HamiltonianField("tensor", fn, f.dim_p, f.dim_q, bound, lip, kind="tensor",
                             time_dependent=time_dependent)

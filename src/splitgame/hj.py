@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splitgame.hamiltonian import (
-    GridFunction,
-    HamiltonianField,
-    SimplexGrid,
-    cav_q,
-    vex_p,
-)
-from splitgame.simplex import rel_eigen_max, rel_eigen_min, support, tangent_basis
+from splitgame.hamiltonian import HamiltonianField, SimplexGrid, cav_q, vex_p
+from splitgame.simplex import rel_eigen_max, rel_eigen_min, tangent_basis
 
 MAX_DT = 1.0 / 16
 MIN_NODES = 11
@@ -114,11 +108,11 @@ def solve(H: HamiltonianField, p_grid: SimplexGrid, q_grid: SimplexGrid,
     frozen_h = None if H.time_dependent else H.fn(0.0, p_grid.nodes, q_grid.nodes)
     for k in range(n_steps - 1, -1, -1):
         hk = frozen_h if frozen_h is not None else H.fn(times[k], p_grid.nodes, q_grid.nodes)
-        g = GridFunction(p_grid, q_grid, vals[k + 1] + dt * hk)
+        g = vals[k + 1] + dt * hk
         if order == "vex_cav":
-            vals[k] = vex_p(cav_q(g)).values
+            vals[k] = vex_p(cav_q(g, q_grid), p_grid)
         else:
-            vals[k] = cav_q(vex_p(g)).values
+            vals[k] = cav_q(vex_p(g, p_grid), q_grid)
     return ValueGrid(times, p_grid, q_grid, vals, order, H.bound)
 
 
@@ -134,76 +128,44 @@ def order_gap(H: HamiltonianField, p_grid: SimplexGrid, q_grid: SimplexGrid,
 # discrete second derivatives on simplex grids
 # ---------------------------------------------------------------------------
 
-def _directional_second(values_slice: np.ndarray, grid: SimplexGrid, axis: int) -> list[np.ndarray]:
-    """Second differences along each edge direction, scaled to unit-length
-    directional second derivatives.  axis 0: rows (p), axis 1: columns (q).
-    Returns one (n_center, n_other) array per direction plus the center ids."""
-    out = []
-    h2 = grid.step_length() ** 2
-    for d in grid.directions():
-        tr = grid.neighbor_triples(d)
-        if tr.size == 0:
-            continue
-        if axis == 0:
-            second = (values_slice[tr[:, 1], :] - 2.0 * values_slice[tr[:, 0], :]
-                      + values_slice[tr[:, 2], :]) / h2
-        else:
-            second = (values_slice[:, tr[:, 1]] - 2.0 * values_slice[:, tr[:, 0]]
-                      + values_slice[:, tr[:, 2]]) / h2
-        out.append((tr[:, 0], second))
-    return out
+def _curvature(values: np.ndarray, grid: SimplexGrid, nodes: np.ndarray,
+               want_max: bool) -> np.ndarray:
+    """Smallest (largest if want_max) tangent eigenvalue of the discrete second
+    derivative at interior nodes; values has the grid nodes on axis 0, the
+    result shape (nodes.size, *values.shape[1:]).
 
-
-def _hessian_eigs_at(values_col: np.ndarray, grid: SimplexGrid, node: int):
-    """(lambda_min, lambda_max) of the tangent-reduced second derivative at an
-    interior node of a 1-slot slice (values over grid nodes)."""
-    p = grid.nodes[node]
-    basis = tangent_basis(support(p, 0.0), grid.nodes.shape[1])
-    if not basis:
-        return np.inf, -np.inf
-    h = grid.step_length()
-    seconds, dirs = [], []
+    A single-coordinate grid has no tangent space (+inf / -inf); a segment
+    has one direction, whose second difference is the curvature.  On the
+    3-simplex every interior node has full support, so one tangent basis and
+    one least-squares fit of the reduced Hessian to the three directional
+    second differences serve all nodes at once.
+    """
+    shape = (nodes.size, *values.shape[1:])
+    if grid.n == 1:
+        return np.full(shape, -np.inf if want_max else np.inf)
+    second = grid.second_differences(values)[:, nodes]
+    if grid.n == 2:
+        return second[0]
+    b = np.column_stack(tangent_basis(range(grid.n), grid.n))
+    rows = []
     for d in grid.directions():
-        tr = grid.neighbor_triples(d)
-        row = tr[tr[:, 0] == node]
-        if row.size == 0:
-            continue
-        c, pl, mi = row[0]
-        seconds.append((values_col[pl] - 2.0 * values_col[c] + values_col[mi]) / h**2)
-        u = np.zeros(grid.nodes.shape[1])
-        u[d[0]], u[d[1]] = 1.0, -1.0
-        dirs.append(u / np.linalg.norm(u))
-    if not seconds:
-        return np.inf, -np.inf
-    b = np.column_stack(basis)
-    if len(basis) == 1:
-        # one tangent dimension: every direction measures the same curvature
-        val = float(np.mean(seconds))
-        return val, val
-    rows, rhs = [], []
-    for u, s in zip(dirs, seconds):
-        c = b.T @ u
+        u = np.zeros(grid.n)
+        u[list(d)] = 1.0, -1.0
+        c = b.T @ (u / np.linalg.norm(u))
         rows.append([c[0] ** 2, 2.0 * c[0] * c[1], c[1] ** 2])
-        rhs.append(s)
-    a11, a12, a22 = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)[0]
-    red = np.array([[a11, a12], [a12, a22]])
-    full = b @ red @ b.T
-    lo = rel_eigen_min(p, 0.5 * (full + full.T))
-    hi = rel_eigen_max(p, 0.5 * (full + full.T))
-    return lo.value, hi.value
+    fits = np.linalg.lstsq(np.asarray(rows), second.reshape(len(rows), -1), rcond=None)[0]
+    rel_eigen = rel_eigen_max if want_max else rel_eigen_min
+    out = np.empty(fits.shape[1])
+    per_node = int(np.prod(shape[1:]))
+    for i, (a11, a12, a22) in enumerate(fits.T):
+        full = b @ np.array([[a11, a12], [a12, a22]]) @ b.T
+        out[i] = rel_eigen(grid.nodes[nodes[i // per_node]], 0.5 * (full + full.T)).value
+    return out.reshape(shape)
 
 
 def _interior_nodes(grid: SimplexGrid) -> np.ndarray:
-    if grid.n == 1:
-        return np.array([0])
-    if grid.n == 2:
-        return np.arange(1, grid.n_nodes - 1)
-    m = grid.resolution
-    keep = []
-    for i, node in enumerate(grid.nodes):
-        if np.min(node) > 0.5 / m:
-            keep.append(i)
-    return np.asarray(keep, dtype=int)
+    """Nodes off every face (all of a single-coordinate grid)."""
+    return np.flatnonzero(np.min(grid.nodes, axis=1) > 0.5 / grid.resolution)
 
 
 @dataclass
@@ -235,30 +197,18 @@ def residuals(v: ValueGrid, H: HamiltonianField) -> ResidualReport:
     """
     pg, qg = v.p_grid, v.q_grid
     ip_nodes = _interior_nodes(pg)
-    iq_nodes = _interior_nodes(qg) if qg.n > 1 else np.array([0])
+    iq_nodes = _interior_nodes(qg)
     n_t = v.values.shape[0] - 1
     binding = np.zeros((n_t, ip_nodes.size, iq_nodes.size), dtype=np.int8)
     resid = np.zeros((n_t, ip_nodes.size, iq_nodes.size))
     dt = v.dt
-    hp2 = pg.step_length() ** 2
     frozen_h = None if H.time_dependent else H.fn(0.0, pg.nodes, qg.nodes)
     for k in range(n_t):
         hvals = frozen_h if frozen_h is not None else H.fn(v.times[k], pg.nodes, qg.nodes)
         dvdt = (v.values[k + 1] - v.values[k]) / dt
         sl = v.values[k]
-        if pg.n == 2:
-            lam_lo = (sl[2:, :] - 2.0 * sl[1:-1, :] + sl[:-2, :])[:, iq_nodes] / hp2
-        else:
-            lam_lo = np.array([[_hessian_eigs_at(sl[:, iq], pg, ip)[0]
-                                for iq in iq_nodes] for ip in ip_nodes])
-        if qg.n == 1:
-            lam_hi = np.full_like(lam_lo, -np.inf)
-        elif qg.n == 2:
-            hq2 = qg.step_length() ** 2
-            lam_hi = (sl[:, 2:] - 2.0 * sl[:, 1:-1] + sl[:, :-2])[ip_nodes, :] / hq2
-        else:
-            lam_hi = np.array([[_hessian_eigs_at(sl[ip, :], qg, iq)[1]
-                                for iq in iq_nodes] for ip in ip_nodes])
+        lam_lo = _curvature(sl[:, iq_nodes], pg, ip_nodes, want_max=False)
+        lam_hi = _curvature(sl[ip_nodes].T, qg, iq_nodes, want_max=True).T
         term_a = -dvdt[np.ix_(ip_nodes, iq_nodes)] - hvals[np.ix_(ip_nodes, iq_nodes)]
         term_b = -lam_lo
         term_c = -lam_hi
@@ -321,40 +271,22 @@ def regularity_report(v: ValueGrid, time_slack: float = 1e-3,
     time_lip = float(np.max(np.abs(np.diff(vals, axis=0)))) if vals.shape[0] > 1 else 0.0
     time_bound = 8.0 * v.bound * v.dt
 
-    min_p = np.inf
-    for k in range(vals.shape[0]):
-        for c, second in _directional_second(vals[k], v.p_grid, axis=0):
-            if second.size:
-                min_p = min(min_p, float(np.min(second)))
-    max_q = -np.inf
-    if v.q_grid.n > 1:
-        for k in range(vals.shape[0]):
-            for c, second in _directional_second(vals[k], v.q_grid, axis=1):
-                if second.size:
-                    max_q = max(max_q, float(np.max(second)))
+    min_p, max_q = np.inf, -np.inf
+    for sl in vals:
+        min_p = min(min_p, float(np.fmin.reduce(v.p_grid.second_differences(sl),
+                                                axis=None, initial=np.inf)))
+        max_q = max(max_q, float(np.fmax.reduce(v.q_grid.second_differences(sl.T),
+                                                axis=None, initial=-np.inf)))
     if not np.isfinite(min_p):
         min_p = 0.0
     if not np.isfinite(max_q):
         max_q = 0.0
-
-    lip_p = 0.0
-    for d in v.p_grid.directions():
-        tr = v.p_grid.neighbor_triples(d)
-        if tr.size:
-            diffs = np.abs(vals[:, tr[:, 1], :] - vals[:, tr[:, 0], :]) / v.p_grid.step_length()
-            lip_p = max(lip_p, float(np.max(diffs)))
-    lip_q = 0.0
-    if v.q_grid.n > 1:
-        for d in v.q_grid.directions():
-            tr = v.q_grid.neighbor_triples(d)
-            if tr.size:
-                diffs = np.abs(vals[:, :, tr[:, 1]] - vals[:, :, tr[:, 0]]) / v.q_grid.step_length()
-                lip_q = max(lip_q, float(np.max(diffs)))
+    lip_p = v.p_grid.max_slope(vals, axis=1)
+    lip_q = v.q_grid.max_slope(vals, axis=2)
 
     horizon = float(v.times[-1])
     cbar = coupling_bound_constant(v.p_grid.nodes.shape[1])
     lip_bound = v.bound * cbar * horizon
-    # the p/q curvature scale: second differences in the 1-D slice parameter
     return RegularityReport(
         time_lip=time_lip,
         time_lip_bound=time_bound,

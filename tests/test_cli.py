@@ -106,6 +106,21 @@ class TestSolveHj:
         vals = np.array([float(r.split(",")[-1]) for r in rows])
         np.testing.assert_array_equal(vals, 0.0)
 
+    def test_two_sided_bilinear_report(self, tmp_path):
+        # a non-flat two-sided value: the regularity fields must serialize
+        cfg = {
+            "schema_version": 1,
+            "hamiltonian": {"kind": "analytic", "name": "bilinear"},
+            "hj": {"p_resolution": 20, "q_resolution": 20, "time_steps": 16},
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert cli.main(["solve-hj", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((next(out.iterdir()) / "report.json").read_text())
+        regularity = report["solve_hj"]["regularity"]
+        assert regularity["all_ok"] is True
+        assert regularity["lipschitz_p"] > 0
+
     def test_tensor_hamiltonian_roundtrip(self, tmp_path):
         vals = np.zeros((1, 2, 1, 1, 2))
         vals[0, 0, 0, 0, :] = [1.0, 0.0]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from splitgame.hamiltonian import (
-    GridFunction,
     PayoffTensor,
     SimplexGrid,
     analytic_field,
@@ -197,71 +196,64 @@ def grid_fn(p_res, q_res, fn, n_p=2, n_q=2):
     pg = SimplexGrid.build(n_p, p_res)
     qg = SimplexGrid.build(n_q, q_res)
     vals = np.array([[fn(p, q) for q in qg.nodes] for p in pg.nodes])
-    return GridFunction(pg, qg, vals)
+    return pg, vals
 
 
 class TestEnvelopes:
     def test_vex_fixes_convex(self):
-        g = grid_fn(40, 1, lambda p, q: (p[0] - 0.3) ** 2, n_q=1)
-        np.testing.assert_allclose(vex_p(g).values, g.values, atol=1e-14)
+        pg, vals = grid_fn(40, 1, lambda p, q: (p[0] - 0.3) ** 2, n_q=1)
+        np.testing.assert_allclose(vex_p(vals, pg), vals, atol=1e-14)
 
     def test_vex_tent_is_zero(self):
-        g = grid_fn(200, 1, lambda p, q: 0.5 - abs(p[0] - 0.5), n_q=1)
-        np.testing.assert_allclose(vex_p(g).values, 0.0, atol=1e-14)
+        pg, vals = grid_fn(200, 1, lambda p, q: 0.5 - abs(p[0] - 0.5), n_q=1)
+        np.testing.assert_allclose(vex_p(vals, pg), 0.0, atol=1e-14)
 
     def test_vex_below_cav_above(self):
         rng = np.random.default_rng(20)
         pg = SimplexGrid.build(2, 30)
         qg = SimplexGrid.build(2, 15)
-        g = GridFunction(pg, qg, rng.normal(size=(31, 16)))
-        assert np.all(vex_p(g).values <= g.values)
-        assert np.all(cav_q(g).values >= g.values)
+        g = rng.normal(size=(31, 16))
+        assert np.all(vex_p(g, pg) <= g)
+        assert np.all(cav_q(g, qg) >= g)
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
         pg = SimplexGrid.build(2, 25)
         qg = SimplexGrid.build(2, 25)
-        g = GridFunction(pg, qg, rng.normal(size=(26, 26)))
-        v1 = vex_p(g)
-        np.testing.assert_allclose(vex_p(v1).values, v1.values, atol=1e-10)
-        c1 = cav_q(g)
-        np.testing.assert_allclose(cav_q(c1).values, c1.values, atol=1e-10)
+        g = rng.normal(size=(26, 26))
+        v1 = vex_p(g, pg)
+        np.testing.assert_allclose(vex_p(v1, pg), v1, atol=1e-10)
+        c1 = cav_q(g, qg)
+        np.testing.assert_allclose(cav_q(c1, qg), c1, atol=1e-10)
 
     def test_monotone(self):
         rng = np.random.default_rng(22)
         pg = SimplexGrid.build(2, 12)
-        qg = SimplexGrid.build(1, 1)
         for _ in range(1000):
             a = rng.normal(size=(13, 1))
             b = a + rng.uniform(0.0, 1.0, size=(13, 1))
-            va = vex_p(GridFunction(pg, qg, a)).values
-            vb = vex_p(GridFunction(pg, qg, b)).values
+            va = vex_p(a, pg)
+            vb = vex_p(b, pg)
             assert np.all(va <= vb + 1e-12)
 
     def test_cav_is_dual_of_vex(self):
         rng = np.random.default_rng(23)
-        pg = SimplexGrid.build(2, 20)
         qg = SimplexGrid.build(2, 20)
         vals = rng.normal(size=(21, 21))
-        g = GridFunction(pg, qg, vals)
-        gneg = GridFunction(qg, pg, -vals.T)
-        np.testing.assert_allclose(cav_q(g).values, -vex_p(gneg).values.T, atol=1e-14)
+        np.testing.assert_allclose(cav_q(vals, qg), -vex_p(-vals.T, qg).T, atol=1e-14)
 
     def test_three_coord_affine_fixed(self):
         pg = SimplexGrid.build(3, 8)
-        qg = SimplexGrid.build(1, 1)
         w = np.array([0.3, -0.7, 1.1])
         vals = (pg.nodes @ w)[:, None]
-        g = GridFunction(pg, qg, vals)
-        np.testing.assert_allclose(vex_p(g).values, vals, atol=1e-9)
+        np.testing.assert_allclose(vex_p(vals, pg), vals, atol=1e-9)
 
     def test_three_coord_spike(self):
         pg = SimplexGrid.build(3, 6)
-        qg = SimplexGrid.build(1, 1)
         vals = np.zeros((pg.n_nodes, 1))
         center = pg.nearest_index([1 / 3, 1 / 3, 1 / 3])
         vals[center, 0] = -1.0
-        out = vex_p(GridFunction(pg, qg, vals)).values
+        out = vex_p(vals, pg)
         assert np.all(out <= vals + 1e-15)
         assert out[center, 0] == -1.0
         # grid-convex along every direction afterwards
@@ -297,14 +289,41 @@ class TestSimplexGrid:
                 assert abs(g.interpolate(vals, p) - p @ w) <= 1e-10
 
     def test_neighbor_triples_consistent(self):
+        for n in (2, 3):
+            for m in (2, 5, 9):
+                g = SimplexGrid.build(n, m)
+                for d in g.directions():
+                    tr = g.neighbor_triples(d)
+                    step = np.zeros(n)
+                    step[d[0]] += 1.0 / g.resolution
+                    step[d[1]] -= 1.0 / g.resolution
+                    np.testing.assert_allclose(g.nodes[tr[:, 1]], g.nodes[tr[:, 0]] + step,
+                                               atol=1e-12)
+                    np.testing.assert_allclose(g.nodes[tr[:, 2]], g.nodes[tr[:, 0]] - step,
+                                               atol=1e-12)
+                    # every node with both neighbours in the grid, once, centres ascending
+                    inside = (np.all(g.nodes + step >= -1e-12, axis=1)
+                              & np.all(g.nodes - step >= -1e-12, axis=1))
+                    np.testing.assert_array_equal(tr[:, 0], np.flatnonzero(inside))
+
+    @pytest.mark.parametrize("n, m, slope", [(2, 20, 20 / np.sqrt(2)), (3, 6, 6 / np.sqrt(2))])
+    def test_max_slope_sees_edges_off_the_face(self, n, m, slope):
+        # a unit jump between the face p_1 = 0 and its neighbours
+        g = SimplexGrid.build(n, m)
+        vals = (g.nodes[:, 0] == 0.0).astype(float)
+        assert g.max_slope(vals) == pytest.approx(slope, rel=1e-12)
+        assert g.max_slope(np.column_stack([0 * vals, vals]), axis=0) == pytest.approx(slope)
+        assert g.max_slope(vals[None, :], axis=1) == pytest.approx(slope)
+
+    def test_second_differences_nan_off_centres(self):
         g = SimplexGrid.build(3, 5)
-        for d in g.directions():
-            tr = g.neighbor_triples(d)
-            step = np.zeros(3)
-            step[d[0]] += 1.0 / g.resolution
-            step[d[1]] -= 1.0 / g.resolution
-            np.testing.assert_allclose(g.nodes[tr[:, 1]], g.nodes[tr[:, 0]] + step, atol=1e-12)
-            np.testing.assert_allclose(g.nodes[tr[:, 2]], g.nodes[tr[:, 0]] - step, atol=1e-12)
+        vals = g.nodes @ np.array([0.3, -0.7, 1.1])
+        sd = g.second_differences(vals)
+        assert sd.shape == (3, g.n_nodes)
+        for k, d in enumerate(g.directions()):
+            centres = g.neighbor_triples(d)[:, 0]
+            np.testing.assert_allclose(sd[k, centres], 0.0, atol=1e-10)
+            assert np.all(np.isnan(np.delete(sd[k], centres)))
 
 
 class TestAnalyticFields:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from splitgame.hamiltonian import GridFunction, SimplexGrid, analytic_field, vex_p
+from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field, vex_p
 from splitgame.hj import (
     BRANCH_TIME,
+    ValueGrid,
+    _curvature,
+    _interior_nodes,
     export_csv,
     naive_hji_residual,
     order_gap,
@@ -12,6 +15,7 @@ from splitgame.hj import (
     solve,
     summary_dict,
 )
+from splitgame.simplex import rel_eigen_max, rel_eigen_min
 
 
 def one_sided_grids(res=200):
@@ -41,7 +45,7 @@ class TestSolve:
         pg, qg = one_sided_grids(200)
         h = analytic_field("double_well")
         v = solve(h, pg, qg, 1.0, 128)
-        env = vex_p(GridFunction(pg, qg, h.fn(0.0, pg.nodes, qg.nodes))).values
+        env = vex_p(h.fn(0.0, pg.nodes, qg.nodes), pg)
         gap = max(np.max(np.abs(v.values[k] - (1.0 - t) * env))
                   for k, t in enumerate(v.times))
         assert gap <= 2e-2
@@ -221,6 +225,16 @@ class TestRegularity:
             rep = regularity_report(v)
             assert rep.time_lip <= 8.0 * h.bound * v.dt + 1e-3
 
+    @pytest.mark.parametrize("n, m, slope", [(2, 20, 20 / np.sqrt(2)), (3, 6, 6 / np.sqrt(2))])
+    def test_lipschitz_sees_edges_off_the_face(self, n, m, slope):
+        # a unit jump between the face p_1 = 0 and its neighbours
+        pg, qg = SimplexGrid.build(n, m), SimplexGrid.build(1, 1)
+        jump = (pg.nodes[:, 0] == 0.0).astype(float)[None, :, None]
+        v = ValueGrid(np.array([0.0, 1.0]), pg, qg, np.repeat(jump, 2, axis=0), "vex_cav", 1.0)
+        rep = regularity_report(v)
+        assert rep.lip_p == pytest.approx(slope, rel=1e-12)
+        assert rep.lip_q == 0.0
+
 
 class TestThreeCoordinate:
     def quad3(self):
@@ -258,6 +272,40 @@ class TestThreeCoordinate:
         v = solve(h, pg, qg, 1.0, 16)
         rep = regularity_report(v)
         assert rep.convex_ok and rep.time_ok
+
+    def test_curvature_exact_on_quadratics(self):
+        g = SimplexGrid.build(3, 8)
+        nodes = _interior_nodes(g)
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(3, 3))
+        a = a + a.T
+        b = rng.normal(size=(3, 3))
+        b = b + b.T
+        quad_a = np.einsum("ni,ij,nj->n", g.nodes, a, g.nodes)
+        quad_b = -np.einsum("ni,ij,nj->n", g.nodes, b, g.nodes)
+        # the second column of each slice carries the other quadratic
+        lo = _curvature(np.column_stack([quad_a, -quad_b]), g, nodes, want_max=False)
+        hi = _curvature(np.column_stack([quad_b, -quad_a]), g, nodes, want_max=True)
+        assert lo.shape == hi.shape == (nodes.size, 2)
+        for i, node in enumerate(nodes):
+            p = g.nodes[node]
+            assert abs(lo[i, 0] - rel_eigen_min(p, 2 * a).value) <= 1e-9
+            assert abs(lo[i, 1] - rel_eigen_min(p, 2 * b).value) <= 1e-9
+            assert abs(hi[i, 0] - rel_eigen_max(p, -2 * b).value) <= 1e-9
+            assert abs(hi[i, 1] - rel_eigen_max(p, -2 * a).value) <= 1e-9
+
+    def test_residuals_three_coordinates_both_slots(self):
+        pg, qg = SimplexGrid.build(3, 6), SimplexGrid.build(3, 6)
+        zero = HamiltonianField("zero3", lambda t, P, Q: np.zeros((P.shape[0], Q.shape[0])),
+                                3, 3, 0.0, 0.0)
+        rng = np.random.default_rng(32)
+        vals = rng.normal(size=(3, pg.n_nodes, qg.n_nodes))
+        v = ValueGrid(np.array([0.0, 0.5, 1.0]), pg, qg, vals, "vex_cav", 1.0)
+        rep = residuals(v, zero)
+        shape = (2, _interior_nodes(pg).size, _interior_nodes(qg).size)
+        assert shape == (2, 10, 10)
+        assert rep.binding.shape == shape and rep.residual.shape == shape
+        assert np.all(np.isfinite(rep.residual))
 
 
 class TestValueGridLookup:
