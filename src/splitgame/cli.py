@@ -198,8 +198,12 @@ def _cmd_solve_hj(cfg: dict, out: Path, threads: int) -> int:
     order = block.get("order", "vex_cav")
     if order not in ("vex_cav", "cav_vex"):
         raise ConfigError("hj.order: must be 'vex_cav' or 'cav_vex'")
-    pg = SimplexGrid.build(field.dim_p, p_res)
-    qg = SimplexGrid.build(field.dim_q, q_res if field.dim_q > 1 else 1)
+    try:
+        pg = SimplexGrid.build(field.dim_p, p_res)
+        qg = SimplexGrid.build(field.dim_q, q_res if field.dim_q > 1 else 1)
+    except ValueError as e:
+        where = "hamiltonian.path" if field.kind == "tensor" else "hamiltonian.params"
+        raise ConfigError(f"{where}: {e}, got {field.dim_p}x{field.dim_q}") from None
     try:
         a, b, gap = order_gap(field, pg, qg, horizon, steps)
     except ValueError as e:

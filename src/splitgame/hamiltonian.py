@@ -7,13 +7,13 @@ grids.  Finite action grids need not satisfy a pure-strategy minimax equality,
 so the mixed value (which always exists) is used as the discretization.
 
 Envelopes: vex_p(values, p_grid) and cav_q(values, q_grid) take and return
-(n_p, n_q) arrays.  vex_p takes the largest grid-convex minorant in the p slot
-for each fixed q node, cav_q the smallest grid-concave majorant in q.  On 1-D
-slices (two-coordinate simplex) this is the exact lower/upper convex hull; on
-the three-coordinate simplex it is an iterated directional-average sweep over
-the edge directions e_i - e_j.  Grids carry the lattice difference primitives
-(neighbour triples, second differences, edge slopes) that the solver's
-residual and regularity checks use.
+(n_p, n_q) arrays.  vex_p takes the convex envelope in the p slot of the node
+values for each fixed q node, cav_q the concave envelope in q.  Both are exact
+on every grid: the lower hull of the samples on a two-coordinate simplex, and
+the lower hull of the lifted points (p_1, p_2, V) on the three-coordinate
+simplex.  Grids carry the lattice difference primitives (neighbour triples,
+second differences, edge slopes) that the solver's residual and regularity
+checks use, and the lattice-cell lookup behind every interpolation.
 """
 
 from __future__ import annotations
@@ -23,14 +23,9 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 GAME_VALUE_TOL = 1e-9
-ENVELOPE_TOL = 1e-10
-ENVELOPE_MAX_ITER = 100_000
-
-
-class EnvelopeConvergenceError(RuntimeError):
-    """Directional sweep failed to converge within the iteration cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +95,8 @@ def maximin_value(m) -> tuple[float, np.ndarray, np.ndarray]:
 class PayoffTensor:
     """Sampled payoff f_ij(t,k,l) on finite index and action grids.
 
-    values has shape (n_times, nI, nJ, nK, nL) with entries in [0,1];
-    time_samples is sorted and lives in [0, horizon].
+    values has shape (n_times, nI, nJ, nK, nL) with finite entries in [0,1];
+    time_samples is finite, sorted and lives in [0, horizon].
     """
 
     values: np.ndarray
@@ -116,10 +111,10 @@ class PayoffTensor:
             raise ValueError("payoff tensor has an empty axis")
         if t.ndim != 1 or t.size != v.shape[0]:
             raise ValueError("time_samples length must match the leading axis")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise ValueError("time_samples must be strictly increasing")
-        if np.min(v) < 0.0 or np.max(v) > 1.0:
-            raise ValueError("payoff entries must lie in [0, 1]")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise ValueError("time_samples must be finite and strictly increasing")
+        if not np.all((v >= 0.0) & (v <= 1.0)):  # also false on NaN
+            raise ValueError("payoff entries must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "time_samples", t)
 
@@ -266,41 +261,33 @@ class SimplexGrid:
         pv = np.asarray(p, dtype=float)
         return int(np.argmin(np.sum((self.nodes - pv) ** 2, axis=1)))
 
+    def cells(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """Lattice cell of each point as (b, n) node indices and (b, n)
+        barycentric weights, coordinates clipped to [0, 1].  A 3-simplex cell
+        is the triangle (i, j), (i+1, j), (i, j+1) or (i+1, j+1), (i+1, j), (i, j+1)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self.n == 1:
+            return np.zeros((pts.shape[0], 1), dtype=int), np.ones((pts.shape[0], 1))
+        m = self.resolution
+        x = np.clip(pts[:, :self.n - 1], 0.0, 1.0) * m
+        i = np.minimum(np.floor(x[:, 0]), m - 1).astype(int)
+        fa = x[:, 0] - i
+        if self.n == 2:
+            return np.column_stack([i, i + 1]), np.column_stack([1.0 - fa, fa])
+        j = np.minimum(np.floor(x[:, 1]), m - 1 - i).astype(int)
+        fb = x[:, 1] - j
+        up = (fa + fb > 1.0) & (i + j <= m - 2)
+        nodes = self._index[[i + up, i + 1, i], [j + up, j, j + 1]].T
+        weights = np.where(up, [fa + fb - 1.0, 1.0 - fb, 1.0 - fa], [1.0 - fa - fb, fa, fb]).T
+        return nodes, weights
+
     def interpolate(self, values: np.ndarray, p) -> float:
         """Barycentric-linear interpolation of node values at a point."""
-        pv = np.asarray(p, dtype=float)
-        if self.n == 1:
-            return float(values[0])
-        if self.n == 2:
-            return float(np.interp(pv[0], self.nodes[:, 0], values))
-        m = self.resolution
-        idx = self._index
-        a = min(max(pv[0], 0.0), 1.0) * m
-        b = min(max(pv[1], 0.0), 1.0) * m
-        i, j = min(int(a), m), min(int(b), m)
-        if i + j >= m:
-            # third coordinate vanished: interpolate along the k=0 edge
-            i0 = min(int(a), m - 1)
-            w = a - i0
-            v0 = values[idx[i0, m - i0]]
-            v1 = values[idx[i0 + 1, m - i0 - 1]]
-            return float((1.0 - w) * v0 + w * v1)
-        fa, fb = a - i, b - j
-        if i + j <= m - 2 and fa + fb > 1.0:
-            w0, w1, w2 = fa + fb - 1.0, 1.0 - fb, 1.0 - fa
-            n0, n1, n2 = idx[i + 1, j + 1], idx[i + 1, j], idx[i, j + 1]
-            return float(w0 * values[n0] + w1 * values[n1] + w2 * values[n2])
-        w0 = max(0.0, 1.0 - fa - fb)
-        tot = w0 + fa + fb
-        return float((w0 * values[idx[i, j]] + fa * values[idx[i + 1, j]]
-                      + fb * values[idx[i, j + 1]]) / tot)
+        return float(self.interpolate_many(values, p)[0])
 
-    def interpolate_many(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        if self.n == 1:
-            return np.full(pts.shape[0], float(values[0]))
-        if self.n == 2:
-            return np.interp(pts[:, 0], self.nodes[:, 0], values)
-        return np.array([self.interpolate(values, p) for p in pts])
+    def interpolate_many(self, values: np.ndarray, pts) -> np.ndarray:
+        nodes, weights = self.cells(pts)
+        return np.sum(values[nodes] * weights, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +318,31 @@ def lower_hull_1d(y: np.ndarray) -> np.ndarray:
 
 
 def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
-    """Grid-convex envelope of one slice (1-D array over grid nodes)."""
+    """Convex envelope of one slice (1-D array over grid nodes).  On the
+    3-simplex: the lower hull of the lifted points (i, j, value), i and j the
+    integer lattice coordinates; an apex above the centroid keeps affine data
+    full-dimensional.  Lower-hull vertices keep their values, other nodes take
+    the max of the lower-facet planes, capped by their own values."""
     if grid.n == 1:
         return values.copy()
     if grid.n == 2:
         return lower_hull_1d(values)
-    triples = [grid.neighbor_triples(d) for d in grid.directions()]
-    g = values
-    v = values.copy()
-    for _ in range(ENVELOPE_MAX_ITER):
-        cand = np.full_like(v, np.inf)
-        for tr in triples:
-            if tr.size == 0:
-                continue
-            avg = 0.5 * (v[tr[:, 1]] + v[tr[:, 2]])
-            np.minimum.at(cand, tr[:, 0], avg)
-        new = np.minimum(g, cand)
-        change = np.max(np.abs(new - v)) if v.size else 0.0
-        v = new
-        if change < ENVELOPE_TOL:
-            return v
-    raise EnvelopeConvergenceError(
-        f"envelope sweep did not converge in {ENVELOPE_MAX_ITER} iterations"
-    )
+    m = grid.resolution
+    xy = np.vstack([np.rint(grid.nodes[:, :2] * m), [m / 3.0, m / 3.0]])
+    apex = np.max(values) + np.ptp(values) + 1.0
+    hull = ConvexHull(np.column_stack([xy, np.append(values, apex)]))
+    # on integer (i, j) the vertical facets over the simplex edges get a
+    # normal z of exactly 0, so this keeps only the lower facets
+    lower = hull.equations[:, 2] < 0.0
+    eq = hull.equations[lower]
+    out = values.copy()
+    rest = np.setdiff1d(np.arange(values.size), hull.simplices[lower])
+    step = max(1, (1 << 18) // eq.shape[0])  # 2 MB blocks of plane values
+    for s in range(0, rest.size, step):
+        idx = rest[s:s + step]
+        planes = -(xy[idx] @ eq[:, :2].T + eq[:, 3]) / eq[:, 2]
+        out[idx] = np.minimum(np.max(planes, axis=1), values[idx])
+    return out
 
 
 def _vex_columns(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
@@ -366,14 +355,14 @@ def _vex_columns(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
 
 
 def vex_p(values: np.ndarray, p_grid: SimplexGrid) -> np.ndarray:
-    """Largest grid-convex minorant in p of an (n_p, n_q) array, slice by
-    slice over q nodes."""
+    """Convex envelope in p of an (n_p, n_q) array, slice by slice over q
+    nodes."""
     return _vex_columns(np.asarray(values, dtype=float), p_grid)
 
 
 def cav_q(values: np.ndarray, q_grid: SimplexGrid) -> np.ndarray:
-    """Smallest grid-concave majorant in q of an (n_p, n_q) array, slice by
-    slice over p nodes."""
+    """Concave envelope in q of an (n_p, n_q) array, slice by slice over p
+    nodes."""
     return -_vex_columns(-np.asarray(values, dtype=float).T, q_grid).T
 
 

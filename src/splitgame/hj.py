@@ -61,33 +61,14 @@ class ValueGrid:
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
     def value_at(self, t: float, p, q=None) -> float:
-        sl = self.slice_at(t)
-        qv = np.asarray([1.0]) if q is None else np.asarray(q, dtype=float)
-        # interpolate in q for each p-node column first, then in p
-        col = np.array([self.q_grid.interpolate(sl[i], qv) for i in range(self.p_grid.n_nodes)])
-        return self.p_grid.interpolate(col, np.asarray(p, dtype=float))
+        return float(self.values_at_states(t, p, [1.0] if q is None else q)[0])
 
-    def values_at_states(self, t: float, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Batched evaluation along coupled path states."""
-        sl = self.slice_at(t)
-        if self.q_grid.n == 1:
-            col = sl[:, 0]
-            return self.p_grid.interpolate_many(col, P)
-        if self.p_grid.n == 2 and self.q_grid.n == 2:
-            px = self.p_grid.nodes[:, 0]
-            qx = self.q_grid.nodes[:, 0]
-            # bilinear interpolation on the (p0, q0) rectangle
-            ip = np.clip(np.searchsorted(px, P[:, 0], side="right") - 1, 0, px.size - 2)
-            iq = np.clip(np.searchsorted(qx, Q[:, 0], side="right") - 1, 0, qx.size - 2)
-            wp = (P[:, 0] - px[ip]) / (px[ip + 1] - px[ip])
-            wq = (Q[:, 0] - qx[iq]) / (qx[iq + 1] - qx[iq])
-            v00 = sl[ip, iq]
-            v10 = sl[ip + 1, iq]
-            v01 = sl[ip, iq + 1]
-            v11 = sl[ip + 1, iq + 1]
-            return ((1 - wp) * (1 - wq) * v00 + wp * (1 - wq) * v10
-                    + (1 - wp) * wq * v01 + wp * wq * v11)
-        return np.array([self.value_at(t, P[i], Q[i]) for i in range(P.shape[0])])
+    def values_at_states(self, t: float, P, Q) -> np.ndarray:
+        """Batched evaluation along coupled path states: the tensor product of
+        the interpolations over each state's p-cell and q-cell."""
+        pn, pw = self.p_grid.cells(P)
+        qn, qw = self.q_grid.cells(Q)
+        return np.einsum("bi,bj,bij->b", pw, qw, self.slice_at(t)[pn[:, :, None], qn[:, None, :]])
 
 
 def solve(H: HamiltonianField, p_grid: SimplexGrid, q_grid: SimplexGrid,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from splitgame.hamiltonian import HamiltonianField, SimplexGrid, lower_hull_1d
+from splitgame.hamiltonian import HamiltonianField, SimplexGrid, vex_p
 from splitgame.sde import (
     FeedbackControl,
     NoiseGrid,
@@ -226,8 +226,7 @@ def vex_at(H: HamiltonianField, p, t: float = 0.0, resolution: int = 512) -> flo
     if H.dim_q != 1:
         raise ValueError("vex_at expects a one-sided field")
     grid = SimplexGrid.build(2, resolution)
-    vals = H.fn(t, grid.nodes, np.ones((1, 1)))[:, 0]
-    return grid.interpolate(lower_hull_1d(vals), p)
+    return grid.interpolate(vex_p(H.fn(t, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,15 @@ Run `pytest tests/test_acceptance.py -v -s` to see every line.
 
 import pytest
 
-from splitgame.acceptance import run_all
+from splitgame.acceptance import (
+    GOLDEN_NAMES,
+    GOLDEN_RES,
+    check_closed_form_family,
+    check_envelope_golden_value,
+    run_all,
+)
+from splitgame.hamiltonian import SimplexGrid, analytic_field
+from splitgame.hj import solve
 
 SEED = 0
 
@@ -64,3 +72,17 @@ def test_09_stochastic_representation(results):
 
 def test_10_determinism(results):
     _assert(results, "determinism")
+
+
+def test_detail_holds_no_wall_clock_time():
+    # report.json stores each check's detail, so timings there would make two
+    # verify runs of one config differ
+    pg, qg = SimplexGrid.build(2, GOLDEN_RES), SimplexGrid.build(1, 1)
+    solved = {name: (analytic_field(name), solve(analytic_field(name), pg, qg, 1.0, 16))
+              for name in GOLDEN_NAMES}
+    details = set()
+    for seconds in (0.25, 1.5):
+        golden = {name: (h, v, seconds) for name, (h, v) in solved.items()}
+        details.add((check_envelope_golden_value(golden).detail,
+                     check_closed_form_family(golden).detail))
+    assert len(details) == 1

@@ -155,6 +155,34 @@ class TestSolveHj:
             assert cli.main(["solve-hj", "--config", str(path), "--out", str(out)]) == 0
         assert len([d for d in out.iterdir() if d.is_dir()]) == 2
 
+    def test_non_finite_tensor_exit_2(self, tmp_path, capsys):
+        vals = np.full((1, 2, 1, 1, 2), 0.5)
+        vals[0, 1, 0, 0, 1] = np.nan
+        (tmp_path / "tensor.json").write_text(json.dumps(
+            {"time_samples": [0.0], "values": vals.tolist()}))
+        cfg = {
+            "schema_version": 1,
+            "hamiltonian": {"kind": "tensor", "path": "tensor.json"},
+            "hj": {"p_resolution": 20, "q_resolution": 1, "time_steps": 16},
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["solve-hj", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "hamiltonian.path" in capsys.readouterr().err
+
+    def test_four_coordinate_tensor_exit_2(self, tmp_path, capsys):
+        (tmp_path / "tensor.json").write_text(json.dumps(
+            {"time_samples": [0.0], "values": np.full((1, 4, 1, 1, 2), 0.5).tolist()}))
+        cfg = {
+            "schema_version": 1,
+            "hamiltonian": {"kind": "tensor", "path": "tensor.json"},
+            "hj": {"p_resolution": 20, "q_resolution": 1, "time_steps": 16},
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["solve-hj", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "hamiltonian.path" in capsys.readouterr().err
+
     def test_missing_tensor_file(self, tmp_path):
         cfg = {
             "schema_version": 1,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from splitgame.hamiltonian import (
     PayoffTensor,
@@ -37,6 +40,34 @@ def oracle_lower_hull(y):
                 best = min(best, (1 - w) * y[a] + w * y[b])
         out[i] = best
     return out
+
+
+def oracle_lp_envelope(grid, f):
+    """Oracle: convex envelope at each node by one LP, min sum lam_i f_i
+    s.t. sum lam_i x_i = x, lam >= 0, sum lam_i = 1 (integer lattice x)."""
+    x = np.rint(grid.nodes[:, :2] * grid.resolution)
+    a_eq = np.vstack([x.T, np.ones(grid.n_nodes)])
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    out = np.empty(grid.n_nodes)
+    for k in range(grid.n_nodes):
+        res = linprog(f, A_eq=a_eq, b_eq=np.append(x[k], 1.0), bounds=(0.0, None),
+                      method="highs", options=tol)
+        assert res.success, res.message
+        out[k] = res.fun
+    return out
+
+
+@st.composite
+def three_simplex_values(draw):
+    """A 3-simplex grid with m in [1, 16] and rough, affine, steep or tied values."""
+    grid = SimplexGrid.build(3, draw(st.integers(1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rough", "affine", "steep", "tied"]))
+    if kind == "affine":
+        return grid, grid.nodes @ rng.normal(size=3)
+    if kind == "tied":
+        return grid, rng.integers(0, 3, size=grid.n_nodes).astype(float)
+    return grid, rng.normal(size=grid.n_nodes) * (1e4 if kind == "steep" else 1.0)
 
 
 class TestMatrixGame:
@@ -218,29 +249,41 @@ class TestEnvelopes:
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)
-        pg = SimplexGrid.build(2, 25)
-        qg = SimplexGrid.build(2, 25)
-        g = rng.normal(size=(26, 26))
-        v1 = vex_p(g, pg)
-        np.testing.assert_allclose(vex_p(v1, pg), v1, atol=1e-10)
-        c1 = cav_q(g, qg)
-        np.testing.assert_allclose(cav_q(c1, qg), c1, atol=1e-10)
+        for n, m in ((2, 25), (3, 8)):
+            pg = SimplexGrid.build(n, m)
+            qg = SimplexGrid.build(n, m)
+            g = rng.normal(size=(pg.n_nodes, qg.n_nodes))
+            v1 = vex_p(g, pg)
+            np.testing.assert_allclose(vex_p(v1, pg), v1, atol=1e-10)
+            c1 = cav_q(g, qg)
+            np.testing.assert_allclose(cav_q(c1, qg), c1, atol=1e-10)
 
     def test_monotone(self):
         rng = np.random.default_rng(22)
-        pg = SimplexGrid.build(2, 12)
-        for _ in range(1000):
-            a = rng.normal(size=(13, 1))
-            b = a + rng.uniform(0.0, 1.0, size=(13, 1))
-            va = vex_p(a, pg)
-            vb = vex_p(b, pg)
-            assert np.all(va <= vb + 1e-12)
+        for n, m in ((2, 12), (3, 6)):
+            pg = SimplexGrid.build(n, m)
+            for _ in range(1000):
+                a = rng.normal(size=(pg.n_nodes, 1))
+                b = a + rng.uniform(0.0, 1.0, size=(pg.n_nodes, 1))
+                va = vex_p(a, pg)
+                vb = vex_p(b, pg)
+                assert np.all(va <= vb + 1e-12)
 
     def test_cav_is_dual_of_vex(self):
         rng = np.random.default_rng(23)
-        qg = SimplexGrid.build(2, 20)
-        vals = rng.normal(size=(21, 21))
-        np.testing.assert_allclose(cav_q(vals, qg), -vex_p(-vals.T, qg).T, atol=1e-14)
+        for n, m in ((2, 20), (3, 6)):
+            qg = SimplexGrid.build(n, m)
+            vals = rng.normal(size=(21, qg.n_nodes))
+            np.testing.assert_allclose(cav_q(vals, qg), -vex_p(-vals.T, qg).T, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(three_simplex_values())
+    def test_three_coord_matches_lp_oracle(self, data):
+        pg, f = data
+        out = vex_p(f[:, None], pg)[:, 0]
+        np.testing.assert_allclose(out, oracle_lp_envelope(pg, f),
+                                   rtol=0.0, atol=1e-12 * (1.0 + np.max(np.abs(f))))
+        assert np.all(out <= f)
 
     def test_three_coord_affine_fixed(self):
         pg = SimplexGrid.build(3, 8)

@@ -273,6 +273,16 @@ class TestThreeCoordinate:
         rep = regularity_report(v)
         assert rep.convex_ok and rep.time_ok
 
+    def test_concave_cost_solve_is_convex(self):
+        # Vex of -|p|^2 on the 3-simplex is the affine interpolant of its
+        # vertex values, the constant -1
+        h = HamiltonianField("negsq", lambda t, P, Q: -np.sum(P ** 2, axis=1)[:, None]
+                             * np.ones((1, Q.shape[0])), 3, 1, 1.0, 2.0)
+        v = solve(h, SimplexGrid.build(3, 12), SimplexGrid.build(1, 1), 1.0, 16)
+        expect = np.repeat((v.times - 1.0)[:, None], v.p_grid.n_nodes, axis=1)
+        np.testing.assert_allclose(v.values[:, :, 0], expect, atol=1e-12)
+        assert regularity_report(v).convex_ok
+
     def test_curvature_exact_on_quadratics(self):
         g = SimplexGrid.build(3, 8)
         nodes = _interior_nodes(g)
@@ -327,6 +337,21 @@ class TestValueGridLookup:
         batch = v.values_at_states(0.0, P, Q)
         single = np.array([v.value_at(0.0, P[i], Q[i]) for i in range(50)])
         np.testing.assert_allclose(batch, single, atol=1e-12)
+
+    @pytest.mark.parametrize("n_p, n_q", [(2, 2), (3, 1), (3, 3), (2, 3)])
+    def test_values_at_states_reproduce_biaffine(self, n_p, n_q):
+        pg = SimplexGrid.build(n_p, 7 if n_p == 3 else 10)
+        qg = SimplexGrid.build(n_q, 7 if n_q == 3 else 10)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(n_p, n_q))
+        vals = np.einsum("ai,ij,bj->ab", pg.nodes, a, qg.nodes)
+        v = ValueGrid(np.array([0.0, 1.0]), pg, qg, np.stack([vals, vals]), "vex_cav", 1.0)
+        P = rng.dirichlet(np.ones(n_p), size=200)
+        Q = rng.dirichlet(np.ones(n_q), size=200)
+        batch = v.values_at_states(0.0, P, Q)
+        np.testing.assert_allclose(batch, np.einsum("bi,ij,bj->b", P, a, Q), rtol=0, atol=1e-12)
+        single = [v.value_at(0.0, P[i], Q[i] if n_q > 1 else None) for i in range(200)]
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
 
 class TestExport:
