@@ -3,7 +3,8 @@ split demo, or game arena, and emit machine-readable artifacts.
 
 Artifacts land in <out>/<config-hash>/ and depend only on the effective
 config (flag overrides included, and the sha256 of a payoff tensor file's
-bytes), so a rerun is bit-identical regardless of thread count.  Wall-clock
+bytes), so a rerun is bit-identical regardless of thread count.  Each file is
+written through hj.write_atomic (a .tmp beside it, then a rename).  Wall-clock
 timings go to stdout, never into artifacts.
 
 Payoff tensor files (hamiltonian.kind = "tensor") are JSON objects with two
@@ -25,6 +26,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from splitgame.hj import write_atomic
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("solve-hj", "simulate", "split-demo", "mc-game", "verify")
@@ -177,7 +180,25 @@ def _simplex_vector(value, path: str) -> np.ndarray:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+
+
+def _load_registry(path: Path) -> dict:
+    """The mc-game registry, {} if absent.  One that is not a JSON object is
+    moved aside to <name>.corrupt, with one line on stderr."""
+    if not path.exists():
+        return {}
+    try:
+        data = json.loads(path.read_text())
+        if isinstance(data, dict):
+            return data
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        pass
+    aside = path.with_name(path.name + ".corrupt")
+    os.replace(path, aside)
+    print(f"warning: {path.name} is not a JSON object; moved to {aside.name}, "
+          "starting a new registry", file=sys.stderr)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +296,8 @@ def _cmd_split_demo(cfg: dict, out: Path, threads: int) -> int:
     x = spec.scalar_of(xt)
     edges = np.linspace(-spec.delta - 0.05, 1.0 + spec.delta + 0.05, 64)
     counts, _ = np.histogram(x, bins=edges)
-    with open(out / "histogram.csv", "w") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{edges[i]:.17g},{edges[i+1]:.17g},{int(c)}\n")
+    write_atomic(out / "histogram.csv", ["bin_left,bin_right,count\n"],
+                 (f"{edges[i]:.17g},{edges[i+1]:.17g},{int(c)}\n" for i, c in enumerate(counts)))
 
     payload = {
         "config_hash": out.name,
@@ -338,7 +357,7 @@ def _cmd_mc_game(cfg: dict, out: Path, threads: int) -> int:
 
     # cumulative results file keyed by config hash
     registry = out.parent / "mc_game_results.json"
-    existing = json.loads(registry.read_text()) if registry.exists() else {}
+    existing = _load_registry(registry)
     existing[out.name] = result
     _write_json(registry, existing)
     return EXIT_OK if br.ordered else EXIT_CHECK_FAILED

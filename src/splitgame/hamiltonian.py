@@ -295,25 +295,27 @@ class SimplexGrid:
 # ---------------------------------------------------------------------------
 
 def lower_hull_1d(y: np.ndarray) -> np.ndarray:
-    """Largest convex minorant of uniformly spaced samples (monotone chain)."""
+    """Largest convex minorant of uniformly spaced samples: a monotone chain on
+    Python floats, then one chord fill in which the two ends keep their samples."""
     m = y.size
     if m <= 2:
         return y.copy()
+    v = y.tolist()
     stack = [0]
     for i in range(1, m):
         while len(stack) >= 2:
             a, b = stack[-2], stack[-1]
             # pop b while slope(a,b) > slope(b,i)
-            if (y[b] - y[a]) * (i - b) <= (y[i] - y[b]) * (b - a):
+            if (v[b] - v[a]) * (i - b) <= (v[i] - v[b]) * (b - a):
                 break
             stack.pop()
         stack.append(i)
-    out = np.empty(m)
-    for a, b in zip(stack[:-1], stack[1:]):
-        t = np.arange(0, b - a + 1) / (b - a)
-        out[a:b + 1] = (1.0 - t) * y[a] + t * y[b]
-        out[b] = y[b]
-    out[stack[0]] = y[stack[0]]
+    s, x = np.array(stack), np.arange(m)
+    end = np.minimum(np.searchsorted(s, x, "right"), s.size - 1)
+    a, b = s[end - 1], s[end]
+    t = (x - a) / (b - a)
+    out = (1.0 - t) * y[a] + t * y[b]
+    out[[0, -1]] = y[[0, -1]]
     return np.minimum(out, y)
 
 

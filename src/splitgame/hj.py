@@ -14,6 +14,7 @@ scheme monotone, bounded by C*(T - t), and nonexpansive in time.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,22 +288,36 @@ def regularity_report(v: ValueGrid, time_slack: float = 1e-3,
 # export
 # ---------------------------------------------------------------------------
 
+def write_atomic(path, *parts) -> None:
+    """Write each iterable of strings in parts to <path>.tmp in the same
+    directory, then os.replace it onto path: readers see the old file or the
+    whole new one, and a failed write leaves no .tmp behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for chunks in parts:
+                fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def format_rows(rows: list) -> list[str]:
+    """CSV fields of each row of floats, at 17 significant digits."""
+    return [",".join([f"{x:.17g}" for x in r]) for r in rows]
+
+
 def export_csv(v: ValueGrid, path) -> None:
-    """CSV columns: t, p coordinates, q coordinates, V."""
-    nI = v.p_grid.nodes.shape[1]
-    nJ = v.q_grid.nodes.shape[1]
-    with open(path, "w") as fh:
-        cols = (["t"] + [f"p_{i+1}" for i in range(nI)]
-                + [f"q_{j+1}" for j in range(nJ)] + ["V"])
-        fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(v.times):
-            for a, pn in enumerate(v.p_grid.nodes):
-                for b, qn in enumerate(v.q_grid.nodes):
-                    row = [f"{t:.17g}"]
-                    row += [f"{x:.17g}" for x in pn]
-                    row += [f"{x:.17g}" for x in qn]
-                    row.append(f"{v.values[k, a, b]:.17g}")
-                    fh.write(",".join(row) + "\n")
+    """CSV columns: t, p coordinates, q coordinates, V.  Times and node
+    coordinates are formatted once; each time slice is written as one block."""
+    nI, nJ = v.p_grid.nodes.shape[1], v.q_grid.nodes.shape[1]
+    cols = ["t", *(f"p_{i+1}" for i in range(nI)), *(f"q_{j+1}" for j in range(nJ)), "V"]
+    q_rows = format_rows(v.q_grid.nodes.tolist())
+    nodes = [f"{a},{b}," for a in format_rows(v.p_grid.nodes.tolist()) for b in q_rows]
+    blocks = ("".join([f"{t},{n}{x:.17g}\n" for n, x in zip(nodes, vals.ravel().tolist())])
+              for t, vals in zip(format_rows(v.times[:, None].tolist()), v.values))
+    write_atomic(path, [",".join(cols) + "\n"], blocks)
 
 
 def summary_dict(v: ValueGrid, H: HamiltonianField | None = None) -> dict:

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from splitgame.hamiltonian import HamiltonianField
+from splitgame.hj import format_rows, write_atomic
 
 DEFAULT_DT = 1.0 / 512
 DEFAULT_ETA = 1e-10
@@ -569,15 +570,16 @@ def independence_check(bundle: TrajectoryBundle) -> list[CovarianceEntry]:
 
 
 def dump_trajectories(bundle: TrajectoryBundle, path) -> None:
-    """CSV dump: path_id, time, x_1..x_nI, y_1..y_nJ."""
+    """CSV dump: path_id, time, x_1..x_nI, y_1..y_nJ.  The time column is
+    formatted once; each path is written as one block."""
     nI = bundle.x_paths.shape[2]
     nJ = bundle.y_paths.shape[2]
-    with open(path, "w") as fh:
-        cols = ["path_id", "time"] + [f"x_{i+1}" for i in range(nI)] + [f"y_{j+1}" for j in range(nJ)]
-        fh.write(",".join(cols) + "\n")
+    cols = ["path_id", "time"] + [f"x_{i+1}" for i in range(nI)] + [f"y_{j+1}" for j in range(nJ)]
+    times = [f"{tk:.17g}" for tk in bundle.times.tolist()]
+
+    def blocks():
         for pid in range(bundle.n_paths):
-            for k, tk in enumerate(bundle.times):
-                row = [str(pid), f"{tk:.17g}"]
-                row += [f"{v:.17g}" for v in bundle.x_paths[pid, k]]
-                row += [f"{v:.17g}" for v in bundle.y_paths[pid, k]]
-                fh.write(",".join(row) + "\n")
+            xy = np.concatenate([bundle.x_paths[pid], bundle.y_paths[pid]], axis=1)
+            yield "".join([f"{pid},{t},{r}\n" for t, r in zip(times, format_rows(xy.tolist()))])
+
+    write_atomic(path, [",".join(cols) + "\n"], blocks())

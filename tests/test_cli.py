@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from splitgame import cli
 
@@ -24,6 +25,18 @@ def base_sim_config(n_paths=50, dt=1 / 32):
                          "v": {"kind": "zero"}},
             "dump_trajectories": True,
         },
+    }
+
+
+def mc_game_config():
+    return {
+        "schema_version": 1,
+        "seed": 0,
+        "horizon": 1.0,
+        "hamiltonian": {"kind": "analytic", "name": "tent"},
+        "sim": {"start": {"p": [0.5, 0.5], "q": [1.0]}},
+        "split": {"steps": 32, "horizon": 0.125},
+        "arena": {"n_paths": 200, "dt": 0.00390625},
     }
 
 
@@ -240,19 +253,26 @@ class TestSplitDemoCommand:
 
 class TestMcGameCommand:
     def test_registry_keyed_by_hash(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "seed": 0,
-            "horizon": 1.0,
-            "hamiltonian": {"kind": "analytic", "name": "tent"},
-            "sim": {"start": {"p": [0.5, 0.5], "q": [1.0]}},
-            "split": {"steps": 32, "horizon": 0.125},
-            "arena": {"n_paths": 200, "dt": 0.00390625},
-        }
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, mc_game_config())
         out = tmp_path / "o"
         assert cli.main(["mc-game", "--config", str(path), "--out", str(out)]) == 0
         registry = json.loads((out / "mc_game_results.json").read_text())
         artifact = next(d for d in out.iterdir() if d.is_dir())
         assert artifact.name in registry
         assert registry[artifact.name]["lower"] <= registry[artifact.name]["upper"] + 1e-12
+
+    @pytest.mark.parametrize("garbage", [b"{not json", b"[1, 2]", b"\xff\xfe"])
+    def test_corrupt_registry_moved_aside(self, tmp_path, capsys, garbage):
+        path = write_config(tmp_path, mc_game_config())
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "mc_game_results.json").write_bytes(garbage)
+        assert cli.main(["mc-game", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "mc_game_results.json.corrupt").read_bytes() == garbage
+        registry = json.loads((out / "mc_game_results.json").read_text())
+        artifact = next(d for d in out.iterdir() if d.is_dir())
+        assert list(registry) == [artifact.name]
+        assert sorted(p.name for p in artifact.iterdir()) == ["report.json"]
+        files = sorted(p.name for p in out.iterdir() if p.is_file())
+        assert files == ["mc_game_results.json", "mc_game_results.json.corrupt"]
+        assert len(capsys.readouterr().err.splitlines()) == 1

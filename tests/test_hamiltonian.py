@@ -70,6 +70,52 @@ def three_simplex_values(draw):
     return grid, rng.normal(size=grid.n_nodes) * (1e4 if kind == "steep" else 1.0)
 
 
+def reference_lower_hull(y):
+    """The per-segment monotone chain that lower_hull_1d reproduces bit for bit."""
+    m = y.size
+    if m <= 2:
+        return y.copy()
+    stack = [0]
+    for i in range(1, m):
+        while len(stack) >= 2:
+            a, b = stack[-2], stack[-1]
+            if (y[b] - y[a]) * (i - b) <= (y[i] - y[b]) * (b - a):
+                break
+            stack.pop()
+        stack.append(i)
+    out = np.empty(m)
+    for a, b in zip(stack[:-1], stack[1:]):
+        t = np.arange(0, b - a + 1) / (b - a)
+        out[a:b + 1] = (1.0 - t) * y[a] + t * y[b]
+        out[b] = y[b]
+    out[stack[0]] = y[stack[0]]
+    return np.minimum(out, y)
+
+
+@st.composite
+def hull_samples(draw):
+    """1-D samples with m in [0, 300]: rough, affine, tied (rounded, so signed
+    zeros occur), concave, scaled by +-1e12, rough with 10% infinite entries
+    (the only inputs on which a chord through a hull vertex misses its sample),
+    or a non-contiguous column view."""
+    m = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rough", "affine", "tied", "concave", "scaled", "infinite",
+                                 "column"]))
+    x = np.linspace(0.0, 1.0, m)
+    if kind == "infinite":
+        return np.where(rng.random(m) < 0.1, rng.choice([-np.inf, np.inf], m), rng.normal(size=m))
+    if kind == "affine":
+        return rng.normal() + rng.normal() * x
+    if kind == "tied":
+        return np.round(rng.normal(size=m) * 0.3, 1)
+    if kind == "concave":
+        return -(x - rng.uniform()) ** 2
+    if kind == "column":
+        return rng.normal(size=(m, 3))[:, 1]
+    return rng.normal(size=m) * (rng.choice([-1e12, 1e12]) if kind == "scaled" else 1.0)
+
+
 class TestMatrixGame:
     def test_matching_pennies(self):
         v, x, y = matrix_game_value([[1.0, -1.0], [-1.0, 1.0]])
@@ -221,6 +267,12 @@ class TestLowerHull:
         for _ in range(100):
             y = rng.normal(size=30)
             assert np.all(lower_hull_1d(y) <= y)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hull_samples())
+    def test_bit_identical_to_reference_chain(self, y):
+        with np.errstate(invalid="ignore"):  # 0 * inf in the chords of infinite samples
+            assert lower_hull_1d(y).tobytes() == reference_lower_hull(y).tobytes()
 
 
 def grid_fn(p_res, q_res, fn, n_p=2, n_q=2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splitgame import hamiltonian
 from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field, vex_p
 from splitgame.hj import (
     BRANCH_TIME,
@@ -14,6 +15,7 @@ from splitgame.hj import (
     residuals,
     solve,
     summary_dict,
+    write_atomic,
 )
 from splitgame.simplex import rel_eigen_max, rel_eigen_min
 
@@ -104,6 +106,21 @@ class TestSolve:
             v = solve(analytic_field("tent"), pg, qg, 1.0, 64)
             vals.append(abs(v.values[0, res // 2, 0]))
         assert vals[1] <= vals[0] + 1e-15
+
+    @pytest.mark.parametrize("order", ["vex_cav", "cav_vex"])
+    def test_one_hull_call_per_slice(self, monkeypatch, order):
+        pg, qg = SimplexGrid.build(2, 10), SimplexGrid.build(2, 12)
+        calls = []
+        hull = hamiltonian.lower_hull_1d
+
+        def counting(y):
+            calls.append(y.size)
+            return hull(y)
+
+        monkeypatch.setattr(hamiltonian, "lower_hull_1d", counting)
+        solve(analytic_field("bilinear"), pg, qg, 1.0, 16, order)
+        assert len(calls) == 16 * (pg.n_nodes + qg.n_nodes)
+        assert calls.count(pg.n_nodes) == 16 * qg.n_nodes
 
 
 class TestOrderGap:
@@ -367,3 +384,45 @@ class TestExport:
         s = summary_dict(v, h)
         assert s["regularity"]["all_ok"]
         assert "max_interior_residual" in s
+
+    @pytest.mark.parametrize("n_p, n_q", [(2, 1), (2, 2), (3, 1), (3, 3)])
+    def test_csv_bytes_match_row_writer(self, tmp_path, n_p, n_q):
+        pg = SimplexGrid.build(n_p, 5 if n_p == 3 else 7)
+        qg = SimplexGrid.build(n_q, 4 if n_q == 3 else 6)
+        rng = np.random.default_rng(11)
+        scale = np.array([1.0, 1e-300, 1e12, 1.0])[:, None, None]
+        vals = rng.normal(size=(4, pg.n_nodes, qg.n_nodes)) * scale
+        vals[1, 0, 0], vals[2, -1, -1] = -0.0, 0.0
+        v = ValueGrid(np.linspace(0.0, 1.0, 4), pg, qg, vals, "vex_cav", 1.0)
+        out = tmp_path / "values.csv"
+        export_csv(v, out)
+        assert out.read_bytes() == reference_csv(v).encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["values.csv"]
+        parsed = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
+        assert np.array(parsed).tobytes() == vals.tobytes()
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        out = tmp_path / "values.csv"
+        out.write_text("old\n")
+
+        def chunks():
+            yield "new,"
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            write_atomic(out, ["header\n"], chunks())
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["values.csv"]
+
+
+def reference_csv(v: ValueGrid) -> str:
+    """Row-by-row writer: the bytes export_csv must produce."""
+    nI, nJ = v.p_grid.nodes.shape[1], v.q_grid.nodes.shape[1]
+    cols = ["t"] + [f"p_{i+1}" for i in range(nI)] + [f"q_{j+1}" for j in range(nJ)] + ["V"]
+    lines = [",".join(cols)]
+    for k, t in enumerate(v.times):
+        for a, pn in enumerate(v.p_grid.nodes):
+            for b, qn in enumerate(v.q_grid.nodes):
+                row = [f"{t:.17g}"] + [f"{x:.17g}" for x in pn] + [f"{x:.17g}" for x in qn]
+                lines.append(",".join(row + [f"{v.values[k, a, b]:.17g}"]))
+    return "\n".join(lines) + "\n"

@@ -281,6 +281,22 @@ class TestTrajectoryDump:
         assert first[0] == "0" and float(first[1]) == 0.0
         np.testing.assert_allclose([float(first[2]), float(first[3])], [0.5, 0.5])
 
+    def test_csv_bytes_match_row_writer(self, tmp_path):
+        from splitgame.sde import dump_trajectories
+
+        noise = make_noise(n_paths=12, dt=1 / 16, seed=4, dim1=3)
+        b = simulate(0.0, np.array([0.3, 0.2, 0.5]), np.array([0.5, 0.5]),
+                     directional_control(0, 1, 3, 0.8), directional_control(0, 1, 2, 0.6), noise)
+        path = tmp_path / "trajectories.csv"
+        dump_trajectories(b, path)
+        rows = ["path_id,time,x_1,x_2,x_3,y_1,y_2"]
+        for pid in range(b.n_paths):
+            for k, tk in enumerate(b.times):
+                vals = [*b.x_paths[pid, k], *b.y_paths[pid, k]]
+                rows.append(",".join([str(pid), f"{tk:.17g}"] + [f"{v:.17g}" for v in vals]))
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectories.csv"]
+
 
 class TestSimulationReport:
     def test_martingale_all_times(self):
