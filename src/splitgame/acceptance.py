@@ -87,7 +87,7 @@ def check_closed_form_family(golden=None) -> CheckResult:
     worst = 0.0
     solve_seconds = sum(sec for _, _, sec in golden.values())
     for name, (h, v, _) in golden.items():
-        env = vex_p(h.fn(0.0, v.p_grid.nodes, v.q_grid.nodes), v.p_grid)
+        env = vex_p(h.on_grid(0.0, v.p_grid.nodes, v.q_grid.nodes), v.p_grid)
         for k, t in enumerate(v.times):
             worst = max(worst, float(np.max(np.abs(v.values[k] - (1.0 - t) * env))))
     dt_wall = time.time() - t0 + solve_seconds

@@ -57,6 +57,20 @@ def _need(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _block(cfg: dict, key: str) -> dict:
+    """Optional top-level object such as "hj" or "sim"; {} when absent."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key}: must be an object, got {block!r}")
+    return block
+
+
+def _seed(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{path}: must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _positive(value, path: str) -> float:
     try:
         v = float(value)
@@ -123,8 +137,6 @@ def build_split_spec(block: dict, path: str = "split"):
     from splitgame.simplex import SimplexPoint
     from splitgame.splitting import SplitSpec, unit_segment_spec
 
-    if block is None:
-        return unit_segment_spec()
     steps = _positive_int(block.get("steps", 256), f"{path}.steps")
     horizon = _positive(block.get("horizon", 0.125), f"{path}.horizon")
     delta = _positive(block.get("delta", 0.02), f"{path}.delta")
@@ -145,7 +157,7 @@ def build_split_spec(block: dict, path: str = "split"):
 
 
 def build_control(block: dict, t: float, horizon: float, dim: int, path: str,
-                  split_cfg=None):
+                  split_cfg: dict):
     from splitgame.sde import constant_control, directional_control, zero_control
     from splitgame.splitting import make_split_control
 
@@ -163,7 +175,7 @@ def build_control(block: dict, t: float, horizon: float, dim: int, path: str,
             raise ConfigError(f"{path}: directional control needs dim >= 2")
         return directional_control(t, horizon, dim, scale)
     if kind == "split":
-        spec = build_split_spec(split_cfg, "split")
+        spec = build_split_spec(split_cfg)
         if spec.p.n != dim:
             raise ConfigError(f"{path}: split spec dimension {spec.p.n} != {dim}")
         return make_split_control(spec, t, horizon)
@@ -210,7 +222,7 @@ def _cmd_solve_hj(cfg: dict, out: Path, threads: int) -> int:
     from splitgame.hj import export_csv, order_gap, summary_dict
 
     field = build_field(cfg)
-    block = cfg.get("hj", {})
+    block = _block(cfg, "hj")
     horizon = _positive(cfg.get("horizon", 1.0), "horizon")
     p_default = 200 if field.dim_p == 2 else 100
     p_res = _positive_int(block.get("p_resolution", p_default), "hj.p_resolution")
@@ -223,7 +235,8 @@ def _cmd_solve_hj(cfg: dict, out: Path, threads: int) -> int:
         pg = SimplexGrid.build(field.dim_p, p_res)
         qg = SimplexGrid.build(field.dim_q, q_res if field.dim_q > 1 else 1)
     except ValueError as e:
-        where = "hamiltonian.path" if field.kind == "tensor" else "hamiltonian.params"
+        tensor = cfg["hamiltonian"]["kind"] == "tensor"
+        where = "hamiltonian.path" if tensor else "hamiltonian.params"
         raise ConfigError(f"{where}: {e}, got {field.dim_p}x{field.dim_q}") from None
     try:
         a, b, gap = order_gap(field, pg, qg, horizon, steps)
@@ -238,7 +251,7 @@ def _cmd_solve_hj(cfg: dict, out: Path, threads: int) -> int:
 
 
 def _sim_params(cfg: dict):
-    sim = _need(cfg, "sim", "")
+    sim = _block(cfg, "sim")
     horizon = _positive(cfg.get("horizon", 1.0), "horizon")
     dt = _positive(sim.get("dt", 1.0 / 512), "sim.dt")
     n_paths = _positive_int(sim.get("n_paths", 1000), "sim.n_paths")
@@ -252,12 +265,12 @@ def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     from splitgame.sde import NoiseGrid, dump_trajectories, simulate, simulation_report
 
     sim, horizon, dt, n_paths, p, q = _sim_params(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     controls = _need(sim, "controls", "sim")
     u = build_control(_need(controls, "u", "sim.controls"), 0.0, horizon,
-                      p.size, "sim.controls.u", cfg.get("split"))
+                      p.size, "sim.controls.u", _block(cfg, "split"))
     v = build_control(_need(controls, "v", "sim.controls"), 0.0, horizon,
-                      q.size, "sim.controls.v", cfg.get("split"))
+                      q.size, "sim.controls.v", _block(cfg, "split"))
     try:
         noise = NoiseGrid(0.0, horizon, dt, n_paths, seed, p.size, q.size)
         rep = simulation_report(0.0, p, q, u, v, noise, threads=threads)
@@ -285,9 +298,9 @@ def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
 def _cmd_split_demo(cfg: dict, out: Path, threads: int) -> int:
     from splitgame.splitting import landing_report, run_split
 
-    spec = build_split_spec(cfg.get("split"), "split")
-    seed = int(cfg.get("seed", 0))
-    n_paths = _positive_int(cfg.get("sim", {}).get("n_paths", 10_000), "sim.n_paths")
+    spec = build_split_spec(_block(cfg, "split"))
+    seed = cfg.get("seed", 0)
+    n_paths = _positive_int(_block(cfg, "sim").get("n_paths", 10_000), "sim.n_paths")
     bundle = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
     xt = bundle.x_paths[:, -1, :]
     rep = landing_report(spec, xt)
@@ -321,21 +334,19 @@ def _cmd_mc_game(cfg: dict, out: Path, threads: int) -> int:
     from splitgame.splitting import make_split_control
 
     field = build_field(cfg)
-    block = cfg.get("arena", {})
+    block = _block(cfg, "arena")
     horizon = _positive(cfg.get("horizon", 1.0), "horizon")
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     n_paths = _positive_int(block.get("n_paths", 2000), "arena.n_paths")
     dt = _positive(block.get("dt", 1.0 / 512), "arena.dt")
-    start = _need(cfg.get("sim", {}), "start", "sim") if "sim" in cfg else None
-    if start is None:
-        raise ConfigError("sim.start: required for mc-game")
+    start = _need(_block(cfg, "sim"), "start", "sim")
     p = _simplex_vector(_need(start, "p", "sim.start"), "sim.start.p")
     q = _simplex_vector(_need(start, "q", "sim.start"), "sim.start.q")
     scale = _positive(block.get("scale", 0.5), "arena.scale")
     if field.dim_p != p.size or field.dim_q != q.size:
         raise ConfigError("sim.start: dimensions do not match the hamiltonian")
 
-    split_spec = build_split_spec(cfg.get("split"), "split") if p.size == 2 else None
+    split_spec = build_split_spec(_block(cfg, "split")) if p.size == 2 else None
     fam1 = preset_family(p.size, scale=scale, split_spec=split_spec)
     if q.size == 1:
         fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
@@ -366,7 +377,7 @@ def _cmd_mc_game(cfg: dict, out: Path, threads: int) -> int:
 def _cmd_verify(cfg: dict, out: Path, threads: int) -> int:
     from splitgame.acceptance import run_all
 
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     results = run_all(seed=seed, threads=threads)
     for r in results:
         print(r.line())
@@ -398,7 +409,8 @@ def run(subcommand: str, config: dict, out_dir, threads: int = 1,
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = {k: v for k, v in config.items() if not k.startswith("_")}
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = _seed(seed, "--seed")
+    _seed(cfg.get("seed", 0), "seed")
     cfg["_config_dir"] = config.get("_config_dir", ".")
     hashed = {k: v for k, v in cfg.items() if not k.startswith("_")}
     block = cfg.get("hamiltonian")

@@ -4,7 +4,13 @@ convex/concave envelope operators on simplex grids.
 The running cost H(t,p,q) is the mixed value of the finite zero-sum game whose
 entries are the bilinear aggregation sum_ij p_i q_j f_ij(t,k,l) over the action
 grids.  Finite action grids need not satisfy a pure-strategy minimax equality,
-so the mixed value (which always exists) is used as the discretization.
+so the mixed value (which always exists) is used as the discretization.  Each
+game costs one LP, whose duals give the second player's strategy.
+
+Running costs are HamiltonianFields with one elementwise evaluation fn(t, P, Q)
+over broadcasting belief arrays; on_grid (node lists, for the solver and the
+checks) and on_paths (coupled paths, for the Monte Carlo estimators) are its
+two shapes.
 
 Envelopes: vex_p(values, p_grid) and cav_q(values, q_grid) take and return
 (n_p, n_q) arrays.  vex_p takes the convex envelope in the p slot of the node
@@ -18,7 +24,7 @@ checks use, and the lattice-cell lookup behind every interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -36,8 +42,10 @@ def matrix_game_value(m) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and optimal mixed strategies of a finite zero-sum matrix game.
 
     Convention: the row player minimizes, the column player maximizes, i.e.
-    value = min_x max_j (x^T M)_j = max_y min_i (M y)_i.  Both linear programs
-    are solved and the duality gap is checked to 1e-9.
+    value = min_x max_j (x^T M)_j = max_y min_i (M y)_i.  One linear program is
+    solved, the row player's; by LP duality its constraint duals are the column
+    player's optimal strategy.  The pair is certified: the gap
+    max_j (x^T M)_j - min_i (M y)_i must not exceed GAME_VALUE_TOL.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.size == 0:
@@ -52,29 +60,18 @@ def matrix_game_value(m) -> tuple[float, np.ndarray, np.ndarray]:
     a_ub = np.hstack([m.T, -np.ones((nc, 1))])
     a_eq = np.hstack([np.ones((1, nr)), np.zeros((1, 1))])
     bounds = [(0.0, None)] * nr + [(None, None)]
-    res_x = linprog(c, A_ub=a_ub, b_ub=np.zeros(nc), A_eq=a_eq, b_eq=[1.0],
-                    bounds=bounds, method="highs")
-    if not res_x.success:
-        raise RuntimeError(f"matrix game LP (row player) failed: {res_x.message}")
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(nc), A_eq=a_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"matrix game LP failed: {res.message}")
 
-    # column player: max w  s.t.  M y >= w, sum y = 1, y >= 0
-    c = np.zeros(nc + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-m, np.ones((nr, 1))])
-    a_eq = np.hstack([np.ones((1, nc)), np.zeros((1, 1))])
-    bounds = [(0.0, None)] * nc + [(None, None)]
-    res_y = linprog(c, A_ub=a_ub, b_ub=np.zeros(nr), A_eq=a_eq, b_eq=[1.0],
-                    bounds=bounds, method="highs")
-    if not res_y.success:
-        raise RuntimeError(f"matrix game LP (column player) failed: {res_y.message}")
-
-    v_row = float(res_x.x[-1])
-    v_col = float(-res_y.fun)
-    if abs(v_row - v_col) > GAME_VALUE_TOL:
-        raise RuntimeError(f"duality gap {abs(v_row - v_col):.2e} exceeds {GAME_VALUE_TOL}")
-    x = np.maximum(res_x.x[:-1], 0.0)
-    y = np.maximum(res_y.x[:-1], 0.0)
-    return v_row, x / x.sum(), y / y.sum()
+    x = np.maximum(res.x[:-1], 0.0)
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    x, y = x / x.sum(), y / y.sum()
+    gap = float(np.max(x @ m) - np.min(m @ y))
+    if not gap <= GAME_VALUE_TOL:  # also true on NaN
+        raise RuntimeError(f"certificate gap {gap:.2e} exceeds {GAME_VALUE_TOL}")
+    return float(res.x[-1]), x, y
 
 
 def maximin_value(m) -> tuple[float, np.ndarray, np.ndarray]:
@@ -374,11 +371,13 @@ def cav_q(values: np.ndarray, q_grid: SimplexGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """Bounded Lipschitz running cost with batch evaluation.
+    """Bounded Lipschitz running cost, evaluated elementwise.
 
-    fn(t, P, Q) takes node arrays P (a, dim_p) and Q (b, dim_q) and returns an
-    (a, b) array.  bound dominates |H|; lipschitz is the recorded (measured or
-    declared) Lipschitz constant in (t, p, q).
+    fn(t, P, Q) takes belief arrays P (..., dim_p) and Q (..., dim_q) whose
+    leading axes broadcast, and returns H(t, p, q) at every broadcast point.
+    on_grid is its outer form over node lists, on_paths its pairwise form
+    along coupled paths.  bound dominates |H|; lipschitz is the recorded
+    (measured or declared) Lipschitz constant in (t, p, q).
     """
 
     name: str
@@ -387,107 +386,95 @@ class HamiltonianField:
     dim_q: int
     bound: float
     lipschitz: float
-    kind: str = "analytic"
-    pair_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     time_dependent: bool = False
 
+    def on_grid(self, t: float, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """(a, b) array of H(t, P[i], Q[j]) over node arrays P (a, dim_p), Q (b, dim_q)."""
+        return self.fn(t, P[:, None], Q[None])
+
     def on_paths(self, t: float, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Elementwise evaluation H(t, P[i], Q[i]) along coupled paths."""
-        if self.pair_fn is not None:
-            return self.pair_fn(t, P, Q)
-        if self.dim_q == 1:
-            return self.fn(t, P, np.ones((1, 1)))[:, 0]
-        return np.array([self.fn(t, P[i:i + 1], Q[i:i + 1])[0, 0] for i in range(P.shape[0])])
+        """H(t, P[i], Q[i]) along coupled paths P (b, dim_p), Q (b, dim_q)."""
+        return self.fn(t, P, Q)
 
     def __call__(self, t: float, p, q=None) -> float:
-        pv = np.atleast_2d(np.asarray(p, dtype=float))
         if q is None:
             if self.dim_q != 1:
                 raise ValueError("q is required when the field has a nontrivial q slot")
-            qv = np.ones((1, 1))
-        else:
-            qv = np.atleast_2d(np.asarray(q, dtype=float))
-        return float(self.fn(t, pv, qv)[0, 0])
+            q = [1.0]
+        return float(self.fn(t, np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
 
 
-def _outer(fp: np.ndarray, fq: np.ndarray) -> np.ndarray:
-    return fp[:, None] * fq[None, :]
+def _points(P: np.ndarray, Q: np.ndarray) -> tuple[int, ...]:
+    """Broadcast shape of the leading (point) axes of P and Q."""
+    return np.broadcast_shapes(P.shape[:-1], Q.shape[:-1])
 
 
 def analytic_field(name: str, **params) -> HamiltonianField:
     """Closed-form running costs used by golden tests and the CLI.
 
     Names: zero, constant(level), tent(center), quad_convex(center),
-    double_well(left, right), bilinear, saddle_mix(scale).
+    double_well(left, right), bilinear, saddle_mix(scale).  The one-sided
+    costs (tent, quad_convex, double_well) carry a factor q_1, which is 1 on
+    the one-coordinate simplex and broadcasts the p-values over Q's points.
     """
     if name == "zero":
-        return HamiltonianField("zero", lambda t, P, Q: np.zeros((P.shape[0], Q.shape[0])),
+        return HamiltonianField("zero", lambda t, P, Q: np.zeros(_points(P, Q)),
                                 int(params.get("dim_p", 2)), int(params.get("dim_q", 1)),
-                                0.0, 0.0, pair_fn=lambda t, P, Q: np.zeros(P.shape[0]))
+                                0.0, 0.0)
     if name == "constant":
         c = float(params.get("level", 0.5))
         return HamiltonianField(
-            "constant", lambda t, P, Q: np.full((P.shape[0], Q.shape[0]), c),
-            int(params.get("dim_p", 2)), int(params.get("dim_q", 1)), abs(c), 0.0,
-            pair_fn=lambda t, P, Q: np.full(P.shape[0], c))
+            "constant", lambda t, P, Q: np.full(_points(P, Q), c),
+            int(params.get("dim_p", 2)), int(params.get("dim_q", 1)), abs(c), 0.0)
     if name == "tent":
         c = float(params.get("center", 0.5))
         def fn(t, P, Q, c=c):
-            return _outer(0.5 - np.abs(P[:, 0] - c), np.ones(Q.shape[0]))
+            return (0.5 - np.abs(P[..., 0] - c)) * Q[..., 0]
         return HamiltonianField("tent", fn, 2, 1, 0.5, 1.0)
     if name == "quad_convex":
         c = float(params.get("center", 0.4))
         def fn(t, P, Q, c=c):
-            return _outer((P[:, 0] - c) ** 2, np.ones(Q.shape[0]))
+            return (P[..., 0] - c) ** 2 * Q[..., 0]
         bound = max(c, 1 - c) ** 2
         return HamiltonianField("quad_convex", fn, 2, 1, bound, 2 * max(c, 1 - c))
     if name == "double_well":
         lo = float(params.get("left", 0.2))
         hi = float(params.get("right", 0.8))
         def fn(t, P, Q, lo=lo, hi=hi):
-            x = P[:, 0]
-            return _outer(16.0 * (x - lo) ** 2 * (x - hi) ** 2, np.ones(Q.shape[0]))
+            x = P[..., 0]
+            return 16.0 * (x - lo) ** 2 * (x - hi) ** 2 * Q[..., 0]
         xs = np.linspace(0, 1, 2001)
         w = 16.0 * (xs - lo) ** 2 * (xs - hi) ** 2
         lip = float(np.max(np.abs(np.diff(w))) / (xs[1] - xs[0]))
         return HamiltonianField("double_well", fn, 2, 1, float(np.max(np.abs(w))), lip)
     if name == "bilinear":
-        def fn(t, P, Q):
-            return _outer(P[:, 0], Q[:, 0])
-        def pair(t, P, Q):
-            return P[:, 0] * Q[:, 0]
-        return HamiltonianField("bilinear", fn, 2, 2, 1.0, 1.0, pair_fn=pair)
+        return HamiltonianField("bilinear", lambda t, P, Q: P[..., 0] * Q[..., 0],
+                                2, 2, 1.0, 1.0)
     if name == "saddle_mix":
         s = float(params.get("scale", 0.5))
         def fn(t, P, Q, s=s):
-            return s * _outer(np.cos(np.pi * P[:, 0]), np.cos(np.pi * Q[:, 0]))
-        def pair(t, P, Q, s=s):
-            return s * np.cos(np.pi * P[:, 0]) * np.cos(np.pi * Q[:, 0])
-        return HamiltonianField("saddle_mix", fn, 2, 2, s, s * np.pi, pair_fn=pair)
+            return s * (np.cos(np.pi * P[..., 0]) * np.cos(np.pi * Q[..., 0]))
+        return HamiltonianField("saddle_mix", fn, 2, 2, s, s * np.pi)
     raise ValueError(f"unknown analytic hamiltonian {name!r}")
 
 
 def tensor_field(f: PayoffTensor, horizon: float = 1.0) -> HamiltonianField:
-    """Running cost backed by a payoff tensor; bound/Lipschitz measured."""
+    """Running cost backed by a payoff tensor: one eval_H per broadcast point,
+    in row-major order; bound and Lipschitz constant measured."""
     def fn(t, P, Q):
-        out = np.empty((P.shape[0], Q.shape[0]))
-        for a in range(P.shape[0]):
-            for b in range(Q.shape[0]):
-                out[a, b] = eval_H(f, t, P[a], Q[b])
-        return out
+        shape = _points(P, Q)
+        ps = np.broadcast_to(P, shape + P.shape[-1:]).reshape(-1, P.shape[-1])
+        qs = np.broadcast_to(Q, shape + Q.shape[-1:]).reshape(-1, Q.shape[-1])
+        return np.array([eval_H(f, t, p, q) for p, q in zip(ps, qs)]).reshape(shape)
 
-    time_dependent = f.time_samples.size > 1
-    bound = float(np.max(np.abs(f.values)))
-    pg = SimplexGrid.build(f.dim_p, 8) if f.dim_p <= 3 else None
-    qg = SimplexGrid.build(f.dim_q, 8) if f.dim_q <= 3 else None
+    out = HamiltonianField("tensor", fn, f.dim_p, f.dim_q, float(np.max(np.abs(f.values))),
+                           0.0, time_dependent=f.time_samples.size > 1)
+    if max(f.dim_p, f.dim_q) > 3:
+        return out
+    pg, qg = SimplexGrid.build(f.dim_p, 8), SimplexGrid.build(f.dim_q, 8)
+    ts = np.unique(np.clip(f.time_samples, 0.0, horizon))
     lip = 0.0
-    if pg is not None and qg is not None:
-        ts = np.unique(np.clip(f.time_samples, 0.0, horizon))
-        if ts.size == 0:
-            ts = np.array([0.0])
-        probe_t = ts[:: max(1, ts.size // 4)]
-        for t in probe_t:
-            h = np.array([[eval_H(f, float(t), p, q) for q in qg.nodes] for p in pg.nodes])
-            lip = max(lip, pg.max_slope(h, axis=0), qg.max_slope(h, axis=1))
-    return HamiltonianField("tensor", fn, f.dim_p, f.dim_q, bound, lip, kind="tensor",
-                            time_dependent=time_dependent)
+    for t in ts[:: max(1, ts.size // 4)]:
+        h = out.on_grid(float(t), pg.nodes, qg.nodes)
+        lip = max(lip, pg.max_slope(h, axis=0), qg.max_slope(h, axis=1))
+    return replace(out, lipschitz=lip)

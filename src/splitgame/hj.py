@@ -87,9 +87,9 @@ def solve(H: HamiltonianField, p_grid: SimplexGrid, q_grid: SimplexGrid,
         raise ValueError("grid dimensions do not match the running cost")
     times = dt * np.arange(n_steps + 1)
     vals = np.zeros((n_steps + 1, p_grid.n_nodes, q_grid.n_nodes))
-    frozen_h = None if H.time_dependent else H.fn(0.0, p_grid.nodes, q_grid.nodes)
+    frozen_h = None if H.time_dependent else H.on_grid(0.0, p_grid.nodes, q_grid.nodes)
     for k in range(n_steps - 1, -1, -1):
-        hk = frozen_h if frozen_h is not None else H.fn(times[k], p_grid.nodes, q_grid.nodes)
+        hk = frozen_h if frozen_h is not None else H.on_grid(times[k], p_grid.nodes, q_grid.nodes)
         g = vals[k + 1] + dt * hk
         if order == "vex_cav":
             vals[k] = vex_p(cav_q(g, q_grid), p_grid)
@@ -184,9 +184,9 @@ def residuals(v: ValueGrid, H: HamiltonianField) -> ResidualReport:
     binding = np.zeros((n_t, ip_nodes.size, iq_nodes.size), dtype=np.int8)
     resid = np.zeros((n_t, ip_nodes.size, iq_nodes.size))
     dt = v.dt
-    frozen_h = None if H.time_dependent else H.fn(0.0, pg.nodes, qg.nodes)
+    frozen_h = None if H.time_dependent else H.on_grid(0.0, pg.nodes, qg.nodes)
     for k in range(n_t):
-        hvals = frozen_h if frozen_h is not None else H.fn(v.times[k], pg.nodes, qg.nodes)
+        hvals = frozen_h if frozen_h is not None else H.on_grid(v.times[k], pg.nodes, qg.nodes)
         dvdt = (v.values[k + 1] - v.values[k]) / dt
         sl = v.values[k]
         lam_lo = _curvature(sl[:, iq_nodes], pg, ip_nodes, want_max=False)

@@ -226,7 +226,7 @@ def vex_at(H: HamiltonianField, p, t: float = 0.0, resolution: int = 512) -> flo
     if H.dim_q != 1:
         raise ValueError("vex_at expects a one-sided field")
     grid = SimplexGrid.build(2, resolution)
-    return grid.interpolate(vex_p(H.fn(t, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
+    return grid.interpolate(vex_p(H.on_grid(t, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,34 @@ class TestConfigValidation:
         assert code == cli.EXIT_CONFIG
         assert "sim.start.p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, key", [
+        ("solve-hj", "hj"), ("simulate", "sim"), ("split-demo", "sim"),
+        ("split-demo", "split"), ("mc-game", "sim"), ("mc-game", "split"),
+        ("mc-game", "arena"),
+    ])
+    def test_non_object_block_exit_2(self, tmp_path, capsys, subcommand, key):
+        cfg = mc_game_config() if subcommand == "mc-game" else base_sim_config()
+        cfg[key] = [1, 2]
+        path = write_config(tmp_path, cfg)
+        code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {key}: must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, flag", [
+        ("abc", None), (-1, None), (1.5, None), (True, None), (None, None), (0, "-3"),
+    ])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, seed, flag):
+        cfg = {"schema_version": 1, "seed": seed, "split": {"steps": 16},
+               "sim": {"n_paths": 20}}
+        argv = ["split-demo", "--config", str(write_config(tmp_path, cfg)),
+                "--out", str(tmp_path / "o")]
+        if flag is not None:
+            argv += ["--seed", flag]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        where = "--seed" if flag is not None else "seed"
+        assert f"config error: {where}: must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigHash:
     def test_whitespace_insensitive(self, tmp_path):

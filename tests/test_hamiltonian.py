@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from splitgame import hamiltonian
 from splitgame.hamiltonian import (
     PayoffTensor,
     SimplexGrid,
@@ -116,7 +117,61 @@ def hull_samples(draw):
     return rng.normal(size=m) * (rng.choice([-1e12, 1e12]) if kind == "scaled" else 1.0)
 
 
+def two_lp_game_value(m):
+    """Reference: the row player's and the column player's LP solved
+    separately, their values agreeing to 1e-9; returns the row player's."""
+    nr, nc = m.shape
+    rows = linprog(np.r_[np.zeros(nr), 1.0], A_ub=np.hstack([m.T, -np.ones((nc, 1))]),
+                   b_ub=np.zeros(nc), A_eq=np.r_[np.ones(nr), 0.0][None], b_eq=[1.0],
+                   bounds=[(0.0, None)] * nr + [(None, None)], method="highs")
+    cols = linprog(np.r_[np.zeros(nc), -1.0], A_ub=np.hstack([-m, np.ones((nr, 1))]),
+                   b_ub=np.zeros(nr), A_eq=np.r_[np.ones(nc), 0.0][None], b_eq=[1.0],
+                   bounds=[(0.0, None)] * nc + [(None, None)], method="highs")
+    assert rows.success and cols.success
+    assert abs(rows.x[-1] + cols.fun) <= 1e-9
+    return float(rows.x[-1])
+
+
+@st.composite
+def matrix_games(draw):
+    """Payoff matrices of shape 1-6 x 1-6: normal, uniform, tied (few distinct
+    integers), 0/1 or constant entries."""
+    shape = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "uniform", "tied", "binary", "constant"]))
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "uniform":
+        return rng.uniform(size=shape)
+    if kind == "tied":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    if kind == "binary":
+        return rng.integers(0, 2, size=shape).astype(float)
+    return np.full(shape, rng.normal())
+
+
 class TestMatrixGame:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(matrix_games())
+    def test_one_lp_matches_two_lp_reference(self, m):
+        v, x, y = matrix_game_value(m)
+        assert v == two_lp_game_value(m)
+        assert np.max(x @ m) - np.min(m @ y) <= 1e-9
+        for s, n in ((x, m.shape[0]), (y, m.shape[1])):
+            assert s.shape == (n,) and np.all(s >= 0.0)
+            assert abs(s.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("forged", [[-1.0, 0.0], [0.0, -1.0]])
+    def test_forged_duals_raise(self, monkeypatch, forged):
+        def forging_linprog(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.ineqlin.marginals = np.array(forged)
+            return res
+
+        monkeypatch.setattr(hamiltonian, "linprog", forging_linprog)
+        with pytest.raises(RuntimeError, match="certificate gap"):
+            matrix_game_value([[1.0, -1.0], [-1.0, 1.0]])
+
     def test_matching_pennies(self):
         v, x, y = matrix_game_value([[1.0, -1.0], [-1.0, 1.0]])
         assert abs(v) <= 1e-9
@@ -438,12 +493,35 @@ class TestAnalyticFields:
         for name in ("tent", "quad_convex", "double_well", "bilinear", "saddle_mix"):
             h = analytic_field(name)
             qg_use = qg if h.dim_q == 2 else SimplexGrid.build(1, 1)
-            vals = h.fn(0.0, pg.nodes, qg_use.nodes)
+            vals = h.on_grid(0.0, pg.nodes, qg_use.nodes)
             assert np.max(np.abs(vals)) <= h.bound + 1e-12
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             analytic_field("nope")
+
+    @pytest.mark.parametrize("name, params", [
+        ("zero", {}), ("constant", {"level": 0.3}), ("tent", {"center": 0.3}),
+        ("quad_convex", {}), ("double_well", {}), ("bilinear", {}),
+        ("saddle_mix", {"scale": 0.3}), ("saddle_mix", {}),
+        ("tensor_two_sided", {}), ("tensor_time_dependent", {}),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v.values())) or "defaults")
+    def test_on_paths_is_grid_diagonal(self, name, params):
+        rng = np.random.default_rng(27)
+        if name == "tensor_two_sided":
+            h = tensor_field(PayoffTensor(rng.uniform(size=(1, 3, 2, 2, 3)), [0.0]))
+        elif name == "tensor_time_dependent":
+            h = tensor_field(PayoffTensor(rng.uniform(size=(3, 2, 2, 3, 2)), [0.0, 0.5, 1.0]))
+            assert h.time_dependent
+        else:
+            h = analytic_field(name, **params)
+        P = rng.dirichlet(np.ones(h.dim_p), size=6)
+        Q = rng.dirichlet(np.ones(h.dim_q), size=6)
+        for t in (0.0, 0.3, 0.8):
+            on_paths = h.on_paths(t, P, Q)
+            assert on_paths.shape == (6,)
+            assert on_paths.tobytes() == np.diagonal(h.on_grid(t, P, Q)).tobytes()
+            assert [h(t, p, q) for p, q in zip(P, Q)] == on_paths.tolist()
 
     def test_tensor_field_matches_eval(self):
         rng = np.random.default_rng(26)

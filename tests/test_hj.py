@@ -39,7 +39,7 @@ class TestSolve:
         pg, qg = one_sided_grids(200)
         h = analytic_field("quad_convex")
         v = solve(h, pg, qg, 1.0, 128)
-        hvals = h.fn(0.0, pg.nodes, qg.nodes)
+        hvals = h.on_grid(0.0, pg.nodes, qg.nodes)
         for k, t in enumerate(v.times):
             np.testing.assert_allclose(v.values[k], (1.0 - t) * hvals, atol=2e-2)
 
@@ -47,7 +47,7 @@ class TestSolve:
         pg, qg = one_sided_grids(200)
         h = analytic_field("double_well")
         v = solve(h, pg, qg, 1.0, 128)
-        env = vex_p(h.fn(0.0, pg.nodes, qg.nodes), pg)
+        env = vex_p(h.on_grid(0.0, pg.nodes, qg.nodes), pg)
         gap = max(np.max(np.abs(v.values[k] - (1.0 - t) * env))
                   for k, t in enumerate(v.times))
         assert gap <= 2e-2
@@ -88,7 +88,7 @@ class TestSolve:
         from splitgame.hamiltonian import HamiltonianField
 
         # H(t, p) = t, constant in p: the scheme sums dt * t_k over k >= current
-        h = HamiltonianField("ramp", lambda t, P, Q: np.full((P.shape[0], Q.shape[0]), t),
+        h = HamiltonianField("ramp", lambda t, P, Q: np.full(hamiltonian._points(P, Q), t),
                              2, 1, 1.0, 1.0, time_dependent=True)
         pg, qg = one_sided_grids(20)
         n = 16
@@ -260,7 +260,7 @@ class TestThreeCoordinate:
         c = np.array([0.4, 0.35, 0.25])
 
         def fn(t, P, Q):
-            return np.sum((P - c) ** 2, axis=1)[:, None] * np.ones((1, Q.shape[0]))
+            return np.sum((P - c) ** 2, axis=-1) * np.ones(Q.shape[:-1])
 
         return HamiltonianField("quad3", fn, 3, 1, float(np.max(np.sum((np.eye(3) - c) ** 2, 1))), 2.0)
 
@@ -269,7 +269,7 @@ class TestThreeCoordinate:
         pg = SimplexGrid.build(3, 12)
         qg = SimplexGrid.build(1, 1)
         v = solve(h, pg, qg, 1.0, 16)
-        hvals = h.fn(0.0, pg.nodes, qg.nodes)
+        hvals = h.on_grid(0.0, pg.nodes, qg.nodes)
         for k, t in enumerate(v.times):
             np.testing.assert_allclose(v.values[k], (1.0 - t) * hvals, atol=1e-9)
 
@@ -293,8 +293,8 @@ class TestThreeCoordinate:
     def test_concave_cost_solve_is_convex(self):
         # Vex of -|p|^2 on the 3-simplex is the affine interpolant of its
         # vertex values, the constant -1
-        h = HamiltonianField("negsq", lambda t, P, Q: -np.sum(P ** 2, axis=1)[:, None]
-                             * np.ones((1, Q.shape[0])), 3, 1, 1.0, 2.0)
+        h = HamiltonianField("negsq", lambda t, P, Q: -np.sum(P ** 2, axis=-1)
+                             * np.ones(Q.shape[:-1]), 3, 1, 1.0, 2.0)
         v = solve(h, SimplexGrid.build(3, 12), SimplexGrid.build(1, 1), 1.0, 16)
         expect = np.repeat((v.times - 1.0)[:, None], v.p_grid.n_nodes, axis=1)
         np.testing.assert_allclose(v.values[:, :, 0], expect, atol=1e-12)
@@ -323,7 +323,7 @@ class TestThreeCoordinate:
 
     def test_residuals_three_coordinates_both_slots(self):
         pg, qg = SimplexGrid.build(3, 6), SimplexGrid.build(3, 6)
-        zero = HamiltonianField("zero3", lambda t, P, Q: np.zeros((P.shape[0], Q.shape[0])),
+        zero = HamiltonianField("zero3", lambda t, P, Q: np.zeros(hamiltonian._points(P, Q)),
                                 3, 3, 0.0, 0.0)
         rng = np.random.default_rng(32)
         vals = rng.normal(size=(3, pg.n_nodes, qg.n_nodes))
