@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splitgame.arena import Strategy, StrategyFamily, dpp_diagnostic, value_bracket
+from splitgame.arena import Strategy, StrategyFamily, dpp_diagnostic, preset_family, value_bracket
 from splitgame.hamiltonian import SimplexGrid, analytic_field, vex_p
 from splitgame.hj import naive_hji_residual, regularity_report, residuals, solve
 from splitgame.sde import (
@@ -231,7 +231,7 @@ def check_representation(seed: int = 0, threads: int = 1, golden=None) -> CheckR
         Strategy("freeze", lambda t, T: zero_control(t, T, 2)),
         Strategy("split", lambda t, T: make_split_control(spec, t, T)),
     ])
-    fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
+    fam2 = preset_family(1)
     br = value_bracket(0.0, spec.p.coords, [1.0], tent, fam1, fam2,
                        horizon=1.0, dt=0.05 / 128, n_paths=10_000, seed=seed,
                        reference=v_ref, threads=threads)

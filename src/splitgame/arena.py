@@ -64,11 +64,12 @@ class StrategyFamily:
 
 def preset_family(dim: int, scale: float = 0.5,
                   split_spec: SplitSpec | None = None) -> StrategyFamily:
-    """The shipped presets: zero, constant directional, split-then-freeze."""
-    strategies = [
-        Strategy("zero", lambda t, T, d=dim: zero_control(t, T, d)),
-        Strategy("directional", lambda t, T, d=dim, s=scale: directional_control(t, T, d, s)),
-    ]
+    """The shipped presets: zero, constant directional (dim >= 2 only),
+    split-then-freeze."""
+    strategies = [Strategy("zero", lambda t, T, d=dim: zero_control(t, T, d))]
+    if dim >= 2:
+        strategies.append(Strategy(
+            "directional", lambda t, T, d=dim, s=scale: directional_control(t, T, d, s)))
     if split_spec is not None:
         if split_spec.p.n != dim:
             raise ValueError("split spec dimension does not match the family")

@@ -12,6 +12,10 @@ keys: "time_samples", a sorted list of times in [0, horizon], and "values", a
 nested list of shape (n_times, nI, nJ, nK, nL) with entries in [0, 1] giving
 the payoff for index pair (i, j) and action pair (k, l).
 
+Every config field is read once through a Reader, typed (a number is a JSON
+number, never true or false; a flag is true or false; a block is an object),
+and a missing field or a wrong type exits 2 naming its dotted path.
+
 Exit codes: 0 success, 1 check failure, 2 config/parse error, 3 internal
 error.
 """
@@ -28,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from splitgame.hj import write_atomic
+from splitgame.simplex import SimplexPoint
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("solve-hj", "simulate", "split-demo", "mc-game", "verify")
@@ -51,41 +56,88 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _need(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    return cfg[key]
+def _number(v) -> bool:
+    """A finite JSON number: an int or float within float range, not true or false."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _block(cfg: dict, key: str) -> dict:
-    """Optional top-level object such as "hj" or "sim"; {} when absent."""
-    block = cfg.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{key}: must be an object, got {block!r}")
-    return block
+def _numbers(v, n: int | None = None) -> bool:
+    """A list of finite numbers, of length n if given."""
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(_number, v))
 
 
-def _seed(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{path}: must be a non-negative integer, got {value!r}")
-    return value
+class Reader:
+    """One JSON object of the config and its dotted path.  Each read takes a
+    key and, for an optional field, its default; a value that is missing or of
+    the wrong type raises a ConfigError that names the field's full path."""
 
+    def __init__(self, obj, path: str = ""):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: must be an object, got {obj!r}")
+        self.obj = obj
+        self.path = path
 
-def _positive(value, path: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-    if not np.isfinite(v) or v <= 0:
-        raise ConfigError(f"{path}: must be positive, got {value!r}")
-    return v
+    def where(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
 
+    def get(self, key: str, default=None):
+        if key not in self.obj and default is None:
+            raise ConfigError(f"{self.where(key)}: required field missing")
+        return self.obj.get(key, default)
 
-def _positive_int(value, path: str) -> int:
-    v = _positive(value, path)
-    if v != int(v):
-        raise ConfigError(f"{path}: must be an integer, got {value!r}")
-    return int(v)
+    def read(self, key: str, ok, what: str, default=None):
+        """The value at key, which ok(value) must accept."""
+        value = self.get(key, default)
+        if not ok(value):
+            raise ConfigError(f"{self.where(key)}: must be {what}, got {value!r}")
+        return value
+
+    def child(self, key: str, default=None) -> "Reader":
+        return Reader(self.get(key, default), self.where(key))
+
+    def call(self, fn, *args, **kwargs):
+        """fn(*args, **kwargs); a ValueError it raises names this object's path."""
+        try:
+            return fn(*args, **kwargs)
+        except ValueError as e:
+            raise ConfigError(f"{self.path}: {e}") from None
+
+    def string(self, key: str) -> str:
+        return self.read(key, lambda v: isinstance(v, str), "a string")
+
+    def choice(self, key: str, choices: tuple, default=None) -> str:
+        what = "one of " + ", ".join(map(repr, choices))
+        return self.read(key, lambda v: isinstance(v, str) and v in choices, what, default)
+
+    def flag(self, key: str, default=None) -> bool:
+        return self.read(key, lambda v: isinstance(v, bool), "true or false", default)
+
+    def positive(self, key: str, default=None) -> float:
+        ok = lambda v: _number(v) and v > 0
+        return float(self.read(key, ok, "a positive number", default))
+
+    def positive_int(self, key: str, default=None) -> int:
+        ok = lambda v: _number(v) and v > 0 and v == int(v)
+        return int(self.read(key, ok, "a positive integer", default))
+
+    def seed(self, key: str, default=None) -> int:
+        ok = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0
+        return self.read(key, ok, "a non-negative integer", default)
+
+    def fraction(self, key: str, default=None) -> float:
+        ok = lambda v: _number(v) and 0 <= v <= 1
+        return float(self.read(key, ok, "a number in [0, 1]", default))
+
+    def simplex(self, key: str) -> SimplexPoint:
+        value = self.read(key, _numbers, "a list of numbers")
+        try:
+            return SimplexPoint(value)
+        except ValueError as e:
+            raise ConfigError(f"{self.where(key)}: {e}") from None
+
+    def matrix(self, key: str, n: int) -> np.ndarray:
+        ok = lambda v: isinstance(v, list) and len(v) == n and all(_numbers(r, n) for r in v)
+        return np.array(self.read(key, ok, f"a {n}x{n} matrix of finite numbers"), dtype=float)
 
 
 def load_config(path) -> dict:
@@ -98,97 +150,70 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    Reader(cfg).read("schema_version", lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
     cfg.setdefault("_config_dir", str(p.parent))
     return cfg
 
 
-def build_field(cfg: dict):
+def build_field(cfg: Reader, horizon: float):
     from splitgame.hamiltonian import PayoffTensor, analytic_field, tensor_field
 
-    block = _need(cfg, "hamiltonian", "")
-    kind = _need(block, "kind", "hamiltonian")
-    if kind == "analytic":
-        name = _need(block, "name", "hamiltonian")
-        params = block.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("hamiltonian.params: must be an object")
+    block = cfg.child("hamiltonian")
+    if block.choice("kind", ("analytic", "tensor")) == "analytic":
+        name = block.string("name")
+        params = block.child("params", {})
+        kwargs = {key: params.read(key, _number, "a number") for key in params.obj}
         try:
-            return analytic_field(name, **params)
+            return analytic_field(name, **kwargs)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"hamiltonian: {e}") from None
-    if kind == "tensor":
-        rel = _need(block, "path", "hamiltonian")
-        path = Path(cfg.get("_config_dir", ".")) / rel
-        if not path.exists():
-            raise ConfigError(f"hamiltonian.path: file {path} does not exist")
-        try:
-            data = json.loads(path.read_text())
-            tensor = PayoffTensor.from_dict(data)
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
-            raise ConfigError(f"hamiltonian.path: cannot load tensor: {e}") from None
-        return tensor_field(tensor, horizon=float(cfg.get("horizon", 1.0)))
-    raise ConfigError(f"hamiltonian.kind: unknown kind {kind!r}")
+    path = Path(cfg.get("_config_dir", ".")) / block.string("path")
+    if not path.is_file():
+        raise ConfigError(f"hamiltonian.path: file {path} does not exist")
+    try:
+        tensor = PayoffTensor.from_dict(json.loads(path.read_text()))
+        return tensor_field(tensor, horizon=horizon)
+    except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON
+        raise ConfigError(f"hamiltonian.path: cannot load tensor: {e}") from None
 
 
-def build_split_spec(block: dict, path: str = "split"):
-    from splitgame.simplex import SimplexPoint
+def build_split_spec(block: Reader):
     from splitgame.splitting import SplitSpec, unit_segment_spec
 
-    steps = _positive_int(block.get("steps", 256), f"{path}.steps")
-    horizon = _positive(block.get("horizon", 0.125), f"{path}.horizon")
-    delta = _positive(block.get("delta", 0.02), f"{path}.delta")
-    kappa = _positive(block.get("kappa", 1.0), f"{path}.kappa")
-    lam1 = block.get("lam1", 0.5)
-    if not isinstance(lam1, (int, float)) or not 0.0 <= lam1 <= 1.0:
-        raise ConfigError(f"{path}.lam1: must lie in [0, 1]")
-    if "p1" in block or "p2" in block:
-        try:
-            p1 = SimplexPoint(_need(block, "p1", path))
-            p2 = SimplexPoint(_need(block, "p2", path))
-            p = SimplexPoint(lam1 * p1.coords + (1 - lam1) * p2.coords)
-            return SplitSpec(p, p1, p2, float(lam1), horizon, steps, delta, kappa)
-        except ValueError as e:
-            raise ConfigError(f"{path}: {e}") from None
-    return unit_segment_spec(steps=steps, delta=delta, kappa=kappa,
-                             lam1=float(lam1), horizon=horizon)
+    steps = block.positive_int("steps", 256)
+    horizon = block.positive("horizon", 0.125)
+    delta = block.positive("delta", 0.02)
+    kappa = block.positive("kappa", 1.0)
+    lam1 = block.fraction("lam1", 0.5)
+    if "p1" not in block.obj and "p2" not in block.obj:
+        return block.call(unit_segment_spec, steps=steps, delta=delta, kappa=kappa,
+                          lam1=lam1, horizon=horizon)
+    p1, p2 = block.simplex("p1"), block.simplex("p2")
+    p = block.call(lambda: SimplexPoint(lam1 * p1.coords + (1 - lam1) * p2.coords))
+    return block.call(SplitSpec, p, p1, p2, lam1, horizon, steps, delta, kappa)
 
 
-def build_control(block: dict, t: float, horizon: float, dim: int, path: str,
-                  split_cfg: dict):
+def build_control(block: Reader, horizon: float, dim: int, split: Reader):
     from splitgame.sde import constant_control, directional_control, zero_control
     from splitgame.splitting import make_split_control
 
-    kind = _need(block, "kind", path)
+    kind = block.choice("kind", ("zero", "constant", "directional", "split"))
     if kind == "zero":
-        return zero_control(t, horizon, dim)
+        return zero_control(0.0, horizon, dim)
     if kind == "constant":
-        m = np.asarray(_need(block, "matrix", path), dtype=float)
-        if m.shape != (dim, dim):
-            raise ConfigError(f"{path}.matrix: expected shape ({dim}, {dim})")
-        return constant_control(t, horizon, m)
+        return constant_control(0.0, horizon, block.matrix("matrix", dim))
     if kind == "directional":
-        scale = _positive(block.get("scale", 0.5), f"{path}.scale")
-        if dim < 2:
-            raise ConfigError(f"{path}: directional control needs dim >= 2")
-        return directional_control(t, horizon, dim, scale)
-    if kind == "split":
-        spec = build_split_spec(split_cfg)
-        if spec.p.n != dim:
-            raise ConfigError(f"{path}: split spec dimension {spec.p.n} != {dim}")
-        return make_split_control(spec, t, horizon)
-    raise ConfigError(f"{path}.kind: unknown control kind {kind!r}")
+        scale = block.positive("scale", 0.5)
+        return block.call(directional_control, 0.0, horizon, dim, scale)
+    spec = build_split_spec(split)
+    if spec.p.n != dim:
+        raise ConfigError(f"{block.path}: split spec dimension {spec.p.n} != {dim}")
+    return make_split_control(spec, 0.0, horizon)
 
 
-def _simplex_vector(value, path: str) -> np.ndarray:
-    from splitgame.simplex import SimplexPoint
-
-    try:
-        return SimplexPoint(value).coords
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+def _start(sim: Reader) -> tuple[np.ndarray, np.ndarray]:
+    start = sim.child("start")
+    return start.simplex("p").coords, start.simplex("q").coords
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -217,31 +242,24 @@ def _load_registry(path: Path) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve_hj(cfg: dict, out: Path, threads: int) -> int:
+def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     from splitgame.hamiltonian import SimplexGrid
     from splitgame.hj import export_csv, order_gap, summary_dict
 
-    field = build_field(cfg)
-    block = _block(cfg, "hj")
-    horizon = _positive(cfg.get("horizon", 1.0), "horizon")
-    p_default = 200 if field.dim_p == 2 else 100
-    p_res = _positive_int(block.get("p_resolution", p_default), "hj.p_resolution")
-    q_res = _positive_int(block.get("q_resolution", 1), "hj.q_resolution")
-    steps = _positive_int(block.get("time_steps", 128), "hj.time_steps")
-    order = block.get("order", "vex_cav")
-    if order not in ("vex_cav", "cav_vex"):
-        raise ConfigError("hj.order: must be 'vex_cav' or 'cav_vex'")
+    horizon = cfg.positive("horizon", 1.0)
+    field = build_field(cfg, horizon)
+    hj = cfg.child("hj", {})
+    p_res = hj.positive_int("p_resolution", 200 if field.dim_p == 2 else 100)
+    q_res = hj.positive_int("q_resolution", 1)
+    steps = hj.positive_int("time_steps", 128)
+    order = hj.choice("order", ("vex_cav", "cav_vex"), "vex_cav")
     try:
         pg = SimplexGrid.build(field.dim_p, p_res)
         qg = SimplexGrid.build(field.dim_q, q_res if field.dim_q > 1 else 1)
     except ValueError as e:
-        tensor = cfg["hamiltonian"]["kind"] == "tensor"
-        where = "hamiltonian.path" if tensor else "hamiltonian.params"
+        where = "hamiltonian.path" if field.name == "tensor" else "hamiltonian.params"
         raise ConfigError(f"{where}: {e}, got {field.dim_p}x{field.dim_q}") from None
-    try:
-        a, b, gap = order_gap(field, pg, qg, horizon, steps)
-    except ValueError as e:
-        raise ConfigError(f"hj: {e}") from None
+    a, b, gap = hj.call(order_gap, field, pg, qg, horizon, steps)
     chosen = a if order == "vex_cav" else b
     export_csv(chosen, out / "values.csv")
     report = summary_dict(chosen, field)
@@ -250,31 +268,23 @@ def _cmd_solve_hj(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def _sim_params(cfg: dict):
-    sim = _block(cfg, "sim")
-    horizon = _positive(cfg.get("horizon", 1.0), "horizon")
-    dt = _positive(sim.get("dt", 1.0 / 512), "sim.dt")
-    n_paths = _positive_int(sim.get("n_paths", 1000), "sim.n_paths")
-    start = _need(sim, "start", "sim")
-    p = _simplex_vector(_need(start, "p", "sim.start"), "sim.start.p")
-    q = _simplex_vector(_need(start, "q", "sim.start"), "sim.start.q")
-    return sim, horizon, dt, n_paths, p, q
-
-
-def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
+def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     from splitgame.sde import NoiseGrid, dump_trajectories, simulate, simulation_report
 
-    sim, horizon, dt, n_paths, p, q = _sim_params(cfg)
-    seed = cfg.get("seed", 0)
-    controls = _need(sim, "controls", "sim")
-    u = build_control(_need(controls, "u", "sim.controls"), 0.0, horizon,
-                      p.size, "sim.controls.u", _block(cfg, "split"))
-    v = build_control(_need(controls, "v", "sim.controls"), 0.0, horizon,
-                      q.size, "sim.controls.v", _block(cfg, "split"))
+    horizon = cfg.positive("horizon", 1.0)
+    sim = cfg.child("sim", {})
+    dt = sim.positive("dt", 1.0 / 512)
+    n_paths = sim.positive_int("n_paths", 1000)
+    p, q = _start(sim)
+    controls = sim.child("controls")
+    split = cfg.child("split", {})
+    u = build_control(controls.child("u"), horizon, p.size, split)
+    v = build_control(controls.child("v"), horizon, q.size, split)
+    dump = sim.flag("dump_trajectories", False)
     try:
         noise = NoiseGrid(0.0, horizon, dt, n_paths, seed, p.size, q.size)
         rep = simulation_report(0.0, p, q, u, v, noise, threads=threads)
-        if sim.get("dump_trajectories", False):
+        if dump:
             bundle = simulate(0.0, p, q, u, v, noise, threads=threads)
             dump_trajectories(bundle, out / "trajectories.csv")
     except ValueError as e:
@@ -295,12 +305,11 @@ def _cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK if rep.martingale_ok and rep.min_coord >= 0.0 else EXIT_CHECK_FAILED
 
 
-def _cmd_split_demo(cfg: dict, out: Path, threads: int) -> int:
+def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     from splitgame.splitting import landing_report, run_split
 
-    spec = build_split_spec(_block(cfg, "split"))
-    seed = cfg.get("seed", 0)
-    n_paths = _positive_int(_block(cfg, "sim").get("n_paths", 10_000), "sim.n_paths")
+    spec = build_split_spec(cfg.child("split", {}))
+    n_paths = cfg.child("sim", {}).positive_int("n_paths", 10_000)
     bundle = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
     xt = bundle.x_paths[:, -1, :]
     rep = landing_report(spec, xt)
@@ -328,35 +337,24 @@ def _cmd_split_demo(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK if rep.hit1_ok and rep.martingale_ok else EXIT_CHECK_FAILED
 
 
-def _cmd_mc_game(cfg: dict, out: Path, threads: int) -> int:
-    from splitgame.arena import Strategy, StrategyFamily, preset_family, value_bracket
-    from splitgame.sde import zero_control
-    from splitgame.splitting import make_split_control
+def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
+    from splitgame.arena import preset_family, value_bracket
 
-    field = build_field(cfg)
-    block = _block(cfg, "arena")
-    horizon = _positive(cfg.get("horizon", 1.0), "horizon")
-    seed = cfg.get("seed", 0)
-    n_paths = _positive_int(block.get("n_paths", 2000), "arena.n_paths")
-    dt = _positive(block.get("dt", 1.0 / 512), "arena.dt")
-    start = _need(_block(cfg, "sim"), "start", "sim")
-    p = _simplex_vector(_need(start, "p", "sim.start"), "sim.start.p")
-    q = _simplex_vector(_need(start, "q", "sim.start"), "sim.start.q")
-    scale = _positive(block.get("scale", 0.5), "arena.scale")
+    horizon = cfg.positive("horizon", 1.0)
+    field = build_field(cfg, horizon)
+    arena = cfg.child("arena", {})
+    n_paths = arena.positive_int("n_paths", 2000)
+    dt = arena.positive("dt", 1.0 / 512)
+    scale = arena.positive("scale", 0.5)
+    p, q = _start(cfg.child("sim", {}))
     if field.dim_p != p.size or field.dim_q != q.size:
         raise ConfigError("sim.start: dimensions do not match the hamiltonian")
 
-    split_spec = build_split_spec(_block(cfg, "split")) if p.size == 2 else None
+    split_spec = build_split_spec(cfg.child("split", {})) if p.size == 2 else None
     fam1 = preset_family(p.size, scale=scale, split_spec=split_spec)
-    if q.size == 1:
-        fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
-    else:
-        fam2 = preset_family(q.size, scale=scale)
-    try:
-        br = value_bracket(0.0, p, q, field, fam1, fam2, horizon=horizon, dt=dt,
-                           n_paths=n_paths, seed=seed, threads=threads)
-    except ValueError as e:
-        raise ConfigError(f"arena: {e}") from None
+    fam2 = preset_family(q.size, scale=scale)
+    br = arena.call(value_bracket, 0.0, p, q, field, fam1, fam2, horizon=horizon, dt=dt,
+                    n_paths=n_paths, seed=seed, threads=threads)
     result = {
         "lower": br.lower, "lower_se": br.lower_se,
         "upper": br.upper, "upper_se": br.upper_se,
@@ -374,10 +372,9 @@ def _cmd_mc_game(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK if br.ordered else EXIT_CHECK_FAILED
 
 
-def _cmd_verify(cfg: dict, out: Path, threads: int) -> int:
+def _cmd_verify(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     from splitgame.acceptance import run_all
 
-    seed = cfg.get("seed", 0)
     results = run_all(seed=seed, threads=threads)
     for r in results:
         print(r.line())
@@ -404,25 +401,26 @@ _DISPATCH = {
 
 def run(subcommand: str, config: dict, out_dir, threads: int = 1,
         seed: int | None = None) -> int:
-    """Programmatic entry point; returns the process exit code."""
+    """Programmatic entry point; returns the process exit code.  The hash is
+    taken over the raw config, plus the sha256 of a tensor file's bytes."""
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = {k: v for k, v in config.items() if not k.startswith("_")}
     if seed is not None:
-        cfg["seed"] = _seed(seed, "--seed")
-    _seed(cfg.get("seed", 0), "seed")
+        cfg["seed"] = Reader({"--seed": seed}).seed("--seed")
+    root = Reader(cfg)
+    seed = root.seed("seed", 0)
+    hashed = dict(cfg)
     cfg["_config_dir"] = config.get("_config_dir", ".")
-    hashed = {k: v for k, v in cfg.items() if not k.startswith("_")}
     block = cfg.get("hamiltonian")
     if isinstance(block, dict) and block.get("kind") == "tensor":
         tensor = Path(cfg["_config_dir"]) / str(block.get("path", ""))
         if tensor.is_file():  # otherwise build_field raises the ConfigError
             sha = hashlib.sha256(tensor.read_bytes()).hexdigest()
             hashed["hamiltonian"] = {**block, "sha256": sha}
-    digest = config_hash(hashed)
-    out = Path(out_dir) / digest
+    out = Path(out_dir) / config_hash(hashed)
     out.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[subcommand](cfg, out, threads)
+    return _DISPATCH[subcommand](root, out, threads, seed)
 
 
 def main(argv=None) -> int:
@@ -431,11 +429,12 @@ def main(argv=None) -> int:
         description="Simplex-martingale game laboratory: solve, simulate, verify.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", type=str, default=None,
-                        help="JSON experiment configuration")
+                        help="JSON experiment configuration (a missing or mistyped "
+                             "field exits 2 and names its path)")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory (fallback: $SPLITGAME_OUT, then ./out)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: all cores)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads (default: 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)
@@ -450,9 +449,7 @@ def main(argv=None) -> int:
         else:
             cfg = load_config(args.config)
         out_dir = args.out or os.environ.get("SPLITGAME_OUT") or "out"
-        threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-        if threads < 1:
-            raise ConfigError("--threads must be at least 1")
+        threads = Reader({"--threads": args.threads}).positive_int("--threads")
         code = run(args.subcommand, cfg, out_dir, threads=threads, seed=args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -163,6 +163,8 @@ def directional_control(t: float, horizon: float, dim: int, scale: float,
                         i: int = 0, j: int = 1) -> FeedbackControl:
     """Rank-one control harvesting the first own-noise coordinate and pushing
     along e_i - e_j."""
+    if dim < 2:
+        raise ValueError("directional control needs dim >= 2")
     m = np.zeros((dim, dim))
     m[i, 0] = scale
     m[j, 0] = -scale

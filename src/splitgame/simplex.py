@@ -23,10 +23,6 @@ import numpy as np
 CONSTRUCT_TOL = 1e-9
 SUM_TOL = 1e-12
 
-# Support threshold used by the SDE stepper (floating point makes exact zeros
-# unreliable mid-simulation; geometry calls default to an exact threshold).
-DEFAULT_BAND = 1e-10
-
 
 class DegeneratePointError(ValueError):
     """Raised when a support query finds no coordinate above the threshold."""
@@ -55,7 +51,7 @@ class SimplexPoint:
         c[c < 0.0] = 0.0
         s = c.sum()
         if abs(s - 1.0) > CONSTRUCT_TOL:
-            raise ValueError(f"coordinates sum to {s!r}, not 1 within {CONSTRUCT_TOL:.0e}")
+            raise ValueError(f"coordinates sum to {float(s)!r}, not 1 within {CONSTRUCT_TOL:.0e}")
         if s != 1.0:
             c = c / s
         c.setflags(write=False)

@@ -69,6 +69,15 @@ class TestResolveControls:
             np.testing.assert_array_equal(b1.v_realized, b2.v_realized)
 
 
+class TestPresetFamily:
+    @pytest.mark.parametrize("dim, names", [(1, ["zero"]), (2, ["zero", "directional"])])
+    def test_every_preset_builds(self, dim, names):
+        fam = preset_family(dim, scale=0.5)
+        assert fam.names == names
+        for strategy in fam.strategies:
+            assert strategy.build(0.0, 1.0).dim == dim
+
+
 class TestValueBracket:
     def test_constant_H_exact_both_sides(self):
         h = analytic_field("constant", level=0.25, dim_q=2)

@@ -111,6 +111,59 @@ class TestConfigValidation:
         assert f"config error: {where}: must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("subcommand, path, value, message", [
+        ("solve-hj", ["horizon"], "abc", "horizon: must be a positive number"),
+        ("simulate", ["sim", "controls", "u"], {"kind": "constant", "matrix": "x"},
+         "sim.controls.u.matrix: must be a 2x2 matrix of finite numbers"),
+        ("simulate", ["sim", "start"], 5, "sim.start: must be an object"),
+        ("simulate", ["sim", "controls"], 5, "sim.controls: must be an object"),
+        ("simulate", ["sim", "controls", "u"], 3, "sim.controls.u: must be an object"),
+        ("solve-hj", ["hamiltonian"], 5, "hamiltonian: must be an object"),
+        ("solve-hj", ["hamiltonian"], {"kind": "tensor", "path": 5},
+         "hamiltonian.path: must be a string"),
+        ("simulate", ["sim", "dump_trajectories"], "no",
+         "sim.dump_trajectories: must be true or false"),
+        ("split-demo", ["split", "lam1"], True, "split.lam1: must be a number in [0, 1]"),
+        ("solve-hj", ["hamiltonian"], None, "hamiltonian: required field missing"),
+    ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
+            "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian"])
+    def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
+                                              value, message):
+        # the solve-hj cases run on a tensor cost, whose field is built from the horizon
+        (tmp_path / "tensor.json").write_text(json.dumps(
+            {"time_samples": [0.0], "values": np.full((1, 2, 1, 1, 2), 0.5).tolist()}))
+        cfg = base_sim_config()
+        cfg["hamiltonian"] = {"kind": "tensor", "path": "tensor.json"}
+        cfg["split"] = {"steps": 16}
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        out = tmp_path / "o"
+        code = cli.main([subcommand, "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (out.exists() and any(out.rglob("*.csv")))
+
+
+class TestThreadsFlag:
+    def test_default_is_one_thread(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: seen.update(kwargs) or 0)
+        path = write_config(tmp_path, base_sim_config())
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert seen["threads"] == 1
+
+    def test_zero_threads_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_sim_config())
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o"),
+                         "--threads", "0"]) == cli.EXIT_CONFIG
+        assert "config error: --threads: must be a positive integer" in capsys.readouterr().err
+
 
 class TestConfigHash:
     def test_whitespace_insensitive(self, tmp_path):

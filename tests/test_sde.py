@@ -103,6 +103,10 @@ class TestSimulate:
         assert np.all(b.y_paths == b.y_paths[:, :1, :])
         b.check_invariants()
 
+    def test_directional_needs_two_coordinates(self):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            directional_control(0.0, 1.0, 1, 0.5)
+
     def test_projected_zero_control_freezes(self):
         noise = make_noise(n_paths=16)
         p = np.array([0.25, 0.75])
