@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splitgame.arena import Strategy, StrategyFamily, dpp_diagnostic, preset_family, value_bracket
+from splitgame.arena import dpp_diagnostic, preset_family, value_bracket
 from splitgame.hamiltonian import SimplexGrid, analytic_field, vex_p
 from splitgame.hj import naive_hji_residual, regularity_report, residuals, solve
 from splitgame.sde import (
@@ -227,24 +227,18 @@ def check_representation(seed: int = 0, threads: int = 1, golden=None) -> CheckR
     golden = golden or _golden_solves()
     tent, v_ref, _ = golden["tent"]
     spec = unit_segment_spec(steps=128, horizon=0.05)
-    fam1 = StrategyFamily(2, [
-        Strategy("freeze", lambda t, T: zero_control(t, T, 2)),
-        Strategy("split", lambda t, T: make_split_control(spec, t, T)),
-    ])
-    fam2 = preset_family(1)
-    br = value_bracket(0.0, spec.p.coords, [1.0], tent, fam1, fam2,
+    fam1 = {"freeze": zero_control(0.0, 1.0, 2), "split": make_split_control(spec, 0.0, 1.0)}
+    br = value_bracket(0.0, spec.p.coords, [1.0], tent, fam1, preset_family(0.0, 1.0, 1),
                        horizon=1.0, dt=0.05 / 128, n_paths=10_000, seed=seed,
                        reference=v_ref, threads=threads)
     upper_gap = abs(br.upper - br.reference)
 
     dpp_spec = unit_segment_spec(steps=128, horizon=0.125)
-    fam1_dpp = StrategyFamily(2, [
-        Strategy("freeze", lambda t, T: zero_control(t, T, 2)),
-        Strategy("split", lambda t, T: make_split_control(dpp_spec, t, T)),
-    ])
-    dpp = dpp_diagnostic(0.0, 0.125, dpp_spec.p.coords, [1.0], tent, fam2,
-                         fam1_dpp, v_ref, dt=0.125 / 128, n_paths=10_000,
-                         seed=seed, threads=threads)
+    fam1_dpp = {"freeze": zero_control(0.0, 0.125, 2),
+                "split": make_split_control(dpp_spec, 0.0, 0.125)}
+    dpp = dpp_diagnostic(0.0, 0.125, dpp_spec.p.coords, [1.0], tent, fam1_dpp,
+                         preset_family(0.0, 0.125, 1), v_ref, dt=0.125 / 128,
+                         n_paths=10_000, seed=seed, threads=threads)
     ok = upper_gap <= 0.08 and abs(dpp.gap) <= 0.05
     dt_wall = time.time() - t0
     return CheckResult("stochastic-representation", ok, upper_gap, 0.08,

@@ -2,11 +2,12 @@
 strategies: restricted value brackets around the PDE value and the dynamic
 programming diagnostic.
 
-A strategy here is a recipe producing a feedback control on [t, T].  Families
-are finite; the restricted upper value is min over player-1 strategies of the
-max over player-2 strategies of the common-random-numbers payoff table, and
-the restricted lower value is the max-min of the same table, so the bracket
-ordering lower <= upper holds exactly on every run.
+A strategy family is a dict of named controls on [t, T], the interval the
+game is played on; a control whose grid starts or ends elsewhere is rejected
+with GridMismatchError.  The restricted upper value is min over player-1
+controls of the max over player-2 controls of the common-random-numbers
+payoff table, and the restricted lower value is the max-min of the same
+table, so the bracket ordering lower <= upper holds exactly on every run.
 """
 
 from __future__ import annotations
@@ -34,53 +35,23 @@ class BudgetExceededError(RuntimeError):
     """Too many strategy pairs requested for one bracket evaluation."""
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Named recipe: build(t, horizon) returns the feedback control."""
-
-    name: str
-    build: Callable[[float, float], FeedbackControl]
-
-
-@dataclass
-class StrategyFamily:
-    """Finite collection of strategies for one player, sharing a control grid
-    convention (each strategy's grid must land on the driving noise grid)."""
-
-    dim: int
-    strategies: list[Strategy]
-
-    def __post_init__(self):
-        if not self.strategies:
-            raise ValueError("a strategy family cannot be empty")
-
-    @property
-    def names(self) -> list[str]:
-        return [s.name for s in self.strategies]
-
-    def extended(self, extra: Strategy) -> "StrategyFamily":
-        return StrategyFamily(self.dim, list(self.strategies) + [extra])
-
-
-def preset_family(dim: int, scale: float = 0.5,
-                  split_spec: SplitSpec | None = None) -> StrategyFamily:
-    """The shipped presets: zero, constant directional (dim >= 2 only),
-    split-then-freeze."""
-    strategies = [Strategy("zero", lambda t, T, d=dim: zero_control(t, T, d))]
+def preset_family(t: float, horizon: float, dim: int, scale: float = 0.5,
+                  split_spec: SplitSpec | None = None) -> dict[str, FeedbackControl]:
+    """The shipped presets on [t, horizon]: zero, constant directional
+    (dim >= 2 only), split-then-freeze."""
+    family = {"zero": zero_control(t, horizon, dim)}
     if dim >= 2:
-        strategies.append(Strategy(
-            "directional", lambda t, T, d=dim, s=scale: directional_control(t, T, d, s)))
+        family["directional"] = directional_control(t, horizon, dim, scale)
     if split_spec is not None:
         if split_spec.p.n != dim:
             raise ValueError("split spec dimension does not match the family")
-        strategies.append(Strategy(
-            "split", lambda t, T, sp=split_spec: make_split_control(sp, t, T)))
-    return StrategyFamily(dim, strategies)
+        family["split"] = make_split_control(split_spec, t, horizon)
+    return family
 
 
 def table_strategies(dim: int, grid: np.ndarray, catalogue: list[np.ndarray],
-                     count: int, seed: int) -> StrategyFamily:
-    """Sampled finite-feedback strategies over an action catalogue.
+                     count: int, seed: int) -> dict[str, FeedbackControl]:
+    """Sampled finite-feedback strategies over an action catalogue, on grid.
 
     Each strategy owns a random table indexed by (opponent's last catalogue
     action, sign of the last own-noise sum) and plays the table's action on
@@ -91,35 +62,29 @@ def table_strategies(dim: int, grid: np.ndarray, catalogue: list[np.ndarray],
     if not cat:
         raise ValueError("catalogue must be nonempty")
     rng = np.random.default_rng(seed)
-    grid = np.asarray(grid, dtype=float)
-    strategies = []
+    stack = np.stack(cat)
+    family = {}
     for s_idx in range(count):
         table = rng.integers(0, len(cat), size=(len(cat), 2))
         first = int(rng.integers(0, len(cat)))
 
-        def build(t, T, table=table, first=first):
-            stack = np.stack(cat)
+        def feedback(j, view, table=table, first=first):
+            if j == 0 or view.opp_controls.shape[1] == 0:
+                return cat[first]
+            opp_last = view.opp_controls[:, -1]
+            flat = opp_last.reshape(opp_last.shape[0], -1)
+            dists = ((flat[:, None, :] - stack.reshape(len(cat), -1)[None]) ** 2).sum(2)
+            opp_idx = dists.argmin(axis=1)
+            if view.own_noise.shape[1]:
+                sign_bit = (view.own_noise[:, -1, 0] > 0).astype(int)
+            else:
+                sign_bit = np.zeros(opp_idx.size, dtype=int)
+            choice = table[opp_idx, sign_bit]
+            return stack[choice]
 
-            def feedback(j, view):
-                if j == 0 or view.opp_controls.shape[1] == 0:
-                    return cat[first]
-                opp_last = view.opp_controls[:, -1]
-                flat = opp_last.reshape(opp_last.shape[0], -1)
-                dists = ((flat[:, None, :] - stack.reshape(len(cat), -1)[None]) ** 2).sum(2)
-                opp_idx = dists.argmin(axis=1)
-                if view.own_noise.shape[1]:
-                    sign_bit = (view.own_noise[:, -1, 0] > 0).astype(int)
-                else:
-                    sign_bit = np.zeros(opp_idx.size, dtype=int)
-                choice = table[opp_idx, sign_bit]
-                return stack[choice]
-
-            g = grid.copy()
-            g[0], g[-1] = t, T
-            return FeedbackControl(g, feedback, dim, f"table{s_idx}")
-
-        strategies.append(Strategy(f"table{s_idx}", build))
-    return StrategyFamily(dim, strategies)
+        name = f"table{s_idx}"
+        family[name] = FeedbackControl(grid, feedback, dim, name)
+    return family
 
 
 @dataclass
@@ -142,20 +107,19 @@ class ValueBracket:
 
 
 def _payoff_table(t: float, horizon: float, p, q, H: HamiltonianField,
-                  fam_1: StrategyFamily, fam_2: StrategyFamily, dt: float,
-                  n_paths: int, seed: int, threads: int,
+                  fam_1: dict[str, FeedbackControl], fam_2: dict[str, FeedbackControl],
+                  dt: float, n_paths: int, seed: int, threads: int,
                   terminal: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Common-random-numbers payoff means and standard errors, player 1 along rows."""
-    n1, n2 = len(fam_1.strategies), len(fam_2.strategies)
+    n1, n2 = len(fam_1), len(fam_2)
     if n1 * n2 > MAX_PAIRS:
         raise BudgetExceededError(f"{n1 * n2} strategy pairs exceed the {MAX_PAIRS} budget")
+    noise = NoiseGrid(t, horizon, dt, n_paths, seed, np.size(p), np.size(q))
     table = np.empty((n1, n2))
     se = np.empty((n1, n2))
-    for i, si in enumerate(fam_1.strategies):
-        for j, sj in enumerate(fam_2.strategies):
-            noise = NoiseGrid(t, horizon, dt, n_paths, seed, fam_1.dim, fam_2.dim)
-            est = estimate_j(t, p, q, si.build(t, horizon), sj.build(t, horizon),
-                             H, noise, threads=threads, terminal=terminal)
+    for i, u in enumerate(fam_1.values()):
+        for j, v in enumerate(fam_2.values()):
+            est = estimate_j(t, p, q, u, v, H, noise, threads=threads, terminal=terminal)
             table[i, j], se[i, j] = est.mean, est.std_error
     return table, se
 
@@ -166,8 +130,8 @@ def _maxmin_cell(table: np.ndarray) -> tuple[int, int]:
     return int(np.argmin(table[:, j])), j
 
 
-def value_bracket(t: float, p, q, H: HamiltonianField, fam_1: StrategyFamily,
-                  fam_2: StrategyFamily, horizon: float, dt: float, n_paths: int,
+def value_bracket(t: float, p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
+                  fam_2: dict[str, FeedbackControl], horizon: float, dt: float, n_paths: int,
                   seed: int, reference: ValueGrid | None = None,
                   threads: int = 1) -> ValueBracket:
     """Common-random-numbers payoff table over all strategy pairs, reduced to
@@ -176,14 +140,12 @@ def value_bracket(t: float, p, q, H: HamiltonianField, fam_1: StrategyFamily,
     i_lo, j_lo = _maxmin_cell(table)
     # the min-max of the table is minus the max-min of the negated transpose
     j_up, i_up = _maxmin_cell(-table.T)
-    ref = None
-    if reference is not None:
-        ref = reference.value_at(t, p, q if fam_2.dim > 1 else None)
+    ref = None if reference is None else reference.value_at(t, p, q)
     return ValueBracket(
         lower=float(table[i_lo, j_lo]), lower_se=float(se[i_lo, j_lo]),
         upper=float(table[i_up, j_up]), upper_se=float(se[i_up, j_up]),
         reference=ref, table=table, se_table=se,
-        names_1=fam_1.names, names_2=fam_2.names,
+        names_1=list(fam_1), names_2=list(fam_2),
     )
 
 
@@ -202,8 +164,9 @@ class DppReport:
 
 
 def dpp_diagnostic(t: float, h: float, p, q, H: HamiltonianField,
-                   fam_2: StrategyFamily, fam_1: StrategyFamily, v_ref: ValueGrid,
-                   dt: float, n_paths: int, seed: int, threads: int = 1) -> DppReport:
+                   fam_1: dict[str, FeedbackControl], fam_2: dict[str, FeedbackControl],
+                   v_ref: ValueGrid, dt: float, n_paths: int, seed: int,
+                   threads: int = 1) -> DppReport:
     """sup over player-2 strategies of the inf over player-1 controls of the
     one-step payoff plus the reference continuation value, against the
     reference value at (t, p, q).
@@ -216,6 +179,6 @@ def dpp_diagnostic(t: float, h: float, p, q, H: HamiltonianField,
     table, se = _payoff_table(t, t + h, p, q, H, fam_1, fam_2, dt, n_paths, seed, threads,
                               terminal=lambda x, y: v_ref.values_at_states(t + h, x, y))
     i_star, j_star = _maxmin_cell(table)
-    ref = v_ref.value_at(t, p, q if fam_2.dim > 1 else None)
+    ref = v_ref.value_at(t, p, q)
     return DppReport(float(table[i_star, j_star]), float(se[i_star, j_star]),
                      float(ref), table)

@@ -156,17 +156,14 @@ def load_config(path) -> dict:
 
 
 def build_field(cfg: Reader, horizon: float):
-    from splitgame.hamiltonian import PayoffTensor, analytic_field, tensor_field
+    from splitgame.hamiltonian import ANALYTIC_PARAMS, PayoffTensor, analytic_field, tensor_field
 
     block = cfg.child("hamiltonian")
     if block.choice("kind", ("analytic", "tensor")) == "analytic":
-        name = block.string("name")
+        name = block.choice("name", tuple(ANALYTIC_PARAMS))
         params = block.child("params", {})
         kwargs = {key: params.read(key, _number, "a number") for key in params.obj}
-        try:
-            return analytic_field(name, **kwargs)
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"hamiltonian: {e}") from None
+        return params.call(analytic_field, name, **kwargs)
     path = Path(cfg.get("_config_dir", ".")) / block.string("path")
     if not path.is_file():
         raise ConfigError(f"hamiltonian.path: file {path} does not exist")
@@ -350,9 +347,10 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     if field.dim_p != p.size or field.dim_q != q.size:
         raise ConfigError("sim.start: dimensions do not match the hamiltonian")
 
-    split_spec = build_split_spec(cfg.child("split", {})) if p.size == 2 else None
-    fam1 = preset_family(p.size, scale=scale, split_spec=split_spec)
-    fam2 = preset_family(q.size, scale=scale)
+    split = cfg.child("split", {})
+    split_spec = build_split_spec(split) if p.size == 2 else None
+    fam1 = split.call(preset_family, 0.0, horizon, p.size, scale=scale, split_spec=split_spec)
+    fam2 = preset_family(0.0, horizon, q.size, scale=scale)
     br = arena.call(value_bracket, 0.0, p, q, field, fam1, fam2, horizon=horizon, dt=dt,
                     n_paths=n_paths, seed=seed, threads=threads)
     result = {
@@ -419,7 +417,6 @@ def run(subcommand: str, config: dict, out_dir, threads: int = 1,
             sha = hashlib.sha256(tensor.read_bytes()).hexdigest()
             hashed["hamiltonian"] = {**block, "sha256": sha}
     out = Path(out_dir) / config_hash(hashed)
-    out.mkdir(parents=True, exist_ok=True)
     return _DISPATCH[subcommand](root, out, threads, seed)
 
 

@@ -409,14 +409,32 @@ def _points(P: np.ndarray, Q: np.ndarray) -> tuple[int, ...]:
     return np.broadcast_shapes(P.shape[:-1], Q.shape[:-1])
 
 
+ANALYTIC_PARAMS = {
+    "zero": ("dim_p", "dim_q"),
+    "constant": ("level", "dim_p", "dim_q"),
+    "tent": ("center",),
+    "quad_convex": ("center",),
+    "double_well": ("left", "right"),
+    "bilinear": (),
+    "saddle_mix": ("scale",),
+}
+
+
 def analytic_field(name: str, **params) -> HamiltonianField:
     """Closed-form running costs used by golden tests and the CLI.
 
-    Names: zero, constant(level), tent(center), quad_convex(center),
-    double_well(left, right), bilinear, saddle_mix(scale).  The one-sided
-    costs (tent, quad_convex, double_well) carry a factor q_1, which is 1 on
-    the one-coordinate simplex and broadcasts the p-values over Q's points.
+    Names and parameters are ANALYTIC_PARAMS; any other parameter raises.
+    zero and constant(level) take their dimensions dim_p and dim_q.  The
+    one-sided costs (tent, quad_convex, double_well) carry a factor q_1, which
+    is 1 on the one-coordinate simplex and broadcasts the p-values over Q's
+    points.
     """
+    if name not in ANALYTIC_PARAMS:
+        raise ValueError(f"unknown analytic hamiltonian {name!r}")
+    unknown = sorted(set(params) - set(ANALYTIC_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {', '.join(map(repr, unknown))} "
+                         f"(its parameters: {', '.join(ANALYTIC_PARAMS[name]) or 'none'})")
     if name == "zero":
         return HamiltonianField("zero", lambda t, P, Q: np.zeros(_points(P, Q)),
                                 int(params.get("dim_p", 2)), int(params.get("dim_q", 1)),
@@ -450,12 +468,11 @@ def analytic_field(name: str, **params) -> HamiltonianField:
     if name == "bilinear":
         return HamiltonianField("bilinear", lambda t, P, Q: P[..., 0] * Q[..., 0],
                                 2, 2, 1.0, 1.0)
-    if name == "saddle_mix":
-        s = float(params.get("scale", 0.5))
-        def fn(t, P, Q, s=s):
-            return s * (np.cos(np.pi * P[..., 0]) * np.cos(np.pi * Q[..., 0]))
-        return HamiltonianField("saddle_mix", fn, 2, 2, s, s * np.pi)
-    raise ValueError(f"unknown analytic hamiltonian {name!r}")
+    # saddle_mix, the one name left
+    s = float(params.get("scale", 0.5))
+    def fn(t, P, Q, s=s):
+        return s * (np.cos(np.pi * P[..., 0]) * np.cos(np.pi * Q[..., 0]))
+    return HamiltonianField("saddle_mix", fn, 2, 2, s, s * np.pi)
 
 
 def tensor_field(f: PayoffTensor, horizon: float = 1.0) -> HamiltonianField:

@@ -290,8 +290,9 @@ def regularity_report(v: ValueGrid, time_slack: float = 1e-3,
 
 def write_atomic(path, *parts) -> None:
     """Write each iterable of strings in parts to <path>.tmp in the same
-    directory, then os.replace it onto path: readers see the old file or the
-    whole new one, and a failed write leaves no .tmp behind."""
+    directory (made if missing), then os.replace it onto path: readers see the
+    old file or the whole new one, and a failed write leaves no .tmp behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:

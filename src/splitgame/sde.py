@@ -27,7 +27,6 @@ import numpy as np
 from splitgame.hamiltonian import HamiltonianField
 from splitgame.hj import format_rows, write_atomic
 
-DEFAULT_DT = 1.0 / 512
 DEFAULT_ETA = 1e-10
 _GRID_SNAP = 1e-9
 
@@ -329,13 +328,10 @@ class TrajectoryBundle:
     y_paths: np.ndarray     # (n_paths, N+1, nJ)
     u_realized: np.ndarray  # (n_paths, m_u, nI, nI)
     v_realized: np.ndarray
-    u_grid: np.ndarray
-    v_grid: np.ndarray
     x_support: np.ndarray   # (n_paths, N+1) uint8 bitmasks
     y_support: np.ndarray
     b1_end: np.ndarray      # (n_paths, nI)
     b2_end: np.ndarray
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -384,9 +380,8 @@ def simulate(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
 
     _ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads)
     return TrajectoryBundle(noise.times(), x_paths, y_paths, u_real, v_real,
-                            u_ctrl.grid.copy(), v_ctrl.grid.copy(),
                             _support_mask_bits(x_paths, eta), _support_mask_bits(y_paths, eta),
-                            b1_end, b2_end, noise.seed)
+                            b1_end, b2_end)
 
 
 # ---------------------------------------------------------------------------

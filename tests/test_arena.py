@@ -3,8 +3,6 @@ import pytest
 
 from splitgame.arena import (
     BudgetExceededError,
-    Strategy,
-    StrategyFamily,
     dpp_diagnostic,
     preset_family,
     table_strategies,
@@ -14,9 +12,11 @@ from splitgame.hamiltonian import SimplexGrid, analytic_field
 from splitgame.hj import solve
 from splitgame.sde import (
     FeedbackControl,
+    GridMismatchError,
     NoiseGrid,
     constant_control,
     directional_control,
+    estimate_j,
     simulate,
     zero_control,
 )
@@ -60,11 +60,9 @@ class TestResolveControls:
         fam = table_strategies(2, grid, catalogue, count=3, seed=5)
         fam2 = table_strategies(2, grid, catalogue, count=3, seed=5)
         noise = NoiseGrid(0.0, 1.0, 1 / 16, 6, 3, 2, 2)
-        for s1, s2 in zip(fam.strategies, fam2.strategies):
-            b1 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s1.build(0.0, 1.0),
-                          fam.strategies[0].build(0.0, 1.0), noise)
-            b2 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s2.build(0.0, 1.0),
-                          fam2.strategies[0].build(0.0, 1.0), noise)
+        for s1, s2 in zip(fam.values(), fam2.values()):
+            b1 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s1, fam["table0"], noise)
+            b2 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s2, fam2["table0"], noise)
             np.testing.assert_array_equal(b1.u_realized, b2.u_realized)
             np.testing.assert_array_equal(b1.v_realized, b2.v_realized)
 
@@ -72,16 +70,16 @@ class TestResolveControls:
 class TestPresetFamily:
     @pytest.mark.parametrize("dim, names", [(1, ["zero"]), (2, ["zero", "directional"])])
     def test_every_preset_builds(self, dim, names):
-        fam = preset_family(dim, scale=0.5)
-        assert fam.names == names
-        for strategy in fam.strategies:
-            assert strategy.build(0.0, 1.0).dim == dim
+        fam = preset_family(0.0, 1.0, dim, scale=0.5)
+        assert list(fam) == names
+        for control in fam.values():
+            assert control.dim == dim
 
 
 class TestValueBracket:
     def test_constant_H_exact_both_sides(self):
         h = analytic_field("constant", level=0.25, dim_q=2)
-        fam = preset_family(2)
+        fam = preset_family(0.0, 1.0, 2)
         br = value_bracket(0.0, [0.5, 0.5], [0.5, 0.5], h, fam, fam,
                            horizon=1.0, dt=1 / 32, n_paths=64, seed=0)
         assert abs(br.lower - 0.25) <= 1e-12
@@ -90,8 +88,8 @@ class TestValueBracket:
 
     def test_bracket_order_exact(self):
         h = analytic_field("bilinear")
-        fam1 = preset_family(2, scale=0.8)
-        fam2 = preset_family(2, scale=0.8)
+        fam1 = preset_family(0.0, 1.0, 2, scale=0.8)
+        fam2 = preset_family(0.0, 1.0, 2, scale=0.8)
         br = value_bracket(0.0, [0.4, 0.6], [0.3, 0.7], h, fam1, fam2,
                            horizon=1.0, dt=1 / 64, n_paths=500, seed=1)
         assert br.lower <= br.upper + 1e-12
@@ -99,8 +97,8 @@ class TestValueBracket:
     def test_split_family_beats_freeze_on_tent(self):
         tent = analytic_field("tent")
         spec = unit_segment_spec(steps=128, horizon=0.05)
-        fam1 = preset_family(2, split_spec=spec)
-        fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
+        fam1 = preset_family(0.0, 1.0, 2, split_spec=spec)
+        fam2 = {"zero": zero_control(0.0, 1.0, 1)}
         ref = one_sided_reference(tent, res=200, n_steps=128)
         br = value_bracket(0.0, spec.p.coords, [1.0], tent, fam1, fam2,
                            horizon=1.0, dt=0.05 / 128, n_paths=2000, seed=2,
@@ -108,21 +106,19 @@ class TestValueBracket:
         assert br.upper <= 0.08
         assert abs(br.reference) <= 1e-2
         # the split strategy is the minimizer; freezing pays H(p0) ~ 0.5
-        assert br.table[fam1.names.index("zero"), 0] >= 0.4
+        assert br.table[list(fam1).index("zero"), 0] >= 0.4
 
     def test_adding_strategy_never_hurts(self):
         h = analytic_field("bilinear")
-        fam1 = preset_family(2, scale=0.5)
-        fam2 = preset_family(2, scale=0.5)
+        fam1 = preset_family(0.0, 1.0, 2, scale=0.5)
+        fam2 = preset_family(0.0, 1.0, 2, scale=0.5)
         br = value_bracket(0.0, [0.5, 0.5], [0.5, 0.5], h, fam1, fam2,
                            horizon=1.0, dt=1 / 32, n_paths=300, seed=3)
-        bigger1 = fam1.extended(Strategy(
-            "dir2", lambda t, T: directional_control(t, T, 2, 1.5)))
+        bigger1 = {**fam1, "dir2": directional_control(0.0, 1.0, 2, 1.5)}
         br2 = value_bracket(0.0, [0.5, 0.5], [0.5, 0.5], h, bigger1, fam2,
                             horizon=1.0, dt=1 / 32, n_paths=300, seed=3)
         assert br2.upper <= br.upper + 1e-12
-        bigger2 = fam2.extended(Strategy(
-            "dir2", lambda t, T: directional_control(t, T, 2, 1.5)))
+        bigger2 = {**fam2, "dir2": directional_control(0.0, 1.0, 2, 1.5)}
         br3 = value_bracket(0.0, [0.5, 0.5], [0.5, 0.5], h, fam1, bigger2,
                             horizon=1.0, dt=1 / 32, n_paths=300, seed=3)
         assert br3.lower >= br.lower - 1e-12
@@ -132,21 +128,43 @@ class TestValueBracket:
         # envelope value, so the zero control is the restricted minimizer
         h = analytic_field("quad_convex")
         spec = unit_segment_spec(steps=64, horizon=0.125)
-        fam1 = preset_family(2, scale=0.4, split_spec=spec)
-        fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
+        fam1 = preset_family(0.0, 1.0, 2, scale=0.4, split_spec=spec)
+        fam2 = {"zero": zero_control(0.0, 1.0, 1)}
         br = value_bracket(0.0, spec.p.coords, [1.0], h, fam1, fam2,
                            horizon=1.0, dt=0.125 / 64, n_paths=1500, seed=6)
         stay = h(0.0, spec.p.coords) * 1.0
-        i_zero = fam1.names.index("zero")
+        i_zero = list(fam1).index("zero")
         assert abs(br.table[i_zero, 0] - stay) <= 1e-12  # frozen path, exact quadrature
         assert br.upper >= stay - 3 * br.upper_se - 1e-12
         assert np.argmin(br.table[:, 0]) == i_zero
 
+    def test_table_is_estimate_j_on_fresh_noise(self):
+        h = analytic_field("bilinear")
+        p, q = [0.4, 0.6], [0.3, 0.7]
+        fam1 = {**preset_family(0.0, 1.0, 2, scale=0.8),
+                "dir2": directional_control(0.0, 1.0, 2, 1.5)}
+        catalogue = [np.zeros((2, 2)), np.eye(2) * 0.4]
+        fam2 = {**preset_family(0.0, 1.0, 2, scale=0.3),
+                **table_strategies(2, np.linspace(0.0, 1.0, 5), catalogue, count=2, seed=1)}
+        br = value_bracket(0.0, p, q, h, fam1, fam2, horizon=1.0, dt=1 / 32, n_paths=50,
+                           seed=7)
+        assert (br.names_1, br.names_2) == (list(fam1), list(fam2))
+        for i, u in enumerate(fam1.values()):
+            for j, v in enumerate(fam2.values()):
+                est = estimate_j(0.0, p, q, u, v, h, NoiseGrid(0.0, 1.0, 1 / 32, 50, 7, 2, 2))
+                assert br.table[i, j].tobytes() == np.float64(est.mean).tobytes()
+                assert br.se_table[i, j].tobytes() == np.float64(est.std_error).tobytes()
+
+    def test_family_on_other_interval_rejected(self):
+        h = analytic_field("bilinear")
+        fam = preset_family(0.0, 1.0, 2)
+        with pytest.raises(GridMismatchError):
+            value_bracket(0.0, [0.5, 0.5], [0.5, 0.5], h, fam, fam,
+                          horizon=0.5, dt=1 / 32, n_paths=10, seed=0)
+
     def test_budget_guard(self):
         h = analytic_field("bilinear")
-        strategies = [Strategy(f"s{i}", lambda t, T: zero_control(t, T, 2))
-                      for i in range(101)]
-        fam = StrategyFamily(2, strategies)
+        fam = {f"s{i}": zero_control(0.0, 1.0, 2) for i in range(101)}
         with pytest.raises(BudgetExceededError):
             value_bracket(0.0, [0.5, 0.5], [0.5, 0.5], h, fam, fam,
                           horizon=1.0, dt=1 / 32, n_paths=10, seed=0)
@@ -156,9 +174,9 @@ class TestDppDiagnostic:
     def test_zero_H_gap_zero(self):
         zero = analytic_field("zero")
         ref = one_sided_reference(zero, res=50, n_steps=32)
-        fam1 = StrategyFamily(2, [Strategy("zero", lambda t, T: zero_control(t, T, 2))])
-        fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
-        rep = dpp_diagnostic(0.0, 0.125, [0.5, 0.5], [1.0], zero, fam2, fam1, ref,
+        fam1 = {"zero": zero_control(0.0, 0.125, 2)}
+        fam2 = {"zero": zero_control(0.0, 0.125, 1)}
+        rep = dpp_diagnostic(0.0, 0.125, [0.5, 0.5], [1.0], zero, fam1, fam2, ref,
                              dt=1 / 32, n_paths=16, seed=0)
         assert rep.gap == 0.0
 
@@ -166,9 +184,9 @@ class TestDppDiagnostic:
         tent = analytic_field("tent")
         ref = one_sided_reference(tent, res=200, n_steps=128)
         spec = unit_segment_spec(steps=128, horizon=0.125)
-        fam1 = preset_family(2, split_spec=spec)
-        fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
-        rep = dpp_diagnostic(0.0, 0.125, spec.p.coords, [1.0], tent, fam2, fam1, ref,
+        fam1 = preset_family(0.0, 0.125, 2, split_spec=spec)
+        fam2 = {"zero": zero_control(0.0, 0.125, 1)}
+        rep = dpp_diagnostic(0.0, 0.125, spec.p.coords, [1.0], tent, fam1, fam2, ref,
                              dt=0.125 / 128, n_paths=2000, seed=4)
         assert -0.05 <= rep.gap <= 0.05
 
@@ -177,17 +195,17 @@ class TestDppDiagnostic:
         pg = SimplexGrid.build(2, 100)
         qg = SimplexGrid.build(2, 100)
         ref = solve(h, pg, qg, 1.0, 64)
-        fam1 = preset_family(2, scale=0.5)
-        fam2 = preset_family(2, scale=0.5)
-        rep = dpp_diagnostic(0.0, 0.125, [0.4, 0.6], [0.7, 0.3], h, fam2, fam1, ref,
+        fam1 = preset_family(0.0, 0.125, 2, scale=0.5)
+        fam2 = preset_family(0.0, 0.125, 2, scale=0.5)
+        rep = dpp_diagnostic(0.0, 0.125, [0.4, 0.6], [0.7, 0.3], h, fam1, fam2, ref,
                              dt=1 / 64, n_paths=4000, seed=5)
         assert -0.05 <= rep.gap <= 0.05
 
     def test_requires_grid_time(self):
         zero = analytic_field("zero")
         ref = one_sided_reference(zero, res=50, n_steps=32)
-        fam1 = StrategyFamily(2, [Strategy("zero", lambda t, T: zero_control(t, T, 2))])
-        fam2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
+        fam1 = {"zero": zero_control(0.0, 0.1234, 2)}
+        fam2 = {"zero": zero_control(0.0, 0.1234, 1)}
         with pytest.raises(ValueError):
-            dpp_diagnostic(0.0, 0.1234, [0.5, 0.5], [1.0], zero, fam2, fam1, ref,
+            dpp_diagnostic(0.0, 0.1234, [0.5, 0.5], [1.0], zero, fam1, fam2, ref,
                            dt=1 / 32, n_paths=16, seed=0)

@@ -125,8 +125,11 @@ class TestConfigValidation:
          "sim.dump_trajectories: must be true or false"),
         ("split-demo", ["split", "lam1"], True, "split.lam1: must be a number in [0, 1]"),
         ("solve-hj", ["hamiltonian"], None, "hamiltonian: required field missing"),
+        ("solve-hj", ["hamiltonian"],
+         {"kind": "analytic", "name": "tent", "params": {"centre": 0.3}},
+         "hamiltonian.params: tent takes no parameter 'centre'"),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
-            "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian"])
+            "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
         # the solve-hj cases run on a tensor cost, whose field is built from the horizon
@@ -147,7 +150,7 @@ class TestConfigValidation:
                          "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
-        assert not (out.exists() and any(out.rglob("*.csv")))
+        assert not out.exists()
 
 
 class TestThreadsFlag:

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitgame import sde
-from splitgame.arena import (
-    Strategy,
-    StrategyFamily,
-    dpp_diagnostic,
-    preset_family,
-    table_strategies,
-    value_bracket,
-)
+from splitgame.arena import dpp_diagnostic, preset_family, table_strategies, value_bracket
 from splitgame.hamiltonian import SimplexGrid, analytic_field
 from splitgame.hj import solve
 from splitgame.sde import (
@@ -45,7 +38,7 @@ def history_control(horizon):
     """Player-1 table strategy reading own noise and opponent controls."""
     grid = np.linspace(0.0, horizon, 5)
     catalogue = [np.zeros((2, 2)), np.array([[0.9, 0.0], [-0.9, 0.0]])]
-    return table_strategies(2, grid, catalogue, count=1, seed=3).strategies[0].build(0.0, horizon)
+    return table_strategies(2, grid, catalogue, count=1, seed=3)["table0"]
 
 
 def noise_grid(n_paths, n_steps, seed=11, dim2=2, horizon=0.5):
@@ -70,14 +63,15 @@ def run_all_estimators(threads):
     lip = lipschitz_p_check(0.0, P, [0.35, 0.65], directional_control(0, 0.5, 2, 3.0),
                             noise_grid(200, 32), threads=threads)
     out["lipschitz_p_check"] = [lip.estimate, lip.std_error]
-    fam = preset_family(2, scale=0.8)
+    fam = preset_family(0.0, 0.25, 2, scale=0.8)
     br = value_bracket(0.0, P, Q, BILINEAR, fam, fam, horizon=0.25, dt=1 / 128,
                        n_paths=200, seed=5, threads=threads)
     out["value_bracket"] = [br.table, br.se_table, br.lower, br.upper]
     tent = analytic_field("tent")
     ref = solve(tent, SimplexGrid.build(2, 50), SimplexGrid.build(1, 1), 1.0, 32)
-    zero2 = StrategyFamily(1, [Strategy("zero", lambda t, T: zero_control(t, T, 1))])
-    dpp = dpp_diagnostic(0.0, 0.125, P, [1.0], tent, zero2, fam, ref, dt=1 / 256,
+    fam_dpp = preset_family(0.0, 0.125, 2, scale=0.8)
+    zero2 = {"zero": zero_control(0.0, 0.125, 1)}
+    dpp = dpp_diagnostic(0.0, 0.125, P, [1.0], tent, fam_dpp, zero2, ref, dt=1 / 256,
                          n_paths=200, seed=6, threads=threads)
     out["dpp_diagnostic"] = [dpp.table, dpp.estimate, dpp.std_error]
     return out

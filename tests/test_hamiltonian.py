@@ -499,6 +499,8 @@ class TestAnalyticFields:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             analytic_field("nope")
+        with pytest.raises(ValueError, match="'centre'"):
+            analytic_field("tent", centre=0.3)
 
     @pytest.mark.parametrize("name, params", [
         ("zero", {}), ("constant", {"level": 0.3}), ("tent", {"center": 0.3}),
