@@ -162,7 +162,8 @@ def build_field(cfg: Reader, horizon: float):
     if block.choice("kind", ("analytic", "tensor")) == "analytic":
         name = block.choice("name", tuple(ANALYTIC_PARAMS))
         params = block.child("params", {})
-        kwargs = {key: params.read(key, _number, "a number") for key in params.obj}
+        kwargs = {key: params.positive_int(key) if key in ("dim_p", "dim_q")
+                  else params.read(key, _number, "a number") for key in params.obj}
         return params.call(analytic_field, name, **kwargs)
     path = Path(cfg.get("_config_dir", ".")) / block.string("path")
     if not path.is_file():

@@ -424,7 +424,8 @@ def analytic_field(name: str, **params) -> HamiltonianField:
     """Closed-form running costs used by golden tests and the CLI.
 
     Names and parameters are ANALYTIC_PARAMS; any other parameter raises.
-    zero and constant(level) take their dimensions dim_p and dim_q.  The
+    zero and constant(level) take their dimensions dim_p and dim_q, positive
+    integers (2 and 1 by default).  The
     one-sided costs (tent, quad_convex, double_well) carry a factor q_1, which
     is 1 on the one-coordinate simplex and broadcasts the p-values over Q's
     points.
@@ -435,15 +436,16 @@ def analytic_field(name: str, **params) -> HamiltonianField:
     if unknown:
         raise ValueError(f"{name} takes no parameter {', '.join(map(repr, unknown))} "
                          f"(its parameters: {', '.join(ANALYTIC_PARAMS[name]) or 'none'})")
+    dims = params.get("dim_p", 2), params.get("dim_q", 1)
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+               for d in dims):
+        raise ValueError(f"dim_p and dim_q must be positive integers, got {dims}")
     if name == "zero":
-        return HamiltonianField("zero", lambda t, P, Q: np.zeros(_points(P, Q)),
-                                int(params.get("dim_p", 2)), int(params.get("dim_q", 1)),
-                                0.0, 0.0)
+        return HamiltonianField("zero", lambda t, P, Q: np.zeros(_points(P, Q)), *dims, 0.0, 0.0)
     if name == "constant":
         c = float(params.get("level", 0.5))
-        return HamiltonianField(
-            "constant", lambda t, P, Q: np.full(_points(P, Q), c),
-            int(params.get("dim_p", 2)), int(params.get("dim_q", 1)), abs(c), 0.0)
+        return HamiltonianField("constant", lambda t, P, Q: np.full(_points(P, Q), c),
+                                *dims, abs(c), 0.0)
     if name == "tent":
         c = float(params.get("center", 0.5))
         def fn(t, P, Q, c=c):

@@ -14,6 +14,13 @@ Philox stream keyed by (seed, stream, i).  Every estimator runs through one
 block driver, _ensemble, which simulates the paths in blocks and returns each
 block's partial result in block order; combining them in that order makes
 results bit-identical for any batch split or thread count.
+
+A block steps only what moves.  It yields segments of noise steps on which the
+state is constant: one step while a control is active, and a whole frozen
+stretch (both realized controls exactly zero) up to the next control-grid
+point, which the estimators reduce once.  Own-noise sums are added at an
+interval's end, and only if a later feedback can read them.  Sums over a
+state's coordinates are added column by column, in numpy's own order.
 """
 
 from __future__ import annotations
@@ -176,47 +183,59 @@ def directional_control(t: float, horizon: float, dim: int, scale: float,
 
 def step_x(x, u, db, eta: float = DEFAULT_ETA) -> np.ndarray:
     """Single Euler step for one state; see _step_batch for the rules."""
-    xv = np.asarray(x, dtype=float)
-    uv = np.asarray(u, dtype=float)
-    dbv = np.asarray(db, dtype=float)
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(uv)) and np.all(np.isfinite(dbv))):
+    xv, uv, dbv = (np.asarray(a, dtype=float) for a in (x, u, db))
+    if not all(np.all(np.isfinite(a)) for a in (xv, uv, dbv)):
         raise ValueError("non-finite input to step_x")
-    out = _step_batch(xv[None, :], uv[None, :, :], dbv[None, :], eta)
-    return out[0]
+    return _step_batch(xv[None], uv[None], dbv[None], eta)[0]
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of a (b, n) array, bit for bit: below 8 columns numpy adds
+    them left to right too, and b-long column adds cost far less than its
+    axis-1 reduction; from 8 on its pairwise order differs, so it is kept."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    s = a[:, 0].astype(float)
+    for c in range(1, a.shape[1]):
+        s += a[:, c]
+    return s
 
 
 def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray, eta: float) -> np.ndarray:
     """Vectorized Euler step: project, detect face crossings, clamp, renormalize.
 
-    x: (b, n) states, u: (b, n, n) or (n, n) controls, db: (b, n) increments.
+    x: (b, n) states, u: (b, n, n) controls (a broadcast view for a shared
+    matrix), db: (b, n) increments.
     """
     mask = x > eta
-    if u.ndim == 2:
-        w = db @ u.T
-    else:
-        w = np.einsum("bij,bj->bi", u, db)
-    cnt = mask.sum(axis=1)
-    mean = np.where(mask, w, 0.0).sum(axis=1) / cnt
+    w = np.einsum("bij,bj->bi", u, db)
+    mean = _row_sums(np.where(mask, w, 0.0)) / _row_sums(mask)
     delta = np.where(mask, w - mean[:, None], 0.0)
     prop = x + delta
     neg = prop < 0.0
     if neg.any():
+        # shrink only the rows that cross a face
+        bad = _row_sums(neg) > 0
+        xb, db_ = x[bad], delta[bad]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(delta < -1e-300, x / np.where(delta < -1e-300, -delta, 1.0), np.inf)
-        theta = np.minimum(1.0, ratios.min(axis=1))
-        bad = neg.any(axis=1)
-        prop[bad] = x[bad] + theta[bad, None] * delta[bad]
-    prop[prop <= eta] = 0.0
-    prop /= prop.sum(axis=1)[:, None]
+            ratios = np.where(db_ < -1e-300, xb / np.where(db_ < -1e-300, -db_, 1.0), np.inf)
+        prop[bad] = xb + np.minimum(1.0, ratios.min(axis=1))[:, None] * db_
+    prop = np.where(prop <= eta, 0.0, prop)
+    prop /= _row_sums(prop)[:, None]
     return prop
 
 
 def _support_mask_bits(x: np.ndarray, eta: float) -> np.ndarray:
-    """Pack the support along the last axis into uint8 bitmasks (n <= 8)."""
-    bits = (x > eta).astype(np.uint8)
-    out = np.zeros(x.shape[:-1], dtype=np.uint8)
-    for c in range(x.shape[-1]):
-        out |= bits[..., c] << c
+    """Pack the support along the last axis into bitmasks of the smallest
+    unsigned type that holds one bit per coordinate (at most 64)."""
+    n = x.shape[-1]
+    if n > 64:
+        raise ValueError(f"support masks hold at most 64 coordinates, got {n}")
+    dtype = np.min_scalar_type((1 << n) - 1)
+    bits = (x > eta).astype(dtype)
+    out = np.zeros(x.shape[:-1], dtype=dtype)
+    for c in range(n):
+        out |= bits[..., c] << dtype.type(c)
     return out
 
 
@@ -263,35 +282,47 @@ class _BlockSim:
         realized[:, j] = mat
         return mat
 
+    def _close_interval(self, own, db, steps, j):
+        """As interval j begins, sum interval j - 1's own increments in step order."""
+        if j > 0:
+            for k in range(steps[j - 1], steps[j]):
+                own[:, j - 1] += db[:, k]
+
     def steps(self):
-        """Yield (k, time, X, Y) with the state at each grid time; the last
-        yield carries the terminal state."""
+        """Yield segments (k0, k1, X, Y): the state on noise steps k0..k1-1.
+
+        An active step is a segment of one step.  A stretch on which both
+        realized controls are exactly zero is one segment, ending at the next
+        control-grid point of either player.  The last yield, (N, N+1, X, Y),
+        carries the terminal state.
+        """
         noise, b = self.noise, self.b
         times = noise.times()
-        x = np.tile(self.p, (b, 1))
-        y = np.tile(self.q, (b, 1))
-        ju = jv = 0
+        x, y = np.tile(self.p, (b, 1)), np.tile(self.q, (b, 1))
+        ju = jv = k = 0
         u_mat = v_mat = None
         u_zero = v_zero = False
-        for k in range(noise.n_steps):
+        while k < noise.n_steps:
             if ju < self.u_ctrl.n_intervals and k == self.u_steps[ju]:
+                self._close_interval(self.own1, self.db1, self.u_steps, ju)
                 u_mat = self._eval_feedback(self.u_ctrl, ju, times[k], x, self.own1,
                                             self.u_realized, self.v_realized, self.v_ctrl.grid)
                 u_zero = not u_mat.any()
                 ju += 1
             if jv < self.v_ctrl.n_intervals and k == self.v_steps[jv]:
+                self._close_interval(self.own2, self.db2, self.v_steps, jv)
                 v_mat = self._eval_feedback(self.v_ctrl, jv, times[k], y, self.own2,
                                             self.v_realized, self.u_realized, self.u_ctrl.grid)
                 v_zero = not v_mat.any()
                 jv += 1
-            yield k, times[k], x, y
+            k1 = min(self.u_steps[ju], self.v_steps[jv]) if u_zero and v_zero else k + 1
+            yield k, k1, x, y
             if not u_zero:
                 x = _step_batch(x, u_mat, self.db1[:, k], self.eta)
             if not v_zero:
                 y = _step_batch(y, v_mat, self.db2[:, k], self.eta)
-            self.own1[:, ju - 1] += self.db1[:, k]
-            self.own2[:, jv - 1] += self.db2[:, k]
-        yield noise.n_steps, times[-1], x, y
+            k = k1
+        yield noise.n_steps, noise.n_steps + 1, x, y
 
 
 def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
@@ -328,7 +359,7 @@ class TrajectoryBundle:
     y_paths: np.ndarray     # (n_paths, N+1, nJ)
     u_realized: np.ndarray  # (n_paths, m_u, nI, nI)
     v_realized: np.ndarray
-    x_support: np.ndarray   # (n_paths, N+1) uint8 bitmasks
+    x_support: np.ndarray   # (n_paths, N+1) bitmasks, bit c for coordinate c
     y_support: np.ndarray
     b1_end: np.ndarray      # (n_paths, nI)
     b2_end: np.ndarray
@@ -345,9 +376,7 @@ class TrajectoryBundle:
             if np.max(np.abs(sums - 1.0)) > sum_tol:
                 raise AssertionError("stored state does not sum to 1")
         for sup in (self.x_support, self.y_support):
-            later = sup[:, 1:]
-            earlier = sup[:, :-1]
-            if np.any(later & ~earlier):
+            if np.any(sup[:, 1:] & ~sup[:, :-1]):
                 raise AssertionError("support grew along a path")
 
 
@@ -370,9 +399,9 @@ def simulate(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
 
     def reduce(sim):
         rows = slice(sim.lo, sim.hi)
-        for k, _, x, y in sim.steps():
-            x_paths[rows, k] = x
-            y_paths[rows, k] = y
+        for k0, k1, x, y in sim.steps():
+            x_paths[rows, k0:k1] = x[:, None]
+            y_paths[rows, k0:k1] = y[:, None]
         u_real[rows] = sim.u_realized
         v_real[rows] = sim.v_realized
         b1_end[rows] = sim.db1.sum(axis=1)
@@ -407,11 +436,17 @@ def estimate_j(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     if noise.n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
 
+    times = noise.times()
+
     def reduce(sim):
         acc = np.zeros(sim.b)
-        for k, s, x, y in sim.steps():
-            if k < noise.n_steps:
-                acc += H.on_paths(s, x, y) * noise.dt
+        for k0, k1, x, y in sim.steps():
+            h = None
+            for k in range(k0, min(k1, noise.n_steps)):
+                # a frozen state gives the same running cost on every step
+                if h is None or H.time_dependent:
+                    h = H.on_paths(times[k], x, y) * noise.dt
+                acc += h
         if terminal is not None:
             acc += terminal(x, y)
         return acc
@@ -457,16 +492,16 @@ def simulation_report(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackC
         loc_sum = np.zeros((noise.n_steps + 1, noise.dim1))
         loc_sq = np.zeros_like(loc_sum)
         mn, serr, mono = np.inf, 0.0, True
-        prev_sup = _support_mask_bits(sim.p, eta)
-        for k, _, x, y in sim.steps():
-            loc_sum[k] = x.sum(axis=0)
-            loc_sq[k] = (x * x).sum(axis=0)
+        prev = _support_mask_bits(sim.p, eta), _support_mask_bits(sim.q, eta)
+        for k0, k1, x, y in sim.steps():
+            loc_sum[k0:k1] = x.sum(axis=0)
+            loc_sq[k0:k1] = (x * x).sum(axis=0)
             mn = min(mn, float(x.min()), float(y.min()))
-            serr = max(serr, float(np.max(np.abs(x.sum(axis=1) - 1.0))),
-                       float(np.max(np.abs(y.sum(axis=1) - 1.0))))
-            sup = _support_mask_bits(x, eta)
-            mono = mono and not np.any(sup & ~prev_sup)
-            prev_sup = sup
+            serr = max(serr, float(np.max(np.abs(_row_sums(x) - 1.0))),
+                       float(np.max(np.abs(_row_sums(y) - 1.0))))
+            sup = _support_mask_bits(x, eta), _support_mask_bits(y, eta)
+            mono = mono and not any(np.any(s & ~s0) for s, s0 in zip(sup, prev))
+            prev = sup
         return loc_sum, loc_sq, mn, serr, mono
 
     parts = _ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads)
@@ -505,15 +540,17 @@ def lipschitz_p_check(t: float, p, p_bar, u_ctrl: FeedbackControl, noise: NoiseG
         xb = np.tile(pbv, (sim.b, 1))
         loc_s = np.zeros(nsteps + 1)
         loc_q = np.zeros(nsteps + 1)
-        for k, _, x, _y in sim.steps():
-            d = np.linalg.norm(x - xb, axis=1)
-            loc_s[k] = d.sum()
-            loc_q[k] = (d * d).sum()
-            if k == nsteps:
-                break
-            # same control matrices as the primary path, same increments
-            ju = int(np.searchsorted(sim.u_steps[1:], k, side="right"))
-            xb = _step_batch(xb, sim.u_realized[:, ju], sim.db1[:, k], eta)
+        for k0, k1, x, _y in sim.steps():
+            # a frozen segment freezes x but not the coupled copy, which
+            # still takes its clamp-and-renormalize step on every noise step
+            for k in range(k0, k1):
+                d = np.linalg.norm(x - xb, axis=1)
+                loc_s[k] = d.sum()
+                loc_q[k] = (d * d).sum()
+                if k < nsteps:
+                    # same control matrices as the primary path, same increments
+                    ju = int(np.searchsorted(sim.u_steps[1:], k, side="right"))
+                    xb = _step_batch(xb, sim.u_realized[:, ju], sim.db1[:, k], eta)
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)

@@ -128,8 +128,15 @@ class TestConfigValidation:
         ("solve-hj", ["hamiltonian"],
          {"kind": "analytic", "name": "tent", "params": {"centre": 0.3}},
          "hamiltonian.params: tent takes no parameter 'centre'"),
+        ("solve-hj", ["hamiltonian"],
+         {"kind": "analytic", "name": "zero", "params": {"dim_p": 1.5}},
+         "hamiltonian.params.dim_p: must be a positive integer, got 1.5"),
+        ("mc-game", ["hamiltonian"],
+         {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
+         "hamiltonian.params.dim_q: must be a positive integer, got 0"),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
-            "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param"])
+            "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
+            "dim-p", "dim-q"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
         # the solve-hj cases run on a tensor cost, whose field is built from the horizon

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from splitgame import sde
 from splitgame.arena import dpp_diagnostic, preset_family, table_strategies, value_bracket
-from splitgame.hamiltonian import SimplexGrid, analytic_field
+from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field
 from splitgame.hj import solve
 from splitgame.sde import (
     NoiseGrid,
@@ -21,6 +21,7 @@ from splitgame.sde import (
     simulation_report,
     zero_control,
 )
+from splitgame.splitting import make_split_control, unit_segment_spec
 
 P, Q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
 BILINEAR = analytic_field("bilinear")
@@ -127,3 +128,88 @@ def test_block_ranges_cover_paths_within_cap(n_paths, n_steps):
     assert ranges[0][0] == 0 and ranges[-1][1] == n_paths
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     assert all(0 < (hi - lo) * n_steps <= 2_000_000 for lo, hi in ranges)
+
+
+def per_step(sim):
+    """The engine's former generator: one yield per noise step, each player's
+    own-noise sum grown on every step."""
+    noise, b = sim.noise, sim.b
+    times = noise.times()
+    x, y = np.tile(sim.p, (b, 1)), np.tile(sim.q, (b, 1))
+    ju = jv = 0
+    u_zero = v_zero = False
+    for k in range(noise.n_steps):
+        if ju < sim.u_ctrl.n_intervals and k == sim.u_steps[ju]:
+            u_mat = sim._eval_feedback(sim.u_ctrl, ju, times[k], x, sim.own1,
+                                       sim.u_realized, sim.v_realized, sim.v_ctrl.grid)
+            u_zero, ju = not u_mat.any(), ju + 1
+        if jv < sim.v_ctrl.n_intervals and k == sim.v_steps[jv]:
+            v_mat = sim._eval_feedback(sim.v_ctrl, jv, times[k], y, sim.own2,
+                                       sim.v_realized, sim.u_realized, sim.u_ctrl.grid)
+            v_zero, jv = not v_mat.any(), jv + 1
+        yield k, k + 1, x, y
+        if not u_zero:
+            x = sde._step_batch(x, u_mat, sim.db1[:, k], sim.eta)
+        if not v_zero:
+            y = sde._step_batch(y, v_mat, sim.db2[:, k], sim.eta)
+        sim.own1[:, ju - 1] += sim.db1[:, k]
+        sim.own2[:, jv - 1] += sim.db2[:, k]
+    yield noise.n_steps, noise.n_steps + 1, x, y
+
+
+SPLIT = unit_segment_spec(steps=8, horizon=0.125)
+
+
+def segment_control(name):
+    """Controls on [0, 0.5] over a 32-step noise grid: zero and split-then-freeze
+    leave frozen stretches; the table plays zero on its first 8-step interval, then
+    the directional action on paths whose last own-noise sum is not positive
+    (against a zero opponent)."""
+    if name == "zero":
+        return zero_control(0.0, 0.5, 2)
+    if name == "directional":
+        return directional_control(0.0, 0.5, 2, 0.8)
+    if name == "split":
+        return make_split_control(SPLIT, 0.0, 0.5)
+    return history_control(0.5)
+
+
+def run_on_segments(u, v, H):
+    noise = noise_grid(40, 32, seed=9)
+    b = simulate(0.0, SPLIT.p.coords, Q, u, v, noise)
+    rep = simulation_report(0.0, SPLIT.p.coords, Q, u, v, noise)
+    est = estimate_j(0.0, SPLIT.p.coords, Q, u, v, H, noise,
+                     terminal=lambda x, y: x[:, 0] * y[:, 1])
+    lip = lipschitz_p_check(0.0, SPLIT.p.coords, [0.3, 0.7], u, noise)
+    return [b.x_paths, b.y_paths, b.u_realized, b.v_realized, b.x_support, b.y_support,
+            b.b1_end, b.b2_end, rep.mean_dev, rep.se, rep.min_coord, rep.max_sum_err,
+            rep.support_monotone, est.mean, est.std_error, lip.estimate, lip.std_error]
+
+
+TIMED = HamiltonianField("timed", lambda t, P, Q: (1.0 + t) * P[..., 0] * Q[..., 1],
+                         2, 2, 2.0, 2.0, time_dependent=True)
+
+
+@pytest.mark.parametrize("u_name, v_name, H", [
+    ("zero", "zero", BILINEAR), ("split", "zero", BILINEAR), ("split", "zero", TIMED),
+    ("table", "zero", BILINEAR), ("zero", "table", TIMED), ("table", "split", BILINEAR),
+    ("directional", "table", BILINEAR), ("split", "directional", TIMED),
+], ids=lambda v: getattr(v, "name", v))
+def test_segments_match_per_step(monkeypatch, u_name, v_name, H):
+    u, v = segment_control(u_name), segment_control(v_name)
+    lengths = []
+    real = sde._BlockSim.steps
+
+    def recording(sim):
+        for seg in real(sim):
+            lengths.append(seg[1] - seg[0])
+            yield seg
+
+    monkeypatch.setattr(sde._BlockSim, "steps", recording)
+    segmented = run_on_segments(u, v, H)
+    monkeypatch.setattr(sde._BlockSim, "steps", per_step)
+    stepped = run_on_segments(u, v, H)
+    for got, want in zip(segmented, stepped):
+        np.testing.assert_array_equal(got, want)
+    # lipschitz_p_check runs u against zero, so only a directional u never freezes
+    assert (max(lengths) > 1) == (u_name != "directional")

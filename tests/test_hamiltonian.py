@@ -502,6 +502,12 @@ class TestAnalyticFields:
         with pytest.raises(ValueError, match="'centre'"):
             analytic_field("tent", centre=0.3)
 
+    @pytest.mark.parametrize("dims", [{"dim_p": 1.5}, {"dim_q": 0}, {"dim_p": True}])
+    def test_dimensions_are_positive_integers(self, dims):
+        with pytest.raises(ValueError, match="positive integers"):
+            analytic_field("zero", **dims)
+        assert analytic_field("constant", dim_p=np.int64(3), dim_q=2).dim_p == 3
+
     @pytest.mark.parametrize("name, params", [
         ("zero", {}), ("constant", {"level": 0.3}), ("tent", {"center": 0.3}),
         ("quad_convex", {}), ("double_well", {}), ("bilinear", {}),

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitgame import sde
 from splitgame.hamiltonian import analytic_field
 from splitgame.sde import (
+    DEFAULT_ETA,
     FeedbackControl,
     GridMismatchError,
     NoiseGrid,
@@ -312,3 +316,76 @@ class TestSimulationReport:
         assert rep.min_coord >= 0.0
         assert rep.max_sum_err <= 1e-12
         assert rep.support_monotone
+
+
+def step_batch_reference(x, u, db, eta):
+    """The Euler step with numpy's axis-1 reductions, as the engine first
+    computed it; shared controls arrive as broadcast (b, n, n) views."""
+    mask = x > eta
+    w = np.einsum("bij,bj->bi", u, db)
+    cnt = mask.sum(axis=1)
+    mean = np.where(mask, w, 0.0).sum(axis=1) / cnt
+    delta = np.where(mask, w - mean[:, None], 0.0)
+    prop = x + delta
+    neg = prop < 0.0
+    if neg.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(delta < -1e-300, x / np.where(delta < -1e-300, -delta, 1.0), np.inf)
+        theta = np.minimum(1.0, ratios.min(axis=1))
+        bad = neg.any(axis=1)
+        prop[bad] = x[bad] + theta[bad, None] * delta[bad]
+    prop[prop <= eta] = 0.0
+    prop /= prop.sum(axis=1)[:, None]
+    return prop
+
+
+class TestStepKernel:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 9), b=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 0.05, 1.0, 30.0]), dead=st.integers(0, 511),
+           shared=st.booleans())
+    def test_column_sums_bit_identical_to_axis_sums(self, n, b, seed, scale, dead, shared):
+        """Absorbed coordinates (exact zeros and mass inside or on the edge of
+        the absorption band), per-path and shared controls, and increments from negligible to
+        far past the faces (scale 30 crosses on almost every row); the 8- and
+        9-coordinate cases take numpy's own sum."""
+        rng = np.random.default_rng(seed)
+        x = rng.dirichlet(np.ones(n), size=b)
+        for c in range(1, n):
+            if dead >> c & 1:
+                x[:, c] = rng.choice([0.0, DEFAULT_ETA / 2, DEFAULT_ETA], size=b)
+        x[:, 0] = 1.0 - x[:, 1:].sum(axis=1)
+        u = rng.standard_normal((n, n) if shared else (b, n, n))
+        u = np.broadcast_to(u, (b, n, n))
+        db = rng.standard_normal((b, n)) * scale
+        got = sde._step_batch(x.copy(), u, db, DEFAULT_ETA)
+        want = step_batch_reference(x.copy(), u, db, DEFAULT_ETA)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSupportMasks:
+    def test_every_coordinate_has_a_bit(self):
+        for n in (1, 8, 9, 16, 17, 64):
+            masks = sde._support_mask_bits(np.eye(n), DEFAULT_ETA)
+            assert [int(m) for m in masks] == [1 << c for c in range(n)]
+        with pytest.raises(ValueError, match="at most 64"):
+            sde._support_mask_bits(np.eye(65), DEFAULT_ETA)
+
+    @pytest.mark.parametrize("dim1, dim2, revived", [(9, 2, 1), (2, 3, 2)],
+                             ids=["x-ninth-coordinate", "y"])
+    def test_report_sees_support_growth(self, monkeypatch, dim1, dim2, revived):
+        # a stand-in step that spreads mass onto every coordinate of one player
+        real = sde._step_batch
+
+        def reviving(x, u, db, eta):
+            if x.shape[1] == (dim1, dim2)[revived - 1]:
+                return np.full_like(x, 1.0 / x.shape[1])
+            return real(x, u, db, eta)
+
+        p = np.append(np.full(dim1 - 1, 1.0 / (dim1 - 1)), 0.0)
+        q = np.append(np.full(dim2 - 1, 1.0 / (dim2 - 1)), 0.0)
+        noise = make_noise(n_paths=8, dim1=dim1, dim2=dim2)
+        u, v = directional_control(0, 1, dim1, 0.3), directional_control(0, 1, dim2, 0.3)
+        assert simulation_report(0.0, p, q, u, v, noise).support_monotone
+        monkeypatch.setattr(sde, "_step_batch", reviving)
+        assert not simulation_report(0.0, p, q, u, v, noise).support_monotone
