@@ -68,9 +68,8 @@ def _bilinear_solve():
     return h, solve(h, pg, qg, 1.0, BILINEAR_STEPS)
 
 
-def check_envelope_golden_value(golden=None) -> CheckResult:
+def check_envelope_golden_value(golden) -> CheckResult:
     """1. |V(0, p0)| at the tent peak, 201 p-nodes, dt = 1/128, under 5 s."""
-    golden = golden or _golden_solves()
     _, v, solve_seconds = golden["tent"]
     center = GOLDEN_RES // 2
     measured = abs(float(v.values[0, center, 0]))
@@ -79,11 +78,10 @@ def check_envelope_golden_value(golden=None) -> CheckResult:
                        "|V(0,p0)| at 201 nodes, solve < 5s", solve_seconds)
 
 
-def check_closed_form_family(golden=None) -> CheckResult:
+def check_closed_form_family(golden) -> CheckResult:
     """2. sup-norm gap between solve() and (T-t)*vex(H) for three one-sided
     running costs (convex, concave, mixed), under 10 s total."""
     t0 = time.time()
-    golden = golden or _golden_solves()
     worst = 0.0
     solve_seconds = sum(sec for _, _, sec in golden.values())
     for name, (h, v, _) in golden.items():
@@ -116,7 +114,7 @@ def check_martingale_invariance(seed: int = 0, threads: int = 1) -> CheckResult:
     for i, (name, ctrl) in enumerate(presets):
         start = split_spec.p.coords if name == "split-then-freeze" else p
         noise = NoiseGrid(0.0, 1.0, 1.0 / 512, 10_000, seed + i, 2, 2)
-        rep = simulation_report(0.0, start, q, ctrl,
+        rep = simulation_report(start, q, ctrl,
                                 directional_control(0.0, 1.0, 2, 0.4), noise,
                                 threads=threads)
         worst_margin = max(worst_margin, rep.worst_margin)
@@ -148,7 +146,7 @@ def check_lipschitz_coupling(seed: int = 0, threads: int = 1) -> CheckResult:
                    directional_control(0.0, 1.0, dim, 8.0)]
         for j, ctrl in enumerate(presets):
             noise = NoiseGrid(0.0, 1.0, 1.0 / 256, 2000, seed + 10 * dim_case + j, dim, 1)
-            out = lipschitz_p_check(0.0, p, pb, ctrl, noise, threads=threads)
+            out = lipschitz_p_check(p, pb, ctrl, noise, threads=threads)
             allowed = out.bound + 3.0 * out.std_error
             worst_ratio = max(worst_ratio, out.estimate / allowed)
     dt_wall = time.time() - t0
@@ -156,27 +154,23 @@ def check_lipschitz_coupling(seed: int = 0, threads: int = 1) -> CheckResult:
                        "max estimate/(bound+3SE) over |I| in {2,3} x 3 presets", dt_wall)
 
 
-def check_time_lipschitz(golden=None, bilinear=None) -> CheckResult:
+def check_time_lipschitz(golden, bilinear) -> CheckResult:
     """5. max_k |V[k+1]-V[k]| <= 8 C dt + 1e-3 on every golden config."""
     t0 = time.time()
-    golden = golden or _golden_solves()
-    bilinear = bilinear or _bilinear_solve()
     grids = [v for _, v, _ in golden.values()] + [bilinear[1]]
     worst_excess = float("-inf")
     for v in grids:
-        rep = regularity_report(v, time_slack=1e-3)
+        rep = regularity_report(v)
         worst_excess = max(worst_excess, float(rep.time_lip - rep.time_lip_bound))
     dt_wall = time.time() - t0
     return CheckResult("time-lipschitz-8C", worst_excess <= 1e-3, worst_excess, 1e-3,
                        "max over configs of time_lip - 8*C*dt", dt_wall)
 
 
-def check_value_shape(golden=None, bilinear=None) -> CheckResult:
+def check_value_shape(golden, bilinear) -> CheckResult:
     """6. Discrete convexity in p (second differences >= -1e-8) and concavity
     in q (<= 1e-8) on the bilinear and golden configs."""
     t0 = time.time()
-    golden = golden or _golden_solves()
-    bilinear = bilinear or _bilinear_solve()
     grids = [v for _, v, _ in golden.values()] + [bilinear[1]]
     worst = 0.0
     for v in grids:
@@ -201,11 +195,10 @@ def check_splitting_realization(seed: int = 0, threads: int = 1) -> CheckResult:
                        dt_wall)
 
 
-def check_naive_hji_failure(golden=None) -> CheckResult:
+def check_naive_hji_failure(golden) -> CheckResult:
     """8. Classical-equation residual -0.5 +/- 1e-3 at the tent peak while the
     constrained-equation residual stays within discretization size."""
     t0 = time.time()
-    golden = golden or _golden_solves()
     h, v, _ = golden["tent"]
     center = GOLDEN_RES // 2
     naive = naive_hji_residual(v, h, 0, center)
@@ -220,11 +213,10 @@ def check_naive_hji_failure(golden=None) -> CheckResult:
                        dt_wall)
 
 
-def check_representation(seed: int = 0, threads: int = 1, golden=None) -> CheckResult:
+def check_representation(golden, seed: int = 0, threads: int = 1) -> CheckResult:
     """9. Split-vs-freeze restricted upper value within 0.08 of the solved
     value at the tent peak, and the one-step DPP gap within +/- 0.05."""
     t0 = time.time()
-    golden = golden or _golden_solves()
     tent, v_ref, _ = golden["tent"]
     spec = unit_segment_spec(steps=128, horizon=0.05)
     fam1 = {"freeze": zero_control(0.0, 1.0, 2), "split": make_split_control(spec, 0.0, 1.0)}
@@ -246,7 +238,7 @@ def check_representation(seed: int = 0, threads: int = 1, golden=None) -> CheckR
                        dt_wall)
 
 
-def check_determinism(seed: int = 0, workdir=None) -> CheckResult:
+def check_determinism(seed: int = 0) -> CheckResult:
     """10. A CLI subcommand rerun with the same config and seed produces
     bit-identical artifacts at 1, 2, and 8 threads."""
     import shutil
@@ -269,8 +261,7 @@ def check_determinism(seed: int = 0, workdir=None) -> CheckResult:
             "dump_trajectories": True,
         },
     }
-    cleanup = workdir is None
-    base = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="splitgame-det-"))
+    base = Path(tempfile.mkdtemp(prefix="splitgame-det-"))
     try:
         blobs = []
         for run, threads in enumerate((1, 2, 8, 1)):
@@ -284,8 +275,7 @@ def check_determinism(seed: int = 0, workdir=None) -> CheckResult:
                             for sorted_path in sorted(artifact_dir.iterdir()))
             blobs.append(blob)
     finally:
-        if cleanup:
-            shutil.rmtree(base, ignore_errors=True)
+        shutil.rmtree(base, ignore_errors=True)
     ok = all(b == blobs[0] for b in blobs[1:])
     dt_wall = time.time() - t0
     return CheckResult("determinism", ok, float(len(set(blobs))), 1.0,
@@ -305,6 +295,6 @@ def run_all(seed: int = 0, threads: int = 1) -> list[CheckResult]:
         check_value_shape(golden, bilinear),
         check_splitting_realization(seed, threads),
         check_naive_hji_failure(golden),
-        check_representation(seed, threads, golden),
+        check_representation(golden, seed, threads),
         check_determinism(seed),
     ]

@@ -119,7 +119,7 @@ def _payoff_table(t: float, horizon: float, p, q, H: HamiltonianField,
     se = np.empty((n1, n2))
     for i, u in enumerate(fam_1.values()):
         for j, v in enumerate(fam_2.values()):
-            est = estimate_j(t, p, q, u, v, H, noise, threads=threads, terminal=terminal)
+            est = estimate_j(p, q, u, v, H, noise, threads=threads, terminal=terminal)
             table[i, j], se[i, j] = est.mean, est.std_error
     return table, se
 

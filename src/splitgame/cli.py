@@ -187,8 +187,7 @@ def build_split_spec(block: Reader):
         return block.call(unit_segment_spec, steps=steps, delta=delta, kappa=kappa,
                           lam1=lam1, horizon=horizon)
     p1, p2 = block.simplex("p1"), block.simplex("p2")
-    p = block.call(lambda: SimplexPoint(lam1 * p1.coords + (1 - lam1) * p2.coords))
-    return block.call(SplitSpec, p, p1, p2, lam1, horizon, steps, delta, kappa)
+    return block.call(SplitSpec, p1, p2, lam1, horizon, steps, delta, kappa)
 
 
 def build_control(block: Reader, horizon: float, dim: int, split: Reader):
@@ -270,6 +269,8 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     from splitgame.sde import NoiseGrid, dump_trajectories, simulate, simulation_report
 
     horizon = cfg.positive("horizon", 1.0)
+    if "hamiltonian" in cfg.obj:  # not used here, but a malformed block still exits 2
+        build_field(cfg, horizon)
     sim = cfg.child("sim", {})
     dt = sim.positive("dt", 1.0 / 512)
     n_paths = sim.positive_int("n_paths", 1000)
@@ -281,9 +282,9 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     dump = sim.flag("dump_trajectories", False)
     try:
         noise = NoiseGrid(0.0, horizon, dt, n_paths, seed, p.size, q.size)
-        rep = simulation_report(0.0, p, q, u, v, noise, threads=threads)
+        rep = simulation_report(p, q, u, v, noise, threads=threads)
         if dump:
-            bundle = simulate(0.0, p, q, u, v, noise, threads=threads)
+            bundle = simulate(p, q, u, v, noise, threads=threads)
             dump_trajectories(bundle, out / "trajectories.csv")
     except ValueError as e:
         raise ConfigError(f"sim: {e}") from None

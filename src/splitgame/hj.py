@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splitgame.hamiltonian import HamiltonianField, SimplexGrid, cav_q, vex_p
-from splitgame.simplex import rel_eigen_max, rel_eigen_min, tangent_basis
+from splitgame.simplex import coupling_bound_constant, rel_eigen_max, rel_eigen_min, tangent_basis
 
 MAX_DT = 1.0 / 16
 MIN_NODES = 11
@@ -203,15 +203,15 @@ def residuals(v: ValueGrid, H: HamiltonianField) -> ResidualReport:
                           float(np.max(np.abs(finite))) if finite.size else 0.0)
 
 
-def naive_hji_residual(v: ValueGrid, H: HamiltonianField, k: int, p_node: int,
-                       flat_tol: float = 1e-8) -> float:
+def naive_hji_residual(v: ValueGrid, H: HamiltonianField, k: int, p_node: int) -> float:
     """Residual of the unconstrained equation with the zero test function at a
     locally flat node of a one-sided value grid.
 
-    The value must vanish at the node and its neighbors (present and next time
-    slice) so that the zero function is a valid touching test function; the
-    infimum of the half-trace volatility term over the grid directions is then
-    zero and the residual reduces to -dphi/dt - H = -H.
+    The value must vanish (within 1e-8) at the node and its neighbors
+    (present and next time slice) so that the zero function is a valid
+    touching test function; the infimum of the half-trace volatility term over
+    the grid directions is then zero and the residual reduces to
+    -dphi/dt - H = -H.
     """
     if v.q_grid.n != 1:
         raise ValueError("the classical-equation check runs one-sided configurations")
@@ -219,7 +219,7 @@ def naive_hji_residual(v: ValueGrid, H: HamiltonianField, k: int, p_node: int,
     if p_node <= 0 or p_node >= pg.n_nodes - 1:
         raise ValueError("node must be interior")
     patch = v.values[k:k + 2, p_node - 1:p_node + 2, 0]
-    if np.max(np.abs(patch)) > flat_tol:
+    if np.max(np.abs(patch)) > 1e-8:
         raise ValueError("value is not locally flat at the requested node")
     return -H(float(v.times[k]), pg.nodes[p_node])
 
@@ -229,7 +229,7 @@ class RegularityReport:
     """Measured regularity of a solved grid against the theoretical bounds."""
 
     time_lip: float
-    time_lip_bound: float        # 8 C dt (+ caller slack)
+    time_lip_bound: float        # 8 C dt
     min_p_second: float          # most negative second difference along p-lines
     max_q_second: float          # most positive second difference along q-lines
     lip_p: float
@@ -245,10 +245,9 @@ class RegularityReport:
         return self.time_ok and self.convex_ok and self.concave_ok and self.lip_ok
 
 
-def regularity_report(v: ValueGrid, time_slack: float = 1e-3,
-                      shape_tol: float = 1e-8) -> RegularityReport:
-    from splitgame.sde import coupling_bound_constant
-
+def regularity_report(v: ValueGrid) -> RegularityReport:
+    """Time and p/q Lipschitz constants against their bounds, each with a slack
+    of 1e-3, and the discrete shape (second differences) within 1e-8."""
     vals = v.values
     time_lip = float(np.max(np.abs(np.diff(vals, axis=0)))) if vals.shape[0] > 1 else 0.0
     time_bound = 8.0 * v.bound * v.dt
@@ -277,10 +276,10 @@ def regularity_report(v: ValueGrid, time_slack: float = 1e-3,
         lip_p=lip_p,
         lip_q=lip_q,
         lip_bound=lip_bound,
-        time_ok=time_lip <= time_bound + time_slack,
-        convex_ok=min_p >= -shape_tol,
-        concave_ok=max_q <= shape_tol,
-        lip_ok=(lip_p <= lip_bound + time_slack) and (lip_q <= lip_bound + time_slack),
+        time_ok=time_lip <= time_bound + 1e-3,
+        convex_ok=min_p >= -1e-8,
+        concave_ok=max_q <= 1e-8,
+        lip_ok=(lip_p <= lip_bound + 1e-3) and (lip_q <= lip_bound + 1e-3),
     )
 
 

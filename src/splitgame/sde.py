@@ -33,8 +33,9 @@ import numpy as np
 
 from splitgame.hamiltonian import HamiltonianField
 from splitgame.hj import format_rows, write_atomic
+from splitgame.simplex import SUM_TOL, coupling_bound_constant
 
-DEFAULT_ETA = 1e-10
+ETA = 1e-10  # absorption band: a coordinate at or below it is set to zero
 _GRID_SNAP = 1e-9
 
 
@@ -165,15 +166,14 @@ def constant_control(t: float, horizon: float, matrix) -> FeedbackControl:
     return FeedbackControl(np.array([t, horizon]), lambda j, view: m, m.shape[0], "constant")
 
 
-def directional_control(t: float, horizon: float, dim: int, scale: float,
-                        i: int = 0, j: int = 1) -> FeedbackControl:
+def directional_control(t: float, horizon: float, dim: int, scale: float) -> FeedbackControl:
     """Rank-one control harvesting the first own-noise coordinate and pushing
-    along e_i - e_j."""
+    along e_0 - e_1."""
     if dim < 2:
         raise ValueError("directional control needs dim >= 2")
     m = np.zeros((dim, dim))
-    m[i, 0] = scale
-    m[j, 0] = -scale
+    m[0, 0] = scale
+    m[1, 0] = -scale
     return FeedbackControl(np.array([t, horizon]), lambda k, view: m, dim, "directional")
 
 
@@ -181,12 +181,12 @@ def directional_control(t: float, horizon: float, dim: int, scale: float,
 # stepping
 # ---------------------------------------------------------------------------
 
-def step_x(x, u, db, eta: float = DEFAULT_ETA) -> np.ndarray:
+def step_x(x, u, db) -> np.ndarray:
     """Single Euler step for one state; see _step_batch for the rules."""
     xv, uv, dbv = (np.asarray(a, dtype=float) for a in (x, u, db))
     if not all(np.all(np.isfinite(a)) for a in (xv, uv, dbv)):
         raise ValueError("non-finite input to step_x")
-    return _step_batch(xv[None], uv[None], dbv[None], eta)[0]
+    return _step_batch(xv[None], uv[None], dbv[None])[0]
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -201,13 +201,13 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray, eta: float) -> np.ndarray:
+def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Vectorized Euler step: project, detect face crossings, clamp, renormalize.
 
     x: (b, n) states, u: (b, n, n) controls (a broadcast view for a shared
     matrix), db: (b, n) increments.
     """
-    mask = x > eta
+    mask = x > ETA
     w = np.einsum("bij,bj->bi", u, db)
     mean = _row_sums(np.where(mask, w, 0.0)) / _row_sums(mask)
     delta = np.where(mask, w - mean[:, None], 0.0)
@@ -220,40 +220,27 @@ def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray, eta: float) -> np.
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(db_ < -1e-300, xb / np.where(db_ < -1e-300, -db_, 1.0), np.inf)
         prop[bad] = xb + np.minimum(1.0, ratios.min(axis=1))[:, None] * db_
-    prop = np.where(prop <= eta, 0.0, prop)
+    prop = np.where(prop <= ETA, 0.0, prop)
     prop /= _row_sums(prop)[:, None]
     return prop
-
-
-def _support_mask_bits(x: np.ndarray, eta: float) -> np.ndarray:
-    """Pack the support along the last axis into bitmasks of the smallest
-    unsigned type that holds one bit per coordinate (at most 64)."""
-    n = x.shape[-1]
-    if n > 64:
-        raise ValueError(f"support masks hold at most 64 coordinates, got {n}")
-    dtype = np.min_scalar_type((1 << n) - 1)
-    bits = (x > eta).astype(dtype)
-    out = np.zeros(x.shape[:-1], dtype=dtype)
-    for c in range(n):
-        out |= bits[..., c] << dtype.type(c)
-    return out
 
 
 class _BlockSim:
     """One vectorized simulation block: paths [lo, hi) of a noise grid."""
 
-    def __init__(self, t, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-                 noise: NoiseGrid, lo: int, hi: int, eta: float):
-        if abs(t - noise.t) > _GRID_SNAP:
-            raise ValueError("start time does not match the noise grid")
+    def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+                 noise: NoiseGrid, lo: int, hi: int):
         self.noise = noise
-        self.eta = eta
         self.lo, self.hi = lo, hi
         self.b = hi - lo
         self.p = np.asarray(p, dtype=float)
         self.q = np.asarray(q, dtype=float)
         if self.p.size != noise.dim1 or self.q.size != noise.dim2:
             raise ValueError("state dimensions do not match the noise grid")
+        for ctrl, n in ((u_ctrl, self.p.size), (v_ctrl, self.q.size)):
+            if ctrl.dim != n:
+                raise ValueError(f"control {ctrl.label!r} has dim {ctrl.dim}, "
+                                 f"its state has {n} coordinates")
         self.u_ctrl, self.v_ctrl = u_ctrl, v_ctrl
         self.u_steps = np.array([noise.step_of(g) for g in u_ctrl.grid])
         self.v_steps = np.array([noise.step_of(g) for g in v_ctrl.grid])
@@ -318,9 +305,9 @@ class _BlockSim:
             k1 = min(self.u_steps[ju], self.v_steps[jv]) if u_zero and v_zero else k + 1
             yield k, k1, x, y
             if not u_zero:
-                x = _step_batch(x, u_mat, self.db1[:, k], self.eta)
+                x = _step_batch(x, u_mat, self.db1[:, k])
             if not v_zero:
-                y = _step_batch(y, v_mat, self.db2[:, k], self.eta)
+                y = _step_batch(y, v_mat, self.db2[:, k])
             k = k1
         yield noise.n_steps, noise.n_steps + 1, x, y
 
@@ -331,12 +318,11 @@ def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
 
 
-def _ensemble(t, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-              noise: NoiseGrid, reduce: Callable[[_BlockSim], object], eta: float,
-              threads: int) -> list:
+def _ensemble(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+              noise: NoiseGrid, reduce: Callable[[_BlockSim], object], threads: int) -> list:
     """reduce(sim) for each block of paths, in block order for any thread count."""
     def work(lo_hi):
-        return reduce(_BlockSim(t, p, q, u_ctrl, v_ctrl, noise, *lo_hi, eta))
+        return reduce(_BlockSim(p, q, u_ctrl, v_ctrl, noise, *lo_hi))
 
     ranges = _block_ranges(noise.n_paths, noise.n_steps)
     if threads <= 1 or len(ranges) <= 1:
@@ -351,16 +337,14 @@ def _ensemble(t, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
 
 @dataclass
 class TrajectoryBundle:
-    """Monte Carlo ensemble of coupled (X, Y) paths with realized controls,
-    support histories, and terminal Brownian sums."""
+    """Monte Carlo ensemble of coupled (X, Y) paths with realized controls
+    and terminal Brownian sums."""
 
     times: np.ndarray
     x_paths: np.ndarray     # (n_paths, N+1, nI)
     y_paths: np.ndarray     # (n_paths, N+1, nJ)
     u_realized: np.ndarray  # (n_paths, m_u, nI, nI)
     v_realized: np.ndarray
-    x_support: np.ndarray   # (n_paths, N+1) bitmasks, bit c for coordinate c
-    y_support: np.ndarray
     b1_end: np.ndarray      # (n_paths, nI)
     b2_end: np.ndarray
 
@@ -368,20 +352,20 @@ class TrajectoryBundle:
     def n_paths(self) -> int:
         return self.x_paths.shape[0]
 
-    def check_invariants(self, sum_tol: float = 1e-12) -> None:
+    def check_invariants(self) -> None:
         for paths in (self.x_paths, self.y_paths):
             if paths.min() < 0.0:
                 raise AssertionError("negative coordinate stored in bundle")
             sums = paths.sum(axis=2)
-            if np.max(np.abs(sums - 1.0)) > sum_tol:
+            if np.max(np.abs(sums - 1.0)) > SUM_TOL:
                 raise AssertionError("stored state does not sum to 1")
-        for sup in (self.x_support, self.y_support):
+            sup = paths > ETA
             if np.any(sup[:, 1:] & ~sup[:, :-1]):
                 raise AssertionError("support grew along a path")
 
 
-def simulate(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-             noise: NoiseGrid, eta: float = DEFAULT_ETA, threads: int = 1) -> TrajectoryBundle:
+def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+             noise: NoiseGrid, threads: int = 1) -> TrajectoryBundle:
     """Simulate the coupled (X, Y) system and keep full paths.
 
     Memory grows with n_paths * n_steps; the estimators below (estimate_j,
@@ -407,10 +391,8 @@ def simulate(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
         b1_end[rows] = sim.db1.sum(axis=1)
         b2_end[rows] = sim.db2.sum(axis=1)
 
-    _ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads)
-    return TrajectoryBundle(noise.times(), x_paths, y_paths, u_real, v_real,
-                            _support_mask_bits(x_paths, eta), _support_mask_bits(y_paths, eta),
-                            b1_end, b2_end)
+    _ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads)
+    return TrajectoryBundle(noise.times(), x_paths, y_paths, u_real, v_real, b1_end, b2_end)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +406,9 @@ class JEstimate:
     n_paths: int
 
 
-def estimate_j(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-               H: HamiltonianField, noise: NoiseGrid, eta: float = DEFAULT_ETA,
-               threads: int = 1, terminal: Callable | None = None) -> JEstimate:
+def estimate_j(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+               H: HamiltonianField, noise: NoiseGrid, threads: int = 1,
+               terminal: Callable | None = None) -> JEstimate:
     """Monte Carlo estimate of E[int_t^T H(s, X_s, Y_s) ds + terminal(X_T, Y_T)].
 
     Left-endpoint quadrature on the noise grid; paths stream through in
@@ -451,7 +433,7 @@ def estimate_j(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
             acc += terminal(x, y)
         return acc
 
-    j = np.concatenate(_ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads))
+    j = np.concatenate(_ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads))
     return JEstimate(float(j.mean()), float(j.std(ddof=1) / np.sqrt(j.size)), j.size)
 
 
@@ -484,27 +466,26 @@ class SimulationReport:
         return float(np.max(self.mean_dev / (3.0 * self.se + 1e-12)))
 
 
-def simulation_report(t: float, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-                      noise: NoiseGrid, eta: float = DEFAULT_ETA,
-                      threads: int = 1) -> SimulationReport:
+def simulation_report(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+                      noise: NoiseGrid, threads: int = 1) -> SimulationReport:
     """Run the ensemble keeping only martingale / invariance statistics."""
     def reduce(sim):
         loc_sum = np.zeros((noise.n_steps + 1, noise.dim1))
         loc_sq = np.zeros_like(loc_sum)
         mn, serr, mono = np.inf, 0.0, True
-        prev = _support_mask_bits(sim.p, eta), _support_mask_bits(sim.q, eta)
+        prev = sim.p > ETA, sim.q > ETA
         for k0, k1, x, y in sim.steps():
             loc_sum[k0:k1] = x.sum(axis=0)
             loc_sq[k0:k1] = (x * x).sum(axis=0)
             mn = min(mn, float(x.min()), float(y.min()))
             serr = max(serr, float(np.max(np.abs(_row_sums(x) - 1.0))),
                        float(np.max(np.abs(_row_sums(y) - 1.0))))
-            sup = _support_mask_bits(x, eta), _support_mask_bits(y, eta)
+            sup = x > ETA, y > ETA
             mono = mono and not any(np.any(s & ~s0) for s, s0 in zip(sup, prev))
             prev = sup
         return loc_sum, loc_sq, mn, serr, mono
 
-    parts = _ensemble(t, p, q, u_ctrl, v_ctrl, noise, reduce, eta, threads)
+    parts = _ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads)
     sums, sq_sums, mns, serrs, monos = zip(*parts)
     n = noise.n_paths
     mean = sum(sums) / n
@@ -523,12 +504,8 @@ class LipschitzCoupling:
     constant: float
 
 
-def coupling_bound_constant(dim: int) -> float:
-    return float(((2.0 + np.sqrt(dim)) * dim) ** (2 * dim - 1))
-
-
-def lipschitz_p_check(t: float, p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
-                      eta: float = DEFAULT_ETA, threads: int = 1) -> LipschitzCoupling:
+def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
+                      threads: int = 1) -> LipschitzCoupling:
     """Couple two initial conditions under the same noise and same realized
     control (evaluated along the primary path) and compare the mean distance
     against the dimensional bound."""
@@ -550,12 +527,12 @@ def lipschitz_p_check(t: float, p, p_bar, u_ctrl: FeedbackControl, noise: NoiseG
                 if k < nsteps:
                     # same control matrices as the primary path, same increments
                     ju = int(np.searchsorted(sim.u_steps[1:], k, side="right"))
-                    xb = _step_batch(xb, sim.u_realized[:, ju], sim.db1[:, k], eta)
+                    xb = _step_batch(xb, sim.u_realized[:, ju], sim.db1[:, k])
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)
-    parts = _ensemble(t, pv, q0, u_ctrl, zero_control(t, noise.horizon, noise.dim2),
-                      noise, reduce, eta, threads)
+    parts = _ensemble(pv, q0, u_ctrl, zero_control(noise.t, noise.horizon, noise.dim2),
+                      noise, reduce, threads)
     sums, sqs = (sum(c) for c in zip(*parts))
     n = noise.n_paths
     mean = sums / n

@@ -99,22 +99,23 @@ def _as_coords(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def support(p, eta: float = 0.0) -> frozenset[int]:
-    """Indices with mass strictly above ``eta``.
+def support(p, threshold: float = 0.0) -> frozenset[int]:
+    """Indices with mass strictly above ``threshold``.
 
-    With eta=0 this is the exact support; the SDE stepper passes a small
-    positive band instead.  Raises DegeneratePointError if nothing survives.
+    With threshold 0 this is the exact support; a positive threshold leaves
+    out coordinates inside a small band above zero.  Raises
+    DegeneratePointError if nothing survives.
     """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
     c = _as_coords(p)
-    idx = np.flatnonzero(c > eta)
+    idx = np.flatnonzero(c > threshold)
     if idx.size == 0:
         raise DegeneratePointError("degenerate point: no coordinate above threshold")
     return frozenset(int(i) for i in idx)
 
 
-def project_tangent(p, y, eta: float = 0.0) -> np.ndarray:
+def project_tangent(p, y) -> np.ndarray:
     """Orthogonal projection of ``y`` onto the tangent space at ``p``.
 
     Off-support coordinates are zeroed; on-support coordinates get the mean
@@ -125,7 +126,7 @@ def project_tangent(p, y, eta: float = 0.0) -> np.ndarray:
     yv = np.asarray(y, dtype=float)
     if yv.shape[0] != c.size:
         raise ValueError(f"length mismatch: point has {c.size} coordinates, y has {yv.shape[0]}")
-    mask = c > eta
+    mask = c > 0.0
     k = int(mask.sum())
     if k == 0:
         raise DegeneratePointError("degenerate point: no coordinate above threshold")
@@ -156,23 +157,23 @@ def tangent_basis(s, n: int) -> list[np.ndarray]:
     return basis
 
 
-def _check_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T)) > tol:
+    if np.max(np.abs(a - a.T)) > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
     return a
 
 
-def _rel_eigen(p, a, eta: float, want_max: bool) -> RelEigenResult:
+def _rel_eigen(p, a, want_max: bool) -> RelEigenResult:
     a = _check_symmetric(a)
     c = _as_coords(p)
     if a.shape[0] != c.size:
         raise ValueError("matrix size does not match point dimension")
-    basis = tangent_basis(support(p, eta), c.size)
+    basis = tangent_basis(support(p), c.size)
     if not basis:
         return RelEigenResult(-np.inf if want_max else np.inf, None)
     b = np.column_stack(basis)
@@ -183,11 +184,16 @@ def _rel_eigen(p, a, eta: float, want_max: bool) -> RelEigenResult:
     return RelEigenResult(float(vals[j]), b @ vecs[:, j])
 
 
-def rel_eigen_min(p, a, eta: float = 0.0) -> RelEigenResult:
+def rel_eigen_min(p, a) -> RelEigenResult:
     """Smallest eigenvalue of ``a`` restricted to the tangent space at ``p``."""
-    return _rel_eigen(p, a, eta, want_max=False)
+    return _rel_eigen(p, a, want_max=False)
 
 
-def rel_eigen_max(q, b, eta: float = 0.0) -> RelEigenResult:
+def rel_eigen_max(q, b) -> RelEigenResult:
     """Largest eigenvalue of ``b`` restricted to the tangent space at ``q``."""
-    return _rel_eigen(q, b, eta, want_max=True)
+    return _rel_eigen(q, b, want_max=True)
+
+
+def coupling_bound_constant(dim: int) -> float:
+    """Dimensional constant of the Lipschitz-in-p bound on a dim-coordinate simplex."""
+    return float(((2.0 + np.sqrt(dim)) * dim) ** (2 * dim - 1))

@@ -16,7 +16,7 @@ counted as absorbed on that side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,20 +30,18 @@ from splitgame.sde import (
 )
 from splitgame.simplex import SimplexPoint
 
-MIX_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SplitSpec:
     """Parameters of one two-point split experiment.
 
-    p must be the (lam1, 1-lam1) mixture of p1 and p2; endpoints need full
-    support (relative interior) and must differ.  delta is the safety margin
-    defining the absorption band inside the scalar segment, kappa the gain
-    coefficient, steps the number of control subintervals on [t, t+horizon].
+    The start point p is the (lam1, 1-lam1) mixture of p1 and p2; endpoints
+    need full support (relative interior) and must differ.  delta is the
+    safety margin defining the absorption band inside the scalar segment,
+    kappa the gain coefficient, steps the number of control subintervals on
+    [t, t+horizon].
     """
 
-    p: SimplexPoint
     p1: SimplexPoint
     p2: SimplexPoint
     lam1: float
@@ -51,6 +49,7 @@ class SplitSpec:
     steps: int
     delta: float = 0.02
     kappa: float = 1.0
+    p: SimplexPoint = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.lam1 <= 1.0):
@@ -69,8 +68,7 @@ class SplitSpec:
         if np.max(np.abs(d)) == 0.0:
             raise ValueError("endpoints must differ")
         mix = self.lam1 * self.p1.coords + (1.0 - self.lam1) * self.p2.coords
-        if np.max(np.abs(mix - self.p.coords)) > MIX_TOL:
-            raise ValueError("p is not the stated mixture of p1 and p2")
+        object.__setattr__(self, "p", SimplexPoint(mix))
 
     @property
     def direction(self) -> np.ndarray:
@@ -90,14 +88,13 @@ def unit_segment_spec(steps: int = 256, delta: float = 0.02, kappa: float = 1.0,
     a = delta / (1.0 + 2.0 * delta)
     p1 = SimplexPoint([1.0 - a, a])
     p2 = SimplexPoint([a, 1.0 - a])
-    p = SimplexPoint(lam1 * p1.coords + (1.0 - lam1) * p2.coords)
-    return SplitSpec(p, p1, p2, lam1, horizon, steps, delta, kappa)
+    return SplitSpec(p1, p2, lam1, horizon, steps, delta, kappa)
 
 
-def calibration_spec(steps: int = 256) -> SplitSpec:
+def calibration_spec() -> SplitSpec:
     """Spec used for the epsilon(n) sweep: a softer gain separates the
     unabsorbed tails at different step counts."""
-    return unit_segment_spec(steps=steps, kappa=1.0 / 3.0)
+    return unit_segment_spec(kappa=1.0 / 3.0)
 
 
 def make_split_control(spec: SplitSpec, t: float = 0.0,
@@ -162,20 +159,18 @@ class SplitReport:
         return self.mean_dev <= self.mean_three_se + 1e-12
 
 
-def run_split(spec: SplitSpec, t: float = 0.0, n_paths: int = 10_000,
-              seed: int = 0, threads: int = 1):
-    """Simulate the split control to its horizon; returns the bundle."""
+def run_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0, threads: int = 1):
+    """Simulate the split control on [0, horizon]; returns the bundle."""
     dt = spec.horizon / spec.steps
-    noise = NoiseGrid(t, t + spec.horizon, dt, n_paths, seed, spec.p.n, 1)
-    ctrl = make_split_control(spec, t)
-    return simulate(t, spec.p.coords, np.array([1.0]), ctrl,
-                    zero_control(t, t + spec.horizon, 1), noise, threads=threads)
+    noise = NoiseGrid(0.0, spec.horizon, dt, n_paths, seed, spec.p.n, 1)
+    return simulate(spec.p.coords, np.array([1.0]), make_split_control(spec),
+                    zero_control(0.0, spec.horizon, 1), noise, threads=threads)
 
 
-def evaluate_split(spec: SplitSpec, t: float = 0.0, n_paths: int = 10_000,
-                   seed: int = 0, threads: int = 1) -> SplitReport:
+def evaluate_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0,
+                   threads: int = 1) -> SplitReport:
     """Run the split control to its horizon and measure the landing law."""
-    bundle = run_split(spec, t, n_paths, seed, threads)
+    bundle = run_split(spec, n_paths, seed, threads)
     return landing_report(spec, bundle.x_paths[:, -1, :])
 
 
@@ -210,30 +205,29 @@ def landing_report(spec: SplitSpec, xt: np.ndarray) -> SplitReport:
 
 
 def epsilon_curve(spec: SplitSpec, step_counts, n_paths: int = 10_000,
-                  seed: int = 0, threads: int = 1) -> list[tuple[int, float]]:
+                  seed: int = 0) -> list[tuple[int, float]]:
     """Reported epsilon(n) = E|X_{t+h} - Z_near| for each subinterval count."""
     out = []
     for n in step_counts:
-        rep = evaluate_split(replace(spec, steps=int(n)), n_paths=n_paths,
-                             seed=seed, threads=threads)
+        rep = evaluate_split(replace(spec, steps=int(n)), n_paths=n_paths, seed=seed)
         out.append((int(n), rep.eps_mean))
     return out
 
 
-def vex_at(H: HamiltonianField, p, t: float = 0.0, resolution: int = 512) -> float:
-    """Convex-envelope value of a one-sided running cost at a point (exact
-    grid hull, used as a closed-form target)."""
+def vex_at(H: HamiltonianField, p) -> float:
+    """Convex-envelope value at a point of a one-sided running cost at time 0
+    (exact hull on a 513-node grid, used as a closed-form target)."""
     if H.dim_q != 1:
         raise ValueError("vex_at expects a one-sided field")
-    grid = SimplexGrid.build(2, resolution)
-    return grid.interpolate(vex_p(H.on_grid(t, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
+    grid = SimplexGrid.build(2, 512)
+    return grid.interpolate(vex_p(H.on_grid(0.0, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
 
 
 @dataclass(frozen=True)
 class SplitDemoReport:
     estimate: float
     std_error: float
-    target: float            # (T - t) * Vex(H)(p)
+    target: float            # (T - t) * Vex(H)(p) = Vex(H)(p) on [0, 1]
     horizon: float
     n_paths: int
 
@@ -243,17 +237,14 @@ class SplitDemoReport:
 
 
 def split_payoff_demo(H: HamiltonianField, spec: SplitSpec, n_paths: int,
-                      t: float = 0.0, total_horizon: float = 1.0, seed: int = 0,
-                      threads: int = 1) -> SplitDemoReport:
-    """Estimate the running-cost integral under split-then-freeze and report
-    it against the closed-form envelope target."""
+                      seed: int = 0) -> SplitDemoReport:
+    """Estimate the running-cost integral on [0, 1] under split-then-freeze
+    and report it against the closed-form envelope target."""
     if H.dim_q != 1:
         raise ValueError("the demo runs the one-sided configuration")
     dt = spec.horizon / spec.steps
-    dim = spec.p.n
-    noise = NoiseGrid(t, total_horizon, dt, n_paths, seed, dim, 1)
-    ctrl = make_split_control(spec, t, total_horizon)
-    est = estimate_j(t, spec.p.coords, np.array([1.0]), ctrl,
-                     zero_control(t, total_horizon, 1), H, noise, threads=threads)
-    target = (total_horizon - t) * vex_at(H, spec.p.coords, t)
+    noise = NoiseGrid(0.0, 1.0, dt, n_paths, seed, spec.p.n, 1)
+    est = estimate_j(spec.p.coords, np.array([1.0]), make_split_control(spec, 0.0, 1.0),
+                     zero_control(0.0, 1.0, 1), H, noise)
+    target = vex_at(H, spec.p.coords)
     return SplitDemoReport(est.mean, est.std_error, target, spec.horizon, n_paths)

@@ -34,7 +34,7 @@ class TestResolveControls:
         noise = NoiseGrid(0.0, 1.0, 1 / 32, 8, 0, 2, 2)
         a = constant_control(0.0, 1.0, np.full((2, 2), 0.2))
         b = constant_control(0.0, 1.0, np.full((2, 2), -0.1))
-        bundle = simulate(0.0, [0.5, 0.5], [0.5, 0.5], a, b, noise)
+        bundle = simulate([0.5, 0.5], [0.5, 0.5], a, b, noise)
         u, v = bundle.u_realized, bundle.v_realized
         np.testing.assert_array_equal(u, np.full((8, 1, 2, 2), 0.2))
         np.testing.assert_array_equal(v, np.full((8, 1, 2, 2), -0.1))
@@ -50,7 +50,7 @@ class TestResolveControls:
         alpha = FeedbackControl(np.array([0.0, 0.5, 1.0]), echo, 2)
         beta = constant_control(0.0, 1.0, c)
         noise = NoiseGrid(0.0, 1.0, 1 / 16, 4, 0, 2, 2)
-        u = simulate(0.0, [0.5, 0.5], [0.5, 0.5], alpha, beta, noise).u_realized
+        u = simulate([0.5, 0.5], [0.5, 0.5], alpha, beta, noise).u_realized
         np.testing.assert_array_equal(u[:, 0], 0.0)
         np.testing.assert_array_equal(u[:, 1], np.broadcast_to(c, (4, 2, 2)))
 
@@ -61,8 +61,8 @@ class TestResolveControls:
         fam2 = table_strategies(2, grid, catalogue, count=3, seed=5)
         noise = NoiseGrid(0.0, 1.0, 1 / 16, 6, 3, 2, 2)
         for s1, s2 in zip(fam.values(), fam2.values()):
-            b1 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s1, fam["table0"], noise)
-            b2 = simulate(0.0, [0.5, 0.5], [0.5, 0.5], s2, fam2["table0"], noise)
+            b1 = simulate([0.5, 0.5], [0.5, 0.5], s1, fam["table0"], noise)
+            b2 = simulate([0.5, 0.5], [0.5, 0.5], s2, fam2["table0"], noise)
             np.testing.assert_array_equal(b1.u_realized, b2.u_realized)
             np.testing.assert_array_equal(b1.v_realized, b2.v_realized)
 
@@ -151,7 +151,7 @@ class TestValueBracket:
         assert (br.names_1, br.names_2) == (list(fam1), list(fam2))
         for i, u in enumerate(fam1.values()):
             for j, v in enumerate(fam2.values()):
-                est = estimate_j(0.0, p, q, u, v, h, NoiseGrid(0.0, 1.0, 1 / 32, 50, 7, 2, 2))
+                est = estimate_j(p, q, u, v, h, NoiseGrid(0.0, 1.0, 1 / 32, 50, 7, 2, 2))
                 assert br.table[i, j].tobytes() == np.float64(est.mean).tobytes()
                 assert br.se_table[i, j].tobytes() == np.float64(est.std_error).tobytes()
 

@@ -134,9 +134,13 @@ class TestConfigValidation:
         ("mc-game", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
          "hamiltonian.params.dim_q: must be a positive integer, got 0"),
+        ("simulate", ["hamiltonian"], 5, "hamiltonian: must be an object"),
+        ("simulate", ["hamiltonian"],
+         {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
+         "hamiltonian.params.dim_q: must be a positive integer, got 0"),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
-            "dim-p", "dim-q"])
+            "dim-p", "dim-q", "simulate-hamiltonian", "simulate-dim-q"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
         # the solve-hj cases run on a tensor cost, whose field is built from the horizon

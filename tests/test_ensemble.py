@@ -49,19 +49,18 @@ def noise_grid(n_paths, n_steps, seed=11, dim2=2, horizon=0.5):
 def run_all_estimators(threads):
     """Every estimator on 200 paths; arrays that must match across threads."""
     u, v = directional_control(0, 0.5, 2, 0.8), directional_control(0, 0.5, 2, 0.5)
-    b = simulate(0.0, P, Q, u, v, noise_grid(200, 32), threads=threads)
-    out = {"simulate": [b.x_paths, b.y_paths, b.u_realized, b.v_realized,
-                        b.x_support, b.y_support, b.b1_end, b.b2_end]}
-    est = estimate_j(0.0, P, Q, history_control(0.5), v, BILINEAR, noise_grid(200, 32),
+    b = simulate(P, Q, u, v, noise_grid(200, 32), threads=threads)
+    out = {"simulate": [b.x_paths, b.y_paths, b.u_realized, b.v_realized, b.b1_end, b.b2_end]}
+    est = estimate_j(P, Q, history_control(0.5), v, BILINEAR, noise_grid(200, 32),
                      threads=threads)
     out["estimate_j"] = [est.mean, est.std_error]
-    est = estimate_j(0.0, P, Q, u, v, BILINEAR, noise_grid(200, 32), threads=threads,
+    est = estimate_j(P, Q, u, v, BILINEAR, noise_grid(200, 32), threads=threads,
                      terminal=lambda x, y: x[:, 0] * y[:, 1])
     out["estimate_j terminal"] = [est.mean, est.std_error]
-    rep = simulation_report(0.0, P, Q, u, v, noise_grid(200, 32), threads=threads)
+    rep = simulation_report(P, Q, u, v, noise_grid(200, 32), threads=threads)
     out["simulation_report"] = [rep.mean_dev, rep.se, rep.min_coord, rep.max_sum_err,
                                 rep.support_monotone]
-    lip = lipschitz_p_check(0.0, P, [0.35, 0.65], directional_control(0, 0.5, 2, 3.0),
+    lip = lipschitz_p_check(P, [0.35, 0.65], directional_control(0, 0.5, 2, 3.0),
                             noise_grid(200, 32), threads=threads)
     out["lipschitz_p_check"] = [lip.estimate, lip.std_error]
     fam = preset_family(0.0, 0.25, 2, scale=0.8)
@@ -98,7 +97,7 @@ def per_path_j(u, v, noise):
         return parts
 
     with mock.patch.object(sde, "_ensemble", recording):
-        est = estimate_j(0.0, P, Q, u, v, BILINEAR, noise, terminal=lambda x, y: y[:, 0])
+        est = estimate_j(P, Q, u, v, BILINEAR, noise, terminal=lambda x, y: y[:, 0])
     return np.concatenate(parts), est
 
 
@@ -108,14 +107,13 @@ def test_results_independent_of_block_split(cuts):
     u, v = history_control(0.5), directional_control(0, 0.5, 2, 1.5)
 
     def run():
-        return (simulate(0.0, P, Q, u, v, noise_grid(40, 16, seed=2)),
+        return (simulate(P, Q, u, v, noise_grid(40, 16, seed=2)),
                 *per_path_j(u, v, noise_grid(40, 16, seed=2)))
 
     whole, j_whole, est_whole = run()
     with mock.patch.object(sde, "_block_ranges", fixed_ranges(sorted(set(cuts)))):
         split, j_split, est_split = run()
-    for name in ("x_paths", "y_paths", "u_realized", "v_realized",
-                 "x_support", "y_support", "b1_end", "b2_end"):
+    for name in ("x_paths", "y_paths", "u_realized", "v_realized", "b1_end", "b2_end"):
         np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
     np.testing.assert_array_equal(j_split, j_whole)
     assert est_split == est_whole
@@ -149,9 +147,9 @@ def per_step(sim):
             v_zero, jv = not v_mat.any(), jv + 1
         yield k, k + 1, x, y
         if not u_zero:
-            x = sde._step_batch(x, u_mat, sim.db1[:, k], sim.eta)
+            x = sde._step_batch(x, u_mat, sim.db1[:, k])
         if not v_zero:
-            y = sde._step_batch(y, v_mat, sim.db2[:, k], sim.eta)
+            y = sde._step_batch(y, v_mat, sim.db2[:, k])
         sim.own1[:, ju - 1] += sim.db1[:, k]
         sim.own2[:, jv - 1] += sim.db2[:, k]
     yield noise.n_steps, noise.n_steps + 1, x, y
@@ -176,14 +174,14 @@ def segment_control(name):
 
 def run_on_segments(u, v, H):
     noise = noise_grid(40, 32, seed=9)
-    b = simulate(0.0, SPLIT.p.coords, Q, u, v, noise)
-    rep = simulation_report(0.0, SPLIT.p.coords, Q, u, v, noise)
-    est = estimate_j(0.0, SPLIT.p.coords, Q, u, v, H, noise,
+    b = simulate(SPLIT.p.coords, Q, u, v, noise)
+    rep = simulation_report(SPLIT.p.coords, Q, u, v, noise)
+    est = estimate_j(SPLIT.p.coords, Q, u, v, H, noise,
                      terminal=lambda x, y: x[:, 0] * y[:, 1])
-    lip = lipschitz_p_check(0.0, SPLIT.p.coords, [0.3, 0.7], u, noise)
-    return [b.x_paths, b.y_paths, b.u_realized, b.v_realized, b.x_support, b.y_support,
-            b.b1_end, b.b2_end, rep.mean_dev, rep.se, rep.min_coord, rep.max_sum_err,
-            rep.support_monotone, est.mean, est.std_error, lip.estimate, lip.std_error]
+    lip = lipschitz_p_check(SPLIT.p.coords, [0.3, 0.7], u, noise)
+    return [b.x_paths, b.y_paths, b.u_realized, b.v_realized, b.b1_end, b.b2_end,
+            rep.mean_dev, rep.se, rep.min_coord, rep.max_sum_err, rep.support_monotone,
+            est.mean, est.std_error, lip.estimate, lip.std_error]
 
 
 TIMED = HamiltonianField("timed", lambda t, P, Q: (1.0 + t) * P[..., 0] * Q[..., 1],

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from splitgame import sde
 from splitgame.hamiltonian import analytic_field
 from splitgame.sde import (
-    DEFAULT_ETA,
+    ETA,
     FeedbackControl,
     GridMismatchError,
     NoiseGrid,
     constant_control,
-    coupling_bound_constant,
     directional_control,
     estimate_j,
     independence_check,
@@ -21,6 +20,7 @@ from splitgame.sde import (
     step_x,
     zero_control,
 )
+from splitgame.simplex import coupling_bound_constant
 
 
 def make_noise(n_paths=100, seed=7, dt=1 / 64, t=0.0, horizon=1.0, dim1=2, dim2=2):
@@ -102,7 +102,7 @@ class TestSimulate:
     def test_zero_controls_freeze_both(self):
         noise = make_noise(n_paths=32)
         p, q = np.array([0.4, 0.6]), np.array([0.5, 0.5])
-        b = simulate(0.0, p, q, zero_control(0, 1, 2), zero_control(0, 1, 2), noise)
+        b = simulate(p, q, zero_control(0, 1, 2), zero_control(0, 1, 2), noise)
         assert np.all(b.x_paths == b.x_paths[:, :1, :])
         assert np.all(b.y_paths == b.y_paths[:, :1, :])
         b.check_invariants()
@@ -115,14 +115,14 @@ class TestSimulate:
         noise = make_noise(n_paths=16)
         p = np.array([0.25, 0.75])
         u = constant_control(0, 1, np.ones((2, 2)))  # columns constant: P_p u = 0
-        b = simulate(0.0, p, np.array([0.5, 0.5]), u, zero_control(0, 1, 2), noise)
+        b = simulate(p, np.array([0.5, 0.5]), u, zero_control(0, 1, 2), noise)
         np.testing.assert_allclose(b.x_paths, np.broadcast_to(p, b.x_paths.shape), atol=1e-14)
 
     def test_directional_martingale(self):
         noise = make_noise(n_paths=10_000, dt=1 / 128, seed=3)
         p = np.array([0.5, 0.5])
         u = directional_control(0, 1, 2, scale=0.4)
-        b = simulate(0.0, p, np.array([1.0, 0.0]), u, zero_control(0, 1, 2), noise)
+        b = simulate(p, np.array([1.0, 0.0]), u, zero_control(0, 1, 2), noise)
         b.check_invariants()
         xt = b.x_paths[:, -1, :]
         se = xt[:, 0].std(ddof=1) / np.sqrt(xt.shape[0])
@@ -133,7 +133,7 @@ class TestSimulate:
     def test_support_non_increasing(self):
         noise = make_noise(n_paths=500, dt=1 / 64, seed=5)
         u = directional_control(0, 1, 2, scale=2.0)  # strong: many absorptions
-        b = simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]), u,
+        b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u,
                      directional_control(0, 1, 2, scale=2.0), noise)
         b.check_invariants()
         # at least one path must actually hit a face for the test to bite
@@ -146,7 +146,7 @@ class TestSimulate:
         bundles = []
         for threads in (1, 2, 8):
             noise = make_noise(n_paths=300, dt=1 / 64, seed=11)
-            bundles.append(simulate(0.0, p, q, u, v, noise, threads=threads))
+            bundles.append(simulate(p, q, u, v, noise, threads=threads))
         for b in bundles[1:]:
             np.testing.assert_array_equal(b.x_paths, bundles[0].x_paths)
             np.testing.assert_array_equal(b.y_paths, bundles[0].y_paths)
@@ -157,7 +157,7 @@ class TestSimulate:
         bad = FeedbackControl(np.array([0.0, 1 / 3, 1.0]),
                               lambda j, view: np.zeros((2, 2)), 2)
         with pytest.raises(GridMismatchError):
-            simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
+            simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
                      zero_control(0, 1, 2), noise)
 
     def test_nonfinite_feedback_rejected(self):
@@ -165,8 +165,16 @@ class TestSimulate:
         bad = FeedbackControl(np.array([0.0, 1.0]),
                               lambda j, view: np.full((2, 2), np.nan), 2)
         with pytest.raises(ValueError):
-            simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
+            simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
                      zero_control(0, 1, 2), noise)
+
+    def test_control_dim_must_match_state(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(NoiseGrid, "increments", lambda grid, lo, hi: drawn.append(lo))
+        with pytest.raises(ValueError, match="control 'zero' has dim 3, its state has 2 "):
+            simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), zero_control(0, 1, 3),
+                     zero_control(0, 1, 2), make_noise(n_paths=4))
+        assert drawn == []  # rejected before any noise is drawn
 
 
 class TestDelayProperty:
@@ -181,7 +189,7 @@ class TestDelayProperty:
         u = FeedbackControl(grid, probe, 2)
         v = FeedbackControl(np.array([0.0, 0.5, 1.0]), lambda j, view: np.zeros((2, 2)), 2)
         noise = make_noise(n_paths=3, dt=1 / 16)
-        simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
+        simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
         # interval j sees exactly j completed own intervals
         assert [s[0] for s in seen] == [0, 1, 2]
         assert [s[2] for s in seen] == [0, 1, 2]
@@ -200,7 +208,7 @@ class TestDelayProperty:
         u = FeedbackControl(grid, echo, 2)
         v = constant_control(0.0, 1.0, c)
         noise = make_noise(n_paths=2, dt=1 / 16)
-        b = simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
+        b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
         np.testing.assert_array_equal(b.u_realized[:, 0], 0.0)
         np.testing.assert_array_equal(b.u_realized[:, 1], np.broadcast_to(c, (2, 2, 2)))
 
@@ -209,7 +217,7 @@ class TestEstimateJ:
     def test_constant_H_exact(self):
         noise = make_noise(n_paths=50, dt=1 / 32)
         h = analytic_field("constant", level=0.3, dim_q=2)
-        est = estimate_j(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+        est = estimate_j(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                          directional_control(0, 1, 2, 0.5),
                          directional_control(0, 1, 2, 0.5), h, noise)
         assert abs(est.mean - 0.3) <= 1e-12
@@ -220,7 +228,7 @@ class TestEstimateJ:
         h = analytic_field("tent")
         noise1 = NoiseGrid(0.0, 1.0, 1 / 32, 10, 1, 2, 1)
         p = np.array([0.3, 0.7])
-        est = estimate_j(0.0, p, np.array([1.0]), zero_control(0, 1, 2),
+        est = estimate_j(p, np.array([1.0]), zero_control(0, 1, 2),
                          zero_control(0, 1, 1), h, noise1)
         expect = h(0.0, p) * 1.0  # time-independent H, left quadrature is exact here
         assert abs(est.mean - expect) <= 1e-12
@@ -229,7 +237,7 @@ class TestEstimateJ:
     def test_requires_two_paths(self):
         noise = NoiseGrid(0.0, 1.0, 1 / 32, 1, 0, 2, 1)
         with pytest.raises(ValueError):
-            estimate_j(0.0, np.array([0.5, 0.5]), np.array([1.0]),
+            estimate_j(np.array([0.5, 0.5]), np.array([1.0]),
                        zero_control(0, 1, 2), zero_control(0, 1, 1),
                        analytic_field("tent"), noise)
 
@@ -237,7 +245,7 @@ class TestEstimateJ:
 class TestLipschitzCoupling:
     def test_same_start_zero_distance(self):
         noise = make_noise(n_paths=200, dt=1 / 64, seed=2)
-        out = lipschitz_p_check(0.0, [0.5, 0.5], [0.5, 0.5],
+        out = lipschitz_p_check([0.5, 0.5], [0.5, 0.5],
                                 directional_control(0, 1, 2, 1.0), noise)
         assert out.estimate == 0.0
 
@@ -245,13 +253,13 @@ class TestLipschitzCoupling:
         # ((2 + sqrt(2)) * 2)^3 = 318.38...; scaled by |p - pbar| = 0.1
         assert abs(coupling_bound_constant(2) - ((2 + np.sqrt(2)) * 2) ** 3) <= 1e-12
         noise = make_noise(n_paths=100, dt=1 / 64)
-        out = lipschitz_p_check(0.0, [0.5, 0.5], [0.55, 0.45],
+        out = lipschitz_p_check([0.5, 0.5], [0.55, 0.45],
                                 zero_control(0, 1, 2), noise)
         assert abs(out.bound - coupling_bound_constant(2) * np.hypot(0.05, 0.05)) <= 1e-12
 
     def test_adversarial_volatility_within_bound(self):
         noise = make_noise(n_paths=2000, dt=1 / 128, seed=9)
-        out = lipschitz_p_check(0.0, [0.45, 0.55], [0.55, 0.45],
+        out = lipschitz_p_check([0.45, 0.55], [0.55, 0.45],
                                 directional_control(0, 1, 2, 25.0), noise)
         assert out.estimate <= out.bound + 3 * out.std_error
 
@@ -259,14 +267,14 @@ class TestLipschitzCoupling:
 class TestIndependence:
     def test_zero_control_exact_zero(self):
         noise = make_noise(n_paths=64, dt=1 / 32)
-        b = simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+        b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                      zero_control(0, 1, 2), directional_control(0, 1, 2, 0.5), noise)
         for entry in independence_check(b):
             assert entry.covariance == 0.0
 
     def test_nonzero_controls_uncorrelated(self):
         noise = make_noise(n_paths=10_000, dt=1 / 64, seed=21)
-        b = simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+        b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                      directional_control(0, 1, 2, 0.5),
                      directional_control(0, 1, 2, 0.5), noise)
         for entry in independence_check(b):
@@ -278,7 +286,7 @@ class TestTrajectoryDump:
         from splitgame.sde import dump_trajectories
 
         noise = make_noise(n_paths=3, dt=1 / 8)
-        b = simulate(0.0, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+        b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                      directional_control(0, 1, 2, 0.3), zero_control(0, 1, 2), noise)
         path = tmp_path / "trajectories.csv"
         dump_trajectories(b, path)
@@ -293,7 +301,7 @@ class TestTrajectoryDump:
         from splitgame.sde import dump_trajectories
 
         noise = make_noise(n_paths=12, dt=1 / 16, seed=4, dim1=3)
-        b = simulate(0.0, np.array([0.3, 0.2, 0.5]), np.array([0.5, 0.5]),
+        b = simulate(np.array([0.3, 0.2, 0.5]), np.array([0.5, 0.5]),
                      directional_control(0, 1, 3, 0.8), directional_control(0, 1, 2, 0.6), noise)
         path = tmp_path / "trajectories.csv"
         dump_trajectories(b, path)
@@ -309,7 +317,7 @@ class TestTrajectoryDump:
 class TestSimulationReport:
     def test_martingale_all_times(self):
         noise = make_noise(n_paths=4000, dt=1 / 128, seed=13)
-        rep = simulation_report(0.0, np.array([0.35, 0.65]), np.array([0.5, 0.5]),
+        rep = simulation_report(np.array([0.35, 0.65]), np.array([0.5, 0.5]),
                                 directional_control(0, 1, 2, 0.6),
                                 directional_control(0, 1, 2, 0.4), noise)
         assert rep.martingale_ok
@@ -353,39 +361,32 @@ class TestStepKernel:
         x = rng.dirichlet(np.ones(n), size=b)
         for c in range(1, n):
             if dead >> c & 1:
-                x[:, c] = rng.choice([0.0, DEFAULT_ETA / 2, DEFAULT_ETA], size=b)
+                x[:, c] = rng.choice([0.0, ETA / 2, ETA], size=b)
         x[:, 0] = 1.0 - x[:, 1:].sum(axis=1)
         u = rng.standard_normal((n, n) if shared else (b, n, n))
         u = np.broadcast_to(u, (b, n, n))
         db = rng.standard_normal((b, n)) * scale
-        got = sde._step_batch(x.copy(), u, db, DEFAULT_ETA)
-        want = step_batch_reference(x.copy(), u, db, DEFAULT_ETA)
+        got = sde._step_batch(x.copy(), u, db)
+        want = step_batch_reference(x.copy(), u, db, ETA)
         assert got.tobytes() == want.tobytes()
 
 
 class TestSupportMasks:
-    def test_every_coordinate_has_a_bit(self):
-        for n in (1, 8, 9, 16, 17, 64):
-            masks = sde._support_mask_bits(np.eye(n), DEFAULT_ETA)
-            assert [int(m) for m in masks] == [1 << c for c in range(n)]
-        with pytest.raises(ValueError, match="at most 64"):
-            sde._support_mask_bits(np.eye(65), DEFAULT_ETA)
-
-    @pytest.mark.parametrize("dim1, dim2, revived", [(9, 2, 1), (2, 3, 2)],
-                             ids=["x-ninth-coordinate", "y"])
+    @pytest.mark.parametrize("dim1, dim2, revived", [(9, 2, 1), (2, 3, 2), (65, 2, 1)],
+                             ids=["x-ninth-coordinate", "y", "x-65-coordinates"])
     def test_report_sees_support_growth(self, monkeypatch, dim1, dim2, revived):
         # a stand-in step that spreads mass onto every coordinate of one player
         real = sde._step_batch
 
-        def reviving(x, u, db, eta):
+        def reviving(x, u, db):
             if x.shape[1] == (dim1, dim2)[revived - 1]:
                 return np.full_like(x, 1.0 / x.shape[1])
-            return real(x, u, db, eta)
+            return real(x, u, db)
 
         p = np.append(np.full(dim1 - 1, 1.0 / (dim1 - 1)), 0.0)
         q = np.append(np.full(dim2 - 1, 1.0 / (dim2 - 1)), 0.0)
         noise = make_noise(n_paths=8, dim1=dim1, dim2=dim2)
         u, v = directional_control(0, 1, dim1, 0.3), directional_control(0, 1, dim2, 0.3)
-        assert simulation_report(0.0, p, q, u, v, noise).support_monotone
+        assert simulation_report(p, q, u, v, noise).support_monotone
         monkeypatch.setattr(sde, "_step_batch", reviving)
-        assert not simulation_report(0.0, p, q, u, v, noise).support_monotone
+        assert not simulation_report(p, q, u, v, noise).support_monotone

@@ -18,30 +18,23 @@ from splitgame.splitting import (
 def asym_spec(delta=0.01, steps=256):
     p1 = SimplexPoint([0.9, 0.1])
     p2 = SimplexPoint([0.1, 0.9])
-    p = SimplexPoint(0.3 * p1.coords + 0.7 * p2.coords)
-    return SplitSpec(p, p1, p2, 0.3, 0.125, steps, delta=delta)
+    return SplitSpec(p1, p2, 0.3, 0.125, steps, delta=delta)
 
 
 class TestSplitSpec:
-    def test_rejects_bad_mixture(self):
-        with pytest.raises(ValueError):
-            SplitSpec(SimplexPoint([0.5, 0.5]), SimplexPoint([0.9, 0.1]),
-                      SimplexPoint([0.2, 0.8]), 0.3, 0.1, 16)
-
     def test_rejects_equal_endpoints(self):
         e = SimplexPoint([0.5, 0.5])
         with pytest.raises(ValueError):
-            SplitSpec(e, e, e, 0.5, 0.1, 16)
+            SplitSpec(e, e, 0.5, 0.1, 16)
 
     def test_rejects_boundary_endpoint(self):
         with pytest.raises(ValueError):
-            SplitSpec(SimplexPoint([0.5, 0.5]), SimplexPoint([1.0, 0.0]),
-                      SimplexPoint([0.0, 1.0]), 0.5, 0.1, 16)
+            SplitSpec(SimplexPoint([1.0, 0.0]), SimplexPoint([0.0, 1.0]), 0.5, 0.1, 16)
 
     def test_rejects_bad_delta(self):
         s = unit_segment_spec()
         with pytest.raises(ValueError):
-            SplitSpec(s.p, s.p1, s.p2, s.lam1, s.horizon, s.steps, delta=0.3)
+            SplitSpec(s.p1, s.p2, s.lam1, s.horizon, s.steps, delta=0.3)
 
     def test_scalar_roundtrip(self):
         s = unit_segment_spec()
@@ -52,7 +45,7 @@ class TestSplitSpec:
 class TestDegenerateSplit:
     def test_lam1_one_is_zero_control(self):
         s = unit_segment_spec()
-        spec = SplitSpec(s.p1, s.p1, s.p2, 1.0, 0.125, 32)
+        spec = SplitSpec(s.p1, s.p2, 1.0, 0.125, 32)
         rep = evaluate_split(spec, n_paths=50, seed=0)
         assert rep.eps_mean <= 1e-12          # X stays exactly at p = p1
         assert rep.unabsorbed_frac == 0.0
@@ -84,8 +77,7 @@ class TestAsymmetricSplit:
     def test_three_coordinate_split_stays_on_line(self):
         p1 = SimplexPoint([0.5, 0.3, 0.2])
         p2 = SimplexPoint([0.1, 0.4, 0.5])
-        p = SimplexPoint(0.5 * p1.coords + 0.5 * p2.coords)
-        rep = evaluate_split(SplitSpec(p, p1, p2, 0.5, 0.125, 256), n_paths=2000, seed=3)
+        rep = evaluate_split(SplitSpec(p1, p2, 0.5, 0.125, 256), n_paths=2000, seed=3)
         assert rep.max_perp <= 1e-12
         assert rep.hit1_ok
 
