@@ -102,9 +102,9 @@ def check_martingale_invariance(seed: int = 0, threads: int = 1) -> CheckResult:
     q = np.array([0.5, 0.5])
     split_spec = unit_segment_spec(steps=64, horizon=0.125)
     presets = [
-        ("zero", zero_control(0.0, 1.0, 2)),
-        ("directional", directional_control(0.0, 1.0, 2, 0.6)),
-        ("split-then-freeze", make_split_control(split_spec, 0.0, 1.0)),
+        ("zero", zero_control(2)),
+        ("directional", directional_control(2, 0.6)),
+        ("split-then-freeze", make_split_control(split_spec)),
     ]
     worst_margin = 0.0
     min_coord = np.inf
@@ -114,8 +114,7 @@ def check_martingale_invariance(seed: int = 0, threads: int = 1) -> CheckResult:
     for i, (name, ctrl) in enumerate(presets):
         start = split_spec.p.coords if name == "split-then-freeze" else p
         noise = NoiseGrid(0.0, 1.0, 1.0 / 512, 10_000, seed + i, 2, 2)
-        rep = simulation_report(start, q, ctrl,
-                                directional_control(0.0, 1.0, 2, 0.4), noise,
+        rep = simulation_report(start, q, ctrl, directional_control(2, 0.4), noise,
                                 threads=threads)
         worst_margin = max(worst_margin, rep.worst_margin)
         min_coord = min(min_coord, rep.min_coord)
@@ -141,9 +140,8 @@ def check_lipschitz_coupling(seed: int = 0, threads: int = 1) -> CheckResult:
     worst_ratio = 0.0
     for dim_case, (p, pb) in enumerate(cases):
         dim = p.size
-        presets = [zero_control(0.0, 1.0, dim),
-                   directional_control(0.0, 1.0, dim, 0.7),
-                   directional_control(0.0, 1.0, dim, 8.0)]
+        presets = [zero_control(dim), directional_control(dim, 0.7),
+                   directional_control(dim, 8.0)]
         for j, ctrl in enumerate(presets):
             noise = NoiseGrid(0.0, 1.0, 1.0 / 256, 2000, seed + 10 * dim_case + j, dim, 1)
             out = lipschitz_p_check(p, pb, ctrl, noise, threads=threads)
@@ -219,18 +217,19 @@ def check_representation(golden, seed: int = 0, threads: int = 1) -> CheckResult
     t0 = time.time()
     tent, v_ref, _ = golden["tent"]
     spec = unit_segment_spec(steps=128, horizon=0.05)
-    fam1 = {"freeze": zero_control(0.0, 1.0, 2), "split": make_split_control(spec, 0.0, 1.0)}
-    br = value_bracket(0.0, spec.p.coords, [1.0], tent, fam1, preset_family(0.0, 1.0, 1),
-                       horizon=1.0, dt=0.05 / 128, n_paths=10_000, seed=seed,
+    fam1 = {"freeze": zero_control(2), "split": make_split_control(spec)}
+    fam2 = preset_family(1)
+    br = value_bracket(spec.p.coords, [1.0], tent, fam1, fam2,
+                       NoiseGrid(0.0, 1.0, 0.05 / 128, 10_000, seed, 2, 1),
                        reference=v_ref, threads=threads)
     upper_gap = abs(br.upper - br.reference)
 
+    # the one-step game on [0, 0.125] reuses both families; its split spans the step
     dpp_spec = unit_segment_spec(steps=128, horizon=0.125)
-    fam1_dpp = {"freeze": zero_control(0.0, 0.125, 2),
-                "split": make_split_control(dpp_spec, 0.0, 0.125)}
-    dpp = dpp_diagnostic(0.0, 0.125, dpp_spec.p.coords, [1.0], tent, fam1_dpp,
-                         preset_family(0.0, 0.125, 1), v_ref, dt=0.125 / 128,
-                         n_paths=10_000, seed=seed, threads=threads)
+    dpp = dpp_diagnostic(dpp_spec.p.coords, [1.0], tent,
+                         {**fam1, "split": make_split_control(dpp_spec)}, fam2, v_ref,
+                         NoiseGrid(0.0, 0.125, 0.125 / 128, 10_000, seed, 2, 1),
+                         threads=threads)
     ok = upper_gap <= 0.08 and abs(dpp.gap) <= 0.05
     dt_wall = time.time() - t0
     return CheckResult("stochastic-representation", ok, upper_gap, 0.08,

@@ -2,12 +2,13 @@
 strategies: restricted value brackets around the PDE value and the dynamic
 programming diagnostic.
 
-A strategy family is a dict of named controls on [t, T], the interval the
-game is played on; a control whose grid starts or ends elsewhere is rejected
-with GridMismatchError.  The restricted upper value is min over player-1
-controls of the max over player-2 controls of the common-random-numbers
-payoff table, and the restricted lower value is the max-min of the same
-table, so the bracket ordering lower <= upper holds exactly on every run.
+A strategy family is a dict of named controls.  The noise grid is the game's
+clock: it carries the interval [t, T], its step, the path count and the seed,
+and a control that switches past T is rejected with GridMismatchError.  The
+restricted upper value is min over player-1 controls of the max over player-2
+controls of the common-random-numbers payoff table, and the restricted lower
+value is the max-min of the same table, so the bracket ordering lower <= upper
+holds exactly on every run.
 """
 
 from __future__ import annotations
@@ -35,23 +36,24 @@ class BudgetExceededError(RuntimeError):
     """Too many strategy pairs requested for one bracket evaluation."""
 
 
-def preset_family(t: float, horizon: float, dim: int, scale: float = 0.5,
+def preset_family(dim: int, scale: float = 0.5,
                   split_spec: SplitSpec | None = None) -> dict[str, FeedbackControl]:
-    """The shipped presets on [t, horizon]: zero, constant directional
-    (dim >= 2 only), split-then-freeze."""
-    family = {"zero": zero_control(t, horizon, dim)}
+    """The shipped presets: zero, constant directional (dim >= 2 only),
+    split-then-freeze."""
+    family = {"zero": zero_control(dim)}
     if dim >= 2:
-        family["directional"] = directional_control(t, horizon, dim, scale)
+        family["directional"] = directional_control(dim, scale)
     if split_spec is not None:
         if split_spec.p.n != dim:
             raise ValueError("split spec dimension does not match the family")
-        family["split"] = make_split_control(split_spec, t, horizon)
+        family["split"] = make_split_control(split_spec)
     return family
 
 
-def table_strategies(dim: int, grid: np.ndarray, catalogue: list[np.ndarray],
+def table_strategies(dim: int, switches, catalogue: list[np.ndarray],
                      count: int, seed: int) -> dict[str, FeedbackControl]:
-    """Sampled finite-feedback strategies over an action catalogue, on grid.
+    """Sampled finite-feedback strategies over an action catalogue, switching
+    at the given times after the game's start.
 
     Each strategy owns a random table indexed by (opponent's last catalogue
     action, sign of the last own-noise sum) and plays the table's action on
@@ -83,7 +85,7 @@ def table_strategies(dim: int, grid: np.ndarray, catalogue: list[np.ndarray],
             return stack[choice]
 
         name = f"table{s_idx}"
-        family[name] = FeedbackControl(grid, feedback, dim, name)
+        family[name] = FeedbackControl(switches, feedback, dim, name)
     return family
 
 
@@ -106,15 +108,13 @@ class ValueBracket:
         return self.lower - 3.0 * self.lower_se <= self.upper + 3.0 * self.upper_se
 
 
-def _payoff_table(t: float, horizon: float, p, q, H: HamiltonianField,
-                  fam_1: dict[str, FeedbackControl], fam_2: dict[str, FeedbackControl],
-                  dt: float, n_paths: int, seed: int, threads: int,
+def _payoff_table(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
+                  fam_2: dict[str, FeedbackControl], noise: NoiseGrid, threads: int,
                   terminal: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Common-random-numbers payoff means and standard errors, player 1 along rows."""
     n1, n2 = len(fam_1), len(fam_2)
     if n1 * n2 > MAX_PAIRS:
         raise BudgetExceededError(f"{n1 * n2} strategy pairs exceed the {MAX_PAIRS} budget")
-    noise = NoiseGrid(t, horizon, dt, n_paths, seed, np.size(p), np.size(q))
     table = np.empty((n1, n2))
     se = np.empty((n1, n2))
     for i, u in enumerate(fam_1.values()):
@@ -130,17 +130,17 @@ def _maxmin_cell(table: np.ndarray) -> tuple[int, int]:
     return int(np.argmin(table[:, j])), j
 
 
-def value_bracket(t: float, p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
-                  fam_2: dict[str, FeedbackControl], horizon: float, dt: float, n_paths: int,
-                  seed: int, reference: ValueGrid | None = None,
-                  threads: int = 1) -> ValueBracket:
-    """Common-random-numbers payoff table over all strategy pairs, reduced to
-    the restricted upper (min-max) and lower (max-min) values."""
-    table, se = _payoff_table(t, horizon, p, q, H, fam_1, fam_2, dt, n_paths, seed, threads)
+def value_bracket(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
+                  fam_2: dict[str, FeedbackControl], noise: NoiseGrid,
+                  reference: ValueGrid | None = None, threads: int = 1) -> ValueBracket:
+    """Common-random-numbers payoff table over all strategy pairs on the noise
+    grid, reduced to the restricted upper (min-max) and lower (max-min) values
+    at its start time."""
+    table, se = _payoff_table(p, q, H, fam_1, fam_2, noise, threads)
     i_lo, j_lo = _maxmin_cell(table)
     # the min-max of the table is minus the max-min of the negated transpose
     j_up, i_up = _maxmin_cell(-table.T)
-    ref = None if reference is None else reference.value_at(t, p, q)
+    ref = None if reference is None else reference.value_at(noise.t, p, q)
     return ValueBracket(
         lower=float(table[i_lo, j_lo]), lower_se=float(se[i_lo, j_lo]),
         upper=float(table[i_up, j_up]), upper_se=float(se[i_up, j_up]),
@@ -163,22 +163,22 @@ class DppReport:
         return self.estimate - self.reference
 
 
-def dpp_diagnostic(t: float, h: float, p, q, H: HamiltonianField,
-                   fam_1: dict[str, FeedbackControl], fam_2: dict[str, FeedbackControl],
-                   v_ref: ValueGrid, dt: float, n_paths: int, seed: int,
+def dpp_diagnostic(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
+                   fam_2: dict[str, FeedbackControl], v_ref: ValueGrid, noise: NoiseGrid,
                    threads: int = 1) -> DppReport:
     """sup over player-2 strategies of the inf over player-1 controls of the
-    one-step payoff plus the reference continuation value, against the
-    reference value at (t, p, q).
+    one-step payoff on [t, t + h] = [noise.t, noise.horizon] plus the
+    reference continuation value, against the reference value at (t, p, q).
 
     t + h must be a time-grid point of the reference; the gap is a diagnostic
     (family restriction plus Monte Carlo noise), not an asserted theorem.
     """
-    if np.min(np.abs(v_ref.times - (t + h))) > 1e-9:
+    t_h = noise.horizon
+    if np.min(np.abs(v_ref.times - t_h)) > 1e-9:
         raise ValueError("t + h must be a time-grid point of the reference values")
-    table, se = _payoff_table(t, t + h, p, q, H, fam_1, fam_2, dt, n_paths, seed, threads,
-                              terminal=lambda x, y: v_ref.values_at_states(t + h, x, y))
+    table, se = _payoff_table(p, q, H, fam_1, fam_2, noise, threads,
+                              terminal=lambda x, y: v_ref.values_at_states(t_h, x, y))
     i_star, j_star = _maxmin_cell(table)
-    ref = v_ref.value_at(t, p, q)
+    ref = v_ref.value_at(noise.t, p, q)
     return DppReport(float(table[i_star, j_star]), float(se[i_star, j_star]),
                      float(ref), table)

@@ -190,22 +190,22 @@ def build_split_spec(block: Reader):
     return block.call(SplitSpec, p1, p2, lam1, horizon, steps, delta, kappa)
 
 
-def build_control(block: Reader, horizon: float, dim: int, split: Reader):
+def build_control(block: Reader, dim: int, split: Reader):
     from splitgame.sde import constant_control, directional_control, zero_control
     from splitgame.splitting import make_split_control
 
     kind = block.choice("kind", ("zero", "constant", "directional", "split"))
     if kind == "zero":
-        return zero_control(0.0, horizon, dim)
+        return zero_control(dim)
     if kind == "constant":
-        return constant_control(0.0, horizon, block.matrix("matrix", dim))
+        return constant_control(block.matrix("matrix", dim))
     if kind == "directional":
         scale = block.positive("scale", 0.5)
-        return block.call(directional_control, 0.0, horizon, dim, scale)
+        return block.call(directional_control, dim, scale)
     spec = build_split_spec(split)
     if spec.p.n != dim:
         raise ConfigError(f"{block.path}: split spec dimension {spec.p.n} != {dim}")
-    return make_split_control(spec, 0.0, horizon)
+    return make_split_control(spec)
 
 
 def _start(sim: Reader) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +277,8 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     p, q = _start(sim)
     controls = sim.child("controls")
     split = cfg.child("split", {})
-    u = build_control(controls.child("u"), horizon, p.size, split)
-    v = build_control(controls.child("v"), horizon, q.size, split)
+    u = build_control(controls.child("u"), p.size, split)
+    v = build_control(controls.child("v"), q.size, split)
     dump = sim.flag("dump_trajectories", False)
     try:
         noise = NoiseGrid(0.0, horizon, dt, n_paths, seed, p.size, q.size)
@@ -338,6 +338,7 @@ def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
 def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     from splitgame.arena import preset_family, value_bracket
+    from splitgame.sde import NoiseGrid
 
     horizon = cfg.positive("horizon", 1.0)
     field = build_field(cfg, horizon)
@@ -351,10 +352,10 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
     split = cfg.child("split", {})
     split_spec = build_split_spec(split) if p.size == 2 else None
-    fam1 = split.call(preset_family, 0.0, horizon, p.size, scale=scale, split_spec=split_spec)
-    fam2 = preset_family(0.0, horizon, q.size, scale=scale)
-    br = arena.call(value_bracket, 0.0, p, q, field, fam1, fam2, horizon=horizon, dt=dt,
-                    n_paths=n_paths, seed=seed, threads=threads)
+    fam1 = split.call(preset_family, p.size, scale=scale, split_spec=split_spec)
+    fam2 = preset_family(q.size, scale=scale)
+    noise = arena.call(NoiseGrid, 0.0, horizon, dt, n_paths, seed, p.size, q.size)
+    br = arena.call(value_bracket, p, q, field, fam1, fam2, noise, threads=threads)
     result = {
         "lower": br.lower, "lower_se": br.lower_se,
         "upper": br.upper, "upper_se": br.upper_se,

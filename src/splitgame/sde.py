@@ -17,10 +17,10 @@ results bit-identical for any batch split or thread count.
 
 A block steps only what moves.  It yields segments of noise steps on which the
 state is constant: one step while a control is active, and a whole frozen
-stretch (both realized controls exactly zero) up to the next control-grid
-point, which the estimators reduce once.  Own-noise sums are added at an
-interval's end, and only if a later feedback can read them.  Sums over a
-state's coordinates are added column by column, in numpy's own order.
+stretch (both realized controls exactly zero) up to where either player's
+next interval begins, which the estimators reduce once.  Own-noise sums are
+added at an interval's end, and only if a later feedback can read them.  Sums
+over a state's coordinates are added column by column, in numpy's own order.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _GRID_SNAP = 1e-9
 
 
 class GridMismatchError(ValueError):
-    """Control grid points do not land on the noise grid."""
+    """A step or a control's switch is off the noise grid, or the switch is past it."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +81,6 @@ class NoiseGrid:
 
     def times(self) -> np.ndarray:
         return self.t + self.dt * np.arange(self.n_steps + 1)
-
-    def step_of(self, time: float) -> int:
-        """Noise-grid step index of a time point; error if not on the grid."""
-        k = (time - self.t) / self.dt
-        kr = int(round(k))
-        if abs(k - kr) > 1e-6 or kr < 0 or kr > self.n_steps:
-            raise GridMismatchError(f"time {time} is not on the noise grid")
-        return kr
 
     def _stream(self, path: int, stream: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(stream, path))
@@ -131,42 +123,54 @@ class HistoryView:
 
 @dataclass
 class FeedbackControl:
-    """Piecewise-constant control on a time grid with step feedback.
+    """Piecewise-constant control with step feedback on the game's interval.
 
-    grid runs from the start time to the horizon; feedback(j, view) returns
-    the control matrix for [grid[j], grid[j+1]), either one (n, n) matrix
-    broadcast over paths or a (b, n, n) batch.
+    switches are the times after the game's start at which a new interval
+    begins; interval 0 begins at the start, and a switch at the horizon begins
+    nothing.  feedback(j, view) returns the control matrix for interval j,
+    either one (n, n) matrix broadcast over paths or a (b, n, n) batch.
     """
 
-    grid: np.ndarray
+    switches: np.ndarray
     feedback: Callable[[int, HistoryView], np.ndarray]
     dim: int
     label: str = ""
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-            raise ValueError("control grid must be strictly increasing with >= 2 points")
-        self.grid = g
-
-    @property
-    def n_intervals(self) -> int:
-        return self.grid.size - 1
+        s = np.asarray(self.switches, dtype=float)
+        if s.ndim != 1 or np.any(s <= 0) or np.any(np.diff(s) <= 0):
+            raise ValueError("switches must be positive and strictly increasing")
+        self.switches = s
 
 
-def zero_control(t: float, horizon: float, dim: int) -> FeedbackControl:
+def interval_starts(ctrl: FeedbackControl, noise: NoiseGrid) -> np.ndarray:
+    """The noise steps on which ctrl's intervals begin, then the step count N:
+    interval j covers steps [starts[j], starts[j + 1])."""
+    n, starts = noise.n_steps, [0]
+    for s in ctrl.switches:
+        k, where = s / noise.dt, f"control {ctrl.label!r} switches at {noise.t + s:g}"
+        if k > n + 1e-6:
+            raise GridMismatchError(f"{where}, past the horizon {noise.horizon:g}")
+        if abs(k - round(k)) > 1e-6:
+            raise GridMismatchError(f"{where}, off the noise grid of step {noise.dt:g}")
+        if round(k) < n:
+            starts.append(round(k))
+    return np.array(starts + [n])
+
+
+def zero_control(dim: int) -> FeedbackControl:
     z = np.zeros((dim, dim))
-    return FeedbackControl(np.array([t, horizon]), lambda j, view: z, dim, "zero")
+    return FeedbackControl((), lambda j, view: z, dim, "zero")
 
 
-def constant_control(t: float, horizon: float, matrix) -> FeedbackControl:
+def constant_control(matrix) -> FeedbackControl:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("control matrix must be square")
-    return FeedbackControl(np.array([t, horizon]), lambda j, view: m, m.shape[0], "constant")
+    return FeedbackControl((), lambda j, view: m, m.shape[0], "constant")
 
 
-def directional_control(t: float, horizon: float, dim: int, scale: float) -> FeedbackControl:
+def directional_control(dim: int, scale: float) -> FeedbackControl:
     """Rank-one control harvesting the first own-noise coordinate and pushing
     along e_0 - e_1."""
     if dim < 2:
@@ -174,7 +178,7 @@ def directional_control(t: float, horizon: float, dim: int, scale: float) -> Fee
     m = np.zeros((dim, dim))
     m[0, 0] = scale
     m[1, 0] = -scale
-    return FeedbackControl(np.array([t, horizon]), lambda k, view: m, dim, "directional")
+    return FeedbackControl((), lambda k, view: m, dim, "directional")
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +246,23 @@ class _BlockSim:
                 raise ValueError(f"control {ctrl.label!r} has dim {ctrl.dim}, "
                                  f"its state has {n} coordinates")
         self.u_ctrl, self.v_ctrl = u_ctrl, v_ctrl
-        self.u_steps = np.array([noise.step_of(g) for g in u_ctrl.grid])
-        self.v_steps = np.array([noise.step_of(g) for g in v_ctrl.grid])
-        if self.u_steps[0] != 0 or self.v_steps[0] != 0:
-            raise GridMismatchError("control grids must start at t")
-        if self.u_steps[-1] != noise.n_steps or self.v_steps[-1] != noise.n_steps:
-            raise GridMismatchError("control grids must end at the horizon")
+        self.u_steps = interval_starts(u_ctrl, noise)
+        self.v_steps = interval_starts(v_ctrl, noise)
+        self.times = noise.times()
         self.db1, self.db2 = noise.increments(lo, hi)
         nI, nJ = self.p.size, self.q.size
-        self.u_realized = np.zeros((self.b, u_ctrl.n_intervals, nI, nI))
-        self.v_realized = np.zeros((self.b, v_ctrl.n_intervals, nJ, nJ))
-        self.own1 = np.zeros((self.b, u_ctrl.n_intervals, nI))
-        self.own2 = np.zeros((self.b, v_ctrl.n_intervals, nJ))
+        self.u_realized = np.zeros((self.b, self.u_steps.size - 1, nI, nI))
+        self.v_realized = np.zeros((self.b, self.v_steps.size - 1, nJ, nJ))
+        self.own1 = np.zeros(self.u_realized.shape[:3])
+        self.own2 = np.zeros(self.v_realized.shape[:3])
 
-    def _eval_feedback(self, ctrl, j, when, own_state, own_noise, realized, opp_real, opp_grid):
-        """Control matrices of ctrl for interval j, also stored in realized[:, j]."""
-        visible = int(np.searchsorted(opp_grid[:-1], when - _GRID_SNAP, side="right"))
-        view = HistoryView(j, when, self.noise.dt, own_state,
+    def _eval_feedback(self, ctrl, j, k, own_state, own_noise, realized, opp_real, opp_steps):
+        """Control matrices of ctrl for interval j, which begins on step k, also
+        stored in realized[:, j]; the opponent's intervals begun before k are visible."""
+        visible = int(np.searchsorted(opp_steps, k))
+        view = HistoryView(j, self.times[k], self.noise.dt, own_state,
                            own_noise[:, :j], opp_real[:, :visible],
-                           opp_grid[:visible])
+                           self.times[opp_steps[:visible]])
         mat = np.asarray(ctrl.feedback(j, view), dtype=float)
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"feedback for control {ctrl.label!r} returned a non-finite matrix")
@@ -279,27 +281,27 @@ class _BlockSim:
         """Yield segments (k0, k1, X, Y): the state on noise steps k0..k1-1.
 
         An active step is a segment of one step.  A stretch on which both
-        realized controls are exactly zero is one segment, ending at the next
-        control-grid point of either player.  The last yield, (N, N+1, X, Y),
+        realized controls are exactly zero is one segment, ending where the
+        next interval of either player begins.  The last yield, (N, N+1, X, Y),
         carries the terminal state.
         """
-        noise, b = self.noise, self.b
-        times = noise.times()
+        n, b = self.noise.n_steps, self.b
         x, y = np.tile(self.p, (b, 1)), np.tile(self.q, (b, 1))
         ju = jv = k = 0
         u_mat = v_mat = None
         u_zero = v_zero = False
-        while k < noise.n_steps:
-            if ju < self.u_ctrl.n_intervals and k == self.u_steps[ju]:
+        while k < n:
+            # u_steps[-1] = v_steps[-1] = n, so neither runs past its last interval
+            if k == self.u_steps[ju]:
                 self._close_interval(self.own1, self.db1, self.u_steps, ju)
-                u_mat = self._eval_feedback(self.u_ctrl, ju, times[k], x, self.own1,
-                                            self.u_realized, self.v_realized, self.v_ctrl.grid)
+                u_mat = self._eval_feedback(self.u_ctrl, ju, k, x, self.own1,
+                                            self.u_realized, self.v_realized, self.v_steps)
                 u_zero = not u_mat.any()
                 ju += 1
-            if jv < self.v_ctrl.n_intervals and k == self.v_steps[jv]:
+            if k == self.v_steps[jv]:
                 self._close_interval(self.own2, self.db2, self.v_steps, jv)
-                v_mat = self._eval_feedback(self.v_ctrl, jv, times[k], y, self.own2,
-                                            self.v_realized, self.u_realized, self.u_ctrl.grid)
+                v_mat = self._eval_feedback(self.v_ctrl, jv, k, y, self.own2,
+                                            self.v_realized, self.u_realized, self.u_steps)
                 v_zero = not v_mat.any()
                 jv += 1
             k1 = min(self.u_steps[ju], self.v_steps[jv]) if u_zero and v_zero else k + 1
@@ -309,7 +311,7 @@ class _BlockSim:
             if not v_zero:
                 y = _step_batch(y, v_mat, self.db2[:, k])
             k = k1
-        yield noise.n_steps, noise.n_steps + 1, x, y
+        yield n, n + 1, x, y
 
 
 def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
@@ -376,8 +378,8 @@ def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     nI, nJ = noise.dim1, noise.dim2
     x_paths = np.empty((n, nsteps + 1, nI))
     y_paths = np.empty((n, nsteps + 1, nJ))
-    u_real = np.empty((n, u_ctrl.n_intervals, nI, nI))
-    v_real = np.empty((n, v_ctrl.n_intervals, nJ, nJ))
+    u_real = np.empty((n, interval_starts(u_ctrl, noise).size - 1, nI, nI))
+    v_real = np.empty((n, interval_starts(v_ctrl, noise).size - 1, nJ, nJ))
     b1_end = np.empty((n, nI))
     b2_end = np.empty((n, nJ))
 
@@ -518,20 +520,19 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
         loc_s = np.zeros(nsteps + 1)
         loc_q = np.zeros(nsteps + 1)
         for k0, k1, x, _y in sim.steps():
-            # a frozen segment freezes x but not the coupled copy, which
-            # still takes its clamp-and-renormalize step on every noise step
-            for k in range(k0, k1):
-                d = np.linalg.norm(x - xb, axis=1)
-                loc_s[k] = d.sum()
-                loc_q[k] = (d * d).sum()
-                if k < nsteps:
-                    # same control matrices as the primary path, same increments
-                    ju = int(np.searchsorted(sim.u_steps[1:], k, side="right"))
-                    xb = _step_batch(xb, sim.u_realized[:, ju], sim.db1[:, k])
+            d = np.linalg.norm(x - xb, axis=1)
+            loc_s[k0:k1] = d.sum()
+            loc_q[k0:k1] = (d * d).sum()
+            if k0 < nsteps:
+                # the copy steps where the primary path steps: same control
+                # matrices, same increments
+                u = sim.u_realized[:, int(np.searchsorted(sim.u_steps[1:], k0, side="right"))]
+                if u.any():
+                    xb = _step_batch(xb, u, sim.db1[:, k0])
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)
-    parts = _ensemble(pv, q0, u_ctrl, zero_control(noise.t, noise.horizon, noise.dim2),
+    parts = _ensemble(pv, q0, u_ctrl, zero_control(noise.dim2),
                       noise, reduce, threads)
     sums, sqs = (sum(c) for c in zip(*parts))
     n = noise.n_paths

@@ -33,7 +33,8 @@ class SimplexPoint:
     """Probability vector on a finite index set.
 
     The constructor clamps coordinates in [-1e-9, 0) to zero and renormalizes
-    sums within 1e-9 of one; anything worse is rejected.
+    sums within 1e-9 of one; anything worse is rejected.  Points compare and
+    hash by their coordinates' bytes.
     """
 
     coords: np.ndarray
@@ -56,6 +57,12 @@ class SimplexPoint:
             c = c / s
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SimplexPoint) and self.coords.tobytes() == other.coords.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.coords.tobytes())
 
     @property
     def n(self) -> int:

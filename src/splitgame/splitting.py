@@ -97,21 +97,11 @@ def calibration_spec() -> SplitSpec:
     return unit_segment_spec(kappa=1.0 / 3.0)
 
 
-def make_split_control(spec: SplitSpec, t: float = 0.0,
-                       total_horizon: float | None = None) -> FeedbackControl:
-    """Feedback control realizing the split on [t, t + horizon], zero after.
-
-    If total_horizon is given the grid extends there with a final zero
-    interval so the control can drive a longer simulation.
-    """
+def make_split_control(spec: SplitSpec) -> FeedbackControl:
+    """Feedback control realizing the split on the first spec.horizon of the
+    game, then zero on the rest of the noise grid."""
     h, n = spec.horizon, spec.steps
     sub = h / n
-    grid = t + sub * np.arange(n + 1)
-    if total_horizon is not None:
-        if total_horizon < t + h - 1e-12:
-            raise ValueError("total horizon ends before the split horizon")
-        if total_horizon > t + h + 1e-12:
-            grid = np.append(grid, total_horizon)
     d = spec.direction
     base = np.zeros((d.size, d.size))
     base[:, 0] = d  # harvest the first own-noise coordinate
@@ -131,7 +121,7 @@ def make_split_control(spec: SplitSpec, t: float = 0.0,
         gain = np.where(inside, sigma, 0.0) / np.sqrt(view.dt)
         return gain[:, None, None] * base
 
-    return FeedbackControl(grid, feedback, d.size, "split")
+    return FeedbackControl(sub * np.arange(1, n + 1), feedback, d.size, "split")
 
 
 @dataclass(frozen=True)
@@ -164,7 +154,7 @@ def run_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0, threads: in
     dt = spec.horizon / spec.steps
     noise = NoiseGrid(0.0, spec.horizon, dt, n_paths, seed, spec.p.n, 1)
     return simulate(spec.p.coords, np.array([1.0]), make_split_control(spec),
-                    zero_control(0.0, spec.horizon, 1), noise, threads=threads)
+                    zero_control(1), noise, threads=threads)
 
 
 def evaluate_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0,
@@ -244,7 +234,7 @@ def split_payoff_demo(H: HamiltonianField, spec: SplitSpec, n_paths: int,
         raise ValueError("the demo runs the one-sided configuration")
     dt = spec.horizon / spec.steps
     noise = NoiseGrid(0.0, 1.0, dt, n_paths, seed, spec.p.n, 1)
-    est = estimate_j(spec.p.coords, np.array([1.0]), make_split_control(spec, 0.0, 1.0),
-                     zero_control(0.0, 1.0, 1), H, noise)
+    est = estimate_j(spec.p.coords, np.array([1.0]), make_split_control(spec),
+                     zero_control(1), H, noise)
     target = vex_at(H, spec.p.coords)
     return SplitDemoReport(est.mean, est.std_error, target, spec.horizon, n_paths)

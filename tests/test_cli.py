@@ -134,13 +134,16 @@ class TestConfigValidation:
         ("mc-game", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
          "hamiltonian.params.dim_q: must be a positive integer, got 0"),
+        ("simulate", ["sim", "controls", "u"], {"kind": "split"},
+         "sim: control 'split' switches at 1.125, past the horizon 1"),
         ("simulate", ["hamiltonian"], 5, "hamiltonian: must be an object"),
         ("simulate", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
          "hamiltonian.params.dim_q: must be a positive integer, got 0"),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
-            "dim-p", "dim-q", "simulate-hamiltonian", "simulate-dim-q"])
+            "dim-p", "dim-q", "split-past-horizon", "simulate-hamiltonian",
+            "simulate-dim-q"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
         # the solve-hj cases run on a tensor cost, whose field is built from the horizon
@@ -148,7 +151,8 @@ class TestConfigValidation:
             {"time_samples": [0.0], "values": np.full((1, 2, 1, 1, 2), 0.5).tolist()}))
         cfg = base_sim_config()
         cfg["hamiltonian"] = {"kind": "tensor", "path": "tensor.json"}
-        cfg["split"] = {"steps": 16}
+        # a split that switches every 1/8 on the 1/32 grid, past the horizon 1
+        cfg["split"] = {"steps": 16, "horizon": 2.0}
         parent = cfg
         for key in path[:-1]:
             parent = parent[key]

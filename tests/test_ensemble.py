@@ -37,9 +37,9 @@ def fixed_ranges(cuts):
 
 def history_control(horizon):
     """Player-1 table strategy reading own noise and opponent controls."""
-    grid = np.linspace(0.0, horizon, 5)
     catalogue = [np.zeros((2, 2)), np.array([[0.9, 0.0], [-0.9, 0.0]])]
-    return table_strategies(2, grid, catalogue, count=1, seed=3)["table0"]
+    return table_strategies(2, np.linspace(0.0, horizon, 5)[1:-1], catalogue, count=1,
+                            seed=3)["table0"]
 
 
 def noise_grid(n_paths, n_steps, seed=11, dim2=2, horizon=0.5):
@@ -48,7 +48,7 @@ def noise_grid(n_paths, n_steps, seed=11, dim2=2, horizon=0.5):
 
 def run_all_estimators(threads):
     """Every estimator on 200 paths; arrays that must match across threads."""
-    u, v = directional_control(0, 0.5, 2, 0.8), directional_control(0, 0.5, 2, 0.5)
+    u, v = directional_control(2, 0.8), directional_control(2, 0.5)
     b = simulate(P, Q, u, v, noise_grid(200, 32), threads=threads)
     out = {"simulate": [b.x_paths, b.y_paths, b.u_realized, b.v_realized, b.b1_end, b.b2_end]}
     est = estimate_j(P, Q, history_control(0.5), v, BILINEAR, noise_grid(200, 32),
@@ -60,19 +60,18 @@ def run_all_estimators(threads):
     rep = simulation_report(P, Q, u, v, noise_grid(200, 32), threads=threads)
     out["simulation_report"] = [rep.mean_dev, rep.se, rep.min_coord, rep.max_sum_err,
                                 rep.support_monotone]
-    lip = lipschitz_p_check(P, [0.35, 0.65], directional_control(0, 0.5, 2, 3.0),
+    lip = lipschitz_p_check(P, [0.35, 0.65], directional_control(2, 3.0),
                             noise_grid(200, 32), threads=threads)
     out["lipschitz_p_check"] = [lip.estimate, lip.std_error]
-    fam = preset_family(0.0, 0.25, 2, scale=0.8)
-    br = value_bracket(0.0, P, Q, BILINEAR, fam, fam, horizon=0.25, dt=1 / 128,
-                       n_paths=200, seed=5, threads=threads)
+    fam = preset_family(2, scale=0.8)
+    br = value_bracket(P, Q, BILINEAR, fam, fam, NoiseGrid(0.0, 0.25, 1 / 128, 200, 5, 2, 2),
+                       threads=threads)
     out["value_bracket"] = [br.table, br.se_table, br.lower, br.upper]
     tent = analytic_field("tent")
     ref = solve(tent, SimplexGrid.build(2, 50), SimplexGrid.build(1, 1), 1.0, 32)
-    fam_dpp = preset_family(0.0, 0.125, 2, scale=0.8)
-    zero2 = {"zero": zero_control(0.0, 0.125, 1)}
-    dpp = dpp_diagnostic(0.0, 0.125, P, [1.0], tent, fam_dpp, zero2, ref, dt=1 / 256,
-                         n_paths=200, seed=6, threads=threads)
+    zero2 = {"zero": zero_control(1)}
+    dpp = dpp_diagnostic(P, [1.0], tent, fam, zero2, ref,
+                         NoiseGrid(0.0, 0.125, 1 / 256, 200, 6, 2, 1), threads=threads)
     out["dpp_diagnostic"] = [dpp.table, dpp.estimate, dpp.std_error]
     return out
 
@@ -104,7 +103,7 @@ def per_path_j(u, v, noise):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(1, 39), max_size=6))
 def test_results_independent_of_block_split(cuts):
-    u, v = history_control(0.5), directional_control(0, 0.5, 2, 1.5)
+    u, v = history_control(0.5), directional_control(2, 1.5)
 
     def run():
         return (simulate(P, Q, u, v, noise_grid(40, 16, seed=2)),
@@ -132,18 +131,17 @@ def per_step(sim):
     """The engine's former generator: one yield per noise step, each player's
     own-noise sum grown on every step."""
     noise, b = sim.noise, sim.b
-    times = noise.times()
     x, y = np.tile(sim.p, (b, 1)), np.tile(sim.q, (b, 1))
     ju = jv = 0
     u_zero = v_zero = False
     for k in range(noise.n_steps):
-        if ju < sim.u_ctrl.n_intervals and k == sim.u_steps[ju]:
-            u_mat = sim._eval_feedback(sim.u_ctrl, ju, times[k], x, sim.own1,
-                                       sim.u_realized, sim.v_realized, sim.v_ctrl.grid)
+        if k == sim.u_steps[ju]:
+            u_mat = sim._eval_feedback(sim.u_ctrl, ju, k, x, sim.own1,
+                                       sim.u_realized, sim.v_realized, sim.v_steps)
             u_zero, ju = not u_mat.any(), ju + 1
-        if jv < sim.v_ctrl.n_intervals and k == sim.v_steps[jv]:
-            v_mat = sim._eval_feedback(sim.v_ctrl, jv, times[k], y, sim.own2,
-                                       sim.v_realized, sim.u_realized, sim.u_ctrl.grid)
+        if k == sim.v_steps[jv]:
+            v_mat = sim._eval_feedback(sim.v_ctrl, jv, k, y, sim.own2,
+                                       sim.v_realized, sim.u_realized, sim.u_steps)
             v_zero, jv = not v_mat.any(), jv + 1
         yield k, k + 1, x, y
         if not u_zero:
@@ -164,11 +162,11 @@ def segment_control(name):
     the directional action on paths whose last own-noise sum is not positive
     (against a zero opponent)."""
     if name == "zero":
-        return zero_control(0.0, 0.5, 2)
+        return zero_control(2)
     if name == "directional":
-        return directional_control(0.0, 0.5, 2, 0.8)
+        return directional_control(2, 0.8)
     if name == "split":
-        return make_split_control(SPLIT, 0.0, 0.5)
+        return make_split_control(SPLIT)
     return history_control(0.5)
 
 

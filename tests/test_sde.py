@@ -102,27 +102,27 @@ class TestSimulate:
     def test_zero_controls_freeze_both(self):
         noise = make_noise(n_paths=32)
         p, q = np.array([0.4, 0.6]), np.array([0.5, 0.5])
-        b = simulate(p, q, zero_control(0, 1, 2), zero_control(0, 1, 2), noise)
+        b = simulate(p, q, zero_control(2), zero_control(2), noise)
         assert np.all(b.x_paths == b.x_paths[:, :1, :])
         assert np.all(b.y_paths == b.y_paths[:, :1, :])
         b.check_invariants()
 
     def test_directional_needs_two_coordinates(self):
         with pytest.raises(ValueError, match="dim >= 2"):
-            directional_control(0.0, 1.0, 1, 0.5)
+            directional_control(1, 0.5)
 
     def test_projected_zero_control_freezes(self):
         noise = make_noise(n_paths=16)
         p = np.array([0.25, 0.75])
-        u = constant_control(0, 1, np.ones((2, 2)))  # columns constant: P_p u = 0
-        b = simulate(p, np.array([0.5, 0.5]), u, zero_control(0, 1, 2), noise)
+        u = constant_control(np.ones((2, 2)))  # columns constant: P_p u = 0
+        b = simulate(p, np.array([0.5, 0.5]), u, zero_control(2), noise)
         np.testing.assert_allclose(b.x_paths, np.broadcast_to(p, b.x_paths.shape), atol=1e-14)
 
     def test_directional_martingale(self):
         noise = make_noise(n_paths=10_000, dt=1 / 128, seed=3)
         p = np.array([0.5, 0.5])
-        u = directional_control(0, 1, 2, scale=0.4)
-        b = simulate(p, np.array([1.0, 0.0]), u, zero_control(0, 1, 2), noise)
+        u = directional_control(2, scale=0.4)
+        b = simulate(p, np.array([1.0, 0.0]), u, zero_control(2), noise)
         b.check_invariants()
         xt = b.x_paths[:, -1, :]
         se = xt[:, 0].std(ddof=1) / np.sqrt(xt.shape[0])
@@ -132,17 +132,17 @@ class TestSimulate:
 
     def test_support_non_increasing(self):
         noise = make_noise(n_paths=500, dt=1 / 64, seed=5)
-        u = directional_control(0, 1, 2, scale=2.0)  # strong: many absorptions
+        u = directional_control(2, scale=2.0)  # strong: many absorptions
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u,
-                     directional_control(0, 1, 2, scale=2.0), noise)
+                     directional_control(2, scale=2.0), noise)
         b.check_invariants()
         # at least one path must actually hit a face for the test to bite
         assert np.any(b.x_paths[:, -1, :] == 0.0)
 
     def test_determinism_and_thread_independence(self):
         p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
-        u = directional_control(0, 1, 2, scale=0.7)
-        v = directional_control(0, 1, 2, scale=0.5)
+        u = directional_control(2, scale=0.7)
+        v = directional_control(2, scale=0.5)
         bundles = []
         for threads in (1, 2, 8):
             noise = make_noise(n_paths=300, dt=1 / 64, seed=11)
@@ -154,26 +154,26 @@ class TestSimulate:
 
     def test_control_grid_must_align(self):
         noise = make_noise(n_paths=4, dt=1 / 64)
-        bad = FeedbackControl(np.array([0.0, 1 / 3, 1.0]),
+        bad = FeedbackControl([1 / 3],
                               lambda j, view: np.zeros((2, 2)), 2)
         with pytest.raises(GridMismatchError):
             simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
-                     zero_control(0, 1, 2), noise)
+                     zero_control(2), noise)
 
     def test_nonfinite_feedback_rejected(self):
         noise = make_noise(n_paths=4)
-        bad = FeedbackControl(np.array([0.0, 1.0]),
+        bad = FeedbackControl((),
                               lambda j, view: np.full((2, 2), np.nan), 2)
         with pytest.raises(ValueError):
             simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
-                     zero_control(0, 1, 2), noise)
+                     zero_control(2), noise)
 
     def test_control_dim_must_match_state(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(NoiseGrid, "increments", lambda grid, lo, hi: drawn.append(lo))
         with pytest.raises(ValueError, match="control 'zero' has dim 3, its state has 2 "):
-            simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), zero_control(0, 1, 3),
-                     zero_control(0, 1, 2), make_noise(n_paths=4))
+            simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), zero_control(3),
+                     zero_control(2), make_noise(n_paths=4))
         assert drawn == []  # rejected before any noise is drawn
 
 
@@ -185,9 +185,8 @@ class TestDelayProperty:
             seen.append((j, view.time, view.own_noise.shape[1], len(view.opp_times)))
             return np.zeros((2, 2))
 
-        grid = np.array([0.0, 0.25, 0.5, 1.0])
-        u = FeedbackControl(grid, probe, 2)
-        v = FeedbackControl(np.array([0.0, 0.5, 1.0]), lambda j, view: np.zeros((2, 2)), 2)
+        u = FeedbackControl([0.25, 0.5], probe, 2)
+        v = FeedbackControl([0.5], lambda j, view: np.zeros((2, 2)), 2)
         noise = make_noise(n_paths=3, dt=1 / 16)
         simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
         # interval j sees exactly j completed own intervals
@@ -204,9 +203,8 @@ class TestDelayProperty:
                 return np.zeros((2, 2))
             return view.opp_controls[:, -1]
 
-        grid = np.array([0.0, 0.5, 1.0])
-        u = FeedbackControl(grid, echo, 2)
-        v = constant_control(0.0, 1.0, c)
+        u = FeedbackControl([0.5], echo, 2)
+        v = constant_control(c)
         noise = make_noise(n_paths=2, dt=1 / 16)
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
         np.testing.assert_array_equal(b.u_realized[:, 0], 0.0)
@@ -218,8 +216,8 @@ class TestEstimateJ:
         noise = make_noise(n_paths=50, dt=1 / 32)
         h = analytic_field("constant", level=0.3, dim_q=2)
         est = estimate_j(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                         directional_control(0, 1, 2, 0.5),
-                         directional_control(0, 1, 2, 0.5), h, noise)
+                         directional_control(2, 0.5),
+                         directional_control(2, 0.5), h, noise)
         assert abs(est.mean - 0.3) <= 1e-12
         assert est.std_error <= 1e-12
 
@@ -228,8 +226,8 @@ class TestEstimateJ:
         h = analytic_field("tent")
         noise1 = NoiseGrid(0.0, 1.0, 1 / 32, 10, 1, 2, 1)
         p = np.array([0.3, 0.7])
-        est = estimate_j(p, np.array([1.0]), zero_control(0, 1, 2),
-                         zero_control(0, 1, 1), h, noise1)
+        est = estimate_j(p, np.array([1.0]), zero_control(2),
+                         zero_control(1), h, noise1)
         expect = h(0.0, p) * 1.0  # time-independent H, left quadrature is exact here
         assert abs(est.mean - expect) <= 1e-12
         assert est.std_error <= 1e-12
@@ -238,7 +236,7 @@ class TestEstimateJ:
         noise = NoiseGrid(0.0, 1.0, 1 / 32, 1, 0, 2, 1)
         with pytest.raises(ValueError):
             estimate_j(np.array([0.5, 0.5]), np.array([1.0]),
-                       zero_control(0, 1, 2), zero_control(0, 1, 1),
+                       zero_control(2), zero_control(1),
                        analytic_field("tent"), noise)
 
 
@@ -246,7 +244,7 @@ class TestLipschitzCoupling:
     def test_same_start_zero_distance(self):
         noise = make_noise(n_paths=200, dt=1 / 64, seed=2)
         out = lipschitz_p_check([0.5, 0.5], [0.5, 0.5],
-                                directional_control(0, 1, 2, 1.0), noise)
+                                directional_control(2, 1.0), noise)
         assert out.estimate == 0.0
 
     def test_bound_constant_value(self):
@@ -254,13 +252,24 @@ class TestLipschitzCoupling:
         assert abs(coupling_bound_constant(2) - ((2 + np.sqrt(2)) * 2) ** 3) <= 1e-12
         noise = make_noise(n_paths=100, dt=1 / 64)
         out = lipschitz_p_check([0.5, 0.5], [0.55, 0.45],
-                                zero_control(0, 1, 2), noise)
+                                zero_control(2), noise)
         assert abs(out.bound - coupling_bound_constant(2) * np.hypot(0.05, 0.05)) <= 1e-12
+
+    def test_copy_steps_only_where_primary_steps(self, monkeypatch):
+        calls = []
+        real = sde._step_batch
+        monkeypatch.setattr(sde, "_step_batch", lambda *a: calls.append(1) or real(*a))
+        noise = make_noise(n_paths=20, dt=1 / 64, dim2=1)
+        out = lipschitz_p_check([0.5, 0.5], [0.55, 0.45], zero_control(2), noise)
+        assert calls == []
+        assert abs(out.estimate - np.hypot(0.05, 0.05)) <= 1e-15  # the copy stays put
+        lipschitz_p_check([0.5, 0.5], [0.55, 0.45], directional_control(2, 1.0), noise)
+        assert len(calls) == 2 * noise.n_steps  # primary and copy, each once a step
 
     def test_adversarial_volatility_within_bound(self):
         noise = make_noise(n_paths=2000, dt=1 / 128, seed=9)
         out = lipschitz_p_check([0.45, 0.55], [0.55, 0.45],
-                                directional_control(0, 1, 2, 25.0), noise)
+                                directional_control(2, 25.0), noise)
         assert out.estimate <= out.bound + 3 * out.std_error
 
 
@@ -268,15 +277,15 @@ class TestIndependence:
     def test_zero_control_exact_zero(self):
         noise = make_noise(n_paths=64, dt=1 / 32)
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                     zero_control(0, 1, 2), directional_control(0, 1, 2, 0.5), noise)
+                     zero_control(2), directional_control(2, 0.5), noise)
         for entry in independence_check(b):
             assert entry.covariance == 0.0
 
     def test_nonzero_controls_uncorrelated(self):
         noise = make_noise(n_paths=10_000, dt=1 / 64, seed=21)
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                     directional_control(0, 1, 2, 0.5),
-                     directional_control(0, 1, 2, 0.5), noise)
+                     directional_control(2, 0.5),
+                     directional_control(2, 0.5), noise)
         for entry in independence_check(b):
             assert entry.ok, (entry.functional, entry.covariance, entry.std_error)
 
@@ -287,7 +296,7 @@ class TestTrajectoryDump:
 
         noise = make_noise(n_paths=3, dt=1 / 8)
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                     directional_control(0, 1, 2, 0.3), zero_control(0, 1, 2), noise)
+                     directional_control(2, 0.3), zero_control(2), noise)
         path = tmp_path / "trajectories.csv"
         dump_trajectories(b, path)
         lines = path.read_text().splitlines()
@@ -302,7 +311,7 @@ class TestTrajectoryDump:
 
         noise = make_noise(n_paths=12, dt=1 / 16, seed=4, dim1=3)
         b = simulate(np.array([0.3, 0.2, 0.5]), np.array([0.5, 0.5]),
-                     directional_control(0, 1, 3, 0.8), directional_control(0, 1, 2, 0.6), noise)
+                     directional_control(3, 0.8), directional_control(2, 0.6), noise)
         path = tmp_path / "trajectories.csv"
         dump_trajectories(b, path)
         rows = ["path_id,time,x_1,x_2,x_3,y_1,y_2"]
@@ -318,8 +327,8 @@ class TestSimulationReport:
     def test_martingale_all_times(self):
         noise = make_noise(n_paths=4000, dt=1 / 128, seed=13)
         rep = simulation_report(np.array([0.35, 0.65]), np.array([0.5, 0.5]),
-                                directional_control(0, 1, 2, 0.6),
-                                directional_control(0, 1, 2, 0.4), noise)
+                                directional_control(2, 0.6),
+                                directional_control(2, 0.4), noise)
         assert rep.martingale_ok
         assert rep.min_coord >= 0.0
         assert rep.max_sum_err <= 1e-12
@@ -386,7 +395,7 @@ class TestSupportMasks:
         p = np.append(np.full(dim1 - 1, 1.0 / (dim1 - 1)), 0.0)
         q = np.append(np.full(dim2 - 1, 1.0 / (dim2 - 1)), 0.0)
         noise = make_noise(n_paths=8, dim1=dim1, dim2=dim2)
-        u, v = directional_control(0, 1, dim1, 0.3), directional_control(0, 1, dim2, 0.3)
+        u, v = directional_control(dim1, 0.3), directional_control(dim2, 0.3)
         assert simulation_report(p, q, u, v, noise).support_monotone
         monkeypatch.setattr(sde, "_step_batch", reviving)
         assert not simulation_report(p, q, u, v, noise).support_monotone

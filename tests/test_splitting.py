@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from splitgame.hamiltonian import analytic_field
+from splitgame.sde import NoiseGrid, interval_starts
 from splitgame.simplex import SimplexPoint
 from splitgame.splitting import (
     SplitSpec,
@@ -26,6 +27,16 @@ class TestSplitSpec:
         e = SimplexPoint([0.5, 0.5])
         with pytest.raises(ValueError):
             SplitSpec(e, e, 0.5, 0.1, 16)
+
+    def test_points_and_specs_compare_by_value(self):
+        a, b = SimplexPoint([0.5, 0.5]), SimplexPoint([0.5, 0.5])
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != SimplexPoint([0.4, 0.6]) and a != SimplexPoint([0.5, 0.5, 0.0])
+        assert {a, b, SimplexPoint([0.4, 0.6])} == {b, SimplexPoint([0.4, 0.6])}
+        s, t = unit_segment_spec(), unit_segment_spec()
+        assert s == t and not s != t and hash(s) == hash(t)
+        assert s != unit_segment_spec(steps=128) and s != asym_spec()
+        assert len({s, t, asym_spec()}) == 2 and unit_segment_spec() in {s}
 
     def test_rejects_boundary_endpoint(self):
         with pytest.raises(ValueError):
@@ -97,14 +108,22 @@ class TestEpsilonCurve:
 class TestControlShape:
     def test_grid_spans_split_then_tail(self):
         s = unit_segment_spec(steps=8, horizon=0.25)
-        ctrl = make_split_control(s, t=0.0, total_horizon=1.0)
-        assert ctrl.n_intervals == 9
-        assert abs(ctrl.grid[-2] - 0.25) <= 1e-12 and ctrl.grid[-1] == 1.0
+        ctrl = make_split_control(s)
+        noise = NoiseGrid(0.0, 1.0, 1 / 32, 2, 0, 2, 1)
+        starts = interval_starts(ctrl, noise)
+        assert starts.size - 1 == 9
+        assert abs(ctrl.switches[-1] - 0.25) <= 1e-12 and noise.times()[starts[-1]] == 1.0
+
+    def test_switch_at_horizon_begins_nothing(self):
+        s = unit_segment_spec(steps=8, horizon=0.25)
+        starts = interval_starts(make_split_control(s), NoiseGrid(0.0, 0.25, 1 / 32, 2, 0, 2, 1))
+        np.testing.assert_array_equal(starts, np.arange(9))
 
     def test_rejects_horizon_overrun(self):
         s = unit_segment_spec(steps=8, horizon=0.5)
-        with pytest.raises(ValueError):
-            make_split_control(s, t=0.0, total_horizon=0.25)
+        with pytest.raises(ValueError, match="control 'split' switches at 0.3125, "
+                                             "past the horizon 0.25"):
+            interval_starts(make_split_control(s), NoiseGrid(0.0, 0.25, 1 / 64, 2, 0, 2, 1))
 
 
 class TestVexAt:
