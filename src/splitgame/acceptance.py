@@ -113,7 +113,7 @@ def check_martingale_invariance(seed: int = 0, threads: int = 1) -> CheckResult:
     detail = []
     for i, (name, ctrl) in enumerate(presets):
         start = split_spec.p.coords if name == "split-then-freeze" else p
-        noise = NoiseGrid(0.0, 1.0, 1.0 / 512, 10_000, seed + i, 2, 2)
+        noise = NoiseGrid(0.0, 1.0, split_spec.step, 10_000, seed + i, 2, 2)
         rep = simulation_report(start, q, ctrl, directional_control(2, 0.4), noise,
                                 threads=threads)
         worst_margin = max(worst_margin, rep.worst_margin)
@@ -220,7 +220,7 @@ def check_representation(golden, seed: int = 0, threads: int = 1) -> CheckResult
     fam1 = {"freeze": zero_control(2), "split": make_split_control(spec)}
     fam2 = preset_family(1)
     br = value_bracket(spec.p.coords, [1.0], tent, fam1, fam2,
-                       NoiseGrid(0.0, 1.0, 0.05 / 128, 10_000, seed, 2, 1),
+                       NoiseGrid(0.0, 1.0, spec.step, 10_000, seed, 2, 1),
                        reference=v_ref, threads=threads)
     upper_gap = abs(br.upper - br.reference)
 
@@ -228,7 +228,7 @@ def check_representation(golden, seed: int = 0, threads: int = 1) -> CheckResult
     dpp_spec = unit_segment_spec(steps=128, horizon=0.125)
     dpp = dpp_diagnostic(dpp_spec.p.coords, [1.0], tent,
                          {**fam1, "split": make_split_control(dpp_spec)}, fam2, v_ref,
-                         NoiseGrid(0.0, 0.125, 0.125 / 128, 10_000, seed, 2, 1),
+                         NoiseGrid(0.0, dpp_spec.horizon, dpp_spec.step, 10_000, seed, 2, 1),
                          threads=threads)
     ok = upper_gap <= 0.08 and abs(dpp.gap) <= 0.05
     dt_wall = time.time() - t0

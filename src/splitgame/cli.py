@@ -178,16 +178,12 @@ def build_field(cfg: Reader, horizon: float):
 def build_split_spec(block: Reader):
     from splitgame.splitting import SplitSpec, unit_segment_spec
 
-    steps = block.positive_int("steps", 256)
-    horizon = block.positive("horizon", 0.125)
-    delta = block.positive("delta", 0.02)
-    kappa = block.positive("kappa", 1.0)
-    lam1 = block.fraction("lam1", 0.5)
+    readers = {"steps": block.positive_int, "horizon": block.positive, "delta": block.positive,
+               "kappa": block.positive, "lam1": block.fraction}
+    fields = {key: read(key) for key, read in readers.items() if key in block.obj}
     if "p1" not in block.obj and "p2" not in block.obj:
-        return block.call(unit_segment_spec, steps=steps, delta=delta, kappa=kappa,
-                          lam1=lam1, horizon=horizon)
-    p1, p2 = block.simplex("p1"), block.simplex("p2")
-    return block.call(SplitSpec, p1, p2, lam1, horizon, steps, delta, kappa)
+        return block.call(unit_segment_spec, **fields)
+    return block.call(SplitSpec, block.simplex("p1"), block.simplex("p2"), **fields)
 
 
 def build_control(block: Reader, dim: int, split: Reader):
@@ -266,7 +262,7 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
 
 def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
-    from splitgame.sde import NoiseGrid, dump_trajectories, simulate, simulation_report
+    from splitgame.sde import NoiseGrid, dump_trajectories, interval_starts, simulate, simulation_report
 
     horizon = cfg.positive("horizon", 1.0)
     if "hamiltonian" in cfg.obj:  # not used here, but a malformed block still exits 2
@@ -280,8 +276,10 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     u = build_control(controls.child("u"), p.size, split)
     v = build_control(controls.child("v"), q.size, split)
     dump = sim.flag("dump_trajectories", False)
+    noise = sim.call(NoiseGrid, 0.0, horizon, dt, n_paths, seed, p.size, q.size)
+    for ctrl in (u, v):
+        split.call(interval_starts, ctrl, noise)
     try:
-        noise = NoiseGrid(0.0, horizon, dt, n_paths, seed, p.size, q.size)
         rep = simulation_report(p, q, u, v, noise, threads=threads)
         if dump:
             bundle = simulate(p, q, u, v, noise, threads=threads)
@@ -338,7 +336,7 @@ def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
 def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     from splitgame.arena import preset_family, value_bracket
-    from splitgame.sde import NoiseGrid
+    from splitgame.sde import NoiseGrid, interval_starts
 
     horizon = cfg.positive("horizon", 1.0)
     field = build_field(cfg, horizon)
@@ -351,10 +349,12 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
         raise ConfigError("sim.start: dimensions do not match the hamiltonian")
 
     split = cfg.child("split", {})
-    split_spec = build_split_spec(split) if p.size == 2 else None
+    split_spec = build_split_spec(split) if "split" in cfg.obj or p.size == 2 else None
     fam1 = split.call(preset_family, p.size, scale=scale, split_spec=split_spec)
     fam2 = preset_family(q.size, scale=scale)
     noise = arena.call(NoiseGrid, 0.0, horizon, dt, n_paths, seed, p.size, q.size)
+    for ctrl in [*fam1.values(), *fam2.values()]:
+        split.call(interval_starts, ctrl, noise)
     br = arena.call(value_bracket, p, q, field, fam1, fam2, noise, threads=threads)
     result = {
         "lower": br.lower, "lower_se": br.lower_se,

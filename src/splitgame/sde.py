@@ -104,17 +104,15 @@ class NoiseGrid:
 
 @dataclass
 class HistoryView:
-    """What a feedback map may read when choosing the control for interval j.
-
-    Everything here is a function of the path strictly before the interval
-    start: the player's own state, the per-interval sums of its own Brownian
-    increments, and the opponent's realized controls on intervals that started
-    earlier.  Arrays are batched over paths.
+    """What a feedback map may read when choosing the control for interval j,
+    its first argument: the interval's start time, the player's own state, the
+    per-interval sums of its own Brownian increments, and the opponent's
+    realized controls on intervals begun earlier, with their start times.  All
+    of it is fixed strictly before the interval starts; arrays are batched over
+    paths.
     """
 
-    j: int
     time: float
-    dt: float
     own_state: np.ndarray       # (b, n)
     own_noise: np.ndarray       # (b, j, n): summed own increments per past own interval
     opp_controls: np.ndarray    # (b, m, n_opp, n_opp): opponent controls already begun
@@ -260,9 +258,8 @@ class _BlockSim:
         """Control matrices of ctrl for interval j, which begins on step k, also
         stored in realized[:, j]; the opponent's intervals begun before k are visible."""
         visible = int(np.searchsorted(opp_steps, k))
-        view = HistoryView(j, self.times[k], self.noise.dt, own_state,
-                           own_noise[:, :j], opp_real[:, :visible],
-                           self.times[opp_steps[:visible]])
+        view = HistoryView(self.times[k], own_state, own_noise[:, :j],
+                           opp_real[:, :visible], self.times[opp_steps[:visible]])
         mat = np.asarray(ctrl.feedback(j, view), dtype=float)
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"feedback for control {ctrl.label!r} returned a non-finite matrix")

@@ -5,13 +5,15 @@ weights (lam1, 1 - lam1).
 The state is reduced to the scalar position x along the segment [p1, p2]
 (x = 0 at p1, x = 1 at p2).  On each of n subintervals the control is a
 rank-one matrix harvesting one noise coordinate and pushing along p2 - p1,
-with a time-inhomogeneous gain kappa / sqrt(time-to-horizon).  The per-step
-standard deviation is capped at max(min(x, 1-x), delta) / 3: near the
-absorption band the cap is the flat delta/3 that keeps overshoot within the
-delta-extended segment, away from it the cap scales with the distance to the
-nearest endpoint so that absorption completes within the n steps available.
-Once x leaves [delta, 1 - delta] the feedback returns zero and the path is
-counted as absorbed on that side.
+with a time-inhomogeneous gain kappa / sqrt(time-to-horizon).  Over one
+subinterval the standard deviation of x's move is capped at
+max(min(x, 1-x), delta) / 3: near the absorption band the cap is the flat
+delta/3 that keeps overshoot within the delta-extended segment, away from it
+the cap scales with the distance to the nearest endpoint so that absorption
+completes within the n subintervals.  The gain comes from the spec's
+subinterval length, not from the noise grid, which may be finer.  Once x
+leaves [delta, 1 - delta] the feedback returns zero and the path is counted
+as absorbed on that side.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ class SplitSpec:
     need full support (relative interior) and must differ.  delta is the
     safety margin defining the absorption band inside the scalar segment,
     kappa the gain coefficient, steps the number of control subintervals on
-    [t, t+horizon].
+    [t, t+horizon], each of length step.
     """
 
     p1: SimplexPoint
     p2: SimplexPoint
-    lam1: float
-    horizon: float
-    steps: int
+    lam1: float = 0.5
+    horizon: float = 0.125
+    steps: int = 256
     delta: float = 0.02
     kappa: float = 1.0
     p: SimplexPoint = field(init=False)
@@ -71,6 +73,10 @@ class SplitSpec:
         object.__setattr__(self, "p", SimplexPoint(mix))
 
     @property
+    def step(self) -> float:
+        return self.horizon / self.steps
+
+    @property
     def direction(self) -> np.ndarray:
         return self.p2.coords - self.p1.coords
 
@@ -80,15 +86,14 @@ class SplitSpec:
         return (states - self.p1.coords) @ d / (d @ d)
 
 
-def unit_segment_spec(steps: int = 256, delta: float = 0.02, kappa: float = 1.0,
-                      lam1: float = 0.5, horizon: float = 0.125) -> SplitSpec:
-    """Default spec: endpoints sit so the delta-extended segment is exactly
-    the full diagonal of the two-coordinate simplex, letting the simplex faces
-    themselves enforce the segment bound on every path."""
+def unit_segment_spec(**fields) -> SplitSpec:
+    """Spec on SplitSpec's other fields whose endpoints sit so the
+    delta-extended segment is exactly the full diagonal of the two-coordinate
+    simplex, letting the simplex faces themselves enforce the segment bound on
+    every path."""
+    delta = fields.get("delta", SplitSpec.delta)
     a = delta / (1.0 + 2.0 * delta)
-    p1 = SimplexPoint([1.0 - a, a])
-    p2 = SimplexPoint([a, 1.0 - a])
-    return SplitSpec(p1, p2, lam1, horizon, steps, delta, kappa)
+    return SplitSpec(SimplexPoint([1.0 - a, a]), SimplexPoint([a, 1.0 - a]), **fields)
 
 
 def calibration_spec() -> SplitSpec:
@@ -100,8 +105,7 @@ def calibration_spec() -> SplitSpec:
 def make_split_control(spec: SplitSpec) -> FeedbackControl:
     """Feedback control realizing the split on the first spec.horizon of the
     game, then zero on the rest of the noise grid."""
-    h, n = spec.horizon, spec.steps
-    sub = h / n
+    h, n, sub = spec.horizon, spec.steps, spec.step
     d = spec.direction
     base = np.zeros((d.size, d.size))
     base[:, 0] = d  # harvest the first own-noise coordinate
@@ -114,11 +118,11 @@ def make_split_control(spec: SplitSpec) -> FeedbackControl:
             return np.zeros_like(base)
         x = (view.own_state - p1c) @ d / l2
         tau = h - j * sub
-        sigma_time = kappa * np.sqrt(view.dt / tau)
+        sigma_time = kappa * np.sqrt(sub / tau)
         cap = np.maximum(np.minimum(x, 1.0 - x), delta) / 3.0
         sigma = np.minimum(sigma_time, cap)
         inside = (x > delta) & (x < 1.0 - delta)
-        gain = np.where(inside, sigma, 0.0) / np.sqrt(view.dt)
+        gain = np.where(inside, sigma, 0.0) / np.sqrt(sub)
         return gain[:, None, None] * base
 
     return FeedbackControl(sub * np.arange(1, n + 1), feedback, d.size, "split")
@@ -151,8 +155,7 @@ class SplitReport:
 
 def run_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0, threads: int = 1):
     """Simulate the split control on [0, horizon]; returns the bundle."""
-    dt = spec.horizon / spec.steps
-    noise = NoiseGrid(0.0, spec.horizon, dt, n_paths, seed, spec.p.n, 1)
+    noise = NoiseGrid(0.0, spec.horizon, spec.step, n_paths, seed, spec.p.n, 1)
     return simulate(spec.p.coords, np.array([1.0]), make_split_control(spec),
                     zero_control(1), noise, threads=threads)
 
@@ -232,8 +235,7 @@ def split_payoff_demo(H: HamiltonianField, spec: SplitSpec, n_paths: int,
     and report it against the closed-form envelope target."""
     if H.dim_q != 1:
         raise ValueError("the demo runs the one-sided configuration")
-    dt = spec.horizon / spec.steps
-    noise = NoiseGrid(0.0, 1.0, dt, n_paths, seed, spec.p.n, 1)
+    noise = NoiseGrid(0.0, 1.0, spec.step, n_paths, seed, spec.p.n, 1)
     est = estimate_j(spec.p.coords, np.array([1.0]), make_split_control(spec),
                      zero_control(1), H, noise)
     target = vex_at(H, spec.p.coords)

@@ -135,14 +135,19 @@ class TestConfigValidation:
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
          "hamiltonian.params.dim_q: must be a positive integer, got 0"),
         ("simulate", ["sim", "controls", "u"], {"kind": "split"},
-         "sim: control 'split' switches at 1.125, past the horizon 1"),
+         "split: control 'split' switches at 1.125, past the horizon 1"),
+        ("mc-game", ["arena"], {"n_paths": 20},
+         "split: control 'split' switches at 1.125, past the horizon 1"),
+        ("mc-game", ["arena"], {"n_paths": 20, "dt": 0.1},
+         "split: control 'split' switches at 0.125, off the noise grid of step 0.1"),
         ("simulate", ["hamiltonian"], 5, "hamiltonian: must be an object"),
         ("simulate", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
          "hamiltonian.params.dim_q: must be a positive integer, got 0"),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
-            "dim-p", "dim-q", "split-past-horizon", "simulate-hamiltonian",
+            "dim-p", "dim-q", "split-past-horizon", "mc-game-split-past-horizon",
+            "mc-game-split-off-grid", "simulate-hamiltonian",
             "simulate-dim-q"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
@@ -151,7 +156,7 @@ class TestConfigValidation:
             {"time_samples": [0.0], "values": np.full((1, 2, 1, 1, 2), 0.5).tolist()}))
         cfg = base_sim_config()
         cfg["hamiltonian"] = {"kind": "tensor", "path": "tensor.json"}
-        # a split that switches every 1/8 on the 1/32 grid, past the horizon 1
+        # a split that switches every 1/8, past the horizon 1
         cfg["split"] = {"steps": 16, "horizon": 2.0}
         parent = cfg
         for key in path[:-1]:
@@ -166,6 +171,35 @@ class TestConfigValidation:
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+
+class TestMcGameSplitBlock:
+    def three_coordinate_config(self, split):
+        cfg = mc_game_config()
+        cfg["hamiltonian"] = {"kind": "analytic", "name": "zero", "params": {"dim_p": 3}}
+        cfg["sim"]["start"]["p"] = [0.3, 0.3, 0.4]
+        cfg["split"] = split
+        cfg["arena"] = {"n_paths": 20, "dt": 1 / 64}
+        return cfg
+
+    def test_three_coordinate_split_is_played(self, tmp_path):
+        split = {"steps": 8, "horizon": 0.125, "p1": [0.5, 0.2, 0.3], "p2": [0.1, 0.4, 0.5]}
+        path = write_config(tmp_path, self.three_coordinate_config(split))
+        out = tmp_path / "o"
+        assert cli.main(["mc-game", "--config", str(path), "--out", str(out)]) == 0
+        registry = json.loads((out / "mc_game_results.json").read_text())
+        (result,) = registry.values()
+        assert result["names_1"] == ["zero", "directional", "split"]
+
+    @pytest.mark.parametrize("split, message", [
+        ({"lam1": True}, "split.lam1: must be a number in [0, 1], got True"),
+        ({"steps": 8}, "split: split spec dimension does not match the family"),
+    ], ids=["malformed", "two-coordinate-spec"])
+    def test_three_coordinate_bad_split_exit_2(self, tmp_path, capsys, split, message):
+        path = write_config(tmp_path, self.three_coordinate_config(split))
+        code = cli.main(["mc-game", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 class TestThreadsFlag:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from splitgame.hamiltonian import analytic_field
-from splitgame.sde import NoiseGrid, interval_starts
+from splitgame.sde import NoiseGrid, interval_starts, simulate, zero_control
 from splitgame.simplex import SimplexPoint
 from splitgame.splitting import (
     SplitSpec,
     calibration_spec,
     epsilon_curve,
     evaluate_split,
+    landing_report,
     make_split_control,
     split_payoff_demo,
     unit_segment_spec,
@@ -124,6 +125,20 @@ class TestControlShape:
         with pytest.raises(ValueError, match="control 'split' switches at 0.3125, "
                                              "past the horizon 0.25"):
             interval_starts(make_split_control(s), NoiseGrid(0.0, 0.25, 1 / 64, 2, 0, 2, 1))
+
+
+class TestNoiseStep:
+    def test_landing_law_does_not_depend_on_noise_step(self):
+        # the spec fixes the control's law; a finer noise grid only resolves it
+        spec = unit_segment_spec(steps=64, horizon=0.125)
+        reps = []
+        for per_sub, seed in ((1, 0), (4, 1)):
+            noise = NoiseGrid(0.0, spec.horizon, spec.step / per_sub, 4000, seed, 2, 1)
+            bundle = simulate(spec.p.coords, [1.0], make_split_control(spec),
+                              zero_control(1), noise)
+            reps.append(landing_report(spec, bundle.x_paths[:, -1]))
+        coarse, fine = reps
+        assert abs(coarse.eps_mean - fine.eps_mean) <= 3.0 * np.hypot(coarse.eps_se, fine.eps_se)
 
 
 class TestVexAt:
