@@ -39,13 +39,13 @@ class BudgetExceededError(RuntimeError):
 def preset_family(dim: int, scale: float = 0.5,
                   split_spec: SplitSpec | None = None) -> dict[str, FeedbackControl]:
     """The shipped presets: zero, constant directional (dim >= 2 only),
-    split-then-freeze."""
+    split-then-freeze.  A split_spec of another dimension than dim is
+    rejected when the family is played, like any control of the wrong
+    dimension."""
     family = {"zero": zero_control(dim)}
     if dim >= 2:
         family["directional"] = directional_control(dim, scale)
     if split_spec is not None:
-        if split_spec.p.n != dim:
-            raise ValueError("split spec dimension does not match the family")
         family["split"] = make_split_control(split_spec)
     return family
 

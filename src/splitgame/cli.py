@@ -175,15 +175,21 @@ def build_field(cfg: Reader, horizon: float):
         raise ConfigError(f"hamiltonian.path: cannot load tensor: {e}") from None
 
 
-def build_split_spec(block: Reader):
+def build_split_spec(block: Reader, dim: int | None = None):
+    """The split block's spec; given dim, it must split a state of dim
+    coordinates."""
     from splitgame.splitting import SplitSpec, unit_segment_spec
 
     readers = {"steps": block.positive_int, "horizon": block.positive, "delta": block.positive,
                "kappa": block.positive, "lam1": block.fraction}
     fields = {key: read(key) for key, read in readers.items() if key in block.obj}
     if "p1" not in block.obj and "p2" not in block.obj:
-        return block.call(unit_segment_spec, **fields)
-    return block.call(SplitSpec, block.simplex("p1"), block.simplex("p2"), **fields)
+        spec = block.call(unit_segment_spec, **fields)
+    else:
+        spec = block.call(SplitSpec, block.simplex("p1"), block.simplex("p2"), **fields)
+    if dim is not None and spec.p.n != dim:
+        raise ConfigError(f"{block.path}: split spec dimension {spec.p.n} != {dim}")
+    return spec
 
 
 def build_control(block: Reader, dim: int, split: Reader):
@@ -198,10 +204,7 @@ def build_control(block: Reader, dim: int, split: Reader):
     if kind == "directional":
         scale = block.positive("scale", 0.5)
         return block.call(directional_control, dim, scale)
-    spec = build_split_spec(split)
-    if spec.p.n != dim:
-        raise ConfigError(f"{block.path}: split spec dimension {spec.p.n} != {dim}")
-    return make_split_control(spec)
+    return make_split_control(build_split_spec(split, dim))
 
 
 def _start(sim: Reader) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +352,8 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
         raise ConfigError("sim.start: dimensions do not match the hamiltonian")
 
     split = cfg.child("split", {})
-    split_spec = build_split_spec(split) if "split" in cfg.obj or p.size == 2 else None
-    fam1 = split.call(preset_family, p.size, scale=scale, split_spec=split_spec)
+    split_spec = build_split_spec(split, p.size) if "split" in cfg.obj or p.size == 2 else None
+    fam1 = preset_family(p.size, scale=scale, split_spec=split_spec)
     fam2 = preset_family(q.size, scale=scale)
     noise = arena.call(NoiseGrid, 0.0, horizon, dt, n_paths, seed, p.size, q.size)
     for ctrl in [*fam1.values(), *fam2.values()]:

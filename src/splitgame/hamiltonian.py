@@ -4,8 +4,10 @@ convex/concave envelope operators on simplex grids.
 The running cost H(t,p,q) is the mixed value of the finite zero-sum game whose
 entries are the bilinear aggregation sum_ij p_i q_j f_ij(t,k,l) over the action
 grids.  Finite action grids need not satisfy a pure-strategy minimax equality,
-so the mixed value (which always exists) is used as the discretization.  Each
-game costs one LP, whose duals give the second player's strategy.
+so the mixed value (which always exists) is used as the discretization.  A game
+with a pure saddle point or a 2x2 kernel is solved in closed form; any other
+costs one HiGHS LP, whose duals give the second player's strategy.  Both
+answers pass one certificate, certificate_gap <= GAME_VALUE_TOL.
 
 Running costs are HamiltonianFields with one elementwise evaluation fn(t, P, Q)
 over broadcasting belief arrays; on_grid (node lists, for the solver and the
@@ -38,20 +40,35 @@ GAME_VALUE_TOL = 1e-9
 # matrix games
 # ---------------------------------------------------------------------------
 
+def _game_matrix(m) -> np.ndarray:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError("payoff matrix must be 2-D and nonempty")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("payoff matrix has non-finite entries")
+    return m
+
+
+def certificate_gap(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max_j (x^T M)_j - min_i (M y)_i for a row strategy x and a column
+    strategy y (rows minimize); stacked pairs x (k, nr), y (k, nc) give k gaps.
+
+    The game's value lies between the two terms, so a gap at most
+    GAME_VALUE_TOL certifies both strategies as optimal to that tolerance.
+    """
+    return np.max(x @ m, axis=-1) - np.min(y @ m.T, axis=-1)
+
+
 def matrix_game_value(m) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and optimal mixed strategies of a finite zero-sum matrix game.
 
     Convention: the row player minimizes, the column player maximizes, i.e.
     value = min_x max_j (x^T M)_j = max_y min_i (M y)_i.  One linear program is
     solved, the row player's; by LP duality its constraint duals are the column
-    player's optimal strategy.  The pair is certified: the gap
-    max_j (x^T M)_j - min_i (M y)_i must not exceed GAME_VALUE_TOL.
+    player's optimal strategy.  The pair is certified: its certificate_gap
+    must not exceed GAME_VALUE_TOL.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError("payoff matrix must be 2-D and nonempty")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("payoff matrix has non-finite entries")
+    m = _game_matrix(m)
     nr, nc = m.shape
 
     # row player: min v  s.t.  M^T x <= v, sum x = 1, x >= 0
@@ -68,19 +85,77 @@ def matrix_game_value(m) -> tuple[float, np.ndarray, np.ndarray]:
     x = np.maximum(res.x[:-1], 0.0)
     y = np.maximum(-res.ineqlin.marginals, 0.0)
     x, y = x / x.sum(), y / y.sum()
-    gap = float(np.max(x @ m) - np.min(m @ y))
+    gap = float(certificate_gap(m, x, y))
     if not gap <= GAME_VALUE_TOL:  # also true on NaN
         raise RuntimeError(f"certificate gap {gap:.2e} exceeds {GAME_VALUE_TOL}")
     return float(res.x[-1]), x, y
+
+
+# The kernel search stacks one strategy pair of nr + nc entries per candidate,
+# C(nr, 2) * C(nc, 2) of them at most.  A game that would stack more than
+# KERNEL_WORK entries (8 MiB) goes straight to the LP, which bounds the search's
+# memory on a large action grid; two actions on a side stay under it to 2 x 127.
+KERNEL_WORK = 1 << 20
+
+
+def small_game_value(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """Closed-form value and strategies of a game (rows minimize, as in
+    matrix_game_value) that has a pure saddle point or a certified 2x2 kernel
+    (Shapley & Snow 1950); None when it has neither.
+
+    A pure saddle point is an exact tie of min_i max_j M and max_j min_i M.
+    Otherwise every submatrix [[a, b], [c, d]] on a pair of rows and a pair of
+    columns is a candidate, with the equalising mixes x = (d - c, a - b) / D,
+    y = (d - b, a - c) / D and value (ad - bc) / D, where D = a - b - c + d.
+    The value is evaluated as the row mix's payoff on the first column,
+    c + x_1 (a - c), which avoids the cancellation in ad - bc.  A candidate is
+    kept only if both mixes lie in [0, 1] and, embedded in the full game, pass
+    certificate_gap <= GAME_VALUE_TOL; the first in row-major order wins.
+    Every game with one or two actions on a side and within KERNEL_WORK is
+    solved here; a larger game with no pure saddle point returns None
+    unsearched.
+    """
+    nr, nc = m.shape
+    row_max, col_min = m.max(axis=1), m.min(axis=0)
+    i, j = int(np.argmin(row_max)), int(np.argmax(col_min))
+    if row_max[i] == col_min[j]:
+        return float(m[i, j]), np.eye(nr)[i], np.eye(nc)[j]
+    rows, cols = np.triu_indices(nr, 1), np.triu_indices(nc, 1)
+    if rows[0].size * cols[0].size * (nr + nc) > KERNEL_WORK:
+        return None
+    r1, r2 = (r[:, None] for r in rows)
+    c1, c2 = cols
+    a, b, c, d = m[r1, c1], m[r1, c2], m[r2, c1], m[r2, c2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (d - c) / ((d - c) + (a - b))
+        t = (d - b) / ((d - b) + (a - c))
+    # the comparisons are false on the NaN of a singular candidate
+    k = np.flatnonzero((s >= 0.0) & (s <= 1.0) & (t >= 0.0) & (t <= 1.0))
+    if k.size == 0:
+        return None
+    s, t = s.ravel()[k], t.ravel()[k]
+    ri, ci = np.divmod(k, cols[0].size)
+    x, y, at = np.zeros((k.size, nr)), np.zeros((k.size, nc)), np.arange(k.size)
+    x[at, rows[0][ri]], x[at, rows[1][ri]] = s, 1.0 - s
+    y[at, cols[0][ci]], y[at, cols[1][ci]] = t, 1.0 - t
+    ok = np.flatnonzero(certificate_gap(m, x, y) <= GAME_VALUE_TOL)
+    if ok.size == 0:
+        return None
+    w = ok[0]
+    a, c = a.ravel()[k[w]], c.ravel()[k[w]]
+    return float(c + s[w] * (a - c)), x[w], y[w]
 
 
 def maximin_value(m) -> tuple[float, np.ndarray, np.ndarray]:
     """Value with the opposite convention: rows maximize, columns minimize.
 
     This is the sup-inf form used for the running cost; it reduces to
-    -matrix_game_value(-M) with the strategies carried along.
+    -value(-M) with the strategies carried along, where value is the closed
+    form of small_game_value when the game has one and the certified LP of
+    matrix_game_value otherwise.
     """
-    v, x, y = matrix_game_value(-np.asarray(m, dtype=float))
+    m = -_game_matrix(m)
+    v, x, y = small_game_value(m) or matrix_game_value(m)
     return -v, x, y
 
 

@@ -203,6 +203,15 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
+def _by_column(op, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """op(a, s[:, None]) in place on a (b, n) array, one column at a time: the
+    same operations on the same operands, but b-long column operations cost
+    far less than a broadcast over a (b, 1) column."""
+    for c in range(a.shape[1]):
+        op(a[:, c], s, out=a[:, c])
+    return a
+
+
 def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray) -> np.ndarray:
     """Vectorized Euler step: project, detect face crossings, clamp, renormalize.
 
@@ -212,7 +221,7 @@ def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray) -> np.ndarray:
     mask = x > ETA
     w = np.einsum("bij,bj->bi", u, db)
     mean = _row_sums(np.where(mask, w, 0.0)) / _row_sums(mask)
-    delta = np.where(mask, w - mean[:, None], 0.0)
+    delta = np.where(mask, _by_column(np.subtract, w, mean), 0.0)
     prop = x + delta
     neg = prop < 0.0
     if neg.any():
@@ -223,8 +232,7 @@ def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray) -> np.ndarray:
             ratios = np.where(db_ < -1e-300, xb / np.where(db_ < -1e-300, -db_, 1.0), np.inf)
         prop[bad] = xb + np.minimum(1.0, ratios.min(axis=1))[:, None] * db_
     prop = np.where(prop <= ETA, 0.0, prop)
-    prop /= _row_sums(prop)[:, None]
-    return prop
+    return _by_column(np.divide, prop, _row_sums(prop))
 
 
 class _BlockSim:

@@ -193,13 +193,24 @@ class TestMcGameSplitBlock:
 
     @pytest.mark.parametrize("split, message", [
         ({"lam1": True}, "split.lam1: must be a number in [0, 1], got True"),
-        ({"steps": 8}, "split: split spec dimension does not match the family"),
+        ({"steps": 8}, "split: split spec dimension 2 != 3"),
     ], ids=["malformed", "two-coordinate-spec"])
     def test_three_coordinate_bad_split_exit_2(self, tmp_path, capsys, split, message):
         path = write_config(tmp_path, self.three_coordinate_config(split))
         code = cli.main(["mc-game", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_simulate_names_a_two_coordinate_split_the_same_way(self, tmp_path, capsys):
+        cfg = base_sim_config()
+        cfg["sim"]["start"]["p"] = [0.3, 0.3, 0.4]
+        cfg["sim"]["controls"]["u"] = {"kind": "split"}
+        cfg["hamiltonian"] = {"kind": "analytic", "name": "zero", "params": {"dim_p": 3}}
+        cfg["split"] = {"steps": 8}
+        path = write_config(tmp_path, cfg)
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: split: split spec dimension 2 != 3\n"
 
 
 class TestThreadsFlag:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -10,10 +10,12 @@ from splitgame.hamiltonian import (
     SimplexGrid,
     analytic_field,
     cav_q,
+    certificate_gap,
     eval_H,
     lower_hull_1d,
     matrix_game_value,
     maximin_value,
+    small_game_value,
     tensor_field,
     vex_p,
 )
@@ -222,6 +224,84 @@ class TestMatrixGame:
         # but for [[1,0]] (single row) it is min over columns
         v, _, _ = maximin_value([[1.0, 0.0]])
         assert abs(v) <= 1e-9
+
+
+def counting_linprog(calls):
+    """linprog that appends one entry to calls per LP solved."""
+    def count(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+    return count
+
+
+def raising_linprog(*args, **kwargs):
+    raise AssertionError("the LP was called")
+
+
+ROCK_PAPER_SCISSORS = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+
+
+class TestSmallGame:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(matrix_games())
+    def test_kernel_matches_the_lp(self, m):
+        kernel = small_game_value(m)
+        assume(kernel is not None)
+        v, x, y = kernel
+        assert abs(v - matrix_game_value(m)[0]) <= 1e-9
+        assert certificate_gap(m, x, y) <= hamiltonian.GAME_VALUE_TOL
+        for s, n in ((x, m.shape[0]), (y, m.shape[1])):
+            assert s.shape == (n,) and np.all(s >= 0.0)
+            assert abs(s.sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(matrix_games())
+    def test_two_actions_on_a_side_need_no_lp(self, m):
+        assume(min(m.shape) <= 2)
+        v_lp = -matrix_game_value(-m)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hamiltonian, "linprog", raising_linprog)
+            v, _, _ = maximin_value(m)
+        assert abs(v - v_lp) <= 1e-9
+
+    def test_pure_saddle_is_an_entry(self):
+        # rows minimize: row 0's worst case 4 meets column 2's best case 4
+        m = np.array([[3.0, 1.0, 4.0], [1.5, 0.5, 9.0], [2.0, 6.0, 5.0]])
+        v, x, y = small_game_value(m)
+        assert v == 4.0
+        assert x.tolist() == [1.0, 0.0, 0.0] and y.tolist() == [0.0, 0.0, 1.0]
+
+    def test_rock_paper_scissors_falls_back_to_the_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
+        assert small_game_value(ROCK_PAPER_SCISSORS) is None
+        v, x, y = maximin_value(ROCK_PAPER_SCISSORS)
+        assert len(calls) == 1
+        assert abs(v) <= 1e-9
+        np.testing.assert_allclose(x, np.full(3, 1 / 3), atol=1e-8)
+
+    def test_kernel_work_bounds_the_search(self, monkeypatch):
+        # matching pennies padded with columns the minimizer never plays: the
+        # 2 x 127 game is searched, the 2 x 128 one exceeds KERNEL_WORK
+        calls = []
+        monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
+        for n, lps in ((127, 0), (128, 1)):
+            m = np.full((2, n), 0.75)
+            m[:, :2] = np.eye(2)
+            v, _, _ = maximin_value(m)
+            assert len(calls) == lps
+            assert abs(v - 0.5) <= 1e-9
+
+    def test_lp_count_on_a_three_simplex_tensor(self, monkeypatch):
+        # 3x3 action games on the 3-simplex: the kernels leave 12 of the
+        # Lipschitz probe's 45 nodes and 83 of the grid's 325 to the LP
+        calls = []
+        monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
+        f = PayoffTensor(np.random.default_rng(1).random((1, 3, 1, 3, 3)), [0.0])
+        h = tensor_field(f)
+        assert len(calls) == 12
+        h.on_grid(0.0, SimplexGrid.build(3, 24).nodes, np.array([[1.0]]))
+        assert len(calls) == 12 + 83
 
 
 class TestPayoffTensor:

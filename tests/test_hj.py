@@ -1,8 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from splitgame import hamiltonian
-from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field, vex_p
+from splitgame.hamiltonian import (
+    HamiltonianField,
+    PayoffTensor,
+    SimplexGrid,
+    analytic_field,
+    cav_q,
+    tensor_field,
+    vex_p,
+)
 from splitgame.hj import (
     BRANCH_TIME,
     ValueGrid,
@@ -18,6 +29,13 @@ from splitgame.hj import (
     write_atomic,
 )
 from splitgame.simplex import rel_eigen_max, rel_eigen_min
+
+TWO_SIDED = Path(__file__).resolve().parents[1] / "configs" / "payoff_two_sided.json"
+
+
+def two_sided_tensor():
+    """The shipped 2x2-index, 2x2-action payoff tensor."""
+    return PayoffTensor.from_dict(json.loads(TWO_SIDED.read_text()))
 
 
 def one_sided_grids(res=200):
@@ -59,6 +77,29 @@ class TestSolve:
         for k, t in enumerate(v.times):
             expect = (1.0 - t) * np.outer(pg.nodes[:, 0], qg.nodes[:, 0])
             np.testing.assert_allclose(v.values[k], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_tensor_constant_in_q_gives_scaled_envelope(self, column):
+        # the shipped two-sided tensor with G^{ij} = G^{i,column} for every j:
+        # H does not depend on q, so Cav_q does nothing and V(0) = T * Vex_p H
+        # (acceptance check 2's identity)
+        g = two_sided_tensor().values[:, :, column:column + 1]
+        h = tensor_field(PayoffTensor(np.broadcast_to(g, (1, 2, 2, 2, 2)), [0.0]))
+        pg = qg = SimplexGrid.build(2, 20)
+        hvals = h.on_grid(0.0, pg.nodes, qg.nodes)
+        env = vex_p(hvals, pg)
+        assert np.min(env - hvals) < -0.04  # the envelope binds
+        v = solve(h, pg, qg, 2.0, 32)
+        np.testing.assert_allclose(v.values[0], 2.0 * env, rtol=0.0, atol=1e-12)
+
+    def test_shipped_two_sided_tensor_binds_both_constraints(self):
+        h = tensor_field(two_sided_tensor())
+        pg = qg = SimplexGrid.build(2, 40)
+        hvals = h.on_grid(0.0, pg.nodes, qg.nodes)
+        assert np.max(hvals - vex_p(hvals, pg)) > 0.05
+        assert np.max(cav_q(hvals, qg) - hvals) > 0.1
+        v = solve(h, pg, qg, 1.0, 64)
+        assert np.max(np.abs(v.values[0] - hvals)) > 0.1
 
     def test_terminal_condition_and_bound(self):
         pg, qg = one_sided_grids(30)
