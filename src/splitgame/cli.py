@@ -265,7 +265,8 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
 
 def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
-    from splitgame.sde import NoiseGrid, dump_trajectories, interval_starts, simulate, simulation_report
+    from splitgame.sde import (BundleSizeError, NoiseGrid, dump_trajectories, interval_starts,
+                               simulate, simulation_report)
 
     horizon = cfg.positive("horizon", 1.0)
     if "hamiltonian" in cfg.obj:  # not used here, but a malformed block still exits 2
@@ -283,10 +284,12 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     for ctrl in (u, v):
         split.call(interval_starts, ctrl, noise)
     try:
+        bundle = simulate(p, q, u, v, noise, threads=threads) if dump else None
         rep = simulation_report(p, q, u, v, noise, threads=threads)
         if dump:
-            bundle = simulate(p, q, u, v, noise, threads=threads)
             dump_trajectories(bundle, out / "trajectories.csv")
+    except BundleSizeError as e:
+        raise ConfigError(f"{sim.where('n_paths')}: {e}") from None
     except ValueError as e:
         raise ConfigError(f"sim: {e}") from None
     payload = {
@@ -306,11 +309,16 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
 
 def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
+    from splitgame.sde import BundleSizeError
     from splitgame.splitting import landing_report, run_split
 
     spec = build_split_spec(cfg.child("split", {}))
-    n_paths = cfg.child("sim", {}).positive_int("n_paths", 10_000)
-    bundle = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
+    sim = cfg.child("sim", {})
+    n_paths = sim.positive_int("n_paths", 10_000)
+    try:
+        bundle = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
+    except BundleSizeError as e:
+        raise ConfigError(f"{sim.where('n_paths')}: {e}") from None
     xt = bundle.x_paths[:, -1, :]
     rep = landing_report(spec, xt)
 

@@ -120,7 +120,10 @@ def _curvature(values: np.ndarray, grid: SimplexGrid, nodes: np.ndarray,
     has one direction, whose second difference is the curvature.  On the
     3-simplex every interior node has full support, so one tangent basis and
     one least-squares fit of the reduced Hessian to the three directional
-    second differences serve all nodes at once.
+    second differences serve all nodes at once, and the reduced Hessians of
+    all nodes and columns go to one stacked eigenvalue call.  That call holds
+    one support for the whole stack, so nodes that do not all share one
+    support raise ValueError.
     """
     shape = (nodes.size, *values.shape[1:])
     if grid.n == 1:
@@ -128,6 +131,11 @@ def _curvature(values: np.ndarray, grid: SimplexGrid, nodes: np.ndarray,
     second = grid.second_differences(values)[:, nodes]
     if grid.n == 2:
         return second[0]
+    if nodes.size == 0:
+        return np.empty(shape)
+    supports = grid.nodes[nodes] > 0.0
+    if np.any(supports != supports[0]):
+        raise ValueError("curvature nodes do not all share one support")
     b = np.column_stack(tangent_basis(range(grid.n), grid.n))
     rows = []
     for d in grid.directions():
@@ -135,14 +143,12 @@ def _curvature(values: np.ndarray, grid: SimplexGrid, nodes: np.ndarray,
         u[list(d)] = 1.0, -1.0
         c = b.T @ (u / np.linalg.norm(u))
         rows.append([c[0] ** 2, 2.0 * c[0] * c[1], c[1] ** 2])
-    fits = np.linalg.lstsq(np.asarray(rows), second.reshape(len(rows), -1), rcond=None)[0]
+    a11, a12, a22 = np.linalg.lstsq(np.asarray(rows), second.reshape(len(rows), -1),
+                                    rcond=None)[0]
+    full = b @ np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2) @ b.T
+    full = 0.5 * (full + np.swapaxes(full, -1, -2))
     rel_eigen = rel_eigen_max if want_max else rel_eigen_min
-    out = np.empty(fits.shape[1])
-    per_node = int(np.prod(shape[1:]))
-    for i, (a11, a12, a22) in enumerate(fits.T):
-        full = b @ np.array([[a11, a12], [a12, a22]]) @ b.T
-        out[i] = rel_eigen(grid.nodes[nodes[i // per_node]], 0.5 * (full + full.T)).value
-    return out.reshape(shape)
+    return rel_eigen(grid.nodes[nodes[0]], full).value.reshape(shape)
 
 
 def _interior_nodes(grid: SimplexGrid) -> np.ndarray:

@@ -37,10 +37,17 @@ from splitgame.simplex import SUM_TOL, coupling_bound_constant
 
 ETA = 1e-10  # absorption band: a coordinate at or below it is set to zero
 _GRID_SNAP = 1e-9
+# the most a full-path run (simulate) may keep: paths, realized controls and
+# terminal noise sums, checked before any of them is allocated
+MAX_BUNDLE_BYTES = 2 * 1024**3
 
 
 class GridMismatchError(ValueError):
     """A step or a control's switch is off the noise grid, or the switch is past it."""
+
+
+class BundleSizeError(ValueError):
+    """A full-path run would keep more than MAX_BUNDLE_BYTES."""
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +382,23 @@ def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
              noise: NoiseGrid, threads: int = 1) -> TrajectoryBundle:
     """Simulate the coupled (X, Y) system and keep full paths.
 
-    Memory grows with n_paths * n_steps; the estimators below (estimate_j,
-    simulation_report, lipschitz_p_check) keep only per-block reductions and
-    suit large ensembles.
+    Memory grows with n_paths * n_steps and is capped at MAX_BUNDLE_BYTES
+    (BundleSizeError before anything is allocated); the estimators below
+    (estimate_j, simulation_report, lipschitz_p_check) keep only per-block
+    reductions and suit large ensembles.
     """
     n, nsteps = noise.n_paths, noise.n_steps
     nI, nJ = noise.dim1, noise.dim2
+    m_u = interval_starts(u_ctrl, noise).size - 1
+    m_v = interval_starts(v_ctrl, noise).size - 1
+    size = 8 * n * ((nsteps + 1) * (nI + nJ) + m_u * nI * nI + m_v * nJ * nJ + nI + nJ)
+    if size > MAX_BUNDLE_BYTES:
+        raise BundleSizeError(f"{n} full paths of {nsteps} steps need {size / 1024**3:.3g} GiB, "
+                              f"over the {MAX_BUNDLE_BYTES / 1024**3:g} GiB limit")
     x_paths = np.empty((n, nsteps + 1, nI))
     y_paths = np.empty((n, nsteps + 1, nJ))
-    u_real = np.empty((n, interval_starts(u_ctrl, noise).size - 1, nI, nI))
-    v_real = np.empty((n, interval_starts(v_ctrl, noise).size - 1, nJ, nJ))
+    u_real = np.empty((n, m_u, nI, nI))
+    v_real = np.empty((n, m_v, nJ, nJ))
     b1_end = np.empty((n, nI))
     b2_end = np.empty((n, nJ))
 

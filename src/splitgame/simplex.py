@@ -1,5 +1,6 @@
 """Geometry of probability simplices: supports, tangent spaces, projections,
-and eigenvalues of symmetric matrices restricted to tangent spaces.
+and eigenvalues of symmetric matrices restricted to tangent spaces (of one
+matrix or of a stack of them at one point).
 
 Conventions
 -----------
@@ -93,10 +94,12 @@ class RelEigenResult:
 
     ``value`` follows the degenerate conventions +inf (min over an empty
     tangent space) and -inf (max); ``witness`` is a full-space tangent vector
-    achieving the extremum, or None in the degenerate case.
+    achieving the extremum, or None in the degenerate case.  For a stack of
+    matrices ``value`` is an array over the stack and ``witness`` has one row
+    per matrix.
     """
 
-    value: float
+    value: float | np.ndarray
     witness: np.ndarray | None
 
 
@@ -166,38 +169,55 @@ def tangent_basis(s, n: int) -> list[np.ndarray]:
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(a - a.T)) > 1e-10:
+    if a.size and np.max(np.abs(a - np.swapaxes(a, -1, -2))) > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
     return a
 
 
 def _rel_eigen(p, a, want_max: bool) -> RelEigenResult:
+    """One code path for a matrix (n, n) and a stack (..., n, n) at one point:
+    a single matrix is a stack of one, unwrapped to a float and a vector."""
     a = _check_symmetric(a)
     c = _as_coords(p)
-    if a.shape[0] != c.size:
+    if a.shape[-1] != c.size:
         raise ValueError("matrix size does not match point dimension")
+    stack = a.reshape(-1, c.size, c.size)
     basis = tangent_basis(support(p), c.size)
     if not basis:
-        return RelEigenResult(-np.inf if want_max else np.inf, None)
-    b = np.column_stack(basis)
-    reduced = b.T @ a @ b
-    reduced = 0.5 * (reduced + reduced.T)
-    vals, vecs = np.linalg.eigh(reduced)
-    j = vals.argmax() if want_max else vals.argmin()
-    return RelEigenResult(float(vals[j]), b @ vecs[:, j])
+        value, witness = np.full(stack.shape[0], -np.inf if want_max else np.inf), None
+    else:
+        b = np.column_stack(basis)
+        reduced = b.T @ stack @ b
+        reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
+        vals, vecs = np.linalg.eigh(reduced)
+        j = vals.argmax(axis=-1) if want_max else vals.argmin(axis=-1)
+        rows = np.arange(stack.shape[0])
+        # one matrix-vector product per matrix, whatever the stack size: numpy
+        # runs a (k, n-1) @ (n-1, n) product through another BLAS routine for
+        # k = 1 than for k > 1, and the witness bits would depend on k
+        value, witness = vals[rows, j], (b @ vecs[rows, :, j][..., None])[..., 0]
+    if a.ndim == 2:
+        return RelEigenResult(float(value[0]), None if witness is None else witness[0])
+    return RelEigenResult(value.reshape(a.shape[:-2]),
+                          None if witness is None else witness.reshape(a.shape[:-1]))
 
 
 def rel_eigen_min(p, a) -> RelEigenResult:
-    """Smallest eigenvalue of ``a`` restricted to the tangent space at ``p``."""
+    """Smallest eigenvalue of ``a`` restricted to the tangent space at ``p``.
+
+    ``a`` is one symmetric matrix (n, n) or a stack (..., n, n) of them, all
+    at the one point ``p``, so all sharing its support and tangent space; a
+    stack gives a value array (...) and a witness array (..., n)."""
     return _rel_eigen(p, a, want_max=False)
 
 
 def rel_eigen_max(q, b) -> RelEigenResult:
-    """Largest eigenvalue of ``b`` restricted to the tangent space at ``q``."""
+    """Largest eigenvalue of ``b`` restricted to the tangent space at ``q``;
+    ``b`` is one matrix or a stack at one point, as in rel_eigen_min."""
     return _rel_eigen(q, b, want_max=True)
 
 

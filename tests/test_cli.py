@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +395,29 @@ class TestSplitDemoCommand:
         assert lines[0] == "bin_left,bin_right,count"
         total = sum(int(r.split(",")[2]) for r in lines[1:])
         assert total == 500
+
+
+class TestFullPathMemoryGuard:
+    @pytest.mark.parametrize("subcommand", ["simulate", "split-demo"])
+    def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, subcommand):
+        if subcommand == "simulate":
+            cfg = base_sim_config(n_paths=10**9)
+        else:
+            cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 64, "horizon": 0.125},
+                   "sim": {"n_paths": 10**9}}
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        assert "config error: sim.n_paths: 1000000000 full paths" in capsys.readouterr().err
+        assert elapsed < 1.0 and peak < 16 * 2**20
+        assert not (tmp_path / "o").exists()
 
 
 class TestMcGameCommand:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitgame import hamiltonian
+from splitgame import hamiltonian, hj
 from splitgame.hamiltonian import (
     HamiltonianField,
     PayoffTensor,
@@ -28,7 +28,7 @@ from splitgame.hj import (
     summary_dict,
     write_atomic,
 )
-from splitgame.simplex import rel_eigen_max, rel_eigen_min
+from splitgame.simplex import rel_eigen_max, rel_eigen_min, tangent_basis
 
 TWO_SIDED = Path(__file__).resolve().parents[1] / "configs" / "payoff_two_sided.json"
 
@@ -374,6 +374,73 @@ class TestThreeCoordinate:
         assert shape == (2, 10, 10)
         assert rep.binding.shape == shape and rep.residual.shape == shape
         assert np.all(np.isfinite(rep.residual))
+
+
+def curvature_per_node(values, grid, nodes, want_max):
+    """The 3-simplex curvature as one eigenvalue call per node and column: the
+    reference the stacked call in _curvature must match bit for bit."""
+    shape = (nodes.size, *values.shape[1:])
+    second = grid.second_differences(values)[:, nodes]
+    b = np.column_stack(tangent_basis(range(grid.n), grid.n))
+    rows = []
+    for d in grid.directions():
+        u = np.zeros(grid.n)
+        u[list(d)] = 1.0, -1.0
+        c = b.T @ (u / np.linalg.norm(u))
+        rows.append([c[0] ** 2, 2.0 * c[0] * c[1], c[1] ** 2])
+    fits = np.linalg.lstsq(np.asarray(rows), second.reshape(len(rows), -1), rcond=None)[0]
+    rel_eigen = rel_eigen_max if want_max else rel_eigen_min
+    out = np.empty(fits.shape[1])
+    per_node = int(np.prod(shape[1:]))
+    for i, (a11, a12, a22) in enumerate(fits.T):
+        full = b @ np.array([[a11, a12], [a12, a22]]) @ b.T
+        out[i] = rel_eigen(grid.nodes[nodes[i // per_node]], 0.5 * (full + full.T)).value
+    return out.reshape(shape)
+
+
+class TestBatchedCurvature:
+    @pytest.mark.parametrize("want_max", [False, True])
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("m", [11, 24, 40])
+    def test_matches_per_node_loop_bitwise(self, m, tail, want_max):
+        g = SimplexGrid.build(3, m)
+        nodes = _interior_nodes(g)
+        values = np.random.default_rng(m).normal(size=(g.n_nodes, *tail))
+        got = _curvature(values, g, nodes, want_max)
+        assert got.shape == (nodes.size, *tail)
+        assert np.array_equal(got, curvature_per_node(values, g, nodes, want_max))
+
+    def test_one_eigen_call_per_curvature_call(self, monkeypatch):
+        pg, qg = SimplexGrid.build(3, 6), SimplexGrid.build(3, 8)
+        curvature_calls, eigen_calls = [], []
+
+        def counting(name, fn, calls):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(hj, name, wrapped)
+
+        counting("_curvature", hj._curvature, curvature_calls)
+        counting("rel_eigen_min", hj.rel_eigen_min, eigen_calls)
+        counting("rel_eigen_max", hj.rel_eigen_max, eigen_calls)
+        vals = np.random.default_rng(33).normal(size=(5, pg.n_nodes, qg.n_nodes))
+        v = ValueGrid(np.linspace(0.0, 1.0, 5), pg, qg, vals, "vex_cav", 1.0)
+        residuals(v, analytic_field("zero", dim_p=3, dim_q=3))
+        assert len(curvature_calls) == 2 * 4
+        assert eigen_calls.count("rel_eigen_min") == eigen_calls.count("rel_eigen_max") == 4
+
+    def test_mixed_supports_rejected(self):
+        g = SimplexGrid.build(3, 6)
+        face = np.flatnonzero(g.nodes[:, 2] == 0.0)
+        nodes = np.concatenate([_interior_nodes(g)[:2], face[1:2]])
+        with pytest.raises(ValueError, match="share one support"):
+            _curvature(np.zeros(g.n_nodes), g, nodes, want_max=False)
+
+    @pytest.mark.parametrize("tail", [(), (4,)])
+    def test_empty_node_set(self, tail):
+        g = SimplexGrid.build(3, 6)
+        out = _curvature(np.zeros((g.n_nodes, *tail)), g, np.array([], dtype=int), True)
+        assert out.shape == (0, *tail)
 
 
 class TestValueGridLookup:

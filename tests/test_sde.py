@@ -7,6 +7,7 @@ from splitgame import sde
 from splitgame.hamiltonian import analytic_field
 from splitgame.sde import (
     ETA,
+    BundleSizeError,
     FeedbackControl,
     GridMismatchError,
     NoiseGrid,
@@ -175,6 +176,21 @@ class TestSimulate:
             simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), zero_control(3),
                      zero_control(2), make_noise(n_paths=4))
         assert drawn == []  # rejected before any noise is drawn
+
+
+class TestBundleSize:
+    def test_limit_is_the_bundle_bytes(self, monkeypatch):
+        noise = make_noise(n_paths=8, dim1=3, dim2=2)
+        v = FeedbackControl(np.array([0.25, 0.5]), lambda j, view: np.eye(2), 2)
+        args = (np.full(3, 1 / 3), np.array([0.5, 0.5]), directional_control(3, 0.5), v, noise)
+        b = simulate(*args)
+        size = sum(a.nbytes for a in (b.x_paths, b.y_paths, b.u_realized, b.v_realized,
+                                      b.b1_end, b.b2_end))
+        monkeypatch.setattr(sde, "MAX_BUNDLE_BYTES", size)
+        simulate(*args)
+        monkeypatch.setattr(sde, "MAX_BUNDLE_BYTES", size - 1)
+        with pytest.raises(BundleSizeError, match="8 full paths of 64 steps"):
+            simulate(*args)
 
 
 class TestDelayProperty:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitgame.simplex import (
     DegeneratePointError,
@@ -226,3 +228,61 @@ class TestRelEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             rel_eigen_min(SimplexPoint([0.5, 0.5]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """A full-support point of the 3-simplex and a (k, 3, 3) stack of rough,
+    scaled, integer (tied eigenvalues) or scalar symmetric matrices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["rough", "scaled", "integer", "scalar"]))
+    if kind == "scalar":
+        a = rng.normal(size=k)[:, None, None] * np.eye(3)
+    elif kind == "integer":
+        a = rng.integers(-2, 3, size=(k, 3, 3)).astype(float)
+    else:
+        a = rng.normal(size=(k, 3, 3)) * (1e6 if kind == "scaled" else 1.0)
+    w = rng.exponential(size=3) + 1e-3
+    return SimplexPoint(w / w.sum()), 0.5 * (a + np.swapaxes(a, 1, 2))
+
+
+class TestRelEigenStack:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(symmetric_stacks())
+    def test_stack_matches_per_matrix_calls_bitwise(self, case):
+        p, a = case
+        for f in (rel_eigen_min, rel_eigen_max):
+            got = f(p, a)
+            each = [f(p, m) for m in a]
+            assert got.value.shape == (a.shape[0],) and got.witness.shape == a.shape[:2]
+            assert got.value.tobytes() == np.array([r.value for r in each]).tobytes()
+            assert got.witness.tobytes() == np.stack([r.witness for r in each]).tobytes()
+
+    def test_leading_axes_kept(self):
+        a = np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (2, 4, 3, 3))
+        r = rel_eigen_max(SimplexPoint.uniform(3), a)
+        assert r.value.shape == (2, 4) and r.witness.shape == (2, 4, 3)
+
+    def test_vertex_stack(self):
+        a = np.stack([np.eye(3), -np.eye(3)])
+        p = SimplexPoint.vertex(1, 3)
+        lo, hi = rel_eigen_min(p, a), rel_eigen_max(p, a)
+        assert np.array_equal(lo.value, [np.inf, np.inf]) and lo.witness is None
+        assert np.array_equal(hi.value, [-np.inf, -np.inf]) and hi.witness is None
+
+    @pytest.mark.parametrize("point", [SimplexPoint.uniform(3), SimplexPoint.vertex(0, 3)])
+    def test_empty_stack(self, point):
+        for f in (rel_eigen_min, rel_eigen_max):
+            r = f(point, np.zeros((0, 3, 3)))
+            assert isinstance(r.value, np.ndarray) and r.value.shape == (0,)
+
+    def test_one_asymmetric_member_rejected(self):
+        a = np.stack([np.eye(3)] * 4)
+        a[2, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            rel_eigen_min(SimplexPoint.uniform(3), a)
+
+    def test_one_matrix_gives_float_and_vector(self):
+        r = rel_eigen_min(SimplexPoint.uniform(3), np.eye(3))
+        assert type(r.value) is float and r.witness.shape == (3,)
