@@ -213,7 +213,7 @@ def _start(sim: Reader) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
 
 
 def _load_registry(path: Path) -> dict:
@@ -315,6 +315,8 @@ def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     spec = build_split_spec(cfg.child("split", {}))
     sim = cfg.child("sim", {})
     n_paths = sim.positive_int("n_paths", 10_000)
+    if n_paths < 2:
+        raise ConfigError(f"{sim.where('n_paths')}: need at least two paths for a standard error")
     try:
         bundle = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
     except BundleSizeError as e:

@@ -326,10 +326,10 @@ def export_csv(v: ValueGrid, path) -> None:
     write_atomic(path, [",".join(cols) + "\n"], blocks)
 
 
-def summary_dict(v: ValueGrid, H: HamiltonianField | None = None) -> dict:
+def summary_dict(v: ValueGrid, H: HamiltonianField) -> dict:
     """JSON-ready summary: extrema, residual norm, regularity checks."""
     reg = regularity_report(v)
-    out = {
+    return {
         "order": v.order,
         "n_time_steps": int(v.values.shape[0] - 1),
         "p_nodes": int(v.p_grid.n_nodes),
@@ -346,8 +346,5 @@ def summary_dict(v: ValueGrid, H: HamiltonianField | None = None) -> dict:
             "lipschitz_q": reg.lip_q,
             "all_ok": reg.all_ok,
         },
+        "max_interior_residual": residuals(v, H).max_residual,
     }
-    if H is not None:
-        rep = residuals(v, H)
-        out["max_interior_residual"] = rep.max_residual
-    return out

@@ -33,7 +33,7 @@ import numpy as np
 
 from splitgame.hamiltonian import HamiltonianField
 from splitgame.hj import format_rows, write_atomic
-from splitgame.simplex import SUM_TOL, coupling_bound_constant
+from splitgame.simplex import coupling_bound_constant
 
 ETA = 1e-10  # absorption band: a coordinate at or below it is set to zero
 _GRID_SNAP = 1e-9
@@ -94,15 +94,15 @@ class NoiseGrid:
         return np.random.Generator(np.random.Philox(ss))
 
     def increments(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gaussian increments for paths [lo, hi): shapes (b, N, dim)."""
+        """Gaussian increments for paths [lo, hi): B1 and B2, shapes (b, N, dim).
+        Each path draws stream 0 (B1), then stream 1 (B2)."""
         n, sd = self.n_steps, np.sqrt(self.dt)
-        b = hi - lo
-        db1 = np.empty((b, n, self.dim1))
-        db2 = np.empty((b, n, self.dim2))
-        for i in range(b):
-            db1[i] = self._stream(lo + i, 0).standard_normal((n, self.dim1)) * sd
-            db2[i] = self._stream(lo + i, 1).standard_normal((n, self.dim2)) * sd
-        return db1, db2
+        dims = self.dim1, self.dim2
+        db = tuple(np.empty((hi - lo, n, d)) for d in dims)
+        for path in range(hi - lo):
+            for stream, d in enumerate(dims):
+                db[stream][path] = self._stream(lo + path, stream).standard_normal((n, d)) * sd
+        return db
 
 
 # ---------------------------------------------------------------------------
@@ -243,50 +243,55 @@ def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 
 class _BlockSim:
-    """One vectorized simulation block: paths [lo, hi) of a noise grid."""
+    """One vectorized simulation block: paths [lo, hi) of a noise grid.
+
+    Each per-player piece is a pair indexed by player, 0 for (p, u, B1) and
+    1 for (q, v, B2): start states x0, controls ctrl, interval starts,
+    increments db, realized controls and own-noise sums own.
+    """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
                  noise: NoiseGrid, lo: int, hi: int):
         self.noise = noise
         self.lo, self.hi = lo, hi
         self.b = hi - lo
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        if self.p.size != noise.dim1 or self.q.size != noise.dim2:
+        self.x0 = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        if (self.x0[0].size, self.x0[1].size) != (noise.dim1, noise.dim2):
             raise ValueError("state dimensions do not match the noise grid")
-        for ctrl, n in ((u_ctrl, self.p.size), (v_ctrl, self.q.size)):
-            if ctrl.dim != n:
+        self.ctrl = u_ctrl, v_ctrl
+        for ctrl, x0 in zip(self.ctrl, self.x0):
+            if ctrl.dim != x0.size:
                 raise ValueError(f"control {ctrl.label!r} has dim {ctrl.dim}, "
-                                 f"its state has {n} coordinates")
-        self.u_ctrl, self.v_ctrl = u_ctrl, v_ctrl
-        self.u_steps = interval_starts(u_ctrl, noise)
-        self.v_steps = interval_starts(v_ctrl, noise)
+                                 f"its state has {x0.size} coordinates")
+        self.starts = tuple(interval_starts(ctrl, noise) for ctrl in self.ctrl)
         self.times = noise.times()
-        self.db1, self.db2 = noise.increments(lo, hi)
-        nI, nJ = self.p.size, self.q.size
-        self.u_realized = np.zeros((self.b, self.u_steps.size - 1, nI, nI))
-        self.v_realized = np.zeros((self.b, self.v_steps.size - 1, nJ, nJ))
-        self.own1 = np.zeros(self.u_realized.shape[:3])
-        self.own2 = np.zeros(self.v_realized.shape[:3])
+        self.db = noise.increments(lo, hi)
+        self.realized = tuple(np.zeros((self.b, s.size - 1, x0.size, x0.size))
+                              for s, x0 in zip(self.starts, self.x0))
+        self.own = tuple(np.zeros(r.shape[:3]) for r in self.realized)
 
-    def _eval_feedback(self, ctrl, j, k, own_state, own_noise, realized, opp_real, opp_steps):
-        """Control matrices of ctrl for interval j, which begins on step k, also
-        stored in realized[:, j]; the opponent's intervals begun before k are visible."""
-        visible = int(np.searchsorted(opp_steps, k))
-        view = HistoryView(self.times[k], own_state, own_noise[:, :j],
-                           opp_real[:, :visible], self.times[opp_steps[:visible]])
+    def _eval_feedback(self, i, j, k, own_state):
+        """Player i's control matrices for interval j, which begins on step k,
+        also stored in realized[i][:, j]; the opponent's intervals begun before
+        k are visible."""
+        ctrl, opp_starts = self.ctrl[i], self.starts[1 - i]
+        visible = int(np.searchsorted(opp_starts, k))
+        view = HistoryView(self.times[k], own_state, self.own[i][:, :j],
+                           self.realized[1 - i][:, :visible], self.times[opp_starts[:visible]])
         mat = np.asarray(ctrl.feedback(j, view), dtype=float)
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"feedback for control {ctrl.label!r} returned a non-finite matrix")
         if mat.ndim == 2:
             mat = np.broadcast_to(mat, (self.b,) + mat.shape)
-        realized[:, j] = mat
+        self.realized[i][:, j] = mat
         return mat
 
-    def _close_interval(self, own, db, steps, j):
-        """As interval j begins, sum interval j - 1's own increments in step order."""
+    def _close_interval(self, i, j):
+        """As player i's interval j begins, sum interval j - 1's own increments
+        in step order."""
         if j > 0:
-            for k in range(steps[j - 1], steps[j]):
+            own, db, starts = self.own[i], self.db[i], self.starts[i]
+            for k in range(starts[j - 1], starts[j]):
                 own[:, j - 1] += db[:, k]
 
     def steps(self):
@@ -297,33 +302,25 @@ class _BlockSim:
         next interval of either player begins.  The last yield, (N, N+1, X, Y),
         carries the terminal state.
         """
-        n, b = self.noise.n_steps, self.b
-        x, y = np.tile(self.p, (b, 1)), np.tile(self.q, (b, 1))
-        ju = jv = k = 0
-        u_mat = v_mat = None
-        u_zero = v_zero = False
+        n, starts = self.noise.n_steps, self.starts
+        state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
+        j, mat, zero = [0, 0], [None, None], [False, False]
+        k = 0
         while k < n:
-            # u_steps[-1] = v_steps[-1] = n, so neither runs past its last interval
-            if k == self.u_steps[ju]:
-                self._close_interval(self.own1, self.db1, self.u_steps, ju)
-                u_mat = self._eval_feedback(self.u_ctrl, ju, k, x, self.own1,
-                                            self.u_realized, self.v_realized, self.v_steps)
-                u_zero = not u_mat.any()
-                ju += 1
-            if k == self.v_steps[jv]:
-                self._close_interval(self.own2, self.db2, self.v_steps, jv)
-                v_mat = self._eval_feedback(self.v_ctrl, jv, k, y, self.own2,
-                                            self.v_realized, self.u_realized, self.u_steps)
-                v_zero = not v_mat.any()
-                jv += 1
-            k1 = min(self.u_steps[ju], self.v_steps[jv]) if u_zero and v_zero else k + 1
-            yield k, k1, x, y
-            if not u_zero:
-                x = _step_batch(x, u_mat, self.db1[:, k])
-            if not v_zero:
-                y = _step_batch(y, v_mat, self.db2[:, k])
+            for i in (0, 1):
+                # starts[i][-1] = n, so no player runs past its last interval
+                if k == starts[i][j[i]]:
+                    self._close_interval(i, j[i])
+                    mat[i] = self._eval_feedback(i, j[i], k, state[i])
+                    zero[i] = not mat[i].any()
+                    j[i] += 1
+            k1 = min(starts[0][j[0]], starts[1][j[1]]) if all(zero) else k + 1
+            yield k, k1, *state
+            for i in (0, 1):
+                if not zero[i]:
+                    state[i] = _step_batch(state[i], mat[i], self.db[i][:, k])
             k = k1
-        yield n, n + 1, x, y
+        yield n, n + 1, *state
 
 
 def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
@@ -366,17 +363,6 @@ class TrajectoryBundle:
     def n_paths(self) -> int:
         return self.x_paths.shape[0]
 
-    def check_invariants(self) -> None:
-        for paths in (self.x_paths, self.y_paths):
-            if paths.min() < 0.0:
-                raise AssertionError("negative coordinate stored in bundle")
-            sums = paths.sum(axis=2)
-            if np.max(np.abs(sums - 1.0)) > SUM_TOL:
-                raise AssertionError("stored state does not sum to 1")
-            sup = paths > ETA
-            if np.any(sup[:, 1:] & ~sup[:, :-1]):
-                raise AssertionError("support grew along a path")
-
 
 def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
              noise: NoiseGrid, threads: int = 1) -> TrajectoryBundle:
@@ -388,32 +374,27 @@ def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     reductions and suit large ensembles.
     """
     n, nsteps = noise.n_paths, noise.n_steps
-    nI, nJ = noise.dim1, noise.dim2
-    m_u = interval_starts(u_ctrl, noise).size - 1
-    m_v = interval_starts(v_ctrl, noise).size - 1
-    size = 8 * n * ((nsteps + 1) * (nI + nJ) + m_u * nI * nI + m_v * nJ * nJ + nI + nJ)
+    dims = noise.dim1, noise.dim2
+    m = [interval_starts(ctrl, noise).size - 1 for ctrl in (u_ctrl, v_ctrl)]
+    size = 8 * n * sum((nsteps + 1) * d + m_i * d * d + d for d, m_i in zip(dims, m))
     if size > MAX_BUNDLE_BYTES:
         raise BundleSizeError(f"{n} full paths of {nsteps} steps need {size / 1024**3:.3g} GiB, "
                               f"over the {MAX_BUNDLE_BYTES / 1024**3:g} GiB limit")
-    x_paths = np.empty((n, nsteps + 1, nI))
-    y_paths = np.empty((n, nsteps + 1, nJ))
-    u_real = np.empty((n, m_u, nI, nI))
-    v_real = np.empty((n, m_v, nJ, nJ))
-    b1_end = np.empty((n, nI))
-    b2_end = np.empty((n, nJ))
+    paths = [np.empty((n, nsteps + 1, d)) for d in dims]
+    realized = [np.empty((n, m_i, d, d)) for d, m_i in zip(dims, m)]
+    ends = [np.empty((n, d)) for d in dims]
 
     def reduce(sim):
         rows = slice(sim.lo, sim.hi)
-        for k0, k1, x, y in sim.steps():
-            x_paths[rows, k0:k1] = x[:, None]
-            y_paths[rows, k0:k1] = y[:, None]
-        u_real[rows] = sim.u_realized
-        v_real[rows] = sim.v_realized
-        b1_end[rows] = sim.db1.sum(axis=1)
-        b2_end[rows] = sim.db2.sum(axis=1)
+        for k0, k1, *state in sim.steps():
+            for i in (0, 1):
+                paths[i][rows, k0:k1] = state[i][:, None]
+        for i in (0, 1):
+            realized[i][rows] = sim.realized[i]
+            ends[i][rows] = sim.db[i].sum(axis=1)
 
     _ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads)
-    return TrajectoryBundle(noise.times(), x_paths, y_paths, u_real, v_real, b1_end, b2_end)
+    return TrajectoryBundle(noise.times(), *paths, *realized, *ends)
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +475,14 @@ def simulation_report(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
         loc_sum = np.zeros((noise.n_steps + 1, noise.dim1))
         loc_sq = np.zeros_like(loc_sum)
         mn, serr, mono = np.inf, 0.0, True
-        prev = sim.p > ETA, sim.q > ETA
-        for k0, k1, x, y in sim.steps():
+        prev = [x0 > ETA for x0 in sim.x0]
+        for k0, k1, *state in sim.steps():
+            x = state[0]
             loc_sum[k0:k1] = x.sum(axis=0)
             loc_sq[k0:k1] = (x * x).sum(axis=0)
-            mn = min(mn, float(x.min()), float(y.min()))
-            serr = max(serr, float(np.max(np.abs(_row_sums(x) - 1.0))),
-                       float(np.max(np.abs(_row_sums(y) - 1.0))))
-            sup = x > ETA, y > ETA
+            mn = min(mn, *(float(s.min()) for s in state))
+            serr = max(serr, *(float(np.max(np.abs(_row_sums(s) - 1.0))) for s in state))
+            sup = [s > ETA for s in state]
             mono = mono and not any(np.any(s & ~s0) for s, s0 in zip(sup, prev))
             prev = sup
         return loc_sum, loc_sq, mn, serr, mono
@@ -545,9 +526,10 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
             if k0 < nsteps:
                 # the copy steps where the primary path steps: same control
                 # matrices, same increments
-                u = sim.u_realized[:, int(np.searchsorted(sim.u_steps[1:], k0, side="right"))]
+                j = int(np.searchsorted(sim.starts[0][1:], k0, side="right"))
+                u = sim.realized[0][:, j]
                 if u.any():
-                    xb = _step_batch(xb, u, sim.db1[:, k0])
+                    xb = _step_batch(xb, u, sim.db[0][:, k0])
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)

@@ -396,6 +396,24 @@ class TestSplitDemoCommand:
         total = sum(int(r.split(",")[2]) for r in lines[1:])
         assert total == 500
 
+    def test_one_path_exit_2_without_output(self, tmp_path, capsys):
+        cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 64, "horizon": 0.125},
+               "sim": {"n_paths": 1}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        code = cli.main(["split-demo", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert ("config error: sim.n_paths: need at least two paths for a standard error"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_artifacts_refuse_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._write_json(tmp_path / "report.json", {"eps_se": value})
+    assert not (tmp_path / "report.json").exists()
+
 
 class TestFullPathMemoryGuard:
     @pytest.mark.parametrize("subcommand", ["simulate", "split-demo"])

@@ -130,27 +130,20 @@ def test_block_ranges_cover_paths_within_cap(n_paths, n_steps):
 def per_step(sim):
     """The engine's former generator: one yield per noise step, each player's
     own-noise sum grown on every step."""
-    noise, b = sim.noise, sim.b
-    x, y = np.tile(sim.p, (b, 1)), np.tile(sim.q, (b, 1))
-    ju = jv = 0
-    u_zero = v_zero = False
-    for k in range(noise.n_steps):
-        if k == sim.u_steps[ju]:
-            u_mat = sim._eval_feedback(sim.u_ctrl, ju, k, x, sim.own1,
-                                       sim.u_realized, sim.v_realized, sim.v_steps)
-            u_zero, ju = not u_mat.any(), ju + 1
-        if k == sim.v_steps[jv]:
-            v_mat = sim._eval_feedback(sim.v_ctrl, jv, k, y, sim.own2,
-                                       sim.v_realized, sim.u_realized, sim.u_steps)
-            v_zero, jv = not v_mat.any(), jv + 1
-        yield k, k + 1, x, y
-        if not u_zero:
-            x = sde._step_batch(x, u_mat, sim.db1[:, k])
-        if not v_zero:
-            y = sde._step_batch(y, v_mat, sim.db2[:, k])
-        sim.own1[:, ju - 1] += sim.db1[:, k]
-        sim.own2[:, jv - 1] += sim.db2[:, k]
-    yield noise.n_steps, noise.n_steps + 1, x, y
+    n = sim.noise.n_steps
+    state = [np.tile(x0, (sim.b, 1)) for x0 in sim.x0]
+    j, mat, zero = [0, 0], [None, None], [False, False]
+    for k in range(n):
+        for i in (0, 1):
+            if k == sim.starts[i][j[i]]:
+                mat[i] = sim._eval_feedback(i, j[i], k, state[i])
+                zero[i], j[i] = not mat[i].any(), j[i] + 1
+        yield k, k + 1, *state
+        for i in (0, 1):
+            if not zero[i]:
+                state[i] = sde._step_batch(state[i], mat[i], sim.db[i][:, k])
+            sim.own[i][:, j[i] - 1] += sim.db[i][:, k]
+    yield n, n + 1, *state
 
 
 SPLIT = unit_segment_spec(steps=8, horizon=0.125)

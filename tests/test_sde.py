@@ -21,7 +21,7 @@ from splitgame.sde import (
     step_x,
     zero_control,
 )
-from splitgame.simplex import coupling_bound_constant
+from splitgame.simplex import SUM_TOL, coupling_bound_constant
 
 
 def make_noise(n_paths=100, seed=7, dt=1 / 64, t=0.0, horizon=1.0, dim1=2, dim2=2):
@@ -106,7 +106,8 @@ class TestSimulate:
         b = simulate(p, q, zero_control(2), zero_control(2), noise)
         assert np.all(b.x_paths == b.x_paths[:, :1, :])
         assert np.all(b.y_paths == b.y_paths[:, :1, :])
-        b.check_invariants()
+        rep = simulation_report(p, q, zero_control(2), zero_control(2), noise)
+        assert rep.min_coord >= 0.0 and rep.max_sum_err <= SUM_TOL and rep.support_monotone
 
     def test_directional_needs_two_coordinates(self):
         with pytest.raises(ValueError, match="dim >= 2"):
@@ -124,7 +125,8 @@ class TestSimulate:
         p = np.array([0.5, 0.5])
         u = directional_control(2, scale=0.4)
         b = simulate(p, np.array([1.0, 0.0]), u, zero_control(2), noise)
-        b.check_invariants()
+        rep = simulation_report(p, np.array([1.0, 0.0]), u, zero_control(2), noise)
+        assert rep.min_coord >= 0.0 and rep.max_sum_err <= SUM_TOL and rep.support_monotone
         xt = b.x_paths[:, -1, :]
         se = xt[:, 0].std(ddof=1) / np.sqrt(xt.shape[0])
         assert abs(xt[:, 0].mean() - 0.5) <= 3 * se
@@ -136,7 +138,9 @@ class TestSimulate:
         u = directional_control(2, scale=2.0)  # strong: many absorptions
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u,
                      directional_control(2, scale=2.0), noise)
-        b.check_invariants()
+        rep = simulation_report(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u,
+                                directional_control(2, scale=2.0), noise)
+        assert rep.min_coord >= 0.0 and rep.max_sum_err <= SUM_TOL and rep.support_monotone
         # at least one path must actually hit a face for the test to bite
         assert np.any(b.x_paths[:, -1, :] == 0.0)
 
