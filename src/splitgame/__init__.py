@@ -25,11 +25,9 @@ from splitgame.sde import (
     NoiseGrid,
     TrajectoryBundle,
     estimate_j,
-    independence_check,
     lipschitz_p_check,
     simulate,
     simulation_report,
-    step_x,
 )
 from splitgame.simplex import (
     DegeneratePointError,
@@ -68,7 +66,6 @@ __all__ = [
     "estimate_j",
     "eval_H",
     "evaluate_split",
-    "independence_check",
     "lipschitz_p_check",
     "make_split_control",
     "matrix_game_value",
@@ -82,7 +79,6 @@ __all__ = [
     "simulation_report",
     "solve",
     "split_payoff_demo",
-    "step_x",
     "support",
     "tangent_basis",
     "tensor_field",

@@ -55,9 +55,10 @@ def table_strategies(dim: int, switches, catalogue: list[np.ndarray],
     """Sampled finite-feedback strategies over an action catalogue, switching
     at the given times after the game's start.
 
-    Each strategy owns a random table indexed by (opponent's last catalogue
-    action, sign of the last own-noise sum) and plays the table's action on
-    every interval; interval 0 plays a fixed table entry.  The tables are
+    Each strategy owns a random 2x2 table of catalogue actions indexed by two
+    bits read at the interval's start: whether the opponent's first coordinate
+    is above its barycentre value 1/n_opp, and whether the player's own first
+    coordinate is above 1/n.  Interval 0 plays a fixed entry.  The tables are
     drawn deterministically from the seed, keeping families reproducible.
     """
     cat = [np.asarray(c, dtype=float) for c in catalogue]
@@ -67,22 +68,15 @@ def table_strategies(dim: int, switches, catalogue: list[np.ndarray],
     stack = np.stack(cat)
     family = {}
     for s_idx in range(count):
-        table = rng.integers(0, len(cat), size=(len(cat), 2))
+        table = rng.integers(0, len(cat), size=(2, 2))
         first = int(rng.integers(0, len(cat)))
 
         def feedback(j, view, table=table, first=first):
-            if j == 0 or view.opp_controls.shape[1] == 0:
+            if j == 0:
                 return cat[first]
-            opp_last = view.opp_controls[:, -1]
-            flat = opp_last.reshape(opp_last.shape[0], -1)
-            dists = ((flat[:, None, :] - stack.reshape(len(cat), -1)[None]) ** 2).sum(2)
-            opp_idx = dists.argmin(axis=1)
-            if view.own_noise.shape[1]:
-                sign_bit = (view.own_noise[:, -1, 0] > 0).astype(int)
-            else:
-                sign_bit = np.zeros(opp_idx.size, dtype=int)
-            choice = table[opp_idx, sign_bit]
-            return stack[choice]
+            opp_bit = view.opp_state[:, 0] > 1.0 / view.opp_state.shape[1]
+            own_bit = view.own_state[:, 0] > 1.0 / view.own_state.shape[1]
+            return stack[table[opp_bit.astype(int), own_bit.astype(int)]]
 
         name = f"table{s_idx}"
         family[name] = FeedbackControl(switches, feedback, dim, name)

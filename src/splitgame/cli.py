@@ -120,6 +120,14 @@ class Reader:
         ok = lambda v: _number(v) and v > 0 and v == int(v)
         return int(self.read(key, ok, "a positive integer", default))
 
+    def path_count(self, key: str, default=None) -> int:
+        """A Monte Carlo path count: an integer of at least two, so that every
+        estimate has a standard error."""
+        n = self.positive_int(key, default)
+        if n < 2:
+            raise ConfigError(f"{self.where(key)}: need at least two paths for a standard error")
+        return n
+
     def seed(self, key: str, default=None) -> int:
         ok = lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0
         return self.read(key, ok, "a non-negative integer", default)
@@ -273,7 +281,7 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
         build_field(cfg, horizon)
     sim = cfg.child("sim", {})
     dt = sim.positive("dt", 1.0 / 512)
-    n_paths = sim.positive_int("n_paths", 1000)
+    n_paths = sim.path_count("n_paths", 1000)
     p, q = _start(sim)
     controls = sim.child("controls")
     split = cfg.child("split", {})
@@ -314,9 +322,7 @@ def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
     spec = build_split_spec(cfg.child("split", {}))
     sim = cfg.child("sim", {})
-    n_paths = sim.positive_int("n_paths", 10_000)
-    if n_paths < 2:
-        raise ConfigError(f"{sim.where('n_paths')}: need at least two paths for a standard error")
+    n_paths = sim.path_count("n_paths", 10_000)
     try:
         bundle = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
     except BundleSizeError as e:
@@ -354,7 +360,7 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     horizon = cfg.positive("horizon", 1.0)
     field = build_field(cfg, horizon)
     arena = cfg.child("arena", {})
-    n_paths = arena.positive_int("n_paths", 2000)
+    n_paths = arena.path_count("n_paths", 2000)
     dt = arena.positive("dt", 1.0 / 512)
     scale = arena.positive("scale", 0.5)
     p, q = _start(cfg.child("sim", {}))

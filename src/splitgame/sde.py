@@ -18,9 +18,8 @@ results bit-identical for any batch split or thread count.
 A block steps only what moves.  It yields segments of noise steps on which the
 state is constant: one step while a control is active, and a whole frozen
 stretch (both realized controls exactly zero) up to where either player's
-next interval begins, which the estimators reduce once.  Own-noise sums are
-added at an interval's end, and only if a later feedback can read them.  Sums
-over a state's coordinates are added column by column, in numpy's own order.
+next interval begins, which the estimators reduce once.  Sums over a state's
+coordinates are added column by column, in numpy's own order.
 """
 
 from __future__ import annotations
@@ -112,18 +111,14 @@ class NoiseGrid:
 @dataclass
 class HistoryView:
     """What a feedback map may read when choosing the control for interval j,
-    its first argument: the interval's start time, the player's own state, the
-    per-interval sums of its own Brownian increments, and the opponent's
-    realized controls on intervals begun earlier, with their start times.  All
-    of it is fixed strictly before the interval starts; arrays are batched over
-    paths.
+    its first argument: the interval's start time and both players' states on
+    the interval's first noise step, before either player steps.  The states
+    are batched over paths.
     """
 
     time: float
     own_state: np.ndarray       # (b, n)
-    own_noise: np.ndarray       # (b, j, n): summed own increments per past own interval
-    opp_controls: np.ndarray    # (b, m, n_opp, n_opp): opponent controls already begun
-    opp_times: np.ndarray       # (m,) their interval start times
+    opp_state: np.ndarray       # (b, n_opp)
 
 
 @dataclass
@@ -190,14 +185,6 @@ def directional_control(dim: int, scale: float) -> FeedbackControl:
 # stepping
 # ---------------------------------------------------------------------------
 
-def step_x(x, u, db) -> np.ndarray:
-    """Single Euler step for one state; see _step_batch for the rules."""
-    xv, uv, dbv = (np.asarray(a, dtype=float) for a in (x, u, db))
-    if not all(np.all(np.isfinite(a)) for a in (xv, uv, dbv)):
-        raise ValueError("non-finite input to step_x")
-    return _step_batch(xv[None], uv[None], dbv[None])[0]
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=1) of a (b, n) array, bit for bit: below 8 columns numpy adds
     them left to right too, and b-long column adds cost far less than its
@@ -247,7 +234,7 @@ class _BlockSim:
 
     Each per-player piece is a pair indexed by player, 0 for (p, u, B1) and
     1 for (q, v, B2): start states x0, controls ctrl, interval starts,
-    increments db, realized controls and own-noise sums own.
+    increments db and realized controls.
     """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
@@ -268,16 +255,12 @@ class _BlockSim:
         self.db = noise.increments(lo, hi)
         self.realized = tuple(np.zeros((self.b, s.size - 1, x0.size, x0.size))
                               for s, x0 in zip(self.starts, self.x0))
-        self.own = tuple(np.zeros(r.shape[:3]) for r in self.realized)
 
-    def _eval_feedback(self, i, j, k, own_state):
+    def _eval_feedback(self, i, j, k, state):
         """Player i's control matrices for interval j, which begins on step k,
-        also stored in realized[i][:, j]; the opponent's intervals begun before
-        k are visible."""
-        ctrl, opp_starts = self.ctrl[i], self.starts[1 - i]
-        visible = int(np.searchsorted(opp_starts, k))
-        view = HistoryView(self.times[k], own_state, self.own[i][:, :j],
-                           self.realized[1 - i][:, :visible], self.times[opp_starts[:visible]])
+        read from the state pair there; also stored in realized[i][:, j]."""
+        ctrl = self.ctrl[i]
+        view = HistoryView(self.times[k], state[i], state[1 - i])
         mat = np.asarray(ctrl.feedback(j, view), dtype=float)
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"feedback for control {ctrl.label!r} returned a non-finite matrix")
@@ -285,14 +268,6 @@ class _BlockSim:
             mat = np.broadcast_to(mat, (self.b,) + mat.shape)
         self.realized[i][:, j] = mat
         return mat
-
-    def _close_interval(self, i, j):
-        """As player i's interval j begins, sum interval j - 1's own increments
-        in step order."""
-        if j > 0:
-            own, db, starts = self.own[i], self.db[i], self.starts[i]
-            for k in range(starts[j - 1], starts[j]):
-                own[:, j - 1] += db[:, k]
 
     def steps(self):
         """Yield segments (k0, k1, X, Y): the state on noise steps k0..k1-1.
@@ -310,8 +285,7 @@ class _BlockSim:
             for i in (0, 1):
                 # starts[i][-1] = n, so no player runs past its last interval
                 if k == starts[i][j[i]]:
-                    self._close_interval(i, j[i])
-                    mat[i] = self._eval_feedback(i, j[i], k, state[i])
+                    mat[i] = self._eval_feedback(i, j[i], k, state)
                     zero[i] = not mat[i].any()
                     j[i] += 1
             k1 = min(starts[0][j[0]], starts[1][j[1]]) if all(zero) else k + 1
@@ -544,42 +518,6 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
     return LipschitzCoupling(float(mean[k_star]),
                              const * float(np.linalg.norm(pv - pbv)),
                              float(np.sqrt(var / n)), const)
-
-
-@dataclass(frozen=True)
-class CovarianceEntry:
-    x_coordinate: int
-    functional: str
-    covariance: float
-    std_error: float
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.covariance) <= 3.0 * self.std_error + 1e-15
-
-
-def independence_check(bundle: TrajectoryBundle) -> list[CovarianceEntry]:
-    """Empirical covariance between X_T - p and bounded functionals of the
-    opponent's Brownian block; everything should vanish to 3 standard errors.
-    """
-    x_t = bundle.x_paths[:, -1, :]
-    x0 = bundle.x_paths[:, 0, :]
-    a = x_t - x0
-    functionals = {"sign_b2_first": np.sign(bundle.b2_end[:, 0]),
-                   "tanh_b2_first": np.tanh(bundle.b2_end[:, 0])}
-    for c in range(bundle.y_paths.shape[2]):
-        functionals[f"y_T_{c}"] = bundle.y_paths[:, -1, c]
-    n = bundle.n_paths
-    out = []
-    for name, f in functionals.items():
-        fc = f - f.mean()
-        for c in range(a.shape[1]):
-            ac = a[:, c] - a[:, c].mean()
-            prod = ac * fc
-            cov = float(prod.mean())
-            se = float(prod.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-            out.append(CovarianceEntry(c, name, cov, se))
-    return out
 
 
 def dump_trajectories(bundle: TrajectoryBundle, path) -> None:

@@ -18,7 +18,7 @@ as absorbed on that side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,12 +94,6 @@ def unit_segment_spec(**fields) -> SplitSpec:
     delta = fields.get("delta", SplitSpec.delta)
     a = delta / (1.0 + 2.0 * delta)
     return SplitSpec(SimplexPoint([1.0 - a, a]), SimplexPoint([a, 1.0 - a]), **fields)
-
-
-def calibration_spec() -> SplitSpec:
-    """Spec used for the epsilon(n) sweep: a softer gain separates the
-    unabsorbed tails at different step counts."""
-    return unit_segment_spec(kappa=1.0 / 3.0)
 
 
 def make_split_control(spec: SplitSpec) -> FeedbackControl:
@@ -195,16 +189,6 @@ def landing_report(spec: SplitSpec, xt: np.ndarray) -> SplitReport:
         max_perp=float(np.max(np.linalg.norm(perp, axis=1))),
         n_paths=n_paths,
     )
-
-
-def epsilon_curve(spec: SplitSpec, step_counts, n_paths: int = 10_000,
-                  seed: int = 0) -> list[tuple[int, float]]:
-    """Reported epsilon(n) = E|X_{t+h} - Z_near| for each subinterval count."""
-    out = []
-    for n in step_counts:
-        rep = evaluate_split(replace(spec, steps=int(n)), n_paths=n_paths, seed=seed)
-        out.append((int(n), rep.eps_mean))
-    return out
 
 
 def vex_at(H: HamiltonianField, p) -> float:

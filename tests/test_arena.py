@@ -39,20 +39,21 @@ class TestResolveControls:
         np.testing.assert_array_equal(u, np.full((8, 1, 2, 2), 0.2))
         np.testing.assert_array_equal(v, np.full((8, 1, 2, 2), -0.1))
 
-    def test_echo_vs_constant(self):
-        c = np.full((2, 2), 0.3)
+    def test_cross_state_vs_directional(self):
+        # directional where the opponent's Y_1 is above q_1 at the switch, zero elsewhere
+        push = np.array([[0.3, 0.0], [-0.3, 0.0]])
 
-        def echo(j, view):
-            if view.opp_controls.shape[1] == 0:
-                return np.zeros((2, 2))
-            return view.opp_controls[:, -1]
+        def cross(j, view):
+            return np.where((view.opp_state[:, 0] > 0.5)[:, None, None], push, 0.0)
 
-        alpha = FeedbackControl([0.5], echo, 2)
-        beta = constant_control(c)
-        noise = NoiseGrid(0.0, 1.0, 1 / 16, 4, 0, 2, 2)
-        u = simulate([0.5, 0.5], [0.5, 0.5], alpha, beta, noise).u_realized
-        np.testing.assert_array_equal(u[:, 0], 0.0)
-        np.testing.assert_array_equal(u[:, 1], np.broadcast_to(c, (4, 2, 2)))
+        alpha = FeedbackControl([0.5], cross, 2)
+        noise = NoiseGrid(0.0, 1.0, 1 / 16, 16, 0, 2, 2)
+        b = simulate([0.5, 0.5], [0.5, 0.5], alpha, directional_control(2, 0.5), noise)
+        above = b.y_paths[:, 8, 0] > 0.5
+        assert 0 < above.sum() < above.size
+        np.testing.assert_array_equal(b.u_realized[:, 0], 0.0)
+        np.testing.assert_array_equal(b.u_realized[:, 1],
+                                      np.where(above[:, None, None], push, 0.0))
 
     def test_randomized_tables_reproducible(self):
         switches = [0.25, 0.5, 0.75]

@@ -98,6 +98,17 @@ class TestConfigValidation:
         assert code == cli.EXIT_CONFIG
         assert f"config error: {key}: must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, block", [("simulate", "sim"), ("mc-game", "arena")])
+    def test_one_path_exit_2_naming_the_field(self, tmp_path, capsys, subcommand, block):
+        cfg = mc_game_config() if subcommand == "mc-game" else base_sim_config()
+        cfg[block]["n_paths"] = 1
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert (f"config error: {block}.n_paths: need at least two paths for a standard error"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, flag", [
         ("abc", None), (-1, None), (1.5, None), (True, None), (None, None), (0, "-3"),
     ])

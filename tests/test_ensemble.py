@@ -36,7 +36,7 @@ def fixed_ranges(cuts):
 
 
 def history_control(horizon):
-    """Player-1 table strategy reading own noise and opponent controls."""
+    """Player-1 table strategy reading both players' states."""
     catalogue = [np.zeros((2, 2)), np.array([[0.9, 0.0], [-0.9, 0.0]])]
     return table_strategies(2, np.linspace(0.0, horizon, 5)[1:-1], catalogue, count=1,
                             seed=3)["table0"]
@@ -44,6 +44,16 @@ def history_control(horizon):
 
 def noise_grid(n_paths, n_steps, seed=11, dim2=2, horizon=0.5):
     return NoiseGrid(0.0, horizon, horizon / n_steps, n_paths, seed, 2, dim2)
+
+
+def test_table_control_is_path_dependent():
+    # the table strategy of the thread and block-split tests, on their grids,
+    # plays more than one catalogue action across paths on some interval
+    for v, noise in ((directional_control(2, 0.5), noise_grid(200, 32)),
+                     (directional_control(2, 1.5), noise_grid(40, 16, seed=2))):
+        u = simulate(P, Q, history_control(0.5), v, noise).u_realized
+        assert any(len(np.unique(u[:, j].reshape(len(u), -1), axis=0)) > 1
+                   for j in range(u.shape[1]))
 
 
 def run_all_estimators(threads):
@@ -128,21 +138,19 @@ def test_block_ranges_cover_paths_within_cap(n_paths, n_steps):
 
 
 def per_step(sim):
-    """The engine's former generator: one yield per noise step, each player's
-    own-noise sum grown on every step."""
+    """The engine's former generator: one yield per noise step."""
     n = sim.noise.n_steps
     state = [np.tile(x0, (sim.b, 1)) for x0 in sim.x0]
     j, mat, zero = [0, 0], [None, None], [False, False]
     for k in range(n):
         for i in (0, 1):
             if k == sim.starts[i][j[i]]:
-                mat[i] = sim._eval_feedback(i, j[i], k, state[i])
+                mat[i] = sim._eval_feedback(i, j[i], k, state)
                 zero[i], j[i] = not mat[i].any(), j[i] + 1
         yield k, k + 1, *state
         for i in (0, 1):
             if not zero[i]:
                 state[i] = sde._step_batch(state[i], mat[i], sim.db[i][:, k])
-            sim.own[i][:, j[i] - 1] += sim.db[i][:, k]
     yield n, n + 1, *state
 
 
@@ -152,8 +160,8 @@ SPLIT = unit_segment_spec(steps=8, horizon=0.125)
 def segment_control(name):
     """Controls on [0, 0.5] over a 32-step noise grid: zero and split-then-freeze
     leave frozen stretches; the table plays zero on its first 8-step interval, then
-    the directional action on paths whose last own-noise sum is not positive
-    (against a zero opponent)."""
+    the directional action on paths where both players' first coordinates are at
+    or below 1/2."""
     if name == "zero":
         return zero_control(2)
     if name == "directional":

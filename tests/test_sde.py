@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,10 @@ from splitgame.sde import (
     constant_control,
     directional_control,
     estimate_j,
-    independence_check,
+    interval_starts,
     lipschitz_p_check,
     simulate,
     simulation_report,
-    step_x,
     zero_control,
 )
 from splitgame.simplex import SUM_TOL, coupling_bound_constant
@@ -52,6 +53,14 @@ class TestNoiseGrid:
         b1, b2 = g.increments(0, 50)
         np.testing.assert_array_equal(a1, b1[10:20])
         np.testing.assert_array_equal(a2, b2[10:20])
+
+
+def step_x(x, u, db) -> np.ndarray:
+    """Single Euler step for one state, through the engine's batched step."""
+    xv, uv, dbv = (np.asarray(a, dtype=float) for a in (x, u, db))
+    if not all(np.all(np.isfinite(a)) for a in (xv, uv, dbv)):
+        raise ValueError("non-finite input to step_x")
+    return sde._step_batch(xv[None], uv[None], dbv[None])[0]
 
 
 class TestStepX:
@@ -197,38 +206,81 @@ class TestBundleSize:
             simulate(*args)
 
 
-class TestDelayProperty:
-    def test_feedback_sees_only_prior_history(self):
-        seen = []
+def pushes(scale):
+    """The directional control's matrix: harvest noise coordinate 0, push along e_0 - e_1."""
+    return np.array([[scale, 0.0], [-scale, 0.0]])
 
-        def probe(j, view):
-            seen.append((j, view.time, view.own_noise.shape[1], len(view.opp_times)))
-            return np.zeros((2, 2))
 
-        u = FeedbackControl([0.25, 0.5], probe, 2)
-        v = FeedbackControl([0.5], lambda j, view: np.zeros((2, 2)), 2)
-        noise = make_noise(n_paths=3, dt=1 / 16)
-        simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
-        # interval j sees exactly j completed own intervals
-        assert [s[0] for s in seen] == [0, 1, 2]
-        assert [s[2] for s in seen] == [0, 1, 2]
-        # opponent intervals visible: started strictly before the evaluation time
-        assert [s[3] for s in seen] == [0, 1, 1]
+def reads_opponent(scale):
+    """A feedback whose gain on each path grows with the opponent's first coordinate."""
+    def feedback(j, view):
+        return (scale * (0.5 + view.opp_state[:, 0]))[:, None, None] * pushes(1.0)
+    return feedback
 
-    def test_echo_strategy_one_step_delay(self):
-        c = np.full((2, 2), 0.25)
 
-        def echo(j, view):
-            if view.opp_controls.shape[1] == 0:
-                return np.zeros((2, 2))
-            return view.opp_controls[:, -1]
+class TestStateFeedback:
+    def test_view_is_both_states_at_interval_start(self):
+        seen = ([], [])
 
-        u = FeedbackControl([0.5], echo, 2)
-        v = constant_control(c)
-        noise = make_noise(n_paths=2, dt=1 / 16)
-        b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), u, v, noise)
+        def probe(i, scale):
+            def feedback(j, view):
+                seen[i].append((j, view.time, view.own_state.copy(), view.opp_state.copy()))
+                return pushes(scale)
+            return feedback
+
+        u = FeedbackControl([0.25, 0.5], probe(0, 0.6), 2)
+        v = FeedbackControl([0.375, 0.75], probe(1, 0.4), 2)
+        noise = make_noise(n_paths=5, dt=1 / 16)
+        b = simulate(np.array([0.5, 0.5]), np.array([0.3, 0.7]), u, v, noise)
+        paths = b.x_paths, b.y_paths
+        for i, ctrl in enumerate((u, v)):
+            starts = interval_starts(ctrl, noise)[:-1]
+            assert [s[0] for s in seen[i]] == list(range(starts.size))
+            for (j, t, own, opp), k in zip(seen[i], starts):
+                assert t == b.times[k]
+                np.testing.assert_array_equal(own, paths[i][:, k])
+                np.testing.assert_array_equal(opp, paths[1 - i][:, k])
+            # both states have moved by the last interval, so the test bites
+            assert not np.array_equal(seen[i][-1][3], paths[1 - i][:, 0])
+
+    def test_controls_ignore_noise_from_their_start_on(self, monkeypatch):
+        k = 8  # both players' intervals begin here; increments from step k on change sign
+        u = FeedbackControl(np.arange(1, 8) / 8, reads_opponent(0.8), 2)
+        v = FeedbackControl(np.arange(1, 4) / 4, reads_opponent(0.5), 2)
+        noise = make_noise(n_paths=20, dt=1 / 32)
+        args = (np.array([0.4, 0.6]), np.array([0.5, 0.5]), u, v, noise)
+        base = simulate(*args)
+        real = NoiseGrid.increments
+
+        def flipped(grid, lo, hi):
+            db = real(grid, lo, hi)
+            for d in db:
+                d[:, k:] *= -1.0
+            return db
+
+        monkeypatch.setattr(NoiseGrid, "increments", flipped)
+        alt = simulate(*args)
+        for ctrl, name in ((u, "u_realized"), (v, "v_realized")):
+            begun = interval_starts(ctrl, noise)[:-1] <= k
+            got, want = getattr(alt, name), getattr(base, name)
+            np.testing.assert_array_equal(got[:, begun], want[:, begun])
+            assert not np.array_equal(got[:, ~begun], want[:, ~begun])
+
+    def test_cross_state_feedback(self):
+        q = np.array([0.5, 0.5])
+
+        def cross(j, view):
+            on = view.opp_state[:, 0] > q[0]
+            return np.where(on[:, None, None], pushes(0.5), 0.0)
+
+        u = FeedbackControl([0.5], cross, 2)
+        noise = make_noise(n_paths=64, dt=1 / 16)
+        b = simulate(np.array([0.5, 0.5]), q, u, directional_control(2, 0.8), noise)
+        on = b.y_paths[:, 8, 0] > q[0]  # the switch at 0.5 is step 8
+        assert 0 < on.sum() < on.size
         np.testing.assert_array_equal(b.u_realized[:, 0], 0.0)
-        np.testing.assert_array_equal(b.u_realized[:, 1], np.broadcast_to(c, (2, 2, 2)))
+        np.testing.assert_array_equal(b.u_realized[:, 1],
+                                      np.where(on[:, None, None], pushes(0.5), 0.0))
 
 
 class TestEstimateJ:
@@ -293,6 +345,42 @@ class TestLipschitzCoupling:
         assert out.estimate <= out.bound + 3 * out.std_error
 
 
+@dataclass(frozen=True)
+class CovarianceEntry:
+    x_coordinate: int
+    functional: str
+    covariance: float
+    std_error: float
+
+    @property
+    def ok(self) -> bool:
+        return abs(self.covariance) <= 3.0 * self.std_error + 1e-15
+
+
+def independence_check(bundle) -> list[CovarianceEntry]:
+    """Empirical covariance between X_T - p and bounded functionals of the
+    opponent's Brownian block; everything should vanish to 3 standard errors.
+    """
+    x_t = bundle.x_paths[:, -1, :]
+    x0 = bundle.x_paths[:, 0, :]
+    a = x_t - x0
+    functionals = {"sign_b2_first": np.sign(bundle.b2_end[:, 0]),
+                   "tanh_b2_first": np.tanh(bundle.b2_end[:, 0])}
+    for c in range(bundle.y_paths.shape[2]):
+        functionals[f"y_T_{c}"] = bundle.y_paths[:, -1, c]
+    n = bundle.n_paths
+    out = []
+    for name, f in functionals.items():
+        fc = f - f.mean()
+        for c in range(a.shape[1]):
+            ac = a[:, c] - a[:, c].mean()
+            prod = ac * fc
+            cov = float(prod.mean())
+            se = float(prod.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            out.append(CovarianceEntry(c, name, cov, se))
+    return out
+
+
 class TestIndependence:
     def test_zero_control_exact_zero(self):
         noise = make_noise(n_paths=64, dt=1 / 32)
@@ -306,6 +394,19 @@ class TestIndependence:
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                      directional_control(2, 0.5),
                      directional_control(2, 0.5), noise)
+        for entry in independence_check(b):
+            assert entry.ok, (entry.functional, entry.covariance, entry.std_error)
+
+    def test_complete_information_feedback_keeps_orthogonality(self):
+        # each control reads the other's state; B1 and B2 independent keep
+        # <X, Y> = 0, so X stays a martingale uncorrelated with Y and B2
+        p, q = np.array([0.5, 0.5]), np.array([0.4, 0.6])
+        u = FeedbackControl(np.arange(1, 16) / 16, reads_opponent(0.6), 2)
+        v = FeedbackControl(np.arange(1, 16) / 16, reads_opponent(0.4), 2)
+        noise = make_noise(n_paths=4000, dt=1 / 64, seed=23)
+        assert simulation_report(p, q, u, v, noise).martingale_ok
+        b = simulate(p, q, u, v, noise)
+        assert len(np.unique(b.u_realized[:, -1, 0, 0])) > 1  # the gains vary by path
         for entry in independence_check(b):
             assert entry.ok, (entry.functional, entry.covariance, entry.std_error)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,6 @@ from splitgame.sde import NoiseGrid, interval_starts, simulate, zero_control
 from splitgame.simplex import SimplexPoint
 from splitgame.splitting import (
     SplitSpec,
-    calibration_spec,
-    epsilon_curve,
     evaluate_split,
     landing_report,
     make_split_control,
@@ -92,6 +92,22 @@ class TestAsymmetricSplit:
         rep = evaluate_split(SplitSpec(p1, p2, 0.5, 0.125, 256), n_paths=2000, seed=3)
         assert rep.max_perp <= 1e-12
         assert rep.hit1_ok
+
+
+def calibration_spec() -> SplitSpec:
+    """Spec used for the epsilon(n) sweep: a softer gain separates the
+    unabsorbed tails at different step counts."""
+    return unit_segment_spec(kappa=1.0 / 3.0)
+
+
+def epsilon_curve(spec: SplitSpec, step_counts, n_paths: int = 10_000,
+                  seed: int = 0) -> list[tuple[int, float]]:
+    """Reported epsilon(n) = E|X_{t+h} - Z_near| for each subinterval count."""
+    out = []
+    for n in step_counts:
+        rep = evaluate_split(replace(spec, steps=int(n)), n_paths=n_paths, seed=seed)
+        out.append((int(n), rep.eps_mean))
+    return out
 
 
 class TestEpsilonCurve:
