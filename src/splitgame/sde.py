@@ -10,10 +10,13 @@ the layered face-by-face construction that makes the continuous equation well
 posed.
 
 Randomness is counter-based: path i draws its Gaussian increments from a
-Philox stream keyed by (seed, stream, i).  Every estimator runs through one
-block driver, _ensemble, which simulates the paths in blocks and returns each
-block's partial result in block order; combining them in that order makes
-results bit-identical for any batch split or thread count.
+Philox stream keyed by (seed, stream, i).  Increments are drawn on demand,
+per player, and only for intervals on which that player's control is
+non-zero, so a zero control or a frozen stretch draws nothing; rows drawn in
+chunks are byte-identical to one draw of the whole path.  Every estimator
+runs through one block driver, _ensemble, which simulates the paths in blocks
+and returns each block's partial result in block order; combining them in
+that order makes results bit-identical for any batch split or thread count.
 
 A block steps only what moves.  It yields segments of noise steps on which the
 state is constant: one step while a control is active, and a whole frozen
@@ -92,15 +95,44 @@ class NoiseGrid:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(stream, path))
         return np.random.Generator(np.random.Philox(ss))
 
-    def increments(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gaussian increments for paths [lo, hi): B1 and B2, shapes (b, N, dim).
-        Each path draws stream 0 (B1), then stream 1 (B2)."""
-        n, sd = self.n_steps, np.sqrt(self.dt)
-        dims = self.dim1, self.dim2
-        db = tuple(np.empty((hi - lo, n, d)) for d in dims)
-        for path in range(hi - lo):
-            for stream, d in enumerate(dims):
-                db[stream][path] = self._stream(lo + path, stream).standard_normal((n, d)) * sd
+    def increments(self, lo: int, hi: int) -> BlockNoise:
+        """The Gaussian increments of paths [lo, hi), drawn on demand."""
+        return BlockNoise(self, lo, hi)
+
+
+class BlockNoise:
+    """Increments of paths [lo, hi) of a noise grid: B1 and B2 as two
+    (b, N, dim) arrays whose rows are drawn only when asked for.
+
+    Path p of player i draws from its own Philox stream (stream i, path p).
+    standard_normal fills its output in order, so rows drawn in chunks carry
+    the bytes of one draw of all N rows.  A stream drawn to N is dropped.
+    """
+
+    def __init__(self, grid: NoiseGrid, lo: int, hi: int):
+        self.grid, self.lo = grid, lo
+        n = grid.n_steps
+        self._arrays = tuple(np.empty((hi - lo, n, d)) for d in (grid.dim1, grid.dim2))
+        self.drawn = [0, 0]
+        self._gens = [None, None]
+
+    def rows(self, i: int, k: int) -> np.ndarray:
+        """Player i's increments, with at least rows [0, k) drawn.  A draw at
+        least doubles the rows drawn, capped at N, so each stream is drawn
+        O(log N) times."""
+        have, db = self.drawn[i], self._arrays[i]
+        if k <= have:
+            return db
+        b, n, d = db.shape
+        new = min(n, max(k, 2 * have))
+        gens = self._gens[i] or [None] * b
+        sd = np.sqrt(self.grid.dt)
+        for path in range(b):
+            g = gens[path] or self.grid._stream(self.lo + path, i)
+            db[path, have:new] = g.standard_normal((new - have, d)) * sd
+            gens[path] = g if new < n else None
+        self._gens[i] = gens if new < n else None
+        self.drawn[i] = new
         return db
 
 
@@ -233,8 +265,8 @@ class _BlockSim:
     """One vectorized simulation block: paths [lo, hi) of a noise grid.
 
     Each per-player piece is a pair indexed by player, 0 for (p, u, B1) and
-    1 for (q, v, B2): start states x0, controls ctrl, interval starts,
-    increments db and realized controls.
+    1 for (q, v, B2): start states x0, controls ctrl, interval starts and
+    realized controls.  db holds both players' increments, drawn on demand.
     """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
@@ -279,7 +311,7 @@ class _BlockSim:
         """
         n, starts = self.noise.n_steps, self.starts
         state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
-        j, mat, zero = [0, 0], [None, None], [False, False]
+        j, mat, zero, db = [0, 0], [None, None], [False, False], [None, None]
         k = 0
         while k < n:
             for i in (0, 1):
@@ -288,11 +320,14 @@ class _BlockSim:
                     mat[i] = self._eval_feedback(i, j[i], k, state)
                     zero[i] = not mat[i].any()
                     j[i] += 1
+                    if not zero[i]:
+                        # the increments up to the end of the interval
+                        db[i] = self.db.rows(i, starts[i][j[i]])
             k1 = min(starts[0][j[0]], starts[1][j[1]]) if all(zero) else k + 1
             yield k, k1, *state
             for i in (0, 1):
                 if not zero[i]:
-                    state[i] = _step_batch(state[i], mat[i], self.db[i][:, k])
+                    state[i] = _step_batch(state[i], mat[i], db[i][:, k])
             k = k1
         yield n, n + 1, *state
 
@@ -365,7 +400,7 @@ def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
                 paths[i][rows, k0:k1] = state[i][:, None]
         for i in (0, 1):
             realized[i][rows] = sim.realized[i]
-            ends[i][rows] = sim.db[i].sum(axis=1)
+            ends[i][rows] = sim.db.rows(i, nsteps).sum(axis=1)
 
     _ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads)
     return TrajectoryBundle(noise.times(), *paths, *realized, *ends)
@@ -499,11 +534,11 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
             loc_q[k0:k1] = (d * d).sum()
             if k0 < nsteps:
                 # the copy steps where the primary path steps: same control
-                # matrices, same increments
+                # matrices, same increments (already drawn for the primary)
                 j = int(np.searchsorted(sim.starts[0][1:], k0, side="right"))
                 u = sim.realized[0][:, j]
                 if u.any():
-                    xb = _step_batch(xb, u, sim.db[0][:, k0])
+                    xb = _step_batch(xb, u, sim.db.rows(0, k0 + 1)[:, k0])
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)

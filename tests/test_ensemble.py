@@ -150,7 +150,7 @@ def per_step(sim):
         yield k, k + 1, *state
         for i in (0, 1):
             if not zero[i]:
-                state[i] = sde._step_batch(state[i], mat[i], sim.db[i][:, k])
+                state[i] = sde._step_batch(state[i], mat[i], sim.db.rows(i, k + 1)[:, k])
     yield n, n + 1, *state
 
 

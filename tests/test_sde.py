@@ -23,10 +23,46 @@ from splitgame.sde import (
     zero_control,
 )
 from splitgame.simplex import SUM_TOL, coupling_bound_constant
+from splitgame.splitting import make_split_control, unit_segment_spec
 
 
 def make_noise(n_paths=100, seed=7, dt=1 / 64, t=0.0, horizon=1.0, dim1=2, dim2=2):
     return NoiseGrid(t, horizon, dt, n_paths, seed, dim1, dim2)
+
+
+def all_rows(grid, lo, hi):
+    """Both players' increments of paths [lo, hi), every row drawn."""
+    block = grid.increments(lo, hi)
+    return tuple(block.rows(i, grid.n_steps) for i in (0, 1))
+
+
+def eager_rows(grid, path, stream, dim):
+    """One draw of all N rows of a path's Philox stream, scaled to variance dt."""
+    ss = np.random.SeedSequence(entropy=grid.seed, spawn_key=(stream, path))
+    gen = np.random.Generator(np.random.Philox(ss))
+    return gen.standard_normal((grid.n_steps, dim)) * np.sqrt(grid.dt)
+
+
+def record_noise(monkeypatch):
+    """Record every Philox stream built, as (stream, path), and every draw a
+    block makes, as (player, rows drawn before, rows drawn after)."""
+    streams, draws = [], []
+    real_stream, real_rows = NoiseGrid._stream, sde.BlockNoise.rows
+
+    def stream(grid, path, i):
+        streams.append((i, path))
+        return real_stream(grid, path, i)
+
+    def rows(block, i, k):
+        before = block.drawn[i]
+        out = real_rows(block, i, k)
+        if block.drawn[i] != before:
+            draws.append((i, before, block.drawn[i]))
+        return out
+
+    monkeypatch.setattr(NoiseGrid, "_stream", stream)
+    monkeypatch.setattr(sde.BlockNoise, "rows", rows)
+    return streams, draws
 
 
 class TestNoiseGrid:
@@ -36,7 +72,7 @@ class TestNoiseGrid:
 
     def test_increment_variance(self):
         g = make_noise(n_paths=4000, dt=1 / 16)
-        db1, db2 = g.increments(0, 4000)
+        db1, db2 = all_rows(g, 0, 4000)
         for db in (db1, db2):
             v = db[:, 0, :].var(axis=0)
             se = g.dt * np.sqrt(2.0 / 4000)
@@ -44,22 +80,81 @@ class TestNoiseGrid:
 
     def test_streams_disjoint(self):
         g = make_noise(n_paths=10)
-        db1, db2 = g.increments(0, 10)
+        db1, db2 = all_rows(g, 0, 10)
         assert not np.allclose(db1[:, :, 0], db2[:, :, 0])
 
     def test_per_path_reproducible(self):
         g = make_noise(n_paths=50)
-        a1, a2 = g.increments(10, 20)
-        b1, b2 = g.increments(0, 50)
+        a1, a2 = all_rows(g, 10, 20)
+        b1, b2 = all_rows(g, 0, 50)
         np.testing.assert_array_equal(a1, b1[10:20])
         np.testing.assert_array_equal(a2, b2[10:20])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3)), n_steps=st.integers(1, 40),
+       cuts=st.lists(st.integers(1, 11), min_size=1, max_size=3),
+       requests=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 45)), max_size=8))
+def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, requests):
+    """Rows drawn on demand, in any order of requests and for any block of
+    paths, carry the bytes of one eager draw of each path's whole stream."""
+    grid = NoiseGrid(0.0, 1.0, 1 / n_steps, 12, 5, *dims)
+    edges = [0, *sorted(set(cuts)), 12]
+    for lo, hi in zip(edges, edges[1:]):
+        block = grid.increments(lo, hi)
+        for i, k in requests + [(0, n_steps), (1, n_steps)]:
+            before = block.drawn[i]
+            db = block.rows(i, k)
+            m = block.drawn[i]
+            assert min(k, n_steps) <= m <= n_steps
+            assert m == before or m >= min(2 * before, n_steps)  # a draw at least doubles
+            for path in range(lo, hi):
+                want = eager_rows(grid, path, i, dims[i])
+                assert db[path - lo, :m].tobytes() == want[:m].tobytes()
+
+
+class TestLazyNoise:
+    P, Q = np.array([0.5, 0.5]), np.array([1.0])
+    TENT = analytic_field("tent")
+
+    def test_zero_controls_build_no_stream(self, monkeypatch):
+        streams, draws = record_noise(monkeypatch)
+        est = estimate_j(self.P, self.Q, zero_control(2), zero_control(1), self.TENT,
+                         make_noise(n_paths=50, dim2=1))
+        assert est.std_error == 0.0
+        assert streams == [] and draws == []
+
+    def test_split_then_freeze_draws_only_the_split(self, monkeypatch):
+        spec = unit_segment_spec(steps=128, horizon=0.05)
+        noise = make_noise(n_paths=20, dt=1 / 2560, dim2=1)
+        streams, draws = record_noise(monkeypatch)
+        estimate_j(spec.p.coords, self.Q, make_split_control(spec), zero_control(1),
+                   self.TENT, noise)
+        assert streams == [(0, path) for path in range(20)]  # one block, player 1 only
+        assert draws and all(i == 0 for i, _, _ in draws)
+        assert 128 <= draws[-1][2] <= 2 * 128
+        assert len(draws) <= 1 + int(np.log2(128))
+
+    def test_constant_control_draws_all_rows_at_once(self, monkeypatch):
+        noise = make_noise(n_paths=30, dt=1 / 256, dim2=1)
+        streams, draws = record_noise(monkeypatch)
+        estimate_j(self.P, self.Q, directional_control(2, 0.5), zero_control(1), self.TENT,
+                   noise)
+        assert streams == [(0, path) for path in range(30)]
+        assert draws == [(0, 0, noise.n_steps)]
+
+    def test_simulate_sums_every_row(self):
+        noise = make_noise(n_paths=6, dt=1 / 32, dim1=3, dim2=1)
+        b = simulate(np.full(3, 1 / 3), self.Q, zero_control(3), zero_control(1), noise)
+        for path in range(noise.n_paths):
+            for end, i, d in ((b.b1_end, 0, 3), (b.b2_end, 1, 1)):
+                want = eager_rows(noise, path, i, d).sum(axis=0)
+                assert end[path].tobytes() == want.tobytes()
 
 
 def step_x(x, u, db) -> np.ndarray:
     """Single Euler step for one state, through the engine's batched step."""
     xv, uv, dbv = (np.asarray(a, dtype=float) for a in (x, u, db))
-    if not all(np.all(np.isfinite(a)) for a in (xv, uv, dbv)):
-        raise ValueError("non-finite input to step_x")
     return sde._step_batch(xv[None], uv[None], dbv[None])[0]
 
 
@@ -89,10 +184,6 @@ class TestStepX:
         # raw tangent increment would be (-0.25, +0.25): crossing at theta=0.4
         out = step_x(x, u, np.array([-0.5, 0.0]))
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            step_x(np.array([0.5, 0.5]), np.full((2, 2), np.nan), np.zeros(2))
 
     def test_projection_consistency(self):
         # stepping with u equals stepping with its projected version
@@ -185,10 +276,11 @@ class TestSimulate:
     def test_control_dim_must_match_state(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(NoiseGrid, "increments", lambda grid, lo, hi: drawn.append(lo))
+        monkeypatch.setattr(NoiseGrid, "_stream", lambda grid, path, i: drawn.append(path))
         with pytest.raises(ValueError, match="control 'zero' has dim 3, its state has 2 "):
             simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), zero_control(3),
                      zero_control(2), make_noise(n_paths=4))
-        assert drawn == []  # rejected before any noise is drawn
+        assert drawn == []  # rejected before any block or stream is made
 
 
 class TestBundleSize:
@@ -250,15 +342,16 @@ class TestStateFeedback:
         noise = make_noise(n_paths=20, dt=1 / 32)
         args = (np.array([0.4, 0.6]), np.array([0.5, 0.5]), u, v, noise)
         base = simulate(*args)
-        real = NoiseGrid.increments
+        real = sde.BlockNoise.rows
 
-        def flipped(grid, lo, hi):
-            db = real(grid, lo, hi)
-            for d in db:
-                d[:, k:] *= -1.0
+        def flipped(block, i, upto):
+            # every row from step k on changes sign once, as it is drawn
+            before = block.drawn[i]
+            db = real(block, i, upto)
+            db[:, max(k, before):block.drawn[i]] *= -1.0
             return db
 
-        monkeypatch.setattr(NoiseGrid, "increments", flipped)
+        monkeypatch.setattr(sde.BlockNoise, "rows", flipped)
         alt = simulate(*args)
         for ctrl, name in ((u, "u_realized"), (v, "v_realized")):
             begun = interval_starts(ctrl, noise)[:-1] <= k
@@ -303,6 +396,15 @@ class TestEstimateJ:
         expect = h(0.0, p) * 1.0  # time-independent H, left quadrature is exact here
         assert abs(est.mean - expect) <= 1e-12
         assert est.std_error <= 1e-12
+
+    def test_rejects_nan_feedback_before_drawing(self, monkeypatch):
+        streams, _ = record_noise(monkeypatch)
+        bad = FeedbackControl((), lambda j, view: np.full((2, 2), np.nan), 2, "bad")
+        h = analytic_field("constant", level=0.3, dim_q=2)
+        with pytest.raises(ValueError, match="control 'bad' returned a non-finite matrix"):
+            estimate_j(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
+                       directional_control(2, 0.5), h, make_noise(n_paths=4))
+        assert streams == []
 
     def test_requires_two_paths(self):
         noise = NoiseGrid(0.0, 1.0, 1 / 32, 1, 0, 2, 1)
