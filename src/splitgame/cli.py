@@ -174,10 +174,11 @@ def build_field(cfg: Reader, horizon: float):
                   else params.read(key, _number, "a number") for key in params.obj}
         return params.call(analytic_field, name, **kwargs)
     path = Path(cfg.get("_config_dir", ".")) / block.string("path")
-    if not path.is_file():
+    data = cfg.obj.get("_tensor_bytes")  # read once by run, which hashed them
+    if data is None:
         raise ConfigError(f"hamiltonian.path: file {path} does not exist")
     try:
-        tensor = PayoffTensor.from_dict(json.loads(path.read_text()))
+        tensor = PayoffTensor.from_dict(json.loads(data))
         return tensor_field(tensor, horizon=horizon)
     except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON
         raise ConfigError(f"hamiltonian.path: cannot load tensor: {e}") from None
@@ -422,7 +423,8 @@ _DISPATCH = {
 def run(subcommand: str, config: dict, out_dir, threads: int = 1,
         seed: int | None = None) -> int:
     """Programmatic entry point; returns the process exit code.  The hash is
-    taken over the raw config, plus the sha256 of a tensor file's bytes."""
+    taken over the raw config, plus the sha256 of a tensor file's bytes; the
+    file is read once, and the running cost is parsed from the bytes hashed."""
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = {k: v for k, v in config.items() if not k.startswith("_")}
@@ -436,7 +438,8 @@ def run(subcommand: str, config: dict, out_dir, threads: int = 1,
     if isinstance(block, dict) and block.get("kind") == "tensor":
         tensor = Path(cfg["_config_dir"]) / str(block.get("path", ""))
         if tensor.is_file():  # otherwise build_field raises the ConfigError
-            sha = hashlib.sha256(tensor.read_bytes()).hexdigest()
+            cfg["_tensor_bytes"] = tensor.read_bytes()
+            sha = hashlib.sha256(cfg["_tensor_bytes"]).hexdigest()
             hashed["hamiltonian"] = {**block, "sha256": sha}
     out = Path(out_dir) / config_hash(hashed)
     return _DISPATCH[subcommand](root, out, threads, seed)

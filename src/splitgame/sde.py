@@ -18,11 +18,12 @@ runs through one block driver, _ensemble, which simulates the paths in blocks
 and returns each block's partial result in block order; combining them in
 that order makes results bit-identical for any batch split or thread count.
 
-A block steps only what moves.  It yields segments of noise steps on which the
-state is constant: one step while a control is active, and a whole frozen
-stretch (both realized controls exactly zero) up to where either player's
-next interval begins, which the estimators reduce once.  Sums over a state's
-coordinates are added column by column, in numpy's own order.
+A block steps only what moves, and holds only the controls in force.  It
+yields segments of noise steps on which the state is constant: one step while
+a control is active, and a whole frozen stretch (both controls in force
+exactly zero) up to where either player's next interval begins, which the
+estimators reduce once.  Sums over a state's coordinates are added column by
+column, in numpy's own order.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from splitgame.simplex import coupling_bound_constant
 
 ETA = 1e-10  # absorption band: a coordinate at or below it is set to zero
 _GRID_SNAP = 1e-9
-# the most a full-path run (simulate) may keep: paths, realized controls and
-# terminal noise sums, checked before any of them is allocated
+# the most a full-path run (simulate) may keep: paths and each path's control
+# on each interval, checked before any of them is allocated
 MAX_BUNDLE_BYTES = 2 * 1024**3
 
 
@@ -265,8 +266,10 @@ class _BlockSim:
     """One vectorized simulation block: paths [lo, hi) of a noise grid.
 
     Each per-player piece is a pair indexed by player, 0 for (p, u, B1) and
-    1 for (q, v, B2): start states x0, controls ctrl, interval starts and
-    realized controls.  db holds both players' increments, drawn on demand.
+    1 for (q, v, B2): start states x0, controls ctrl and interval starts.  db
+    holds both players' increments, drawn on demand.  While steps() runs,
+    interval[i] and control[i] are player i's interval and (b, n, n) control
+    matrices in force on the segment just yielded.
     """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
@@ -285,12 +288,10 @@ class _BlockSim:
         self.starts = tuple(interval_starts(ctrl, noise) for ctrl in self.ctrl)
         self.times = noise.times()
         self.db = noise.increments(lo, hi)
-        self.realized = tuple(np.zeros((self.b, s.size - 1, x0.size, x0.size))
-                              for s, x0 in zip(self.starts, self.x0))
 
     def _eval_feedback(self, i, j, k, state):
         """Player i's control matrices for interval j, which begins on step k,
-        read from the state pair there; also stored in realized[i][:, j]."""
+        read from the state pair there."""
         ctrl = self.ctrl[i]
         view = HistoryView(self.times[k], state[i], state[1 - i])
         mat = np.asarray(ctrl.feedback(j, view), dtype=float)
@@ -298,32 +299,32 @@ class _BlockSim:
             raise ValueError(f"feedback for control {ctrl.label!r} returned a non-finite matrix")
         if mat.ndim == 2:
             mat = np.broadcast_to(mat, (self.b,) + mat.shape)
-        self.realized[i][:, j] = mat
         return mat
 
     def steps(self):
         """Yield segments (k0, k1, X, Y): the state on noise steps k0..k1-1.
 
         An active step is a segment of one step.  A stretch on which both
-        realized controls are exactly zero is one segment, ending where the
+        controls in force are exactly zero is one segment, ending where the
         next interval of either player begins.  The last yield, (N, N+1, X, Y),
         carries the terminal state.
         """
         n, starts = self.noise.n_steps, self.starts
         state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
-        j, mat, zero, db = [0, 0], [None, None], [False, False], [None, None]
+        self.interval, self.control = j, mat = [-1, -1], [None, None]
+        zero, db = [False, False], [None, None]
         k = 0
         while k < n:
             for i in (0, 1):
                 # starts[i][-1] = n, so no player runs past its last interval
-                if k == starts[i][j[i]]:
+                if k == starts[i][j[i] + 1]:
+                    j[i] += 1
                     mat[i] = self._eval_feedback(i, j[i], k, state)
                     zero[i] = not mat[i].any()
-                    j[i] += 1
                     if not zero[i]:
                         # the increments up to the end of the interval
-                        db[i] = self.db.rows(i, starts[i][j[i]])
-            k1 = min(starts[0][j[0]], starts[1][j[1]]) if all(zero) else k + 1
+                        db[i] = self.db.rows(i, starts[i][j[i] + 1])
+            k1 = min(starts[0][j[0] + 1], starts[1][j[1] + 1]) if all(zero) else k + 1
             yield k, k1, *state
             for i in (0, 1):
                 if not zero[i]:
@@ -357,16 +358,14 @@ def _ensemble(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
 
 @dataclass
 class TrajectoryBundle:
-    """Monte Carlo ensemble of coupled (X, Y) paths with realized controls
-    and terminal Brownian sums."""
+    """Monte Carlo ensemble of coupled (X, Y) paths with the controls each
+    path played on each interval."""
 
     times: np.ndarray
     x_paths: np.ndarray     # (n_paths, N+1, nI)
     y_paths: np.ndarray     # (n_paths, N+1, nJ)
     u_realized: np.ndarray  # (n_paths, m_u, nI, nI)
     v_realized: np.ndarray
-    b1_end: np.ndarray      # (n_paths, nI)
-    b2_end: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -385,25 +384,24 @@ def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     n, nsteps = noise.n_paths, noise.n_steps
     dims = noise.dim1, noise.dim2
     m = [interval_starts(ctrl, noise).size - 1 for ctrl in (u_ctrl, v_ctrl)]
-    size = 8 * n * sum((nsteps + 1) * d + m_i * d * d + d for d, m_i in zip(dims, m))
+    size = 8 * n * sum((nsteps + 1) * d + m_i * d * d for d, m_i in zip(dims, m))
     if size > MAX_BUNDLE_BYTES:
         raise BundleSizeError(f"{n} full paths of {nsteps} steps need {size / 1024**3:.3g} GiB, "
                               f"over the {MAX_BUNDLE_BYTES / 1024**3:g} GiB limit")
     paths = [np.empty((n, nsteps + 1, d)) for d in dims]
     realized = [np.empty((n, m_i, d, d)) for d, m_i in zip(dims, m)]
-    ends = [np.empty((n, d)) for d in dims]
 
     def reduce(sim):
         rows = slice(sim.lo, sim.hi)
         for k0, k1, *state in sim.steps():
             for i in (0, 1):
                 paths[i][rows, k0:k1] = state[i][:, None]
-        for i in (0, 1):
-            realized[i][rows] = sim.realized[i]
-            ends[i][rows] = sim.db.rows(i, nsteps).sum(axis=1)
+                j = sim.interval[i]
+                if k0 == sim.starts[i][j]:  # interval j begins on this segment
+                    realized[i][rows, j] = sim.control[i]
 
     _ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads)
-    return TrajectoryBundle(noise.times(), *paths, *realized, *ends)
+    return TrajectoryBundle(noise.times(), *paths, *realized)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +530,11 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
             d = np.linalg.norm(x - xb, axis=1)
             loc_s[k0:k1] = d.sum()
             loc_q[k0:k1] = (d * d).sum()
-            if k0 < nsteps:
+            u = sim.control[0]
+            if k0 < nsteps and u.any():
                 # the copy steps where the primary path steps: same control
                 # matrices, same increments (already drawn for the primary)
-                j = int(np.searchsorted(sim.starts[0][1:], k0, side="right"))
-                u = sim.realized[0][:, j]
-                if u.any():
-                    xb = _step_batch(xb, u, sim.db.rows(0, k0 + 1)[:, k0])
+                xb = _step_batch(xb, u, sim.db.rows(0, k0 + 1)[:, k0])
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)

@@ -325,6 +325,37 @@ class TestSolveHj:
             assert cli.main(["solve-hj", "--config", str(path), "--out", str(out)]) == 0
         assert len([d for d in out.iterdir() if d.is_dir()]) == 2
 
+    def test_tensor_hashed_and_parsed_from_the_same_bytes(self, tmp_path, monkeypatch):
+        tensor = tmp_path / "tensor.json"
+
+        def write(level):
+            tensor.write_text(json.dumps(
+                {"time_samples": [0.0], "values": np.full((1, 2, 1, 1, 1), level).tolist()}))
+
+        write(0.25)
+        path = write_config(tmp_path, {
+            "schema_version": 1,
+            "hamiltonian": {"kind": "tensor", "path": "tensor.json"},
+            "hj": {"p_resolution": 20, "q_resolution": 1, "time_steps": 16},
+        })
+        args = ["solve-hj", "--config", str(path), "--out"]
+        assert cli.main(args + [str(tmp_path / "a")]) == 0
+        real = cli.config_hash
+
+        def hash_then_rewrite(cfg):
+            # another writer replaces the tensor once its bytes are hashed
+            digest = real(cfg)
+            write(0.75)
+            return digest
+
+        monkeypatch.setattr(cli, "config_hash", hash_then_rewrite)
+        assert cli.main(args + [str(tmp_path / "b")]) == 0
+        (a,), (b,) = (list((tmp_path / name).iterdir()) for name in "ab")
+        assert a.name == b.name
+        assert sorted(f.name for f in a.iterdir()) == sorted(f.name for f in b.iterdir())
+        for f in a.iterdir():
+            assert (b / f.name).read_bytes() == f.read_bytes(), f.name
+
     def test_non_finite_tensor_exit_2(self, tmp_path, capsys):
         vals = np.full((1, 2, 1, 1, 2), 0.5)
         vals[0, 1, 0, 0, 1] = np.nan

@@ -60,7 +60,7 @@ def run_all_estimators(threads):
     """Every estimator on 200 paths; arrays that must match across threads."""
     u, v = directional_control(2, 0.8), directional_control(2, 0.5)
     b = simulate(P, Q, u, v, noise_grid(200, 32), threads=threads)
-    out = {"simulate": [b.x_paths, b.y_paths, b.u_realized, b.v_realized, b.b1_end, b.b2_end]}
+    out = {"simulate": [b.x_paths, b.y_paths, b.u_realized, b.v_realized]}
     est = estimate_j(P, Q, history_control(0.5), v, BILINEAR, noise_grid(200, 32),
                      threads=threads)
     out["estimate_j"] = [est.mean, est.std_error]
@@ -122,7 +122,7 @@ def test_results_independent_of_block_split(cuts):
     whole, j_whole, est_whole = run()
     with mock.patch.object(sde, "_block_ranges", fixed_ranges(sorted(set(cuts)))):
         split, j_split, est_split = run()
-    for name in ("x_paths", "y_paths", "u_realized", "v_realized", "b1_end", "b2_end"):
+    for name in ("x_paths", "y_paths", "u_realized", "v_realized"):
         np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
     np.testing.assert_array_equal(j_split, j_whole)
     assert est_split == est_whole
@@ -138,15 +138,18 @@ def test_block_ranges_cover_paths_within_cap(n_paths, n_steps):
 
 
 def per_step(sim):
-    """The engine's former generator: one yield per noise step."""
+    """The engine's former generator: one yield per noise step, exposing each
+    player's interval and control matrices in force as steps() does."""
     n = sim.noise.n_steps
     state = [np.tile(x0, (sim.b, 1)) for x0 in sim.x0]
-    j, mat, zero = [0, 0], [None, None], [False, False]
+    sim.interval, sim.control = j, mat = [-1, -1], [None, None]
+    zero = [False, False]
     for k in range(n):
         for i in (0, 1):
-            if k == sim.starts[i][j[i]]:
+            if k == sim.starts[i][j[i] + 1]:
+                j[i] += 1
                 mat[i] = sim._eval_feedback(i, j[i], k, state)
-                zero[i], j[i] = not mat[i].any(), j[i] + 1
+                zero[i] = not mat[i].any()
         yield k, k + 1, *state
         for i in (0, 1):
             if not zero[i]:
@@ -178,7 +181,7 @@ def run_on_segments(u, v, H):
     est = estimate_j(SPLIT.p.coords, Q, u, v, H, noise,
                      terminal=lambda x, y: x[:, 0] * y[:, 1])
     lip = lipschitz_p_check(SPLIT.p.coords, [0.3, 0.7], u, noise)
-    return [b.x_paths, b.y_paths, b.u_realized, b.v_realized, b.b1_end, b.b2_end,
+    return [b.x_paths, b.y_paths, b.u_realized, b.v_realized,
             rep.mean_dev, rep.se, rep.min_coord, rep.max_sum_err, rep.support_monotone,
             est.mean, est.std_error, lip.estimate, lip.std_error]
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ from splitgame.sde import (
 )
 from splitgame.simplex import SUM_TOL, coupling_bound_constant
 from splitgame.splitting import make_split_control, unit_segment_spec
+
+
+# a block's traced peak over its two noise arrays' bytes, 1.19 when measured on
+# a 256-interval split
+PEAK_BOUND = 1.3
 
 
 def make_noise(n_paths=100, seed=7, dt=1 / 64, t=0.0, horizon=1.0, dim1=2, dim2=2):
@@ -143,13 +149,27 @@ class TestLazyNoise:
         assert streams == [(0, path) for path in range(30)]
         assert draws == [(0, 0, noise.n_steps)]
 
-    def test_simulate_sums_every_row(self):
-        noise = make_noise(n_paths=6, dt=1 / 32, dim1=3, dim2=1)
-        b = simulate(np.full(3, 1 / 3), self.Q, zero_control(3), zero_control(1), noise)
-        for path in range(noise.n_paths):
-            for end, i, d in ((b.b1_end, 0, 3), (b.b2_end, 1, 1)):
-                want = eager_rows(noise, path, i, d).sum(axis=0)
-                assert end[path].tobytes() == want.tobytes()
+    def test_simulate_draws_nothing_for_a_zero_control(self, monkeypatch):
+        noise = make_noise(n_paths=6, dt=1 / 32, dim2=1)
+        streams, draws = record_noise(monkeypatch)
+        simulate(self.P, self.Q, directional_control(2, 0.5), zero_control(1), noise)
+        assert streams == [(0, path) for path in range(6)]
+        assert draws == [(0, 0, noise.n_steps)]
+
+    def test_block_peak_is_its_noise(self):
+        # a per-path split over 256 intervals: a block keeps its two noise
+        # arrays and the controls in force, never one matrix per interval
+        spec = unit_segment_spec(steps=256, horizon=0.125)
+        noise = make_noise(n_paths=500, dt=0.125 / 256, horizon=0.125, dim2=1)
+        noise_bytes = 8 * noise.n_paths * noise.n_steps * (noise.dim1 + noise.dim2)
+        tracemalloc.start()
+        try:
+            estimate_j(spec.p.coords, self.Q, make_split_control(spec), zero_control(1),
+                       self.TENT, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BOUND * noise_bytes, peak / noise_bytes
 
 
 def step_x(x, u, db) -> np.ndarray:
@@ -289,8 +309,7 @@ class TestBundleSize:
         v = FeedbackControl(np.array([0.25, 0.5]), lambda j, view: np.eye(2), 2)
         args = (np.full(3, 1 / 3), np.array([0.5, 0.5]), directional_control(3, 0.5), v, noise)
         b = simulate(*args)
-        size = sum(a.nbytes for a in (b.x_paths, b.y_paths, b.u_realized, b.v_realized,
-                                      b.b1_end, b.b2_end))
+        size = sum(a.nbytes for a in (b.x_paths, b.y_paths, b.u_realized, b.v_realized))
         monkeypatch.setattr(sde, "MAX_BUNDLE_BYTES", size)
         simulate(*args)
         monkeypatch.setattr(sde, "MAX_BUNDLE_BYTES", size - 1)
@@ -459,15 +478,17 @@ class CovarianceEntry:
         return abs(self.covariance) <= 3.0 * self.std_error + 1e-15
 
 
-def independence_check(bundle) -> list[CovarianceEntry]:
+def independence_check(bundle, noise) -> list[CovarianceEntry]:
     """Empirical covariance between X_T - p and bounded functionals of the
-    opponent's Brownian block; everything should vanish to 3 standard errors.
+    opponent's Brownian block, summed from the noise grid's rows; everything
+    should vanish to 3 standard errors.
     """
     x_t = bundle.x_paths[:, -1, :]
     x0 = bundle.x_paths[:, 0, :]
     a = x_t - x0
-    functionals = {"sign_b2_first": np.sign(bundle.b2_end[:, 0]),
-                   "tanh_b2_first": np.tanh(bundle.b2_end[:, 0])}
+    b2_end = noise.increments(0, noise.n_paths).rows(1, noise.n_steps).sum(axis=1)
+    functionals = {"sign_b2_first": np.sign(b2_end[:, 0]),
+                   "tanh_b2_first": np.tanh(b2_end[:, 0])}
     for c in range(bundle.y_paths.shape[2]):
         functionals[f"y_T_{c}"] = bundle.y_paths[:, -1, c]
     n = bundle.n_paths
@@ -488,7 +509,7 @@ class TestIndependence:
         noise = make_noise(n_paths=64, dt=1 / 32)
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                      zero_control(2), directional_control(2, 0.5), noise)
-        for entry in independence_check(b):
+        for entry in independence_check(b, noise):
             assert entry.covariance == 0.0
 
     def test_nonzero_controls_uncorrelated(self):
@@ -496,7 +517,7 @@ class TestIndependence:
         b = simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
                      directional_control(2, 0.5),
                      directional_control(2, 0.5), noise)
-        for entry in independence_check(b):
+        for entry in independence_check(b, noise):
             assert entry.ok, (entry.functional, entry.covariance, entry.std_error)
 
     def test_complete_information_feedback_keeps_orthogonality(self):
@@ -509,7 +530,7 @@ class TestIndependence:
         assert simulation_report(p, q, u, v, noise).martingale_ok
         b = simulate(p, q, u, v, noise)
         assert len(np.unique(b.u_realized[:, -1, 0, 0])) > 1  # the gains vary by path
-        for entry in independence_check(b):
+        for entry in independence_check(b, noise):
             assert entry.ok, (entry.functional, entry.covariance, entry.std_error)
 
 
