@@ -23,6 +23,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -243,6 +244,17 @@ def _load_registry(path: Path) -> dict:
     return {}
 
 
+def _merge_registry(path: Path, key: str, entry: dict) -> None:
+    """Add one entry to the mc-game registry.  The read-modify-write holds an
+    exclusive flock on <name>.lock, so concurrent runs into one out root keep
+    every entry."""
+    with open(path.with_name(path.name + ".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        registry = _load_registry(path)
+        registry[key] = entry
+        _write_json(path, registry)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -274,8 +286,8 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
 
 def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
-    from splitgame.sde import (BundleSizeError, NoiseGrid, dump_trajectories, interval_starts,
-                               simulate, simulation_report)
+    from splitgame.sde import (BundleSizeError, NoiseGrid, bundle_report, dump_trajectories,
+                               interval_starts, simulate, simulation_report)
 
     horizon = cfg.positive("horizon", 1.0)
     if "hamiltonian" in cfg.obj:  # not used here, but a malformed block still exits 2
@@ -293,10 +305,12 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     for ctrl in (u, v):
         split.call(interval_starts, ctrl, noise)
     try:
-        bundle = simulate(p, q, u, v, noise, threads=threads) if dump else None
-        rep = simulation_report(p, q, u, v, noise, threads=threads)
-        if dump:
+        if dump:  # one stepping pass: the report is read off the bundle's paths
+            bundle = simulate(p, q, u, v, noise, threads=threads)
+            rep = bundle_report(bundle)
             dump_trajectories(bundle, out / "trajectories.csv")
+        else:
+            rep = simulation_report(p, q, u, v, noise, threads=threads)
     except BundleSizeError as e:
         raise ConfigError(f"{sim.where('n_paths')}: {e}") from None
     except ValueError as e:
@@ -386,10 +400,7 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     _write_json(out / "report.json", {"config_hash": out.name, "mc_game": result})
 
     # cumulative results file keyed by config hash
-    registry = out.parent / "mc_game_results.json"
-    existing = _load_registry(registry)
-    existing[out.name] = result
-    _write_json(registry, existing)
+    _merge_registry(out.parent / "mc_game_results.json", out.name, result)
     return EXIT_OK if br.ordered else EXIT_CHECK_FAILED
 
 

@@ -9,11 +9,15 @@ absorbing and the support is non-increasing along every path, which mirrors
 the layered face-by-face construction that makes the continuous equation well
 posed.
 
-Randomness is counter-based: path i draws its Gaussian increments from a
-Philox stream keyed by (seed, stream, i).  Increments are drawn on demand,
-per player, and only for intervals on which that player's control is
-non-zero, so a zero control or a frozen stretch draws nothing; rows drawn in
-chunks are byte-identical to one draw of the whole path.  Every estimator
+Randomness is counter-based: path i of player s draws its Gaussian
+increments from a Philox stream whose key is numpy's
+SeedSequence(entropy=seed, spawn_key=(s, i)).generate_state(2, np.uint64).
+A block derives all its paths' keys in one pass of that hash (NoiseGrid.keys)
+and draws every path through one bit generator set to each key in turn.
+Increments are drawn on demand, per player, and only for intervals on which
+that player's control is non-zero, so a zero control or a frozen stretch
+draws nothing; rows drawn in chunks are byte-identical to one draw of the
+whole path.  Every estimator
 runs through one block driver, _ensemble, which simulates the paths in blocks
 and returns each block's partial result in block order; combining them in
 that order makes results bit-identical for any batch split or thread count.
@@ -57,6 +61,34 @@ class BundleSizeError(ValueError):
 # noise
 # ---------------------------------------------------------------------------
 
+# numpy's SeedSequence constants: the pool hash (A), the output hash (B) and the mix
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative integer's 32-bit words, least significant first."""
+    out = [n & _MASK32]
+    while n := n >> 32:
+        out.append(n & _MASK32)
+    return out
+
+
+def _hashmix(v, h: int):
+    """SeedSequence's hashmix of v (an int or an int64 array of 32-bit words)
+    under multiplier h; returns the hash and the next multiplier."""
+    h2 = h * _MULT_A & _MASK32
+    v = (v ^ h) * h2 & _MASK32
+    return v ^ v >> 16, h2
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
 @dataclass(frozen=True)
 class NoiseGrid:
     """Uniform time grid on [t, horizon] with per-path Gaussian increments.
@@ -84,6 +116,9 @@ class NoiseGrid:
             raise GridMismatchError(f"dt={self.dt} does not divide the horizon {self.horizon - self.t}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -92,13 +127,58 @@ class NoiseGrid:
     def times(self) -> np.ndarray:
         return self.t + self.dt * np.arange(self.n_steps + 1)
 
-    def _stream(self, path: int, stream: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(stream, path))
-        return np.random.Generator(np.random.Philox(ss))
+    def keys(self, stream: int, lo: int, hi: int) -> np.ndarray:
+        """The (hi - lo, 2) uint64 Philox keys of paths [lo, hi) of a stream, in
+        one pass: row p is numpy's
+        SeedSequence(entropy=seed, spawn_key=(stream, lo + p)).generate_state(2, np.uint64).
+
+        The entropy is the seed's words padded to the pool size of 4, then the
+        stream's and the path's words.  Only the path's words, the last ones,
+        differ along the block, so the pool is hashed as ints up to them.
+        """
+        entropy = _words(int(self.seed))
+        entropy += [0] * (4 - len(entropy)) + _words(stream)
+        pool, h = [], _INIT_A
+        for w in entropy[:4]:
+            v, h = _hashmix(w, h)
+            pool.append(v)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    v, h = _hashmix(pool[src], h)
+                    pool[dst] = _mix(pool[dst], v)
+        for w in entropy[4:]:
+            for dst in range(4):
+                v, h = _hashmix(w, h)
+                pool[dst] = _mix(pool[dst], v)
+        # int64 arrays: products wrap mod 2**64, so masked words are exact
+        paths = np.arange(lo, hi, dtype=np.int64)
+        for k in range(len(_words(max(hi - 1, 0)))):
+            # a path's k-th word exists from 2**(32k) on; word 0 always does
+            high = paths >> 32 * k
+            word, mixed = high & _MASK32, []
+            for dst in range(4):
+                v, h = _hashmix(word, h)
+                mixed.append(_mix(pool[dst], v))
+            pool = mixed if k == 0 else [np.where(high > 0, a, b) for a, b in zip(mixed, pool)]
+        out, h = np.empty((paths.size, 4), dtype=np.uint32), _INIT_B
+        for dst in range(4):
+            v = pool[dst] ^ h
+            h = h * _MULT_B & _MASK32
+            v = v * h & _MASK32
+            out[:, dst] = v ^ v >> 16
+        return out.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
     def increments(self, lo: int, hi: int) -> BlockNoise:
         """The Gaussian increments of paths [lo, hi), drawn on demand."""
         return BlockNoise(self, lo, hi)
+
+
+def _fresh_state(key) -> dict:
+    """The state of a Philox bit generator keyed by key with nothing drawn, as
+    np.random.Philox(SeedSequence) starts."""
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 class BlockNoise:
@@ -106,8 +186,10 @@ class BlockNoise:
     (b, N, dim) arrays whose rows are drawn only when asked for.
 
     Path p of player i draws from its own Philox stream (stream i, path p).
-    standard_normal fills its output in order, so rows drawn in chunks carry
-    the bytes of one draw of all N rows.  A stream drawn to N is dropped.
+    Philox is counter-based, so a stream is its key: the block computes the
+    keys of all its paths in one pass, and a draw sets one bit generator to
+    each in turn.  standard_normal fills its output in order, so each draw restarts
+    the stream and rows already drawn come out with the same bytes.
     """
 
     def __init__(self, grid: NoiseGrid, lo: int, hi: int):
@@ -115,25 +197,27 @@ class BlockNoise:
         n = grid.n_steps
         self._arrays = tuple(np.empty((hi - lo, n, d)) for d in (grid.dim1, grid.dim2))
         self.drawn = [0, 0]
-        self._gens = [None, None]
+        self._keys = [None, None]
 
     def rows(self, i: int, k: int) -> np.ndarray:
         """Player i's increments, with at least rows [0, k) drawn.  A draw at
-        least doubles the rows drawn, capped at N, so each stream is drawn
-        O(log N) times."""
+        least doubles the rows drawn, capped at N, so a stream is drawn
+        O(log N) times and generates at most twice the rows it keeps."""
         have, db = self.drawn[i], self._arrays[i]
-        if k <= have:
+        b, n, _ = db.shape
+        if min(k, n) <= have:
             return db
-        b, n, d = db.shape
         new = min(n, max(k, 2 * have))
-        gens = self._gens[i] or [None] * b
-        sd = np.sqrt(self.grid.dt)
-        for path in range(b):
-            g = gens[path] or self.grid._stream(self.lo + path, i)
-            db[path, have:new] = g.standard_normal((new - have, d)) * sd
-            gens[path] = g if new < n else None
-        self._gens[i] = gens if new < n else None
+        keys = self._keys[i] if have else self.grid.keys(i, self.lo, self.lo + b)
+        # a generator of this draw's own: blocks run in a thread pool
+        gen, state = np.random.Generator(np.random.Philox(0)), _fresh_state(None)
+        for path, key in enumerate(keys):
+            state["state"]["key"] = key
+            gen.bit_generator.state = state
+            gen.standard_normal(out=db[path, :new])
+        db[:, :new] *= np.sqrt(self.grid.dt)
         self.drawn[i] = new
+        self._keys[i] = keys if new < n else None  # a stream drawn to N is done
         return db
 
 
@@ -475,34 +559,59 @@ class SimulationReport:
         return float(np.max(self.mean_dev / (3.0 * self.se + 1e-12)))
 
 
-def simulation_report(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-                      noise: NoiseGrid, threads: int = 1) -> SimulationReport:
-    """Run the ensemble keeping only martingale / invariance statistics."""
-    def reduce(sim):
-        loc_sum = np.zeros((noise.n_steps + 1, noise.dim1))
-        loc_sq = np.zeros_like(loc_sum)
-        mn, serr, mono = np.inf, 0.0, True
-        prev = [x0 > ETA for x0 in sim.x0]
-        for k0, k1, *state in sim.steps():
-            x = state[0]
-            loc_sum[k0:k1] = x.sum(axis=0)
-            loc_sq[k0:k1] = (x * x).sum(axis=0)
-            mn = min(mn, *(float(s.min()) for s in state))
-            serr = max(serr, *(float(np.max(np.abs(_row_sums(s) - 1.0))) for s in state))
-            sup = [s > ETA for s in state]
-            mono = mono and not any(np.any(s & ~s0) for s, s0 in zip(sup, prev))
-            prev = sup
-        return loc_sum, loc_sq, mn, serr, mono
+def _report_block(x0, segments, n_steps: int) -> tuple:
+    """simulation_report's reduction of one block: segments (k0, k1, X, Y)
+    from start states x0 give player 1's sums and sums of squares at every
+    grid time, the least coordinate, the worst sum error and whether no
+    support grew."""
+    loc_sum = np.zeros((n_steps + 1, x0[0].size))
+    loc_sq = np.zeros_like(loc_sum)
+    mn, serr, mono = np.inf, 0.0, True
+    prev = [x > ETA for x in x0]
+    for k0, k1, *state in segments:
+        x = state[0]
+        loc_sum[k0:k1] = x.sum(axis=0)
+        loc_sq[k0:k1] = (x * x).sum(axis=0)
+        mn = min(mn, *(float(s.min()) for s in state))
+        serr = max(serr, *(float(np.max(np.abs(_row_sums(s) - 1.0))) for s in state))
+        sup = [s > ETA for s in state]
+        mono = mono and not any(np.any(s & ~s0) for s, s0 in zip(sup, prev))
+        prev = sup
+    return loc_sum, loc_sq, mn, serr, mono
 
-    parts = _ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads)
+
+def _report(parts: list, p, times: np.ndarray, n: int) -> SimulationReport:
+    """Combine the blocks' reductions of n paths started at p, in block order."""
     sums, sq_sums, mns, serrs, monos = zip(*parts)
-    n = noise.n_paths
     mean = sum(sums) / n
     var = np.maximum(sum(sq_sums) / n - mean**2, 0.0)
     se = np.sqrt(var / n)
     pv = np.asarray(p, dtype=float)
-    return SimulationReport(noise.times(), np.abs(mean - pv), se,
-                            min(mns), max(serrs), all(monos), n)
+    return SimulationReport(times, np.abs(mean - pv), se, min(mns), max(serrs), all(monos), n)
+
+
+def simulation_report(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+                      noise: NoiseGrid, threads: int = 1) -> SimulationReport:
+    """Run the ensemble keeping only martingale / invariance statistics."""
+    parts = _ensemble(p, q, u_ctrl, v_ctrl, noise,
+                      lambda sim: _report_block(sim.x0, sim.steps(), noise.n_steps), threads)
+    return _report(parts, p, noise.times(), noise.n_paths)
+
+
+def bundle_report(bundle: TrajectoryBundle) -> SimulationReport:
+    """simulation_report of the run that made bundle, read off its paths
+    instead of stepping them again: the same blocks, each step's states as
+    contiguous copies, so every sum and every bit is the same."""
+    n, n_steps = bundle.n_paths, bundle.times.size - 1
+    x0 = bundle.x_paths[0, 0], bundle.y_paths[0, 0]
+
+    def segments(lo, hi):
+        for k in range(n_steps + 1):
+            yield k, k + 1, *(np.ascontiguousarray(a[lo:hi, k])
+                              for a in (bundle.x_paths, bundle.y_paths))
+
+    parts = [_report_block(x0, segments(lo, hi), n_steps) for lo, hi in _block_ranges(n, n_steps)]
+    return _report(parts, x0[0], bundle.times, n)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import json
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -406,6 +408,25 @@ class TestArtifactDeterminism:
             outs.append(b"".join(f.read_bytes() for f in sorted(artifact.iterdir())))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_dump_steps_once_and_keeps_the_report(self, tmp_path, monkeypatch, threads):
+        from splitgame import sde
+
+        monkeypatch.setattr(sde, "_block_ranges", lambda n, k: [(0, 70), (70, 71), (71, n)])
+        blocks, real = [], sde.NoiseGrid.increments
+        monkeypatch.setattr(sde.NoiseGrid, "increments",
+                            lambda grid, lo, hi: blocks.append(lo) or real(grid, lo, hi))
+        reports = []
+        for dump in (False, True):
+            cfg = base_sim_config(n_paths=200)
+            cfg["sim"]["dump_trajectories"] = dump
+            assert cli.run("simulate", cfg, tmp_path / str(dump), threads=threads) == 0
+            artifact = next((tmp_path / str(dump)).iterdir())
+            reports.append(json.loads((artifact / "report.json").read_text())["simulate"])
+            assert sorted(blocks) == [0, 70, 71]  # each path stepped once
+            blocks.clear()
+        assert reports[0] == reports[1]
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         path = write_config(tmp_path, base_sim_config())
         out = tmp_path / "o"
@@ -503,5 +524,27 @@ class TestMcGameCommand:
         assert list(registry) == [artifact.name]
         assert sorted(p.name for p in artifact.iterdir()) == ["report.json"]
         files = sorted(p.name for p in out.iterdir() if p.is_file())
-        assert files == ["mc_game_results.json", "mc_game_results.json.corrupt"]
+        assert files == ["mc_game_results.json", "mc_game_results.json.corrupt",
+                         "mc_game_results.json.lock"]
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_concurrent_runs_keep_every_entry(self, tmp_path, monkeypatch):
+        # a slow read widens the window in which an unlocked merge loses entries
+        real = cli._load_registry
+        monkeypatch.setattr(cli, "_load_registry",
+                            lambda path: (real(path), time.sleep(0.05))[0])
+        cfg = mc_game_config()
+        cfg["arena"]["n_paths"] = 20
+        out = tmp_path / "o"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                codes = list(pool.map(lambda seed: cli.run("mc-game", cfg, out, seed=seed),
+                                      range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == [cli.EXIT_OK] * 8
+        registry = json.loads((out / "mc_game_results.json").read_text())
+        assert sorted(registry) == sorted(d.name for d in out.iterdir() if d.is_dir())
+        assert len(registry) == 8

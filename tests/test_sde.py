@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import dataclass
 
@@ -50,14 +51,14 @@ def eager_rows(grid, path, stream, dim):
 
 
 def record_noise(monkeypatch):
-    """Record every Philox stream built, as (stream, path), and every draw a
+    """Record every Philox stream keyed, as (stream, path), and every draw a
     block makes, as (player, rows drawn before, rows drawn after)."""
     streams, draws = [], []
-    real_stream, real_rows = NoiseGrid._stream, sde.BlockNoise.rows
+    real_keys, real_rows = NoiseGrid.keys, sde.BlockNoise.rows
 
-    def stream(grid, path, i):
-        streams.append((i, path))
-        return real_stream(grid, path, i)
+    def keys(grid, i, lo, hi):
+        streams.extend((i, path) for path in range(lo, hi))
+        return real_keys(grid, i, lo, hi)
 
     def rows(block, i, k):
         before = block.drawn[i]
@@ -66,7 +67,7 @@ def record_noise(monkeypatch):
             draws.append((i, before, block.drawn[i]))
         return out
 
-    monkeypatch.setattr(NoiseGrid, "_stream", stream)
+    monkeypatch.setattr(NoiseGrid, "keys", keys)
     monkeypatch.setattr(sde.BlockNoise, "rows", rows)
     return streams, draws
 
@@ -95,6 +96,41 @@ class TestNoiseGrid:
         b1, b2 = all_rows(g, 0, 50)
         np.testing.assert_array_equal(a1, b1[10:20])
         np.testing.assert_array_equal(a2, b2[10:20])
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, False, "3", None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            NoiseGrid(0.0, 1.0, 0.25, 3, seed, 2, 2)
+
+    def test_accepts_numpy_and_multi_word_seeds(self):
+        for seed in (np.int64(3), np.uint64(2**64 - 1), 2**140):
+            assert NoiseGrid(0.0, 1.0, 0.25, 3, seed, 2, 2).seed == seed
+
+    def test_fresh_state_is_numpys(self):
+        # a change in how numpy seeds Philox fails here, not in the artifacts
+        def plain(state):
+            return json.loads(json.dumps(state, default=lambda a: a.tolist()))
+
+        g = make_noise(n_paths=4)
+        for i, path in ((0, 0), (1, 3)):
+            ss = np.random.SeedSequence(entropy=g.seed, spawn_key=(i, path))
+            got = sde._fresh_state(g.keys(i, path, path + 1)[0])
+            assert plain(got) == plain(np.random.Philox(ss).state)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**140)),
+       stream=st.integers(0, 1),
+       lo=st.one_of(st.integers(0, 5000), st.integers(2**32 - 8, 2**32 + 8)),
+       size=st.integers(0, 12))
+def test_block_keys_are_numpys(seed, stream, lo, size):
+    """A block's keys, computed in one pass, are the ones numpy's SeedSequence
+    gives each (stream, path), for any seed and any first path."""
+    got = NoiseGrid(0.0, 1.0, 0.5, 1, seed, 2, 2).keys(stream, lo, lo + size)
+    assert got.dtype == np.uint64 and got.shape == (size, 2)
+    for row, path in zip(got, range(lo, lo + size)):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, path))
+        np.testing.assert_array_equal(row, ss.generate_state(2, np.uint64))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -296,7 +332,7 @@ class TestSimulate:
     def test_control_dim_must_match_state(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(NoiseGrid, "increments", lambda grid, lo, hi: drawn.append(lo))
-        monkeypatch.setattr(NoiseGrid, "_stream", lambda grid, path, i: drawn.append(path))
+        monkeypatch.setattr(NoiseGrid, "keys", lambda grid, i, lo, hi: drawn.append(lo))
         with pytest.raises(ValueError, match="control 'zero' has dim 3, its state has 2 "):
             simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), zero_control(3),
                      zero_control(2), make_noise(n_paths=4))
@@ -364,10 +400,11 @@ class TestStateFeedback:
         real = sde.BlockNoise.rows
 
         def flipped(block, i, upto):
-            # every row from step k on changes sign once, as it is drawn
+            # a draw makes rows [0, drawn) afresh: those from step k on change sign
             before = block.drawn[i]
             db = real(block, i, upto)
-            db[:, max(k, before):block.drawn[i]] *= -1.0
+            if block.drawn[i] != before:
+                db[:, k:block.drawn[i]] *= -1.0
             return db
 
         monkeypatch.setattr(sde.BlockNoise, "rows", flipped)
@@ -577,6 +614,24 @@ class TestSimulationReport:
         assert rep.min_coord >= 0.0
         assert rep.max_sum_err <= 1e-12
         assert rep.support_monotone
+
+    @pytest.mark.parametrize("cuts", [(), (7, 30, 31)])
+    @pytest.mark.parametrize("controls", ["active", "split", "frozen"])
+    def test_bundle_report_is_the_streamed_report(self, monkeypatch, cuts, controls):
+        # read off the bundle's paths, the report has the streamed report's bits
+        edges = [0, *cuts, 40]
+        monkeypatch.setattr(sde, "_block_ranges", lambda n, k: list(zip(edges, edges[1:])))
+        # a split, then frozen stretches; and both frozen from the start
+        spec = unit_segment_spec(steps=16, horizon=0.25)
+        p, u, v = {"active": ([0.35, 0.65], directional_control(2, 0.6), directional_control(2, 0.4)),
+                   "split": (spec.p.coords, make_split_control(spec), zero_control(2)),
+                   "frozen": ([0.35, 0.65], zero_control(2), zero_control(2))}[controls]
+        args = (np.asarray(p), np.array([0.5, 0.5]), u, v, make_noise(n_paths=40, dt=1 / 64))
+        want, got = simulation_report(*args), sde.bundle_report(simulate(*args))
+        for name in ("times", "mean_dev", "se"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("min_coord", "max_sum_err", "support_monotone", "n_paths"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def step_batch_reference(x, u, db, eta):
