@@ -12,12 +12,11 @@ posed.
 Randomness is counter-based: path i of player s draws its Gaussian
 increments from a Philox stream whose key is numpy's
 SeedSequence(entropy=seed, spawn_key=(s, i)).generate_state(2, np.uint64).
-A block derives all its paths' keys in one pass of that hash (NoiseGrid.keys)
-and draws every path through one bit generator set to each key in turn.
-Increments are drawn on demand, per player, and only for intervals on which
-that player's control is non-zero, so a zero control or a frozen stretch
-draws nothing; rows drawn in chunks are byte-identical to one draw of the
-whole path.  Every estimator
+A block derives all its paths' keys in one pass of that hash (NoiseGrid.keys),
+and a draw sets one bit generator to each key in turn.  Increments are drawn
+on demand, per player, and only for intervals on which that player's control
+is non-zero, so a zero control or a frozen stretch draws nothing; rows drawn
+in chunks are byte-identical to one draw of the whole path.  Every estimator
 runs through one block driver, _ensemble, which simulates the paths in blocks
 and returns each block's partial result in block order; combining them in
 that order makes results bit-identical for any batch split or thread count.
