@@ -27,6 +27,12 @@ a control is active, and a whole frozen stretch (both controls in force
 exactly zero) up to where either player's next interval begins, which the
 estimators reduce once.  Sums over a state's coordinates are added column by
 column, in numpy's own order.
+
+A block holds each player's increments time-major, (N, b, dim), so a step's
+row is contiguous.  An active player's products u·dB are formed for up to
+_CHUNK steps at once, never past the end of the interval in force, with the
+bits of einsum on each row; the Euler step reads them and leaves them as they
+are, so a coupled copy (lipschitz_p_check) steps on the same products.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ _GRID_SNAP = 1e-9
 # the most a full-path run (simulate) may keep: paths and each path's control
 # on each interval, checked before any of them is allocated
 MAX_BUNDLE_BYTES = 2 * 1024**3
+_DRAW_GROUP = 64  # paths drawn into one scratch buffer before it is copied into place
+_CHUNK = 16       # steps whose products u·dB are formed in one pass
 
 
 class GridMismatchError(ValueError):
@@ -182,19 +190,22 @@ def _fresh_state(key) -> dict:
 
 class BlockNoise:
     """Increments of paths [lo, hi) of a noise grid: B1 and B2 as two
-    (b, N, dim) arrays whose rows are drawn only when asked for.
+    time-major (N, b, dim) arrays, so a step's row is contiguous, whose rows
+    are drawn only when asked for.
 
     Path p of player i draws from its own Philox stream (stream i, path p).
     Philox is counter-based, so a stream is its key: the block computes the
     keys of all its paths in one pass, and a draw sets one bit generator to
     each in turn.  standard_normal fills its output in order, so each draw restarts
-    the stream and rows already drawn come out with the same bytes.
+    the stream and rows already drawn come out with the same bytes.  A group
+    of _DRAW_GROUP paths is drawn path by path into a scratch buffer, scaled
+    there, and written into place with one transposed copy.
     """
 
     def __init__(self, grid: NoiseGrid, lo: int, hi: int):
         self.grid, self.lo = grid, lo
         n = grid.n_steps
-        self._arrays = tuple(np.empty((hi - lo, n, d)) for d in (grid.dim1, grid.dim2))
+        self._arrays = tuple(np.empty((n, hi - lo, d)) for d in (grid.dim1, grid.dim2))
         self.drawn = [0, 0]
         self._keys = [None, None]
 
@@ -203,18 +214,27 @@ class BlockNoise:
         least doubles the rows drawn, capped at N, so a stream is drawn
         O(log N) times and generates at most twice the rows it keeps."""
         have, db = self.drawn[i], self._arrays[i]
-        b, n, _ = db.shape
+        n, b, dim = db.shape
         if min(k, n) <= have:
             return db
         new = min(n, max(k, 2 * have))
         keys = self._keys[i] if have else self.grid.keys(i, self.lo, self.lo + b)
         # a generator of this draw's own: blocks run in a thread pool
         gen, state = np.random.Generator(np.random.Philox(0)), _fresh_state(None)
-        for path, key in enumerate(keys):
-            state["state"]["key"] = key
-            gen.bit_generator.state = state
-            gen.standard_normal(out=db[path, :new])
-        db[:, :new] *= np.sqrt(self.grid.dt)
+        scratch = np.empty((min(b, _DRAW_GROUP), new, dim))
+        # a step's dim coordinates as one opaque item, so the transposed copy
+        # moves whole items instead of running inner loops of dim numbers
+        item = np.dtype((np.void, 8 * dim))
+        to = db.view(item)[..., 0]
+        for g in range(0, b, _DRAW_GROUP):
+            group = keys[g:g + _DRAW_GROUP]
+            for path, key in enumerate(group):
+                state["state"]["key"] = key
+                gen.bit_generator.state = state
+                gen.standard_normal(out=scratch[path])
+            drawn = scratch[:len(group)]
+            drawn *= np.sqrt(self.grid.dt)
+            to[:new, g:g + len(group)] = drawn.view(item)[..., 0].T
         self.drawn[i] = new
         self._keys[i] = keys if new < n else None  # a stream drawn to N is done
         return db
@@ -307,8 +327,10 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     axis-1 reduction; from 8 on its pairwise order differs, so it is kept."""
     if a.shape[1] >= 8:
         return a.sum(axis=1)
-    s = a[:, 0].astype(float)
-    for c in range(1, a.shape[1]):
+    if a.shape[1] == 1:
+        return a[:, 0].astype(float)
+    s = np.add(a[:, 0], a[:, 1], dtype=float)
+    for c in range(2, a.shape[1]):
         s += a[:, c]
     return s
 
@@ -322,24 +344,45 @@ def _by_column(op, a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return a
 
 
-def _step_batch(x: np.ndarray, u: np.ndarray, db: np.ndarray) -> np.ndarray:
+def _products(u: np.ndarray, db: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """w = u·dB on each of the (c, b, n) rows db, into out, with the bits of
+    einsum("bij,bj->bi", u, db[k]).  u is (b, n, n), a broadcast view for a
+    shared matrix.  Up to 2 coordinates einsum adds (0.0 + u_i0·dB_0) +
+    u_i1·dB_1, which whole-chunk column operations repeat; from 3 on its
+    summation order differs, so it is kept, one row at a time."""
+    n = db.shape[2]
+    if n >= 3:
+        for row, w in zip(db, out):
+            np.einsum("bij,bj->bi", u, row, out=w)
+        return out
+    coef = u[0] if u.strides[0] == 0 else u.transpose(1, 2, 0)  # a scalar or (b,) per entry
+    for i in range(n):
+        w = out[..., i]
+        np.multiply(coef[i, 0], db[..., 0], out=w)
+        w += 0.0  # einsum's zero start: -0.0 comes out as 0.0
+        if n == 2:
+            w += coef[i, 1] * db[..., 1]
+    return out
+
+
+def _step_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Vectorized Euler step: project, detect face crossings, clamp, renormalize.
 
-    x: (b, n) states, u: (b, n, n) controls (a broadcast view for a shared
-    matrix), db: (b, n) increments.
+    x: (b, n) states, w: (b, n) products u·dB of the controls and the
+    increments, left as they are.
     """
     mask = x > ETA
-    w = np.einsum("bij,bj->bi", u, db)
-    mean = _row_sums(np.where(mask, w, 0.0)) / _row_sums(mask)
-    delta = np.where(mask, _by_column(np.subtract, w, mean), 0.0)
+    wm = np.where(mask, w, 0.0)
+    mean = _row_sums(wm) / _row_sums(mask)
+    delta = np.where(mask, _by_column(np.subtract, wm, mean), 0.0)
     prop = x + delta
     neg = prop < 0.0
     if neg.any():
-        # shrink only the rows that cross a face
+        # shrink only the rows that cross a face; x lies in [0, 1] and each
+        # denominator is over 1e-300 or 1.0, so no division can overflow
         bad = _row_sums(neg) > 0
         xb, db_ = x[bad], delta[bad]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(db_ < -1e-300, xb / np.where(db_ < -1e-300, -db_, 1.0), np.inf)
+        ratios = np.where(db_ < -1e-300, xb / np.where(db_ < -1e-300, -db_, 1.0), np.inf)
         prop[bad] = xb + np.minimum(1.0, ratios.min(axis=1))[:, None] * db_
     prop = np.where(prop <= ETA, 0.0, prop)
     return _by_column(np.divide, prop, _row_sums(prop))
@@ -352,7 +395,8 @@ class _BlockSim:
     1 for (q, v, B2): start states x0, controls ctrl and interval starts.  db
     holds both players' increments, drawn on demand.  While steps() runs,
     interval[i] and control[i] are player i's interval and (b, n, n) control
-    matrices in force on the segment just yielded.
+    matrices in force on the segment just yielded, and product[i] its (b, n)
+    products u·dB on that segment's step (None where it does not step).
     """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
@@ -390,29 +434,45 @@ class _BlockSim:
         An active step is a segment of one step.  A stretch on which both
         controls in force are exactly zero is one segment, ending where the
         next interval of either player begins.  The last yield, (N, N+1, X, Y),
-        carries the terminal state.
+        carries the terminal state.  An active player's products are formed
+        _CHUNK steps at a time, never past the end of its interval.
         """
         n, starts = self.noise.n_steps, self.starts
         state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
         self.interval, self.control = j, mat = [-1, -1], [None, None]
+        self.product = prod = [None, None]
         zero, db = [False, False], [None, None]
+        # player i's products of steps [first[i], formed[i]) lead buf[i]
+        buf = [np.empty((_CHUNK, self.b, x0.size)) for x0 in self.x0]
+        first, formed = [0, 0], [0, 0]
         k = 0
         while k < n:
             for i in (0, 1):
                 # starts[i][-1] = n, so no player runs past its last interval
-                if k == starts[i][j[i] + 1]:
+                end = starts[i][j[i] + 1]
+                if k == end:
                     j[i] += 1
+                    end = starts[i][j[i] + 1]
                     mat[i] = self._eval_feedback(i, j[i], k, state)
                     zero[i] = not mat[i].any()
                     if not zero[i]:
                         # the increments up to the end of the interval
-                        db[i] = self.db.rows(i, starts[i][j[i] + 1])
+                        db[i] = self.db.rows(i, end)
+                if zero[i]:
+                    prod[i] = None
+                    continue
+                # a chunk ends by the interval's end, so a new interval starts one
+                if k >= formed[i]:
+                    first[i], formed[i] = k, min(k + _CHUNK, end)
+                    _products(mat[i], db[i][k:formed[i]], buf[i][:formed[i] - k])
+                prod[i] = buf[i][k - first[i]]
             k1 = min(starts[0][j[0] + 1], starts[1][j[1] + 1]) if all(zero) else k + 1
             yield k, k1, *state
             for i in (0, 1):
-                if not zero[i]:
-                    state[i] = _step_batch(state[i], mat[i], db[i][:, k])
+                if prod[i] is not None:
+                    state[i] = _step_batch(state[i], prod[i])
             k = k1
+        prod[:] = None, None
         yield n, n + 1, *state
 
 
@@ -638,11 +698,11 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
             d = np.linalg.norm(x - xb, axis=1)
             loc_s[k0:k1] = d.sum()
             loc_q[k0:k1] = (d * d).sum()
-            u = sim.control[0]
-            if k0 < nsteps and u.any():
-                # the copy steps where the primary path steps: same control
-                # matrices, same increments (already drawn for the primary)
-                xb = _step_batch(xb, u, sim.db.rows(0, k0 + 1)[:, k0])
+            w = sim.product[0]
+            if w is not None:
+                # the copy steps where the primary path steps, on the same
+                # products of its control matrices and increments
+                xb = _step_batch(xb, w)
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)

@@ -13,6 +13,7 @@ from splitgame.arena import dpp_diagnostic, preset_family, table_strategies, val
 from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field
 from splitgame.hj import solve
 from splitgame.sde import (
+    ETA,
     NoiseGrid,
     directional_control,
     estimate_j,
@@ -22,6 +23,7 @@ from splitgame.sde import (
     zero_control,
 )
 from splitgame.splitting import make_split_control, unit_segment_spec
+from test_sde import step_batch_reference
 
 P, Q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
 BILINEAR = analytic_field("bilinear")
@@ -138,22 +140,28 @@ def test_block_ranges_cover_paths_within_cap(n_paths, n_steps):
 
 
 def per_step(sim):
-    """The engine's former generator: one yield per noise step, exposing each
-    player's interval and control matrices in force as steps() does."""
+    """The engine's former generator: one yield per noise step, each step the
+    reference step on that step's row, exposing each player's interval,
+    control matrices in force and products u·dB (einsum's, one row at a time)
+    as steps() does."""
     n = sim.noise.n_steps
     state = [np.tile(x0, (sim.b, 1)) for x0 in sim.x0]
     sim.interval, sim.control = j, mat = [-1, -1], [None, None]
-    zero = [False, False]
+    sim.product = [None, None]
+    zero, row = [False, False], [None, None]
     for k in range(n):
         for i in (0, 1):
             if k == sim.starts[i][j[i] + 1]:
                 j[i] += 1
                 mat[i] = sim._eval_feedback(i, j[i], k, state)
                 zero[i] = not mat[i].any()
+            row[i] = None if zero[i] else sim.db.rows(i, k + 1)[k]
+            sim.product[i] = None if zero[i] else np.einsum("bij,bj->bi", mat[i], row[i])
         yield k, k + 1, *state
         for i in (0, 1):
             if not zero[i]:
-                state[i] = sde._step_batch(state[i], mat[i], sim.db.rows(i, k + 1)[:, k])
+                state[i] = step_batch_reference(state[i], mat[i], row[i], ETA)
+    sim.product = [None, None]
     yield n, n + 1, *state
 
 

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,9 +39,10 @@ def make_noise(n_paths=100, seed=7, dt=1 / 64, t=0.0, horizon=1.0, dim1=2, dim2=
 
 
 def all_rows(grid, lo, hi):
-    """Both players' increments of paths [lo, hi), every row drawn."""
+    """Both players' increments of paths [lo, hi), every row drawn, path-major:
+    (b, N, dim) views of the block's time-major arrays."""
     block = grid.increments(lo, hi)
-    return tuple(block.rows(i, grid.n_steps) for i in (0, 1))
+    return tuple(block.rows(i, grid.n_steps).transpose(1, 0, 2) for i in (0, 1))
 
 
 def eager_rows(grid, path, stream, dim):
@@ -136,23 +138,26 @@ def test_block_keys_are_numpys(seed, stream, lo, size):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3)), n_steps=st.integers(1, 40),
        cuts=st.lists(st.integers(1, 11), min_size=1, max_size=3),
-       requests=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 45)), max_size=8))
-def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, requests):
-    """Rows drawn on demand, in any order of requests and for any block of
-    paths, carry the bytes of one eager draw of each path's whole stream."""
+       requests=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 45)), max_size=8),
+       group=st.integers(1, 13))
+def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, requests, group):
+    """Rows drawn on demand, in any order of requests, for any block of paths
+    and any number of paths drawn per scratch buffer, carry the bytes of one
+    eager draw of each path's whole stream."""
     grid = NoiseGrid(0.0, 1.0, 1 / n_steps, 12, 5, *dims)
     edges = [0, *sorted(set(cuts)), 12]
-    for lo, hi in zip(edges, edges[1:]):
-        block = grid.increments(lo, hi)
-        for i, k in requests + [(0, n_steps), (1, n_steps)]:
-            before = block.drawn[i]
-            db = block.rows(i, k)
-            m = block.drawn[i]
-            assert min(k, n_steps) <= m <= n_steps
-            assert m == before or m >= min(2 * before, n_steps)  # a draw at least doubles
-            for path in range(lo, hi):
-                want = eager_rows(grid, path, i, dims[i])
-                assert db[path - lo, :m].tobytes() == want[:m].tobytes()
+    with mock.patch.object(sde, "_DRAW_GROUP", group):
+        for lo, hi in zip(edges, edges[1:]):
+            block = grid.increments(lo, hi)
+            for i, k in requests + [(0, n_steps), (1, n_steps)]:
+                before = block.drawn[i]
+                db = block.rows(i, k)
+                m = block.drawn[i]
+                assert min(k, n_steps) <= m <= n_steps
+                assert m == before or m >= min(2 * before, n_steps)  # a draw at least doubles
+                for path in range(lo, hi):
+                    want = eager_rows(grid, path, i, dims[i])
+                    assert db[:m, path - lo].tobytes() == want[:m].tobytes()
 
 
 class TestLazyNoise:
@@ -209,9 +214,11 @@ class TestLazyNoise:
 
 
 def step_x(x, u, db) -> np.ndarray:
-    """Single Euler step for one state, through the engine's batched step."""
+    """Single Euler step for one state, through the engine's products and
+    batched step."""
     xv, uv, dbv = (np.asarray(a, dtype=float) for a in (x, u, db))
-    return sde._step_batch(xv[None], uv[None], dbv[None])[0]
+    w = sde._products(uv[None], dbv[None, None], np.empty((1, 1, xv.size)))[0]
+    return sde._step_batch(xv[None], w)[0]
 
 
 class TestStepX:
@@ -404,7 +411,7 @@ class TestStateFeedback:
             before = block.drawn[i]
             db = real(block, i, upto)
             if block.drawn[i] != before:
-                db[:, k:block.drawn[i]] *= -1.0
+                db[k:block.drawn[i]] *= -1.0
             return db
 
         monkeypatch.setattr(sde.BlockNoise, "rows", flipped)
@@ -523,7 +530,9 @@ def independence_check(bundle, noise) -> list[CovarianceEntry]:
     x_t = bundle.x_paths[:, -1, :]
     x0 = bundle.x_paths[:, 0, :]
     a = x_t - x0
-    b2_end = noise.increments(0, noise.n_paths).rows(1, noise.n_steps).sum(axis=1)
+    # summed over a path-major copy, in the order the engine first summed them
+    b2 = noise.increments(0, noise.n_paths).rows(1, noise.n_steps)
+    b2_end = np.ascontiguousarray(b2.transpose(1, 0, 2)).sum(axis=1)
     functionals = {"sign_b2_first": np.sign(b2_end[:, 0]),
                    "tanh_b2_first": np.tanh(b2_end[:, 0])}
     for c in range(bundle.y_paths.shape[2]):
@@ -657,26 +666,39 @@ def step_batch_reference(x, u, db, eta):
 
 class TestStepKernel:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(1, 9), b=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
-           scale=st.sampled_from([1e-6, 0.05, 1.0, 30.0]), dead=st.integers(0, 511),
-           shared=st.booleans())
-    def test_column_sums_bit_identical_to_axis_sums(self, n, b, seed, scale, dead, shared):
-        """Absorbed coordinates (exact zeros and mass inside or on the edge of
-        the absorption band), per-path and shared controls, and increments from negligible to
-        far past the faces (scale 30 crosses on almost every row); the 8- and
-        9-coordinate cases take numpy's own sum."""
+    @given(n=st.integers(1, 9), b=st.integers(1, 7), c=st.integers(1, sde._CHUNK),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 0.05, 1.0, 30.0]),
+           dead=st.integers(0, 511), zeros=st.integers(0, 2), shared=st.booleans())
+    def test_column_sums_bit_identical_to_axis_sums(self, n, b, c, seed, scale, dead, zeros,
+                                                    shared):
+        """A chunk of c steps: its products, formed from time-major rows, carry
+        the bits of einsum on each path-major row, and a step on them the bits
+        of the reference step.  Absorbed coordinates (exact zeros and mass
+        inside or on the edge of the absorption band), per-path and shared
+        controls, signed-zero increments and matrix entries (so that -0.0
+        products arise), and increments from negligible to far past the faces
+        (scale 30 crosses on almost every row); the 8- and 9-coordinate cases
+        take numpy's own sum, from 3 coordinates on the products einsum's."""
         rng = np.random.default_rng(seed)
         x = rng.dirichlet(np.ones(n), size=b)
-        for c in range(1, n):
-            if dead >> c & 1:
-                x[:, c] = rng.choice([0.0, ETA / 2, ETA], size=b)
+        for col in range(1, n):
+            if dead >> col & 1:
+                x[:, col] = rng.choice([0.0, ETA / 2, ETA], size=b)
         x[:, 0] = 1.0 - x[:, 1:].sum(axis=1)
         u = rng.standard_normal((n, n) if shared else (b, n, n))
+        db = rng.standard_normal((b, c, n)) * scale  # path-major, as the engine drew it
+        if zeros:
+            u[rng.random(u.shape) < 0.3] = 0.0
+            db[rng.random(db.shape) < 0.3] = (0.0, -0.0)[zeros - 1]
         u = np.broadcast_to(u, (b, n, n))
-        db = rng.standard_normal((b, n)) * scale
-        got = sde._step_batch(x.copy(), u, db)
-        want = step_batch_reference(x.copy(), u, db, ETA)
-        assert got.tobytes() == want.tobytes()
+        w = sde._products(u, np.ascontiguousarray(db.transpose(1, 0, 2)), np.empty((c, b, n)))
+        for k in range(c):
+            assert w[k].tobytes() == np.einsum("bij,bj->bi", u, db[:, k]).tobytes(), k
+            kept = w[k].copy()
+            got = sde._step_batch(x.copy(), w[k])
+            want = step_batch_reference(x.copy(), u, db[:, k], ETA)
+            assert got.tobytes() == want.tobytes(), k
+            assert w[k].tobytes() == kept.tobytes()  # the step leaves the products
 
 
 class TestSupportMasks:
@@ -686,10 +708,10 @@ class TestSupportMasks:
         # a stand-in step that spreads mass onto every coordinate of one player
         real = sde._step_batch
 
-        def reviving(x, u, db):
+        def reviving(x, w):
             if x.shape[1] == (dim1, dim2)[revived - 1]:
                 return np.full_like(x, 1.0 / x.shape[1])
-            return real(x, u, db)
+            return real(x, w)
 
         p = np.append(np.full(dim1 - 1, 1.0 / (dim1 - 1)), 0.0)
         q = np.append(np.full(dim2 - 1, 1.0 / (dim2 - 1)), 0.0)
