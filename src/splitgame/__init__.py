@@ -33,7 +33,6 @@ from splitgame.simplex import (
     DegeneratePointError,
     RelEigenResult,
     SimplexPoint,
-    project_tangent,
     rel_eigen_max,
     rel_eigen_min,
     support,
@@ -43,7 +42,6 @@ from splitgame.splitting import (
     SplitSpec,
     evaluate_split,
     make_split_control,
-    split_payoff_demo,
     unit_segment_spec,
 )
 
@@ -70,7 +68,6 @@ __all__ = [
     "make_split_control",
     "matrix_game_value",
     "naive_hji_residual",
-    "project_tangent",
     "regularity_report",
     "rel_eigen_max",
     "rel_eigen_min",
@@ -78,7 +75,6 @@ __all__ = [
     "simulate",
     "simulation_report",
     "solve",
-    "split_payoff_demo",
     "support",
     "tangent_basis",
     "tensor_field",

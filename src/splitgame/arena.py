@@ -50,39 +50,6 @@ def preset_family(dim: int, scale: float = 0.5,
     return family
 
 
-def table_strategies(dim: int, switches, catalogue: list[np.ndarray],
-                     count: int, seed: int) -> dict[str, FeedbackControl]:
-    """Sampled finite-feedback strategies over an action catalogue, switching
-    at the given times after the game's start.
-
-    Each strategy owns a random 2x2 table of catalogue actions indexed by two
-    bits read at the interval's start: whether the opponent's first coordinate
-    is above its barycentre value 1/n_opp, and whether the player's own first
-    coordinate is above 1/n.  Interval 0 plays a fixed entry.  The tables are
-    drawn deterministically from the seed, keeping families reproducible.
-    """
-    cat = [np.asarray(c, dtype=float) for c in catalogue]
-    if not cat:
-        raise ValueError("catalogue must be nonempty")
-    rng = np.random.default_rng(seed)
-    stack = np.stack(cat)
-    family = {}
-    for s_idx in range(count):
-        table = rng.integers(0, len(cat), size=(2, 2))
-        first = int(rng.integers(0, len(cat)))
-
-        def feedback(j, view, table=table, first=first):
-            if j == 0:
-                return cat[first]
-            opp_bit = view.opp_state[:, 0] > 1.0 / view.opp_state.shape[1]
-            own_bit = view.own_state[:, 0] > 1.0 / view.own_state.shape[1]
-            return stack[table[opp_bit.astype(int), own_bit.astype(int)]]
-
-        name = f"table{s_idx}"
-        family[name] = FeedbackControl(switches, feedback, dim, name)
-    return family
-
-
 @dataclass
 class ValueBracket:
     """Restricted bounds around the PDE value at one (t, p, q)."""

@@ -13,13 +13,20 @@ Randomness is counter-based: path i of player s draws its Gaussian
 increments from a Philox stream whose key is numpy's
 SeedSequence(entropy=seed, spawn_key=(s, i)).generate_state(2, np.uint64).
 A block derives all its paths' keys in one pass of that hash (NoiseGrid.keys),
-and a draw sets one bit generator to each key in turn.  Increments are drawn
-on demand, per player, and only for intervals on which that player's control
-is non-zero, so a zero control or a frozen stretch draws nothing; rows drawn
-in chunks are byte-identical to one draw of the whole path.  Every estimator
-runs through one block driver, _ensemble, which simulates the paths in blocks
-and returns each block's partial result in block order; combining them in
-that order makes results bit-identical for any batch split or thread count.
+and a draw sets one bit generator to each key, or to a state saved from it,
+in turn.  Increments are drawn on demand, per player, and only for intervals
+on which that player's control is non-zero, so a zero control draws nothing.
+They are drawn into a window of W rows per player, with b·W <= NOISE_CAP for
+a block of b paths; the next window continues each path's stream from its
+saved state, and rows that frozen stretches skip are drawn and thrown away,
+so windowed rows are byte-identical to one draw of the whole path.  Every
+estimator runs through one block driver, _ensemble, which simulates the paths
+in blocks and returns each block's partial result in block order; combining
+them in that order makes results bit-identical for any thread count.  A sum
+over a block's paths takes its bits from the split, so the estimators that
+sum use _block_ranges, which sizes blocks by the path length alone;
+estimate_j keeps one value per path, so any split gives the same bits and
+its blocks are wide (_wide_ranges).
 
 A block steps only what moves, and holds only the controls in force.  It
 yields segments of noise steps on which the state is constant: one step while
@@ -28,11 +35,12 @@ exactly zero) up to where either player's next interval begins, which the
 estimators reduce once.  Sums over a state's coordinates are added column by
 column, in numpy's own order.
 
-A block holds each player's increments time-major, (N, b, dim), so a step's
+A block holds each player's increments time-major, (W, b, dim), so a step's
 row is contiguous.  An active player's products u·dB are formed for up to
-_CHUNK steps at once, never past the end of the interval in force, with the
-bits of einsum on each row; the Euler step reads them and leaves them as they
-are, so a coupled copy (lipschitz_p_check) steps on the same products.
+_CHUNK steps at once, never past the end of the interval in force or of the
+noise window, with the bits of einsum on each row; the Euler step reads them
+and leaves them as they are, so a coupled copy (lipschitz_p_check) steps on
+the same products.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ _GRID_SNAP = 1e-9
 # the most a full-path run (simulate) may keep: paths and each path's control
 # on each interval, checked before any of them is allocated
 MAX_BUNDLE_BYTES = 2 * 1024**3
+NOISE_CAP = 2_000_000  # rows times paths that a block's noise window holds, per player
+_WIDE = 4096      # paths in a block of an estimator that keeps one value per path
 _DRAW_GROUP = 64  # paths drawn into one scratch buffer before it is copied into place
 _CHUNK = 16       # steps whose products u·dB are formed in one pass
 
@@ -189,55 +199,89 @@ def _fresh_state(key) -> dict:
 
 
 class BlockNoise:
-    """Increments of paths [lo, hi) of a noise grid: B1 and B2 as two
-    time-major (N, b, dim) arrays, so a step's row is contiguous, whose rows
-    are drawn only when asked for.
+    """Increments of paths [lo, hi) of a noise grid, drawn on demand into one
+    window of rows per player: B1 and B2 as two time-major (W, b, dim)
+    arrays, so a step's row is contiguous, with b·W <= NOISE_CAP.
 
     Path p of player i draws from its own Philox stream (stream i, path p).
     Philox is counter-based, so a stream is its key: the block computes the
     keys of all its paths in one pass, and a draw sets one bit generator to
-    each in turn.  standard_normal fills its output in order, so each draw restarts
-    the stream and rows already drawn come out with the same bytes.  A group
-    of _DRAW_GROUP paths is drawn path by path into a scratch buffer, scaled
-    there, and written into place with one transposed copy.
+    each in turn.  standard_normal fills its output in order, so a stream
+    drawn in pieces gives the bytes of one draw of the whole path.  A draw
+    restarts each stream from its saved state, which is its key until a
+    window fills short of the path's end; then the next window continues
+    the stream, so its state is saved.  Rows that the steps skip on the way
+    to a window are drawn and thrown away.  A group of _DRAW_GROUP paths is
+    drawn path by path into a scratch buffer, scaled there, and written into
+    place with one transposed copy.
     """
 
     def __init__(self, grid: NoiseGrid, lo: int, hi: int):
-        self.grid, self.lo = grid, lo
-        n = grid.n_steps
-        self._arrays = tuple(np.empty((n, hi - lo, d)) for d in (grid.dim1, grid.dim2))
-        self.drawn = [0, 0]
-        self._keys = [None, None]
+        self.grid, self.lo, self.b = grid, lo, hi - lo
+        self.width = min(grid.n_steps, max(1, NOISE_CAP // self.b))
+        self.windows = tuple(np.empty((self.width, self.b, d)) for d in (grid.dim1, grid.dim2))
+        # window i holds rows [start[i], stop[i]); stream i's saved states are at row pos[i]
+        self.start, self.stop, self.pos = [0, 0], [0, 0], [0, 0]
+        self._keys, self._saved = [None, None], [None, None]
 
-    def rows(self, i: int, k: int) -> np.ndarray:
-        """Player i's increments, with at least rows [0, k) drawn.  A draw at
-        least doubles the rows drawn, capped at N, so a stream is drawn
-        O(log N) times and generates at most twice the rows it keeps."""
-        have, db = self.drawn[i], self._arrays[i]
-        n, b, dim = db.shape
-        if min(k, n) <= have:
-            return db
-        new = min(n, max(k, 2 * have))
-        keys = self._keys[i] if have else self.grid.keys(i, self.lo, self.lo + b)
+    def rows(self, i: int, k: int, end: int) -> np.ndarray:
+        """Player i's increments from row k on: a (m, b, dim) view of rows
+        [k, k + m), m >= 1, that ends by row end and by the window's end.  k
+        never goes back.  A draw reaches _CHUNK rows past k and at least
+        doubles the rows the window holds, so a window is drawn O(log W)
+        times and generates at most twice the rows it keeps."""
+        s, stop, n = self.start[i], self.stop[i], self.grid.n_steps
+        if k >= stop:
+            if k >= s + self.width:
+                s = self.start[i] = k
+            self._draw(i, min(s + self.width, n, max(end, k + _CHUNK, 2 * stop - s)))
+            stop = self.stop[i]
+        return self.windows[i][k - s:min(end, stop) - s]
+
+    def _draw(self, i: int, end: int) -> None:
+        """Draw rows [start[i], end) of player i into its window, each stream
+        from its state saved at row pos[i]."""
+        s, pos, b, win = self.start[i], self.pos[i], self.b, self.windows[i]
+        dim, keys, saved = win.shape[2], self._keys[i], self._saved[i]
+        if keys is None:
+            keys = self._keys[i] = self.grid.keys(i, self.lo, self.lo + b)
+        save = end == s + self.width < self.grid.n_steps
+        states = np.empty((b, 9), dtype=np.uint64) if save else None
         # a generator of this draw's own: blocks run in a thread pool
         gen, state = np.random.Generator(np.random.Philox(0)), _fresh_state(None)
-        scratch = np.empty((min(b, _DRAW_GROUP), new, dim))
+        scratch = np.empty((min(b, _DRAW_GROUP), end - s, dim))
+        thrown = np.empty((max(1, min(s - pos, self.width)), dim))
         # a step's dim coordinates as one opaque item, so the transposed copy
         # moves whole items instead of running inner loops of dim numbers
         item = np.dtype((np.void, 8 * dim))
-        to = db.view(item)[..., 0]
+        to = win.view(item)[..., 0]
         for g in range(0, b, _DRAW_GROUP):
-            group = keys[g:g + _DRAW_GROUP]
+            group = keys[g:g + _DRAW_GROUP].tolist()
+            at = saved[g:g + _DRAW_GROUP].tolist() if pos else ()
+            got = []
             for path, key in enumerate(group):
                 state["state"]["key"] = key
+                if pos:  # counter[4], buffer[4], buffer_pos
+                    row = at[path]
+                    state["state"]["counter"], state["buffer"], state["buffer_pos"] = \
+                        row[:4], row[4:8], row[8]
                 gen.bit_generator.state = state
+                for r in range(pos, s, len(thrown)):
+                    gen.standard_normal(out=thrown[:s - r])
                 gen.standard_normal(out=scratch[path])
+                if save:
+                    got.append(gen.bit_generator.state)
+            if save:
+                kept = states[g:g + len(group)]
+                kept[:, :4] = [st["state"]["counter"] for st in got]
+                kept[:, 4:8] = [st["buffer"] for st in got]
+                kept[:, 8] = [st["buffer_pos"] for st in got]
             drawn = scratch[:len(group)]
             drawn *= np.sqrt(self.grid.dt)
-            to[:new, g:g + len(group)] = drawn.view(item)[..., 0].T
-        self.drawn[i] = new
-        self._keys[i] = keys if new < n else None  # a stream drawn to N is done
-        return db
+            to[:end - s, g:g + len(group)] = drawn.view(item)[..., 0].T
+        self.stop[i] = end
+        if save:
+            self.pos[i], self._saved[i] = end, states
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +479,14 @@ class _BlockSim:
         controls in force are exactly zero is one segment, ending where the
         next interval of either player begins.  The last yield, (N, N+1, X, Y),
         carries the terminal state.  An active player's products are formed
-        _CHUNK steps at a time, never past the end of its interval.
+        _CHUNK steps at a time, never past the end of its interval or of its
+        noise window.
         """
         n, starts = self.noise.n_steps, self.starts
         state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
         self.interval, self.control = j, mat = [-1, -1], [None, None]
         self.product = prod = [None, None]
-        zero, db = [False, False], [None, None]
+        zero = [False, False]
         # player i's products of steps [first[i], formed[i]) lead buf[i]
         buf = [np.empty((_CHUNK, self.b, x0.size)) for x0 in self.x0]
         first, formed = [0, 0], [0, 0]
@@ -455,16 +500,15 @@ class _BlockSim:
                     end = starts[i][j[i] + 1]
                     mat[i] = self._eval_feedback(i, j[i], k, state)
                     zero[i] = not mat[i].any()
-                    if not zero[i]:
-                        # the increments up to the end of the interval
-                        db[i] = self.db.rows(i, end)
                 if zero[i]:
                     prod[i] = None
                     continue
-                # a chunk ends by the interval's end, so a new interval starts one
+                # a chunk ends by the interval's end and by the noise window's,
+                # so a new interval starts one
                 if k >= formed[i]:
-                    first[i], formed[i] = k, min(k + _CHUNK, end)
-                    _products(mat[i], db[i][k:formed[i]], buf[i][:formed[i] - k])
+                    rows = self.db.rows(i, k, end)[:_CHUNK]
+                    first[i], formed[i] = k, k + len(rows)
+                    _products(mat[i], rows, buf[i][:len(rows)])
                 prod[i] = buf[i][k - first[i]]
             k1 = min(starts[0][j[0] + 1], starts[1][j[1] + 1]) if all(zero) else k + 1
             yield k, k1, *state
@@ -476,19 +520,33 @@ class _BlockSim:
         yield n, n + 1, *state
 
 
-def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
-    # cap transient noise memory around tens of MB per block
-    block = max(1, min(n_paths, 2_000_000 // max(1, n_steps)))
+def _split(n_paths: int, block: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
 
 
+def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
+    """Blocks of as many whole paths as one noise window holds, or of one
+    path: a reduction that sums over a block's paths takes its bits from the
+    split, which therefore depends on the path length alone."""
+    return _split(n_paths, max(1, min(n_paths, NOISE_CAP // max(1, n_steps))))
+
+
+def _wide_ranges(n_paths: int, threads: int) -> list[tuple[int, int]]:
+    """Blocks of up to _WIDE paths, at least one per thread, for a reduction
+    that keeps one value per path: the split cannot change its result."""
+    return _split(n_paths, min(n_paths, _WIDE, -(-n_paths // max(1, threads))))
+
+
 def _ensemble(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-              noise: NoiseGrid, reduce: Callable[[_BlockSim], object], threads: int) -> list:
-    """reduce(sim) for each block of paths, in block order for any thread count."""
+              noise: NoiseGrid, reduce: Callable[[_BlockSim], object], threads: int,
+              per_path: bool = False) -> list:
+    """reduce(sim) for each block of paths, in block order for any thread
+    count; wide blocks if reduce keeps one value per path."""
     def work(lo_hi):
         return reduce(_BlockSim(p, q, u_ctrl, v_ctrl, noise, *lo_hi))
 
-    ranges = _block_ranges(noise.n_paths, noise.n_steps)
+    ranges = (_wide_ranges(noise.n_paths, threads) if per_path
+              else _block_ranges(noise.n_paths, noise.n_steps))
     if threads <= 1 or len(ranges) <= 1:
         return [work(r) for r in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -585,7 +643,8 @@ def estimate_j(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
             acc += terminal(x, y)
         return acc
 
-    j = np.concatenate(_ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads))
+    j = np.concatenate(_ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads,
+                                 per_path=True))
     return JEstimate(float(j.mean()), float(j.std(ddof=1) / np.sqrt(j.size)), j.size)
 
 

@@ -125,27 +125,6 @@ def support(p, threshold: float = 0.0) -> frozenset[int]:
     return frozenset(int(i) for i in idx)
 
 
-def project_tangent(p, y) -> np.ndarray:
-    """Orthogonal projection of ``y`` onto the tangent space at ``p``.
-
-    Off-support coordinates are zeroed; on-support coordinates get the mean
-    over the support subtracted.  A 2-D ``y`` is projected columnwise, which
-    turns a control matrix u into the effective volatility P_p u.
-    """
-    c = _as_coords(p)
-    yv = np.asarray(y, dtype=float)
-    if yv.shape[0] != c.size:
-        raise ValueError(f"length mismatch: point has {c.size} coordinates, y has {yv.shape[0]}")
-    mask = c > 0.0
-    k = int(mask.sum())
-    if k == 0:
-        raise DegeneratePointError("degenerate point: no coordinate above threshold")
-    out = np.where(mask if yv.ndim == 1 else mask[:, None], yv, 0.0)
-    mean = out.sum(axis=0) / k
-    out = out - (mask[:, None] * mean if yv.ndim == 2 else mask * mean)
-    return out
-
-
 def tangent_basis(s, n: int) -> list[np.ndarray]:
     """Orthonormal basis of the tangent space determined by support ``s``.
 

@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from splitgame.hamiltonian import HamiltonianField, SimplexGrid, vex_p
-from splitgame.sde import (
-    FeedbackControl,
-    NoiseGrid,
-    estimate_j,
-    simulate,
-    zero_control,
-)
+from splitgame.sde import FeedbackControl, NoiseGrid, simulate, zero_control
 from splitgame.simplex import SimplexPoint
 
 
@@ -189,38 +182,3 @@ def landing_report(spec: SplitSpec, xt: np.ndarray) -> SplitReport:
         max_perp=float(np.max(np.linalg.norm(perp, axis=1))),
         n_paths=n_paths,
     )
-
-
-def vex_at(H: HamiltonianField, p) -> float:
-    """Convex-envelope value at a point of a one-sided running cost at time 0
-    (exact hull on a 513-node grid, used as a closed-form target)."""
-    if H.dim_q != 1:
-        raise ValueError("vex_at expects a one-sided field")
-    grid = SimplexGrid.build(2, 512)
-    return grid.interpolate(vex_p(H.on_grid(0.0, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
-
-
-@dataclass(frozen=True)
-class SplitDemoReport:
-    estimate: float
-    std_error: float
-    target: float            # (T - t) * Vex(H)(p) = Vex(H)(p) on [0, 1]
-    horizon: float
-    n_paths: int
-
-    @property
-    def gap(self) -> float:
-        return self.estimate - self.target
-
-
-def split_payoff_demo(H: HamiltonianField, spec: SplitSpec, n_paths: int,
-                      seed: int = 0) -> SplitDemoReport:
-    """Estimate the running-cost integral on [0, 1] under split-then-freeze
-    and report it against the closed-form envelope target."""
-    if H.dim_q != 1:
-        raise ValueError("the demo runs the one-sided configuration")
-    noise = NoiseGrid(0.0, 1.0, spec.step, n_paths, seed, spec.p.n, 1)
-    est = estimate_j(spec.p.coords, np.array([1.0]), make_split_control(spec),
-                     zero_control(1), H, noise)
-    target = vex_at(H, spec.p.coords)
-    return SplitDemoReport(est.mean, est.std_error, target, spec.horizon, n_paths)

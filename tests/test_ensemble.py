@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitgame import sde
-from splitgame.arena import dpp_diagnostic, preset_family, table_strategies, value_bracket
+from splitgame.arena import dpp_diagnostic, preset_family, value_bracket
 from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field
 from splitgame.hj import solve
 from splitgame.sde import (
@@ -23,6 +23,7 @@ from splitgame.sde import (
     zero_control,
 )
 from splitgame.splitting import make_split_control, unit_segment_spec
+from test_arena import table_strategies
 from test_sde import step_batch_reference
 
 P, Q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
@@ -98,36 +99,65 @@ def test_thread_pool_bit_identical(monkeypatch):
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} at {threads} threads")
 
 
-def per_path_j(u, v, noise):
-    """estimate_j's per-path values, read from the block driver's partial results."""
-    parts = []
-    real = sde._ensemble
+def per_path_j(p, q, u, v, H, noise, terminal):
+    """estimate_j's per-path values, read from the block driver's partial
+    results, and the blocks it ran."""
+    parts, blocks = [], []
+    real, real_sim = sde._ensemble, sde._BlockSim
 
-    def recording(*args):
-        parts.extend(real(*args))
+    def recording(*args, **kwargs):
+        parts.extend(real(*args, **kwargs))
         return parts
 
-    with mock.patch.object(sde, "_ensemble", recording):
-        est = estimate_j(P, Q, u, v, BILINEAR, noise, terminal=lambda x, y: y[:, 0])
-    return np.concatenate(parts), est
+    def sim(*args):
+        blocks.append(args[-2:])
+        return real_sim(*args)
+
+    with mock.patch.object(sde, "_ensemble", recording), mock.patch.object(sde, "_BlockSim", sim):
+        est = estimate_j(p, q, u, v, H, noise, terminal=terminal)
+    return np.concatenate(parts), est, blocks
+
+
+P3 = np.array([0.2, 0.3, 0.5])
+THREE = HamiltonianField("three", lambda t, P, Q: P[..., 0] * Q[..., 1] + P[..., 2] ** 2,
+                         3, 2, 2.0, 3.0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.integers(1, 39), max_size=6))
-def test_results_independent_of_block_split(cuts):
+@given(cuts=st.lists(st.integers(1, 39), max_size=6), cap=st.sampled_from([40, 200, sde.NOISE_CAP]))
+def test_results_independent_of_block_split(cuts, cap):
+    """simulate cut anywhere gives the same paths.  estimate_j on wide blocks
+    gives the same per-path values, bit for bit, as on _block_ranges blocks
+    and on blocks cut anywhere, with and without a terminal payoff, for
+    players of 2 and of 3 coordinates (whose products are einsum's), and
+    for noise windows of 1, 5 and all 16 or 32 rows."""
     u, v = history_control(0.5), directional_control(2, 1.5)
+    cases = [(P, Q, u, v, BILINEAR, noise_grid(40, 16, seed=2)),
+             (P3, Q, directional_control(3, 1.2), history_control(0.5), THREE,
+              NoiseGrid(0.0, 0.5, 1 / 32, 40, 4, 3, 2))]
+    terminals = (None, lambda x, y: x[:, 0] * y[:, 1])
+    cut = fixed_ranges(sorted(set(cuts)))
 
-    def run():
-        return (simulate(P, Q, u, v, noise_grid(40, 16, seed=2)),
-                *per_path_j(u, v, noise_grid(40, 16, seed=2)))
+    def runs():
+        return [per_path_j(*case, terminal) for case in cases for terminal in terminals]
 
-    whole, j_whole, est_whole = run()
-    with mock.patch.object(sde, "_block_ranges", fixed_ranges(sorted(set(cuts)))):
-        split, j_split, est_split = run()
+    with mock.patch.object(sde, "NOISE_CAP", cap):
+        whole = simulate(P, Q, u, v, noise_grid(40, 16, seed=2))
+        wide = runs()
+        with mock.patch.object(sde, "_wide_ranges",
+                               lambda n, threads: sde._block_ranges(n, 16)):
+            ranged = runs()
+            by_cap = sde._block_ranges(40, 16)
+            with mock.patch.object(sde, "_block_ranges", cut):
+                split = simulate(P, Q, u, v, noise_grid(40, 16, seed=2))
+                cut_anywhere = runs()
     for name in ("x_paths", "y_paths", "u_realized", "v_realized"):
         np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
-    np.testing.assert_array_equal(j_split, j_whole)
-    assert est_split == est_whole
+    for (j_wide, est_wide, blocks), other in zip(wide, ranged + cut_anywhere):
+        assert blocks == [(0, 40)]
+        np.testing.assert_array_equal(other[0], j_wide)
+        assert other[1] == est_wide
+    assert all(blocks == by_cap for _, _, blocks in ranged)
 
 
 @pytest.mark.parametrize("n_paths,n_steps", [(1000, 20_000), (50, 100_000), (10_000, 7_813),
@@ -137,6 +167,26 @@ def test_block_ranges_cover_paths_within_cap(n_paths, n_steps):
     assert ranges[0][0] == 0 and ranges[-1][1] == n_paths
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     assert all(0 < (hi - lo) * n_steps <= 2_000_000 for lo, hi in ranges)
+
+
+@pytest.mark.parametrize("n_paths,n_steps", [(1000, 20_000), (10_000, 7_813), (4000, 2560),
+                                             (300, 64), (1, 3_000_000), (3, 2_500_000)])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_noise_windows_within_cap(n_paths, n_steps, threads):
+    """Every block's noise window holds at most 2,000,000 rows times paths per
+    player, on _block_ranges blocks and on wide ones, paths longer than that
+    included: checked on the allocation, without a step or a draw."""
+    noise = NoiseGrid(0.0, 1.0, 1.0 / n_steps, n_paths, 0, 2, 3)
+    for ranges in (sde._block_ranges(n_paths, n_steps), sde._wide_ranges(n_paths, threads)):
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_paths
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        for lo, hi in ranges:
+            windows = noise.increments(lo, hi).windows
+            assert [w.shape[1:] for w in windows] == [(hi - lo, 2), (hi - lo, 3)]
+            assert all(0 < w.shape[0] * (hi - lo) <= 2_000_000 for w in windows)
+    wide = sde._wide_ranges(n_paths, threads)
+    assert len(wide) >= min(threads, n_paths)
+    assert all(hi - lo <= 4096 for lo, hi in wide)
 
 
 def per_step(sim):
@@ -155,7 +205,7 @@ def per_step(sim):
                 j[i] += 1
                 mat[i] = sim._eval_feedback(i, j[i], k, state)
                 zero[i] = not mat[i].any()
-            row[i] = None if zero[i] else sim.db.rows(i, k + 1)[k]
+            row[i] = None if zero[i] else sim.db.rows(i, k, k + 1)[0]
             sim.product[i] = None if zero[i] else np.einsum("bij,bj->bi", mat[i], row[i])
         yield k, k + 1, *state
         for i in (0, 1):

@@ -40,9 +40,13 @@ def make_noise(n_paths=100, seed=7, dt=1 / 64, t=0.0, horizon=1.0, dim1=2, dim2=
 
 def all_rows(grid, lo, hi):
     """Both players' increments of paths [lo, hi), every row drawn, path-major:
-    (b, N, dim) views of the block's time-major arrays."""
-    block = grid.increments(lo, hi)
-    return tuple(block.rows(i, grid.n_steps).transpose(1, 0, 2) for i in (0, 1))
+    (b, N, dim) views of the block's windows, one after the other."""
+    block, n = grid.increments(lo, hi), grid.n_steps
+    out = ([], [])
+    for i in (0, 1):
+        while (k := sum(map(len, out[i]))) < n:
+            out[i].append(block.rows(i, k, n).copy())
+    return tuple(np.concatenate(rows).transpose(1, 0, 2) for rows in out)
 
 
 def eager_rows(grid, path, stream, dim):
@@ -54,23 +58,20 @@ def eager_rows(grid, path, stream, dim):
 
 def record_noise(monkeypatch):
     """Record every Philox stream keyed, as (stream, path), and every draw a
-    block makes, as (player, rows drawn before, rows drawn after)."""
+    block makes, as (player, first row, end row) of the rows it writes."""
     streams, draws = [], []
-    real_keys, real_rows = NoiseGrid.keys, sde.BlockNoise.rows
+    real_keys, real_draw = NoiseGrid.keys, sde.BlockNoise._draw
 
     def keys(grid, i, lo, hi):
         streams.extend((i, path) for path in range(lo, hi))
         return real_keys(grid, i, lo, hi)
 
-    def rows(block, i, k):
-        before = block.drawn[i]
-        out = real_rows(block, i, k)
-        if block.drawn[i] != before:
-            draws.append((i, before, block.drawn[i]))
-        return out
+    def draw(block, i, end):
+        draws.append((i, block.start[i], end))
+        real_draw(block, i, end)
 
     monkeypatch.setattr(NoiseGrid, "keys", keys)
-    monkeypatch.setattr(sde.BlockNoise, "rows", rows)
+    monkeypatch.setattr(sde.BlockNoise, "_draw", draw)
     return streams, draws
 
 
@@ -135,29 +136,47 @@ def test_block_keys_are_numpys(seed, stream, lo, size):
         np.testing.assert_array_equal(row, ss.generate_state(2, np.uint64))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3)), n_steps=st.integers(1, 40),
        cuts=st.lists(st.integers(1, 11), min_size=1, max_size=3),
-       requests=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 45)), max_size=8),
+       cap=st.one_of(st.integers(1, 60), st.just(sde.NOISE_CAP)),
+       requests=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 12), st.integers(1, 45),
+                                   st.integers(1, 20)), max_size=10),
        group=st.integers(1, 13))
-def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, requests, group):
-    """Rows drawn on demand, in any order of requests, for any block of paths
-    and any number of paths drawn per scratch buffer, carry the bytes of one
-    eager draw of each path's whole stream."""
+def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, cap, requests, group):
+    """Rows drawn on demand into windows, for any window size, any block of
+    paths, any number of paths drawn per scratch buffer and any increasing
+    requests, skipped stretches included, carry the bytes of one eager draw
+    of each path's whole stream.  Each request (player, rows skipped, rows
+    asked for, rows taken) asks for rows [k, end) and moves past the rows taken."""
     grid = NoiseGrid(0.0, 1.0, 1 / n_steps, 12, 5, *dims)
     edges = [0, *sorted(set(cuts)), 12]
-    with mock.patch.object(sde, "_DRAW_GROUP", group):
+    with mock.patch.object(sde, "_DRAW_GROUP", group), mock.patch.object(sde, "NOISE_CAP", cap):
         for lo, hi in zip(edges, edges[1:]):
-            block = grid.increments(lo, hi)
-            for i, k in requests + [(0, n_steps), (1, n_steps)]:
-                before = block.drawn[i]
-                db = block.rows(i, k)
-                m = block.drawn[i]
-                assert min(k, n_steps) <= m <= n_steps
-                assert m == before or m >= min(2 * before, n_steps)  # a draw at least doubles
-                for path in range(lo, hi):
-                    want = eager_rows(grid, path, i, dims[i])
-                    assert db[:m, path - lo].tobytes() == want[:m].tobytes()
+            block, b = grid.increments(lo, hi), hi - lo
+            width = block.width
+            assert width == min(n_steps, max(1, cap // b)) and width * b <= max(cap, b)
+            assert [w.shape for w in block.windows] == [(width, b, d) for d in dims]
+            want = [np.stack([eager_rows(grid, path, i, dims[i]) for path in range(lo, hi)],
+                             axis=1) for i in (0, 1)]
+            nxt = [0, 0]
+            ends = [(0, 0, n_steps, n_steps), (1, 0, n_steps, n_steps)]
+            for i, skip, ask, take in requests + ends + ends:
+                k = nxt[i] + skip
+                if k >= n_steps:
+                    continue
+                end = min(k + ask, n_steps)
+                s0, stop0 = block.start[i], block.stop[i]
+                db = block.rows(i, k, end)
+                s, stop = block.start[i], block.stop[i]
+                assert 1 <= len(db) <= end - k and k + len(db) <= s + width
+                assert db.tobytes() == want[i][k:k + len(db)].tobytes()
+                assert block.windows[i][:stop - s].tobytes() == want[i][s:stop].tobytes()
+                if s == s0 and stop != stop0:  # a draw at least doubles its window's rows
+                    assert stop - s >= min(2 * (stop0 - s), width, n_steps - s)
+                if width == n_steps:  # no stream is ever continued: keys only
+                    assert block._saved[i] is None
+                nxt[i] = k + min(take, len(db))
 
 
 class TestLazyNoise:
@@ -189,6 +208,28 @@ class TestLazyNoise:
                    noise)
         assert streams == [(0, path) for path in range(30)]
         assert draws == [(0, 0, noise.n_steps)]
+
+    def test_constant_control_draws_window_by_window(self, monkeypatch):
+        # 30 paths in windows of 100 rows: each window is drawn once, and only
+        # a window that ends short of the path saves the streams' states
+        noise = make_noise(n_paths=30, dt=1 / 256, dim2=1)
+        monkeypatch.setattr(sde, "NOISE_CAP", 3000)
+        streams, draws = record_noise(monkeypatch)
+        saved, real = [], sde.BlockNoise._draw
+
+        def draw(block, i, end):
+            real(block, i, end)
+            saved.append(block.pos[i])
+
+        monkeypatch.setattr(sde.BlockNoise, "_draw", draw)
+        windowed = estimate_j(self.P, self.Q, directional_control(2, 0.5), zero_control(1),
+                              self.TENT, noise)
+        assert streams == [(0, path) for path in range(30)]
+        assert draws == [(0, 0, 100), (0, 100, 200), (0, 200, 256)]
+        assert saved == [100, 200, 200]
+        monkeypatch.setattr(sde, "NOISE_CAP", 30 * 256)
+        assert estimate_j(self.P, self.Q, directional_control(2, 0.5), zero_control(1),
+                          self.TENT, noise) == windowed
 
     def test_simulate_draws_nothing_for_a_zero_control(self, monkeypatch):
         noise = make_noise(n_paths=6, dt=1 / 32, dim2=1)
@@ -250,7 +291,7 @@ class TestStepX:
 
     def test_projection_consistency(self):
         # stepping with u equals stepping with its projected version
-        from splitgame.simplex import project_tangent
+        from test_simplex import project_tangent
         rng = np.random.default_rng(1)
         for _ in range(200):
             w = rng.exponential(size=3)
@@ -404,17 +445,15 @@ class TestStateFeedback:
         noise = make_noise(n_paths=20, dt=1 / 32)
         args = (np.array([0.4, 0.6]), np.array([0.5, 0.5]), u, v, noise)
         base = simulate(*args)
-        real = sde.BlockNoise.rows
+        real = sde.BlockNoise._draw
 
-        def flipped(block, i, upto):
-            # a draw makes rows [0, drawn) afresh: those from step k on change sign
-            before = block.drawn[i]
-            db = real(block, i, upto)
-            if block.drawn[i] != before:
-                db[k:block.drawn[i]] *= -1.0
-            return db
+        def flipped(block, i, end):
+            # a draw writes its window's rows afresh: those from step k on change sign
+            real(block, i, end)
+            s = block.start[i]
+            block.windows[i][max(k - s, 0):end - s] *= -1.0
 
-        monkeypatch.setattr(sde.BlockNoise, "rows", flipped)
+        monkeypatch.setattr(sde.BlockNoise, "_draw", flipped)
         alt = simulate(*args)
         for ctrl, name in ((u, "u_realized"), (v, "v_realized")):
             begun = interval_starts(ctrl, noise)[:-1] <= k
@@ -531,8 +570,8 @@ def independence_check(bundle, noise) -> list[CovarianceEntry]:
     x0 = bundle.x_paths[:, 0, :]
     a = x_t - x0
     # summed over a path-major copy, in the order the engine first summed them
-    b2 = noise.increments(0, noise.n_paths).rows(1, noise.n_steps)
-    b2_end = np.ascontiguousarray(b2.transpose(1, 0, 2)).sum(axis=1)
+    b2 = all_rows(noise, 0, noise.n_paths)[1]
+    b2_end = np.ascontiguousarray(b2).sum(axis=1)
     functionals = {"sign_b2_first": np.sign(b2_end[:, 0]),
                    "tanh_b2_first": np.tanh(b2_end[:, 0])}
     for c in range(bundle.y_paths.shape[2]):

@@ -6,12 +6,32 @@ from hypothesis import strategies as st
 from splitgame.simplex import (
     DegeneratePointError,
     SimplexPoint,
-    project_tangent,
     rel_eigen_max,
     rel_eigen_min,
     support,
     tangent_basis,
 )
+
+
+def project_tangent(p, y) -> np.ndarray:
+    """Orthogonal projection of ``y`` onto the tangent space at ``p``.
+
+    Off-support coordinates are zeroed; on-support coordinates get the mean
+    over the support subtracted.  A 2-D ``y`` is projected columnwise, which
+    turns a control matrix u into the effective volatility P_p u.
+    """
+    c = np.asarray(p, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if yv.shape[0] != c.size:
+        raise ValueError(f"length mismatch: point has {c.size} coordinates, y has {yv.shape[0]}")
+    mask = c > 0.0
+    k = int(mask.sum())
+    if k == 0:
+        raise DegeneratePointError("degenerate point: no coordinate above threshold")
+    out = np.where(mask if yv.ndim == 1 else mask[:, None], yv, 0.0)
+    mean = out.sum(axis=0) / k
+    out = out - (mask[:, None] * mean if yv.ndim == 2 else mask * mean)
+    return out
 
 
 def random_point(rng, n):

@@ -1,20 +1,53 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from splitgame.hamiltonian import analytic_field
-from splitgame.sde import NoiseGrid, interval_starts, simulate, zero_control
+from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field, vex_p
+from splitgame.sde import NoiseGrid, estimate_j, interval_starts, simulate, zero_control
 from splitgame.simplex import SimplexPoint
 from splitgame.splitting import (
     SplitSpec,
     evaluate_split,
     landing_report,
     make_split_control,
-    split_payoff_demo,
     unit_segment_spec,
-    vex_at,
 )
+
+
+def vex_at(H: HamiltonianField, p) -> float:
+    """Convex-envelope value at a point of a one-sided running cost at time 0
+    (exact hull on a 513-node grid, used as a closed-form target)."""
+    if H.dim_q != 1:
+        raise ValueError("vex_at expects a one-sided field")
+    grid = SimplexGrid.build(2, 512)
+    return grid.interpolate(vex_p(H.on_grid(0.0, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
+
+
+@dataclass(frozen=True)
+class SplitDemoReport:
+    estimate: float
+    std_error: float
+    target: float            # (T - t) * Vex(H)(p) = Vex(H)(p) on [0, 1]
+    horizon: float
+    n_paths: int
+
+    @property
+    def gap(self) -> float:
+        return self.estimate - self.target
+
+
+def split_payoff_demo(H: HamiltonianField, spec: SplitSpec, n_paths: int,
+                      seed: int = 0) -> SplitDemoReport:
+    """Estimate the running-cost integral on [0, 1] under split-then-freeze
+    and report it against the closed-form envelope target."""
+    if H.dim_q != 1:
+        raise ValueError("the demo runs the one-sided configuration")
+    noise = NoiseGrid(0.0, 1.0, spec.step, n_paths, seed, spec.p.n, 1)
+    est = estimate_j(spec.p.coords, np.array([1.0]), make_split_control(spec),
+                     zero_control(1), H, noise)
+    target = vex_at(H, spec.p.coords)
+    return SplitDemoReport(est.mean, est.std_error, target, spec.horizon, n_paths)
 
 
 def asym_spec(delta=0.01, steps=256):
