@@ -286,8 +286,8 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> int:
 
 
 def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
-    from splitgame.sde import (BundleSizeError, NoiseGrid, bundle_report, dump_trajectories,
-                               interval_starts, simulate, simulation_report)
+    from splitgame.sde import (BundleSizeError, NoiseGrid, dump_trajectories, interval_starts,
+                               simulate, simulation_report)
 
     horizon = cfg.positive("horizon", 1.0)
     if "hamiltonian" in cfg.obj:  # not used here, but a malformed block still exits 2
@@ -305,9 +305,9 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     for ctrl in (u, v):
         split.call(interval_starts, ctrl, noise)
     try:
-        if dump:  # one stepping pass: the report is read off the bundle's paths
+        if dump:  # one stepping pass keeps the paths and streams the report
             bundle = simulate(p, q, u, v, noise, threads=threads)
-            rep = bundle_report(bundle)
+            rep = bundle.report
             dump_trajectories(bundle, out / "trajectories.csv")
         else:
             rep = simulation_report(p, q, u, v, noise, threads=threads)
@@ -339,10 +339,9 @@ def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     sim = cfg.child("sim", {})
     n_paths = sim.path_count("n_paths", 10_000)
     try:
-        bundle = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
+        xt = run_split(spec, n_paths=n_paths, seed=seed, threads=threads)
     except BundleSizeError as e:
         raise ConfigError(f"{sim.where('n_paths')}: {e}") from None
-    xt = bundle.x_paths[:, -1, :]
     rep = landing_report(spec, xt)
 
     # histogram of scalar landing positions

@@ -22,11 +22,14 @@ saved state, and rows that frozen stretches skip are drawn and thrown away,
 so windowed rows are byte-identical to one draw of the whole path.  Every
 estimator runs through one block driver, _ensemble, which simulates the paths
 in blocks and returns each block's partial result in block order; combining
-them in that order makes results bit-identical for any thread count.  A sum
-over a block's paths takes its bits from the split, so the estimators that
-sum use _block_ranges, which sizes blocks by the path length alone;
-estimate_j keeps one value per path, so any split gives the same bits and
-its blocks are wide (_wide_ranges).
+them in that order makes results bit-identical for any thread count.  The
+thread count never sets the split: a block steps all its paths while any
+path's control is non-zero, and renormalising an unmoved state can change
+its last bit, so each path, like any sum over a block, takes its bits from
+the split.  Sums run on _block_ranges, sized by the path length; estimate_j,
+which keeps one value per path, on wide blocks (_wide_ranges).  simulate
+keeps full paths and the report streamed from them, terminal_states only
+player 1's terminal states.
 
 A block steps only what moves, and holds only the controls in force.  It
 yields segments of noise steps on which the state is constant: one step while
@@ -57,8 +60,8 @@ from splitgame.simplex import coupling_bound_constant
 
 ETA = 1e-10  # absorption band: a coordinate at or below it is set to zero
 _GRID_SNAP = 1e-9
-# the most a full-path run (simulate) may keep: paths and each path's control
-# on each interval, checked before any of them is allocated
+# the most a run may keep of its paths (simulate's full paths, the states of
+# terminal_states), checked before any of them is allocated
 MAX_BUNDLE_BYTES = 2 * 1024**3
 NOISE_CAP = 2_000_000  # rows times paths that a block's noise window holds, per player
 _WIDE = 4096      # paths in a block of an estimator that keeps one value per path
@@ -71,7 +74,14 @@ class GridMismatchError(ValueError):
 
 
 class BundleSizeError(ValueError):
-    """A full-path run would keep more than MAX_BUNDLE_BYTES."""
+    """A run would keep more than MAX_BUNDLE_BYTES of its paths."""
+
+
+def _check_kept(size: int, what: str) -> None:
+    """BundleSizeError if keeping what, size bytes, passes MAX_BUNDLE_BYTES."""
+    if size > MAX_BUNDLE_BYTES:
+        raise BundleSizeError(f"{what} need {size / 1024**3:.3g} GiB, "
+                              f"over the {MAX_BUNDLE_BYTES / 1024**3:g} GiB limit")
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +448,8 @@ class _BlockSim:
     Each per-player piece is a pair indexed by player, 0 for (p, u, B1) and
     1 for (q, v, B2): start states x0, controls ctrl and interval starts.  db
     holds both players' increments, drawn on demand.  While steps() runs,
-    interval[i] and control[i] are player i's interval and (b, n, n) control
-    matrices in force on the segment just yielded, and product[i] its (b, n)
-    products u·dB on that segment's step (None where it does not step).
+    product[i] is player i's (b, n) products u·dB on the step just yielded
+    (None where it does not step).
     """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
@@ -457,14 +466,13 @@ class _BlockSim:
                 raise ValueError(f"control {ctrl.label!r} has dim {ctrl.dim}, "
                                  f"its state has {x0.size} coordinates")
         self.starts = tuple(interval_starts(ctrl, noise) for ctrl in self.ctrl)
-        self.times = noise.times()
         self.db = noise.increments(lo, hi)
 
     def _eval_feedback(self, i, j, k, state):
         """Player i's control matrices for interval j, which begins on step k,
         read from the state pair there."""
         ctrl = self.ctrl[i]
-        view = HistoryView(self.times[k], state[i], state[1 - i])
+        view = HistoryView(self.noise.t + self.noise.dt * k, state[i], state[1 - i])
         mat = np.asarray(ctrl.feedback(j, view), dtype=float)
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"feedback for control {ctrl.label!r} returned a non-finite matrix")
@@ -484,7 +492,7 @@ class _BlockSim:
         """
         n, starts = self.noise.n_steps, self.starts
         state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
-        self.interval, self.control = j, mat = [-1, -1], [None, None]
+        j, mat = [-1, -1], [None, None]
         self.product = prod = [None, None]
         zero = [False, False]
         # player i's products of steps [first[i], formed[i]) lead buf[i]
@@ -526,83 +534,30 @@ def _split(n_paths: int, block: int) -> list[tuple[int, int]]:
 
 def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
     """Blocks of as many whole paths as one noise window holds, or of one
-    path: a reduction that sums over a block's paths takes its bits from the
-    split, which therefore depends on the path length alone."""
+    path, for a reduction that sums over a block's paths."""
     return _split(n_paths, max(1, min(n_paths, NOISE_CAP // max(1, n_steps))))
 
 
-def _wide_ranges(n_paths: int, threads: int) -> list[tuple[int, int]]:
-    """Blocks of up to _WIDE paths, at least one per thread, for a reduction
-    that keeps one value per path: the split cannot change its result."""
-    return _split(n_paths, min(n_paths, _WIDE, -(-n_paths // max(1, threads))))
+def _wide_ranges(n_paths: int) -> list[tuple[int, int]]:
+    """Blocks of up to _WIDE paths, for a reduction that keeps one value per
+    path."""
+    return _split(n_paths, min(n_paths, _WIDE))
 
 
 def _ensemble(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
               noise: NoiseGrid, reduce: Callable[[_BlockSim], object], threads: int,
               per_path: bool = False) -> list:
-    """reduce(sim) for each block of paths, in block order for any thread
-    count; wide blocks if reduce keeps one value per path."""
+    """reduce(sim) for each block of paths, in block order; the blocks are
+    wide if reduce keeps one value per path, and never set by the thread count."""
     def work(lo_hi):
         return reduce(_BlockSim(p, q, u_ctrl, v_ctrl, noise, *lo_hi))
 
-    ranges = (_wide_ranges(noise.n_paths, threads) if per_path
+    ranges = (_wide_ranges(noise.n_paths) if per_path
               else _block_ranges(noise.n_paths, noise.n_steps))
     if threads <= 1 or len(ranges) <= 1:
         return [work(r) for r in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(work, ranges))
-
-
-# ---------------------------------------------------------------------------
-# bundles
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TrajectoryBundle:
-    """Monte Carlo ensemble of coupled (X, Y) paths with the controls each
-    path played on each interval."""
-
-    times: np.ndarray
-    x_paths: np.ndarray     # (n_paths, N+1, nI)
-    y_paths: np.ndarray     # (n_paths, N+1, nJ)
-    u_realized: np.ndarray  # (n_paths, m_u, nI, nI)
-    v_realized: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.x_paths.shape[0]
-
-
-def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
-             noise: NoiseGrid, threads: int = 1) -> TrajectoryBundle:
-    """Simulate the coupled (X, Y) system and keep full paths.
-
-    Memory grows with n_paths * n_steps and is capped at MAX_BUNDLE_BYTES
-    (BundleSizeError before anything is allocated); the estimators below
-    (estimate_j, simulation_report, lipschitz_p_check) keep only per-block
-    reductions and suit large ensembles.
-    """
-    n, nsteps = noise.n_paths, noise.n_steps
-    dims = noise.dim1, noise.dim2
-    m = [interval_starts(ctrl, noise).size - 1 for ctrl in (u_ctrl, v_ctrl)]
-    size = 8 * n * sum((nsteps + 1) * d + m_i * d * d for d, m_i in zip(dims, m))
-    if size > MAX_BUNDLE_BYTES:
-        raise BundleSizeError(f"{n} full paths of {nsteps} steps need {size / 1024**3:.3g} GiB, "
-                              f"over the {MAX_BUNDLE_BYTES / 1024**3:g} GiB limit")
-    paths = [np.empty((n, nsteps + 1, d)) for d in dims]
-    realized = [np.empty((n, m_i, d, d)) for d, m_i in zip(dims, m)]
-
-    def reduce(sim):
-        rows = slice(sim.lo, sim.hi)
-        for k0, k1, *state in sim.steps():
-            for i in (0, 1):
-                paths[i][rows, k0:k1] = state[i][:, None]
-                j = sim.interval[i]
-                if k0 == sim.starts[i][j]:  # interval j begins on this segment
-                    realized[i][rows, j] = sim.control[i]
-
-    _ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads)
-    return TrajectoryBundle(noise.times(), *paths, *realized)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +583,6 @@ def estimate_j(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     if noise.n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
 
-    times = noise.times()
-
     def reduce(sim):
         acc = np.zeros(sim.b)
         for k0, k1, x, y in sim.steps():
@@ -637,7 +590,7 @@ def estimate_j(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
             for k in range(k0, min(k1, noise.n_steps)):
                 # a frozen state gives the same running cost on every step
                 if h is None or H.time_dependent:
-                    h = H.on_paths(times[k], x, y) * noise.dt
+                    h = H.on_paths(noise.t + noise.dt * k, x, y) * noise.dt
                 acc += h
         if terminal is not None:
             acc += terminal(x, y)
@@ -716,20 +669,59 @@ def simulation_report(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     return _report(parts, p, noise.times(), noise.n_paths)
 
 
-def bundle_report(bundle: TrajectoryBundle) -> SimulationReport:
-    """simulation_report of the run that made bundle, read off its paths
-    instead of stepping them again: the same blocks, each step's states as
-    contiguous copies, so every sum and every bit is the same."""
-    n, n_steps = bundle.n_paths, bundle.times.size - 1
-    x0 = bundle.x_paths[0, 0], bundle.y_paths[0, 0]
+@dataclass
+class TrajectoryBundle:
+    """Monte Carlo ensemble of coupled (X, Y) paths, with the report that
+    simulation_report streams from the same run."""
 
-    def segments(lo, hi):
-        for k in range(n_steps + 1):
-            yield k, k + 1, *(np.ascontiguousarray(a[lo:hi, k])
-                              for a in (bundle.x_paths, bundle.y_paths))
+    times: np.ndarray
+    x_paths: np.ndarray     # (n_paths, N+1, nI)
+    y_paths: np.ndarray     # (n_paths, N+1, nJ)
+    report: SimulationReport
 
-    parts = [_report_block(x0, segments(lo, hi), n_steps) for lo, hi in _block_ranges(n, n_steps)]
-    return _report(parts, x0[0], bundle.times, n)
+    @property
+    def n_paths(self) -> int:
+        return self.x_paths.shape[0]
+
+
+def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+             noise: NoiseGrid, threads: int = 1) -> TrajectoryBundle:
+    """Simulate the coupled (X, Y) system and keep full paths, in one pass
+    that also reduces them to simulation_report's report.
+
+    Memory grows with n_paths * n_steps and is capped at MAX_BUNDLE_BYTES
+    (BundleSizeError before anything is allocated); the other estimators
+    keep only per-block reductions and suit large ensembles.
+    """
+    n, nsteps = noise.n_paths, noise.n_steps
+    dims = noise.dim1, noise.dim2
+    _check_kept(8 * n * (nsteps + 1) * sum(dims), f"{n} full paths of {nsteps} steps")
+    paths = [np.empty((n, nsteps + 1, d)) for d in dims]
+
+    def kept(sim):
+        for seg in sim.steps():
+            for path, x in zip(paths, seg[2:]):
+                path[sim.lo:sim.hi, seg[0]:seg[1]] = x[:, None]
+            yield seg
+
+    parts = _ensemble(p, q, u_ctrl, v_ctrl, noise,
+                      lambda sim: _report_block(sim.x0, kept(sim), nsteps), threads)
+    times = noise.times()
+    return TrajectoryBundle(times, *paths, _report(parts, p, times, n))
+
+
+def terminal_states(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
+                    noise: NoiseGrid, threads: int = 1) -> np.ndarray:
+    """Player 1's terminal states, (n_paths, nI), with simulate's bits from the
+    same blocks; BundleSizeError first if they pass MAX_BUNDLE_BYTES."""
+    _check_kept(8 * noise.n_paths * noise.dim1, f"{noise.n_paths} terminal states")
+
+    def reduce(sim):
+        for *_, x, _y in sim.steps():
+            pass
+        return x
+
+    return np.concatenate(_ensemble(p, q, u_ctrl, v_ctrl, noise, reduce, threads))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from splitgame.sde import FeedbackControl, NoiseGrid, simulate, zero_control
+from splitgame.sde import FeedbackControl, NoiseGrid, terminal_states, zero_control
 from splitgame.simplex import SimplexPoint
 
 
@@ -141,17 +141,16 @@ class SplitReport:
 
 
 def run_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0, threads: int = 1):
-    """Simulate the split control on [0, horizon]; returns the bundle."""
+    """Simulate the split control on [0, horizon]; returns the terminal states."""
     noise = NoiseGrid(0.0, spec.horizon, spec.step, n_paths, seed, spec.p.n, 1)
-    return simulate(spec.p.coords, np.array([1.0]), make_split_control(spec),
-                    zero_control(1), noise, threads=threads)
+    return terminal_states(spec.p.coords, np.array([1.0]), make_split_control(spec),
+                           zero_control(1), noise, threads=threads)
 
 
 def evaluate_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0,
                    threads: int = 1) -> SplitReport:
     """Run the split control to its horizon and measure the landing law."""
-    bundle = run_split(spec, n_paths, seed, threads)
-    return landing_report(spec, bundle.x_paths[:, -1, :])
+    return landing_report(spec, run_split(spec, n_paths, seed, threads))
 
 
 def landing_report(spec: SplitSpec, xt: np.ndarray) -> SplitReport:

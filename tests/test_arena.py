@@ -16,10 +16,10 @@ from splitgame.sde import (
     constant_control,
     directional_control,
     estimate_j,
-    simulate,
     zero_control,
 )
 from splitgame.splitting import unit_segment_spec
+from test_sde import simulate_recording
 
 
 def table_strategies(dim: int, switches, catalogue: list[np.ndarray],
@@ -66,8 +66,7 @@ class TestResolveControls:
         noise = NoiseGrid(0.0, 1.0, 1 / 32, 8, 0, 2, 2)
         a = constant_control(np.full((2, 2), 0.2))
         b = constant_control(np.full((2, 2), -0.1))
-        bundle = simulate([0.5, 0.5], [0.5, 0.5], a, b, noise)
-        u, v = bundle.u_realized, bundle.v_realized
+        _, u, v = simulate_recording([0.5, 0.5], [0.5, 0.5], a, b, noise)
         np.testing.assert_array_equal(u, np.full((8, 1, 2, 2), 0.2))
         np.testing.assert_array_equal(v, np.full((8, 1, 2, 2), -0.1))
 
@@ -80,11 +79,12 @@ class TestResolveControls:
 
         alpha = FeedbackControl([0.5], cross, 2)
         noise = NoiseGrid(0.0, 1.0, 1 / 16, 16, 0, 2, 2)
-        b = simulate([0.5, 0.5], [0.5, 0.5], alpha, directional_control(2, 0.5), noise)
+        b, u, _ = simulate_recording([0.5, 0.5], [0.5, 0.5], alpha,
+                                     directional_control(2, 0.5), noise)
         above = b.y_paths[:, 8, 0] > 0.5
         assert 0 < above.sum() < above.size
-        np.testing.assert_array_equal(b.u_realized[:, 0], 0.0)
-        np.testing.assert_array_equal(b.u_realized[:, 1],
+        np.testing.assert_array_equal(u[:, 0], 0.0)
+        np.testing.assert_array_equal(u[:, 1],
                                       np.where(above[:, None, None], push, 0.0))
 
     def test_randomized_tables_reproducible(self):
@@ -94,10 +94,10 @@ class TestResolveControls:
         fam2 = table_strategies(2, switches, catalogue, count=3, seed=5)
         noise = NoiseGrid(0.0, 1.0, 1 / 16, 6, 3, 2, 2)
         for s1, s2 in zip(fam.values(), fam2.values()):
-            b1 = simulate([0.5, 0.5], [0.5, 0.5], s1, fam["table0"], noise)
-            b2 = simulate([0.5, 0.5], [0.5, 0.5], s2, fam2["table0"], noise)
-            np.testing.assert_array_equal(b1.u_realized, b2.u_realized)
-            np.testing.assert_array_equal(b1.v_realized, b2.v_realized)
+            _, u1, v1 = simulate_recording([0.5, 0.5], [0.5, 0.5], s1, fam["table0"], noise)
+            _, u2, v2 = simulate_recording([0.5, 0.5], [0.5, 0.5], s2, fam2["table0"], noise)
+            np.testing.assert_array_equal(u1, u2)
+            np.testing.assert_array_equal(v1, v2)
 
 
 class TestPresetFamily:

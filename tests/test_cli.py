@@ -481,11 +481,14 @@ def test_json_artifacts_refuse_non_finite_numbers(tmp_path, value):
 class TestFullPathMemoryGuard:
     @pytest.mark.parametrize("subcommand", ["simulate", "split-demo"])
     def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, subcommand):
+        # simulate keeps full paths, split-demo only the terminal states
         if subcommand == "simulate":
             cfg = base_sim_config(n_paths=10**9)
+            kept = "1000000000 full paths"
         else:
             cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 64, "horizon": 0.125},
                    "sim": {"n_paths": 10**9}}
+            kept = "1000000000 terminal states"
         path = write_config(tmp_path, cfg)
         tracemalloc.start()
         try:
@@ -496,7 +499,7 @@ class TestFullPathMemoryGuard:
         finally:
             tracemalloc.stop()
         assert code == cli.EXIT_CONFIG
-        assert "config error: sim.n_paths: 1000000000 full paths" in capsys.readouterr().err
+        assert f"config error: sim.n_paths: {kept}" in capsys.readouterr().err
         assert elapsed < 1.0 and peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 

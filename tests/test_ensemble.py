@@ -18,13 +18,12 @@ from splitgame.sde import (
     directional_control,
     estimate_j,
     lipschitz_p_check,
-    simulate,
     simulation_report,
     zero_control,
 )
 from splitgame.splitting import make_split_control, unit_segment_spec
 from test_arena import table_strategies
-from test_sde import step_batch_reference
+from test_sde import simulate_recording, step_batch_reference
 
 P, Q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
 BILINEAR = analytic_field("bilinear")
@@ -54,7 +53,7 @@ def test_table_control_is_path_dependent():
     # plays more than one catalogue action across paths on some interval
     for v, noise in ((directional_control(2, 0.5), noise_grid(200, 32)),
                      (directional_control(2, 1.5), noise_grid(40, 16, seed=2))):
-        u = simulate(P, Q, history_control(0.5), v, noise).u_realized
+        _, u, _ = simulate_recording(P, Q, history_control(0.5), v, noise)
         assert any(len(np.unique(u[:, j].reshape(len(u), -1), axis=0)) > 1
                    for j in range(u.shape[1]))
 
@@ -62,8 +61,8 @@ def test_table_control_is_path_dependent():
 def run_all_estimators(threads):
     """Every estimator on 200 paths; arrays that must match across threads."""
     u, v = directional_control(2, 0.8), directional_control(2, 0.5)
-    b = simulate(P, Q, u, v, noise_grid(200, 32), threads=threads)
-    out = {"simulate": [b.x_paths, b.y_paths, b.u_realized, b.v_realized]}
+    b, u_real, v_real = simulate_recording(P, Q, u, v, noise_grid(200, 32), threads=threads)
+    out = {"simulate": [b.x_paths, b.y_paths, u_real, v_real]}
     est = estimate_j(P, Q, history_control(0.5), v, BILINEAR, noise_grid(200, 32),
                      threads=threads)
     out["estimate_j"] = [est.mean, est.std_error]
@@ -99,7 +98,7 @@ def test_thread_pool_bit_identical(monkeypatch):
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} at {threads} threads")
 
 
-def per_path_j(p, q, u, v, H, noise, terminal):
+def per_path_j(p, q, u, v, H, noise, terminal, threads=1):
     """estimate_j's per-path values, read from the block driver's partial
     results, and the blocks it ran."""
     parts, blocks = [], []
@@ -114,8 +113,8 @@ def per_path_j(p, q, u, v, H, noise, terminal):
         return real_sim(*args)
 
     with mock.patch.object(sde, "_ensemble", recording), mock.patch.object(sde, "_BlockSim", sim):
-        est = estimate_j(p, q, u, v, H, noise, terminal=terminal)
-    return np.concatenate(parts), est, blocks
+        est = estimate_j(p, q, u, v, H, noise, threads=threads, terminal=terminal)
+    return np.concatenate(parts), est, sorted(blocks)
 
 
 P3 = np.array([0.2, 0.3, 0.5])
@@ -126,11 +125,15 @@ THREE = HamiltonianField("three", lambda t, P, Q: P[..., 0] * Q[..., 1] + P[...,
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(cuts=st.lists(st.integers(1, 39), max_size=6), cap=st.sampled_from([40, 200, sde.NOISE_CAP]))
 def test_results_independent_of_block_split(cuts, cap):
-    """simulate cut anywhere gives the same paths.  estimate_j on wide blocks
-    gives the same per-path values, bit for bit, as on _block_ranges blocks
-    and on blocks cut anywhere, with and without a terminal payoff, for
-    players of 2 and of 3 coordinates (whose products are einsum's), and
-    for noise windows of 1, 5 and all 16 or 32 rows."""
+    """On these controls, grids and starts the split does not change a
+    path's bits: simulate cut anywhere gives the same paths and controls, and
+    estimate_j on wide blocks gives the same per-path values, bit for bit,
+    as on _block_ranges blocks and on blocks cut anywhere, with and without a
+    terminal payoff, for players of 2 and of 3 coordinates (whose products are
+    einsum's), and for noise windows of 1, 5 and all 16 or 32 rows.  It is
+    not a rule for every control: a block that steps renormalises its frozen
+    paths too, which can move one by an ulp (see
+    test_split_paths_do_not_depend_on_threads)."""
     u, v = history_control(0.5), directional_control(2, 1.5)
     cases = [(P, Q, u, v, BILINEAR, noise_grid(40, 16, seed=2)),
              (P3, Q, directional_control(3, 1.2), history_control(0.5), THREE,
@@ -142,17 +145,18 @@ def test_results_independent_of_block_split(cuts, cap):
         return [per_path_j(*case, terminal) for case in cases for terminal in terminals]
 
     with mock.patch.object(sde, "NOISE_CAP", cap):
-        whole = simulate(P, Q, u, v, noise_grid(40, 16, seed=2))
+        whole = simulate_recording(P, Q, u, v, noise_grid(40, 16, seed=2))
         wide = runs()
-        with mock.patch.object(sde, "_wide_ranges",
-                               lambda n, threads: sde._block_ranges(n, 16)):
+        with mock.patch.object(sde, "_wide_ranges", lambda n: sde._block_ranges(n, 16)):
             ranged = runs()
             by_cap = sde._block_ranges(40, 16)
             with mock.patch.object(sde, "_block_ranges", cut):
-                split = simulate(P, Q, u, v, noise_grid(40, 16, seed=2))
+                split = simulate_recording(P, Q, u, v, noise_grid(40, 16, seed=2))
                 cut_anywhere = runs()
-    for name in ("x_paths", "y_paths", "u_realized", "v_realized"):
-        np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
+    for name in ("x_paths", "y_paths"):
+        np.testing.assert_array_equal(getattr(split[0], name), getattr(whole[0], name))
+    for got, want in zip(split[1:], whole[1:]):  # each player's controls
+        np.testing.assert_array_equal(got, want)
     for (j_wide, est_wide, blocks), other in zip(wide, ranged + cut_anywhere):
         assert blocks == [(0, 40)]
         np.testing.assert_array_equal(other[0], j_wide)
@@ -175,28 +179,45 @@ def test_block_ranges_cover_paths_within_cap(n_paths, n_steps):
 def test_noise_windows_within_cap(n_paths, n_steps, threads):
     """Every block's noise window holds at most 2,000,000 rows times paths per
     player, on _block_ranges blocks and on wide ones, paths longer than that
-    included: checked on the allocation, without a step or a draw."""
+    included, and the block driver runs the same blocks at every thread
+    count: checked on the allocation, without a step or a draw."""
     noise = NoiseGrid(0.0, 1.0, 1.0 / n_steps, n_paths, 0, 2, 3)
-    for ranges in (sde._block_ranges(n_paths, n_steps), sde._wide_ranges(n_paths, threads)):
+    for per_path, want in ((False, sde._block_ranges(n_paths, n_steps)),
+                           (True, sde._wide_ranges(n_paths))):
+        ranges = sde._ensemble(P, [0.2, 0.3, 0.5], zero_control(2), zero_control(3), noise,
+                               lambda sim: (sim.lo, sim.hi), threads, per_path)
+        assert ranges == want
         assert ranges[0][0] == 0 and ranges[-1][1] == n_paths
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         for lo, hi in ranges:
             windows = noise.increments(lo, hi).windows
             assert [w.shape[1:] for w in windows] == [(hi - lo, 2), (hi - lo, 3)]
             assert all(0 < w.shape[0] * (hi - lo) <= 2_000_000 for w in windows)
-    wide = sde._wide_ranges(n_paths, threads)
-    assert len(wide) >= min(threads, n_paths)
-    assert all(hi - lo <= 4096 for lo, hi in wide)
+    assert all(hi - lo <= 4096 for lo, hi in sde._wide_ranges(n_paths))
+
+
+def test_split_paths_do_not_depend_on_threads():
+    """A block steps all its paths while any one path's control is non-zero,
+    and the split control freezes its paths one by one, so each path's bits
+    depend on its block: estimate_j must run the same blocks at any thread
+    count."""
+    spec = unit_segment_spec(steps=128, horizon=0.05)
+    noise = NoiseGrid(0.0, 1.0, 1 / 2560, 16, 0, 2, 1)
+    runs = [per_path_j(spec.p.coords, [1.0], make_split_control(spec), zero_control(1),
+                       analytic_field("tent"), noise, None, threads) for threads in (1, 16)]
+    (j1, est1, blocks1), (j16, est16, blocks16) = runs
+    assert j16.tobytes() == j1.tobytes()
+    assert est16 == est1
+    assert blocks1 == blocks16 == [(0, 16)]
 
 
 def per_step(sim):
     """The engine's former generator: one yield per noise step, each step the
-    reference step on that step's row, exposing each player's interval,
-    control matrices in force and products u·dB (einsum's, one row at a time)
-    as steps() does."""
+    reference step on that step's row, exposing each player's products u·dB
+    (einsum's, one row at a time) as steps() does."""
     n = sim.noise.n_steps
     state = [np.tile(x0, (sim.b, 1)) for x0 in sim.x0]
-    sim.interval, sim.control = j, mat = [-1, -1], [None, None]
+    j, mat = [-1, -1], [None, None]
     sim.product = [None, None]
     zero, row = [False, False], [None, None]
     for k in range(n):
@@ -234,12 +255,12 @@ def segment_control(name):
 
 def run_on_segments(u, v, H):
     noise = noise_grid(40, 32, seed=9)
-    b = simulate(SPLIT.p.coords, Q, u, v, noise)
+    b, u_real, v_real = simulate_recording(SPLIT.p.coords, Q, u, v, noise)
     rep = simulation_report(SPLIT.p.coords, Q, u, v, noise)
     est = estimate_j(SPLIT.p.coords, Q, u, v, H, noise,
                      terminal=lambda x, y: x[:, 0] * y[:, 1])
     lip = lipschitz_p_check(SPLIT.p.coords, [0.3, 0.7], u, noise)
-    return [b.x_paths, b.y_paths, b.u_realized, b.v_realized,
+    return [b.x_paths, b.y_paths, u_real, v_real,
             rep.mean_dev, rep.se, rep.min_coord, rep.max_sum_err, rep.support_monotone,
             est.mean, est.std_error, lip.estimate, lip.std_error]
 

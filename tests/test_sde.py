@@ -56,6 +56,27 @@ def eager_rows(grid, path, stream, dim):
     return gen.standard_normal((grid.n_steps, dim)) * np.sqrt(grid.dt)
 
 
+def simulate_recording(p, q, u, v, noise, threads=1):
+    """simulate's bundle, then each player's control matrices on each
+    interval, (n_paths, intervals, n, n), recorded as the blocks evaluate
+    their feedback."""
+    calls, real = [], sde._BlockSim._eval_feedback
+
+    def recording(sim, i, j, k, state):
+        mat = real(sim, i, j, k, state)
+        calls.append((i, j, sim.lo, sim.hi, mat))
+        return mat
+
+    with mock.patch.object(sde._BlockSim, "_eval_feedback", recording):
+        bundle = simulate(p, q, u, v, noise, threads=threads)
+    realized = [np.full((noise.n_paths, interval_starts(c, noise).size - 1, c.dim, c.dim), np.nan)
+                for c in (u, v)]
+    for i, j, lo, hi, mat in calls:
+        realized[i][lo:hi, j] = mat
+    assert not any(np.isnan(r).any() for r in realized)  # every interval was evaluated
+    return bundle, *realized
+
+
 def record_noise(monkeypatch):
     """Record every Philox stream keyed, as (stream, path), and every draw a
     block makes, as (player, first row, end row) of the rows it writes."""
@@ -253,6 +274,26 @@ class TestLazyNoise:
             tracemalloc.stop()
         assert peak <= PEAK_BOUND * noise_bytes, peak / noise_bytes
 
+    def test_long_block_keeps_nothing_per_step(self):
+        # a one-path block on a path longer than a window: beyond its noise
+        # windows it allocates nothing of the path's length, which is
+        # 24 MB for one float a step
+        noise = NoiseGrid(0.0, 1.0, 1 / 3_000_000, 1, 0, 2, 1)
+        spec = unit_segment_spec(steps=8, horizon=8 * noise.dt)
+        tracemalloc.start()
+        try:
+            sim = sde._BlockSim(spec.p.coords, self.Q, make_split_control(spec),
+                                zero_control(1), noise, 0, 1)
+            for *_, x, _y in sim.steps():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        windows = sum(w.nbytes for w in sim.db.windows)
+        assert [w.shape[0] for w in sim.db.windows] == [sde.NOISE_CAP] * 2
+        assert sim.db.stop[0] > 0 and x[0, 0] != spec.p.coords[0]  # the split stepped
+        assert peak - windows < 2**20, peak - windows
+
 
 def step_x(x, u, db) -> np.ndarray:
     """Single Euler step for one state, through the engine's products and
@@ -352,14 +393,15 @@ class TestSimulate:
         p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
         u = directional_control(2, scale=0.7)
         v = directional_control(2, scale=0.5)
-        bundles = []
+        runs = []
         for threads in (1, 2, 8):
             noise = make_noise(n_paths=300, dt=1 / 64, seed=11)
-            bundles.append(simulate(p, q, u, v, noise, threads=threads))
-        for b in bundles[1:]:
-            np.testing.assert_array_equal(b.x_paths, bundles[0].x_paths)
-            np.testing.assert_array_equal(b.y_paths, bundles[0].y_paths)
-            np.testing.assert_array_equal(b.u_realized, bundles[0].u_realized)
+            runs.append(simulate_recording(p, q, u, v, noise, threads=threads))
+        (first, u_first, _), *rest = runs
+        for b, u_real, _ in rest:
+            np.testing.assert_array_equal(b.x_paths, first.x_paths)
+            np.testing.assert_array_equal(b.y_paths, first.y_paths)
+            np.testing.assert_array_equal(u_real, u_first)
 
     def test_control_grid_must_align(self):
         noise = make_noise(n_paths=4, dt=1 / 64)
@@ -393,7 +435,7 @@ class TestBundleSize:
         v = FeedbackControl(np.array([0.25, 0.5]), lambda j, view: np.eye(2), 2)
         args = (np.full(3, 1 / 3), np.array([0.5, 0.5]), directional_control(3, 0.5), v, noise)
         b = simulate(*args)
-        size = sum(a.nbytes for a in (b.x_paths, b.y_paths, b.u_realized, b.v_realized))
+        size = b.x_paths.nbytes + b.y_paths.nbytes
         monkeypatch.setattr(sde, "MAX_BUNDLE_BYTES", size)
         simulate(*args)
         monkeypatch.setattr(sde, "MAX_BUNDLE_BYTES", size - 1)
@@ -444,7 +486,7 @@ class TestStateFeedback:
         v = FeedbackControl(np.arange(1, 4) / 4, reads_opponent(0.5), 2)
         noise = make_noise(n_paths=20, dt=1 / 32)
         args = (np.array([0.4, 0.6]), np.array([0.5, 0.5]), u, v, noise)
-        base = simulate(*args)
+        base = simulate_recording(*args)
         real = sde.BlockNoise._draw
 
         def flipped(block, i, end):
@@ -454,10 +496,10 @@ class TestStateFeedback:
             block.windows[i][max(k - s, 0):end - s] *= -1.0
 
         monkeypatch.setattr(sde.BlockNoise, "_draw", flipped)
-        alt = simulate(*args)
-        for ctrl, name in ((u, "u_realized"), (v, "v_realized")):
+        alt = simulate_recording(*args)
+        for i, ctrl in enumerate((u, v)):
             begun = interval_starts(ctrl, noise)[:-1] <= k
-            got, want = getattr(alt, name), getattr(base, name)
+            got, want = alt[1 + i], base[1 + i]
             np.testing.assert_array_equal(got[:, begun], want[:, begun])
             assert not np.array_equal(got[:, ~begun], want[:, ~begun])
 
@@ -470,11 +512,12 @@ class TestStateFeedback:
 
         u = FeedbackControl([0.5], cross, 2)
         noise = make_noise(n_paths=64, dt=1 / 16)
-        b = simulate(np.array([0.5, 0.5]), q, u, directional_control(2, 0.8), noise)
+        b, u_real, _ = simulate_recording(np.array([0.5, 0.5]), q, u,
+                                          directional_control(2, 0.8), noise)
         on = b.y_paths[:, 8, 0] > q[0]  # the switch at 0.5 is step 8
         assert 0 < on.sum() < on.size
-        np.testing.assert_array_equal(b.u_realized[:, 0], 0.0)
-        np.testing.assert_array_equal(b.u_realized[:, 1],
+        np.testing.assert_array_equal(u_real[:, 0], 0.0)
+        np.testing.assert_array_equal(u_real[:, 1],
                                       np.where(on[:, None, None], pushes(0.5), 0.0))
 
 
@@ -613,8 +656,8 @@ class TestIndependence:
         v = FeedbackControl(np.arange(1, 16) / 16, reads_opponent(0.4), 2)
         noise = make_noise(n_paths=4000, dt=1 / 64, seed=23)
         assert simulation_report(p, q, u, v, noise).martingale_ok
-        b = simulate(p, q, u, v, noise)
-        assert len(np.unique(b.u_realized[:, -1, 0, 0])) > 1  # the gains vary by path
+        b, u_real, _ = simulate_recording(p, q, u, v, noise)
+        assert len(np.unique(u_real[:, -1, 0, 0])) > 1  # the gains vary by path
         for entry in independence_check(b, noise):
             assert entry.ok, (entry.functional, entry.covariance, entry.std_error)
 
@@ -666,7 +709,7 @@ class TestSimulationReport:
     @pytest.mark.parametrize("cuts", [(), (7, 30, 31)])
     @pytest.mark.parametrize("controls", ["active", "split", "frozen"])
     def test_bundle_report_is_the_streamed_report(self, monkeypatch, cuts, controls):
-        # read off the bundle's paths, the report has the streamed report's bits
+        # the report simulate streams beside its paths has simulation_report's bits
         edges = [0, *cuts, 40]
         monkeypatch.setattr(sde, "_block_ranges", lambda n, k: list(zip(edges, edges[1:])))
         # a split, then frozen stretches; and both frozen from the start
@@ -675,7 +718,7 @@ class TestSimulationReport:
                    "split": (spec.p.coords, make_split_control(spec), zero_control(2)),
                    "frozen": ([0.35, 0.65], zero_control(2), zero_control(2))}[controls]
         args = (np.asarray(p), np.array([0.5, 0.5]), u, v, make_noise(n_paths=40, dt=1 / 64))
-        want, got = simulation_report(*args), sde.bundle_report(simulate(*args))
+        want, got = simulation_report(*args), simulate(*args).report
         for name in ("times", "mean_dev", "se"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         for name in ("min_coord", "max_sum_err", "support_monotone", "n_paths"):

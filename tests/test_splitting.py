@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from splitgame import sde
 from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field, vex_p
 from splitgame.sde import NoiseGrid, estimate_j, interval_starts, simulate, zero_control
 from splitgame.simplex import SimplexPoint
@@ -11,8 +13,10 @@ from splitgame.splitting import (
     evaluate_split,
     landing_report,
     make_split_control,
+    run_split,
     unit_segment_spec,
 )
+from test_sde import PEAK_BOUND
 
 
 def vex_at(H: HamiltonianField, p) -> float:
@@ -188,6 +192,35 @@ class TestNoiseStep:
             reps.append(landing_report(spec, bundle.x_paths[:, -1]))
         coarse, fine = reps
         assert abs(coarse.eps_mean - fine.eps_mean) <= 3.0 * np.hypot(coarse.eps_se, fine.eps_se)
+
+
+class TestTerminalStates:
+    @pytest.mark.parametrize("cuts", [(), (7, 30, 31)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_split_is_simulates_last_row(self, monkeypatch, cuts, threads):
+        edges = [0, *cuts, 40]
+        monkeypatch.setattr(sde, "_block_ranges", lambda n, k: list(zip(edges, edges[1:])))
+        spec = unit_segment_spec(steps=32, horizon=0.125)
+        xt = run_split(spec, n_paths=40, seed=3, threads=threads)
+        noise = NoiseGrid(0.0, spec.horizon, spec.step, 40, 3, 2, 1)
+        bundle = simulate(spec.p.coords, [1.0], make_split_control(spec), zero_control(1), noise)
+        assert xt.shape == (40, 2)
+        assert xt.tobytes() == bundle.x_paths[:, -1].tobytes()
+
+    def test_split_run_keeps_terminal_states_only(self):
+        # a block's noise windows and the terminal states, never a full path
+        spec, n = unit_segment_spec(steps=256), 10_000
+        noise = NoiseGrid(0.0, spec.horizon, spec.step, n, 0, 2, 1)
+        windows = max(sum(w.nbytes for w in noise.increments(lo, hi).windows)
+                      for lo, hi in sde._block_ranges(n, spec.steps))
+        tracemalloc.start()
+        try:
+            evaluate_split(spec, n_paths=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = PEAK_BOUND * (windows + 8 * n * 2)
+        assert peak <= bound, peak / bound
 
 
 class TestVexAt:
