@@ -4,8 +4,8 @@ split demo, or game arena, and emit machine-readable artifacts.
 Artifacts land in <out>/<config-hash>/ and depend only on the effective
 config (flag overrides included, and the sha256 of a payoff tensor file's
 bytes), so a rerun is bit-identical regardless of thread count.  Each file is
-written through hj.write_atomic (a .tmp beside it, then a rename).  Wall-clock
-timings go to stdout, never into artifacts.
+written through hj.write_atomic (a .tmp of its own beside it, then a
+rename).  Wall-clock timings go to stdout, never into artifacts.
 
 Payoff tensor files (hamiltonian.kind = "tensor") are JSON objects with two
 keys: "time_samples", a sorted list of times in [0, horizon], and "values", a

@@ -215,10 +215,6 @@ class PayoffTensor:
         return PayoffTensor(np.asarray(d["values"], dtype=float),
                             np.asarray(d["time_samples"], dtype=float))
 
-    def to_dict(self) -> dict:
-        return {"time_samples": self.time_samples.tolist(),
-                "values": self.values.tolist()}
-
 
 def eval_H(f: PayoffTensor, t: float, p, q) -> float:
     """Mixed game value of the action matrix aggregated by beliefs (p, q)."""
@@ -329,10 +325,6 @@ class SimplexGrid:
         """Euclidean length of one lattice step along an edge direction."""
         return np.sqrt(2.0) / self.resolution
 
-    def nearest_index(self, p) -> int:
-        pv = np.asarray(p, dtype=float)
-        return int(np.argmin(np.sum((self.nodes - pv) ** 2, axis=1)))
-
     def cells(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Lattice cell of each point as (b, n) node indices and (b, n)
         barycentric weights, coordinates clipped to [0, 1].  A 3-simplex cell
@@ -352,14 +344,6 @@ class SimplexGrid:
         nodes = self._index[[i + up, i + 1, i], [j + up, j, j + 1]].T
         weights = np.where(up, [fa + fb - 1.0, 1.0 - fb, 1.0 - fa], [1.0 - fa - fb, fa, fb]).T
         return nodes, weights
-
-    def interpolate(self, values: np.ndarray, p) -> float:
-        """Barycentric-linear interpolation of node values at a point."""
-        return float(self.interpolate_many(values, p)[0])
-
-    def interpolate_many(self, values: np.ndarray, pts) -> np.ndarray:
-        nodes, weights = self.cells(pts)
-        return np.sum(values[nodes] * weights, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ scheme monotone, bounded by C*(T - t), and nonexpansive in time.
 from __future__ import annotations
 
 import os
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,6 @@ MIN_NODES = 11
 BRANCH_TIME = 0
 BRANCH_CONVEX = 1   # the lambda_min (convexity in p) constraint binds
 BRANCH_CONCAVE = 2  # the lambda_max (concavity in q) constraint binds
-
-_BRANCH_NAMES = {BRANCH_TIME: "time-H", BRANCH_CONVEX: "lambda_min", BRANCH_CONCAVE: "lambda_max"}
 
 
 @dataclass
@@ -57,8 +56,8 @@ class ValueGrid:
         pos = (t - ts[0]) / self.dt
         k = int(pos)
         w = pos - k
-        if w < 1e-12:
-            return self.values[k]
+        if min(w, 1.0 - w) < 1e-12:  # a grid time, reached from either side
+            return self.values[k + (w > 0.5)]
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
 
     def value_at(self, t: float, p, q=None) -> float:
@@ -166,14 +165,6 @@ class ResidualReport:
     binding: np.ndarray       # (n_t, n_p_int, n_q_int) int8 branch codes
     residual: np.ndarray      # same shape, the min-max expression
     max_residual: float
-
-    def branch_name(self, code: int) -> str:
-        return _BRANCH_NAMES[int(code)]
-
-    def binding_at(self, k: int, ip: int, iq: int) -> str:
-        pi = int(np.flatnonzero(self.p_nodes == ip)[0])
-        qi = int(np.flatnonzero(self.q_nodes == iq)[0])
-        return self.branch_name(self.binding[k, pi, qi])
 
 
 def residuals(v: ValueGrid, H: HamiltonianField) -> ResidualReport:
@@ -294,13 +285,14 @@ def regularity_report(v: ValueGrid) -> RegularityReport:
 # ---------------------------------------------------------------------------
 
 def write_atomic(path, *parts) -> None:
-    """Write each iterable of strings in parts to <path>.tmp in the same
-    directory (made if missing), then os.replace it onto path: readers see the
-    old file or the whole new one, and a failed write leaves no .tmp behind."""
+    """Write each iterable of strings in parts to a .tmp file of this writer's
+    own beside path (the directory made if missing), then os.replace it onto
+    path: readers see the old file or one writer's whole new one, concurrent
+    writers of one path never share a .tmp, and a failed write leaves none."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "x") as fh:
             for chunks in parts:
                 fh.writelines(chunks)
         os.replace(tmp, path)

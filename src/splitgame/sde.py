@@ -95,12 +95,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _words(n: int) -> list[int]:
-    """A non-negative integer's 32-bit words, least significant first."""
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
-    return out
+def _n_words(n: int) -> int:
+    """How many 32-bit words numpy makes of a non-negative integer."""
+    return (n.bit_length() + 31) // 32 or 1
 
 
 def _hashmix(v, h: int):
@@ -159,28 +156,19 @@ class NoiseGrid:
         one pass: row p is numpy's
         SeedSequence(entropy=seed, spawn_key=(stream, lo + p)).generate_state(2, np.uint64).
 
-        The entropy is the seed's words padded to the pool size of 4, then the
-        stream's and the path's words.  Only the path's words, the last ones,
-        differ along the block, so the pool is hashed as ints up to them.
+        The path's words are the last entropy, so the block starts from the pool
+        numpy makes of the seed and the stream, and mixes each path's words
+        into it.  Of w words (the seed's, padded to the pool size of 4, then
+        the stream's), numpy hashes 4 into the pool, 12 to cross-mix it and
+        each later one 4 times: 4·w hashes, each a step of the multiplier.
         """
-        entropy = _words(int(self.seed))
-        entropy += [0] * (4 - len(entropy)) + _words(stream)
-        pool, h = [], _INIT_A
-        for w in entropy[:4]:
-            v, h = _hashmix(w, h)
-            pool.append(v)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    v, h = _hashmix(pool[src], h)
-                    pool[dst] = _mix(pool[dst], v)
-        for w in entropy[4:]:
-            for dst in range(4):
-                v, h = _hashmix(w, h)
-                pool[dst] = _mix(pool[dst], v)
+        seed = int(self.seed)
+        pool = np.random.SeedSequence(seed, spawn_key=(stream,)).pool.tolist()
+        w = max(4, _n_words(seed)) + _n_words(stream)
+        h = _INIT_A * pow(_MULT_A, 4 * w, 1 << 32) & _MASK32
         # int64 arrays: products wrap mod 2**64, so masked words are exact
         paths = np.arange(lo, hi, dtype=np.int64)
-        for k in range(len(_words(max(hi - 1, 0)))):
+        for k in range(_n_words(max(hi - 1, 0))):
             # a path's k-th word exists from 2**(32k) on; word 0 always does
             high = paths >> 32 * k
             word, mixed = high & _MASK32, []
@@ -199,13 +187,6 @@ class NoiseGrid:
     def increments(self, lo: int, hi: int) -> BlockNoise:
         """The Gaussian increments of paths [lo, hi), drawn on demand."""
         return BlockNoise(self, lo, hi)
-
-
-def _fresh_state(key) -> dict:
-    """The state of a Philox bit generator keyed by key with nothing drawn, as
-    np.random.Philox(SeedSequence) starts."""
-    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 class BlockNoise:
@@ -257,8 +238,10 @@ class BlockNoise:
             keys = self._keys[i] = self.grid.keys(i, self.lo, self.lo + b)
         save = end == s + self.width < self.grid.n_steps
         states = np.empty((b, 9), dtype=np.uint64) if save else None
-        # a generator of this draw's own: blocks run in a thread pool
-        gen, state = np.random.Generator(np.random.Philox(0)), _fresh_state(None)
+        # a generator of this draw's own (blocks run in a thread pool), whose
+        # state with nothing drawn is the template for every path's
+        gen = np.random.Generator(np.random.Philox(0))
+        state = gen.bit_generator.state
         scratch = np.empty((min(b, _DRAW_GROUP), end - s, dim))
         thrown = np.empty((max(1, min(s - pos, self.width)), dim))
         # a step's dim coordinates as one opaque item, so the transposed copy

@@ -26,7 +26,7 @@ SUM_TOL = 1e-12
 
 
 class DegeneratePointError(ValueError):
-    """Raised when a support query finds no coordinate above the threshold."""
+    """Raised when a support query finds no positive coordinate."""
 
 
 @dataclass(frozen=True)
@@ -109,19 +109,11 @@ def _as_coords(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def support(p, threshold: float = 0.0) -> frozenset[int]:
-    """Indices with mass strictly above ``threshold``.
-
-    With threshold 0 this is the exact support; a positive threshold leaves
-    out coordinates inside a small band above zero.  Raises
-    DegeneratePointError if nothing survives.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    c = _as_coords(p)
-    idx = np.flatnonzero(c > threshold)
+def support(p) -> frozenset[int]:
+    """Indices with positive mass.  Raises DegeneratePointError if there are none."""
+    idx = np.flatnonzero(_as_coords(p) > 0.0)
     if idx.size == 0:
-        raise DegeneratePointError("degenerate point: no coordinate above threshold")
+        raise DegeneratePointError("degenerate point: no positive coordinate")
     return frozenset(int(i) for i in idx)
 
 

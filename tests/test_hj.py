@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from splitgame.hamiltonian import (
     vex_p,
 )
 from splitgame.hj import (
+    BRANCH_CONVEX,
     BRANCH_TIME,
     ValueGrid,
     _curvature,
@@ -195,7 +197,7 @@ class TestResiduals:
         h = analytic_field("tent")
         v = solve(h, pg, qg, 1.0, 64)
         rep = residuals(v, h)
-        assert rep.binding_at(0, 50, 0) == "lambda_min"
+        assert rep.binding[0, rep.p_nodes == 50, rep.q_nodes == 0] == BRANCH_CONVEX
         assert rep.max_residual <= 5 * (v.dt + pg.step_length())
 
     def test_convex_H_time_branch_binds(self):
@@ -478,6 +480,17 @@ class TestValueGridLookup:
         single = [v.value_at(0.0, P[i], Q[i] if n_q > 1 else None) for i in range(200)]
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
+    def test_slice_at_a_grid_time_is_the_slice(self):
+        """k/10 and k·0.1 on a dt = 0.1 grid are slice k, bit for bit, where
+        t / dt rounds above k (k·0.1 at k = 3, 6) and below it (k/10 at
+        k = 3, 6, 7)."""
+        pg, qg = one_sided_grids(10)
+        vals = np.random.default_rng(3).normal(size=(11, pg.n_nodes, qg.n_nodes))
+        v = ValueGrid(0.1 * np.arange(11), pg, qg, vals, "vex_cav", 1.0)
+        for k in range(11):
+            for t in (k / 10, k * 0.1):
+                assert v.slice_at(t).tobytes() == vals[k].tobytes()
+
 
 class TestExport:
     def test_csv_and_summary(self, tmp_path):
@@ -521,6 +534,40 @@ class TestExport:
             write_atomic(out, ["header\n"], chunks())
         assert out.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["values.csv"]
+
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        """Writer A stops mid-write while writer B writes the same path and
+        renames it into place; then A finishes.  Both writes succeed, the file
+        holds A's whole bytes, no .tmp is left, and the file's mode is what
+        open() gives under the umask."""
+        out = tmp_path / "report.json"
+        paused, resume, errors = threading.Event(), threading.Event(), []
+
+        def parts():
+            yield "a" * 1000
+            paused.set()
+            resume.wait(10)
+            yield "A\n"
+
+        def writer_a():
+            try:
+                write_atomic(out, parts())
+            except Exception as exc:
+                errors.append(exc)
+
+        a = threading.Thread(target=writer_a)
+        a.start()
+        assert paused.wait(10)
+        write_atomic(out, ["b" * 500 + "B\n"])
+        assert out.read_text() == "b" * 500 + "B\n"
+        resume.set()
+        a.join(10)
+        assert not a.is_alive() and errors == []
+        assert out.read_text() == "a" * 1000 + "A\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert out.stat().st_mode == plain.stat().st_mode
 
 
 def reference_csv(v: ValueGrid) -> str:

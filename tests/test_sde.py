@@ -1,11 +1,10 @@
-import json
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitgame import sde
@@ -130,23 +129,18 @@ class TestNoiseGrid:
         for seed in (np.int64(3), np.uint64(2**64 - 1), 2**140):
             assert NoiseGrid(0.0, 1.0, 0.25, 3, seed, 2, 2).seed == seed
 
-    def test_fresh_state_is_numpys(self):
-        # a change in how numpy seeds Philox fails here, not in the artifacts
-        def plain(state):
-            return json.loads(json.dumps(state, default=lambda a: a.tolist()))
-
-        g = make_noise(n_paths=4)
-        for i, path in ((0, 0), (1, 3)):
-            ss = np.random.SeedSequence(entropy=g.seed, spawn_key=(i, path))
-            got = sde._fresh_state(g.keys(i, path, path + 1)[0])
-            assert plain(got) == plain(np.random.Philox(ss).state)
-
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**140)),
        stream=st.integers(0, 1),
        lo=st.one_of(st.integers(0, 5000), st.integers(2**32 - 8, 2**32 + 8)),
        size=st.integers(0, 12))
+# numpy pads a seed of up to 4 words to the pool size, so the hash count turns
+# at 4 words; and a block can cross into a path's second word
+@example(seed=2**96, stream=0, lo=0, size=3)
+@example(seed=2**128 - 1, stream=1, lo=0, size=3)
+@example(seed=2**128, stream=0, lo=0, size=3)
+@example(seed=7, stream=1, lo=2**32 - 1, size=2)
 def test_block_keys_are_numpys(seed, stream, lo, size):
     """A block's keys, computed in one pass, are the ones numpy's SeedSequence
     gives each (stream, path), for any seed and any first path."""

@@ -74,25 +74,17 @@ class TestSimplexPoint:
 
 class TestSupport:
     def test_vertex(self):
-        assert support(SimplexPoint([1.0, 0.0]), 0.0) == frozenset({0})
+        assert support(SimplexPoint([1.0, 0.0])) == frozenset({0})
 
     def test_interior(self):
-        assert support(SimplexPoint([0.5, 0.5]), 0.0) == frozenset({0, 1})
+        assert support(SimplexPoint([0.5, 0.5])) == frozenset({0, 1})
 
     def test_face_point(self):
-        assert support(SimplexPoint([0.2, 0.0, 0.8]), 0.0) == frozenset({0, 2})
-
-    def test_threshold_band(self):
-        p = SimplexPoint([1.0 - 1e-12, 1e-12])
-        assert support(p, 1e-10) == frozenset({0})
+        assert support(SimplexPoint([0.2, 0.0, 0.8])) == frozenset({0, 2})
 
     def test_degenerate_raises(self):
         with pytest.raises(DegeneratePointError):
-            support(np.zeros(3), 0.0)
-
-    def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError):
-            support(SimplexPoint([1.0, 0.0]), -1.0)
+            support(np.zeros(3))
 
 
 class TestProjectTangent:
@@ -141,7 +133,7 @@ class TestProjectTangent:
             y = rng.normal(size=n) * 5
             out = project_tangent(p, y)
             assert abs(out.sum()) <= 1e-12
-            off = sorted(set(range(n)) - support(p, 0.0))
+            off = sorted(set(range(n)) - support(p))
             assert np.all(out[off] == 0.0)
 
     def test_orthogonality_of_residual(self):
@@ -151,7 +143,7 @@ class TestProjectTangent:
             p = random_point(rng, n)
             y = rng.normal(size=n) * 3
             resid = y - project_tangent(p, y)
-            for z in tangent_basis(support(p, 0.0), n):
+            for z in tangent_basis(support(p), n):
                 assert abs(resid @ z) <= 1e-12
 
     def test_length_mismatch(self):

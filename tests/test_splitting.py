@@ -25,7 +25,9 @@ def vex_at(H: HamiltonianField, p) -> float:
     if H.dim_q != 1:
         raise ValueError("vex_at expects a one-sided field")
     grid = SimplexGrid.build(2, 512)
-    return grid.interpolate(vex_p(H.on_grid(0.0, grid.nodes, np.ones((1, 1))), grid)[:, 0], p)
+    nodes, weights = grid.cells(p)
+    vex = vex_p(H.on_grid(0.0, grid.nodes, np.ones((1, 1))), grid)[:, 0]
+    return float(vex[nodes[0]] @ weights[0])
 
 
 @dataclass(frozen=True)
