@@ -38,12 +38,7 @@ from splitgame.simplex import (
     support,
     tangent_basis,
 )
-from splitgame.splitting import (
-    SplitSpec,
-    evaluate_split,
-    make_split_control,
-    unit_segment_spec,
-)
+from splitgame.splitting import SplitSpec, make_split_control, unit_segment_spec
 
 __version__ = "0.1.0"
 
@@ -63,7 +58,6 @@ __all__ = [
     "cav_q",
     "estimate_j",
     "eval_H",
-    "evaluate_split",
     "lipschitz_p_check",
     "make_split_control",
     "matrix_game_value",

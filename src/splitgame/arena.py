@@ -1,6 +1,7 @@
 """Desk-scale game evaluation over finite families of simple pathwise
-strategies: restricted value brackets around the PDE value and the dynamic
-programming diagnostic.
+strategies: restricted value brackets around the PDE value, and the dynamic
+programming diagnostic, which is the same game played on one step [t, t + h]
+with the reference value at t + h as terminal payoff.
 
 A strategy family is a dict of named controls.  The noise grid is the game's
 clock: it carries the interval [t, T], its step, the path count and the seed,
@@ -69,10 +70,18 @@ class ValueBracket:
         return self.lower - 3.0 * self.lower_se <= self.upper + 3.0 * self.upper_se
 
 
-def _payoff_table(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
-                  fam_2: dict[str, FeedbackControl], noise: NoiseGrid, threads: int,
-                  terminal: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Common-random-numbers payoff means and standard errors, player 1 along rows."""
+def _maxmin_cell(table: np.ndarray) -> tuple[int, int]:
+    """Cell (i, j) of the max over columns j of the column minimum over rows."""
+    j = int(np.argmax(table.min(axis=0)))
+    return int(np.argmin(table[:, j])), j
+
+
+def _play(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
+          fam_2: dict[str, FeedbackControl], noise: NoiseGrid, reference: ValueGrid | None,
+          threads: int, terminal: Callable | None = None) -> ValueBracket:
+    """The restricted game on the noise grid's interval: the common-random-numbers
+    payoff table over all strategy pairs, player 1 along rows, reduced to its
+    min-max and max-min cells, and the reference value at the grid's start."""
     n1, n2 = len(fam_1), len(fam_2)
     if n1 * n2 > MAX_PAIRS:
         raise BudgetExceededError(f"{n1 * n2} strategy pairs exceed the {MAX_PAIRS} budget")
@@ -82,22 +91,6 @@ def _payoff_table(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
         for j, v in enumerate(fam_2.values()):
             est = estimate_j(p, q, u, v, H, noise, threads=threads, terminal=terminal)
             table[i, j], se[i, j] = est.mean, est.std_error
-    return table, se
-
-
-def _maxmin_cell(table: np.ndarray) -> tuple[int, int]:
-    """Cell (i, j) of the max over columns j of the column minimum over rows."""
-    j = int(np.argmax(table.min(axis=0)))
-    return int(np.argmin(table[:, j])), j
-
-
-def value_bracket(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
-                  fam_2: dict[str, FeedbackControl], noise: NoiseGrid,
-                  reference: ValueGrid | None = None, threads: int = 1) -> ValueBracket:
-    """Common-random-numbers payoff table over all strategy pairs on the noise
-    grid, reduced to the restricted upper (min-max) and lower (max-min) values
-    at its start time."""
-    table, se = _payoff_table(p, q, H, fam_1, fam_2, noise, threads)
     i_lo, j_lo = _maxmin_cell(table)
     # the min-max of the table is minus the max-min of the negated transpose
     j_up, i_up = _maxmin_cell(-table.T)
@@ -110,26 +103,20 @@ def value_bracket(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
     )
 
 
-@dataclass
-class DppReport:
-    """Signed gap between the one-step game estimate and the reference value."""
-
-    estimate: float
-    std_error: float
-    reference: float
-    table: np.ndarray
-
-    @property
-    def gap(self) -> float:
-        return self.estimate - self.reference
+def value_bracket(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
+                  fam_2: dict[str, FeedbackControl], noise: NoiseGrid,
+                  reference: ValueGrid | None = None, threads: int = 1) -> ValueBracket:
+    """Restricted upper (min-max) and lower (max-min) values at the noise
+    grid's start time, with zero terminal payoff at its horizon."""
+    return _play(p, q, H, fam_1, fam_2, noise, reference, threads)
 
 
 def dpp_diagnostic(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
                    fam_2: dict[str, FeedbackControl], v_ref: ValueGrid, noise: NoiseGrid,
-                   threads: int = 1) -> DppReport:
-    """sup over player-2 strategies of the inf over player-1 controls of the
-    one-step payoff on [t, t + h] = [noise.t, noise.horizon] plus the
-    reference continuation value, against the reference value at (t, p, q).
+                   threads: int = 1) -> ValueBracket:
+    """The one-step game on [t, t + h] = [noise.t, noise.horizon], whose
+    terminal payoff is the reference value at t + h: its lower value against
+    the reference value at (t, p, q) gives the DPP gap lower - reference.
 
     t + h must be a time-grid point of the reference; the gap is a diagnostic
     (family restriction plus Monte Carlo noise), not an asserted theorem.
@@ -137,9 +124,5 @@ def dpp_diagnostic(p, q, H: HamiltonianField, fam_1: dict[str, FeedbackControl],
     t_h = noise.horizon
     if np.min(np.abs(v_ref.times - t_h)) > 1e-9:
         raise ValueError("t + h must be a time-grid point of the reference values")
-    table, se = _payoff_table(p, q, H, fam_1, fam_2, noise, threads,
-                              terminal=lambda x, y: v_ref.values_at_states(t_h, x, y))
-    i_star, j_star = _maxmin_cell(table)
-    ref = v_ref.value_at(noise.t, p, q)
-    return DppReport(float(table[i_star, j_star]), float(se[i_star, j_star]),
-                     float(ref), table)
+    return _play(p, q, H, fam_1, fam_2, noise, v_ref, threads,
+                 terminal=lambda x, y: v_ref.values_at_states(t_h, x, y))

@@ -14,6 +14,8 @@ scheme monotone, bounded by C*(T - t), and nonexpansive in time.
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import os
 import uuid
 from dataclasses import dataclass
@@ -249,12 +251,11 @@ def regularity_report(v: ValueGrid) -> RegularityReport:
     time_lip = float(np.max(np.abs(np.diff(vals, axis=0)))) if vals.shape[0] > 1 else 0.0
     time_bound = 8.0 * v.bound * v.dt
 
-    min_p, max_q = np.inf, -np.inf
-    for sl in vals:
-        min_p = min(min_p, float(np.fmin.reduce(v.p_grid.second_differences(sl),
-                                                axis=None, initial=np.inf)))
-        max_q = max(max_q, float(np.fmax.reduce(v.q_grid.second_differences(sl.T),
-                                                axis=None, initial=-np.inf)))
+    # every slice at once: the grid's nodes on axis 0, the times on axis 1
+    min_p = float(np.fmin.reduce(v.p_grid.second_differences(np.moveaxis(vals, 1, 0)),
+                                 axis=None, initial=np.inf))
+    max_q = float(np.fmax.reduce(v.q_grid.second_differences(np.moveaxis(vals, 2, 0)),
+                                 axis=None, initial=-np.inf))
     if not np.isfinite(min_p):
         min_p = 0.0
     if not np.isfinite(max_q):
@@ -288,9 +289,19 @@ def write_atomic(path, *parts) -> None:
     """Write each iterable of strings in parts to a .tmp file of this writer's
     own beside path (the directory made if missing), then os.replace it onto
     path: readers see the old file or one writer's whole new one, concurrent
-    writers of one path never share a .tmp, and a failed write leaves none."""
+    writers of one path never share a .tmp, and a failed write leaves none.
+    The .tmp is <path>.<pid>.<hex>.tmp, so the next write of path removes one
+    whose writer died mid-write: a pid that no longer runs."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    for stale in glob.glob(glob.escape(str(path)) + ".*.*.tmp"):
+        try:
+            os.kill(int(stale[len(str(path)) + 1:].split(".")[0]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stale)
+        except (ValueError, OverflowError, PermissionError):
+            pass  # not a pid, or a live process of another user
+    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "x") as fh:
             for chunks in parts:

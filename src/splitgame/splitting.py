@@ -147,12 +147,6 @@ def run_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0, threads: in
                            zero_control(1), noise, threads=threads)
 
 
-def evaluate_split(spec: SplitSpec, n_paths: int = 10_000, seed: int = 0,
-                   threads: int = 1) -> SplitReport:
-    """Run the split control to its horizon and measure the landing law."""
-    return landing_report(spec, run_split(spec, n_paths, seed, threads))
-
-
 def landing_report(spec: SplitSpec, xt: np.ndarray) -> SplitReport:
     """Landing-law statistics from terminal states at the split horizon."""
     n_paths = xt.shape[0]

@@ -3,6 +3,7 @@ import pytest
 
 from splitgame.arena import (
     BudgetExceededError,
+    ValueBracket,
     dpp_diagnostic,
     preset_family,
     value_bracket,
@@ -200,15 +201,36 @@ class TestValueBracket:
                           NoiseGrid(0.0, 1.0, 1 / 32, 10, 0, 2, 2))
 
 
+def dpp_checked(p, q, H, fam1, fam2, ref, noise):
+    """dpp_diagnostic's bracket, checked bit for bit against each pair's own
+    estimate_j with the reference value at t + h as terminal payoff and the
+    max-min cell of those estimates."""
+    rep = dpp_diagnostic(p, q, H, fam1, fam2, ref, noise)
+    assert isinstance(rep, ValueBracket)
+    t_h = noise.horizon
+    pairs = [[estimate_j(p, q, u, v, H, noise,
+                         terminal=lambda x, y: ref.values_at_states(t_h, x, y))
+              for v in fam2.values()] for u in fam1.values()]
+    table = np.array([[e.mean for e in row] for row in pairs])
+    se = np.array([[e.std_error for e in row] for row in pairs])
+    assert rep.table.tobytes() == table.tobytes()
+    assert rep.se_table.tobytes() == se.tobytes()
+    j = int(np.argmax(table.min(axis=0)))
+    i = int(np.argmin(table[:, j]))
+    assert (rep.lower, rep.lower_se) == (table[i, j], se[i, j])
+    assert rep.reference == ref.value_at(noise.t, p, q)
+    return rep
+
+
 class TestDppDiagnostic:
     def test_zero_H_gap_zero(self):
         zero = analytic_field("zero")
         ref = one_sided_reference(zero, res=50, n_steps=32)
         fam1 = {"zero": zero_control(2)}
         fam2 = {"zero": zero_control(1)}
-        rep = dpp_diagnostic([0.5, 0.5], [1.0], zero, fam1, fam2, ref,
-                             NoiseGrid(0.0, 0.125, 1 / 32, 16, 0, 2, 1))
-        assert rep.gap == 0.0
+        rep = dpp_checked([0.5, 0.5], [1.0], zero, fam1, fam2, ref,
+                          NoiseGrid(0.0, 0.125, 1 / 32, 16, 0, 2, 1))
+        assert rep.lower - rep.reference == 0.0
 
     def test_tent_gap_small(self):
         tent = analytic_field("tent")
@@ -216,9 +238,9 @@ class TestDppDiagnostic:
         spec = unit_segment_spec(steps=128, horizon=0.125)
         fam1 = preset_family(2, split_spec=spec)
         fam2 = {"zero": zero_control(1)}
-        rep = dpp_diagnostic(spec.p.coords, [1.0], tent, fam1, fam2, ref,
-                             NoiseGrid(0.0, 0.125, 0.125 / 128, 2000, 4, 2, 1))
-        assert -0.05 <= rep.gap <= 0.05
+        rep = dpp_checked(spec.p.coords, [1.0], tent, fam1, fam2, ref,
+                          NoiseGrid(0.0, 0.125, 0.125 / 128, 2000, 4, 2, 1))
+        assert -0.05 <= rep.lower - rep.reference <= 0.05
 
     def test_bilinear_gap_small(self):
         h = analytic_field("bilinear")
@@ -227,9 +249,9 @@ class TestDppDiagnostic:
         ref = solve(h, pg, qg, 1.0, 64)
         fam1 = preset_family(2, scale=0.5)
         fam2 = preset_family(2, scale=0.5)
-        rep = dpp_diagnostic([0.4, 0.6], [0.7, 0.3], h, fam1, fam2, ref,
-                             NoiseGrid(0.0, 0.125, 1 / 64, 4000, 5, 2, 2))
-        assert -0.05 <= rep.gap <= 0.05
+        rep = dpp_checked([0.4, 0.6], [0.7, 0.3], h, fam1, fam2, ref,
+                          NoiseGrid(0.0, 0.125, 1 / 64, 4000, 5, 2, 2))
+        assert -0.05 <= rep.lower - rep.reference <= 0.05
 
     def test_requires_grid_time(self):
         zero = analytic_field("zero")

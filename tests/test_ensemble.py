@@ -84,7 +84,7 @@ def run_all_estimators(threads):
     zero2 = {"zero": zero_control(1)}
     dpp = dpp_diagnostic(P, [1.0], tent, fam, zero2, ref,
                          NoiseGrid(0.0, 0.125, 1 / 256, 200, 6, 2, 1), threads=threads)
-    out["dpp_diagnostic"] = [dpp.table, dpp.estimate, dpp.std_error]
+    out["dpp_diagnostic"] = [dpp.table, dpp.lower, dpp.lower_se]
     return out
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -534,6 +537,28 @@ class TestExport:
             write_atomic(out, ["header\n"], chunks())
         assert out.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["values.csv"]
+
+    def test_dead_writers_tmp_removed_by_next_write(self, tmp_path):
+        """A writer process that dies inside its parts generator leaves its
+        .tmp behind; the next write of the path removes it, since the pid in
+        its name no longer runs."""
+        out = tmp_path / "report.json"
+        script = ("import os, sys\n"
+                  "from splitgame.hj import write_atomic\n"
+                  "def parts():\n"
+                  "    yield 'partial'\n"
+                  "    os._exit(7)\n"
+                  "write_atomic(sys.argv[1], parts())\n")
+        src = str(Path(hj.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        writer = subprocess.Popen([sys.executable, "-c", script, str(out)], env=env)
+        assert writer.wait(60) == 7
+        [stale] = tmp_path.iterdir()
+        assert stale.name.startswith(f"report.json.{writer.pid}.") and stale.suffix == ".tmp"
+        write_atomic(out, ["whole\n"])
+        assert out.read_text() == "whole\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_concurrent_writers_of_one_path(self, tmp_path):
         """Writer A stops mid-write while writer B writes the same path and

@@ -9,14 +9,20 @@ from splitgame.hamiltonian import HamiltonianField, SimplexGrid, analytic_field,
 from splitgame.sde import NoiseGrid, estimate_j, interval_starts, simulate, zero_control
 from splitgame.simplex import SimplexPoint
 from splitgame.splitting import (
+    SplitReport,
     SplitSpec,
-    evaluate_split,
     landing_report,
     make_split_control,
     run_split,
     unit_segment_spec,
 )
 from test_sde import PEAK_BOUND
+
+
+def split_report(spec: SplitSpec, n_paths: int, seed: int = 0) -> SplitReport:
+    """Landing law of the split control run to its horizon, as split-demo and
+    acceptance check 7 measure it."""
+    return landing_report(spec, run_split(spec, n_paths, seed))
 
 
 def vex_at(H: HamiltonianField, p) -> float:
@@ -97,14 +103,14 @@ class TestDegenerateSplit:
     def test_lam1_one_is_zero_control(self):
         s = unit_segment_spec()
         spec = SplitSpec(s.p1, s.p2, 1.0, 0.125, 32)
-        rep = evaluate_split(spec, n_paths=50, seed=0)
+        rep = split_report(spec, n_paths=50, seed=0)
         assert rep.eps_mean <= 1e-12          # X stays exactly at p = p1
         assert rep.unabsorbed_frac == 0.0
 
 
 class TestSymmetricSplit:
     def test_default_spec_hits_and_martingale(self):
-        rep = evaluate_split(unit_segment_spec(), n_paths=4000, seed=0)
+        rep = split_report(unit_segment_spec(), n_paths=4000, seed=0)
         assert rep.eps_mean <= 0.05
         assert rep.hit1_ok
         assert rep.martingale_ok
@@ -113,14 +119,14 @@ class TestSymmetricSplit:
     def test_segment_confinement_every_path(self):
         # default endpoints make the extended segment the full simplex diagonal,
         # so the engine's face handling enforces the bound exactly
-        rep = evaluate_split(unit_segment_spec(), n_paths=4000, seed=1)
+        rep = split_report(unit_segment_spec(), n_paths=4000, seed=1)
         assert rep.segment_excess <= 1e-12
         assert rep.max_perp <= 1e-12
 
 
 class TestAsymmetricSplit:
     def test_hit_frequency_matches_lambda(self):
-        rep = evaluate_split(asym_spec(), n_paths=10_000, seed=1)
+        rep = split_report(asym_spec(), n_paths=10_000, seed=1)
         assert rep.eps_mean <= 0.05
         assert rep.hit1_ok
         assert rep.martingale_ok
@@ -128,7 +134,7 @@ class TestAsymmetricSplit:
     def test_three_coordinate_split_stays_on_line(self):
         p1 = SimplexPoint([0.5, 0.3, 0.2])
         p2 = SimplexPoint([0.1, 0.4, 0.5])
-        rep = evaluate_split(SplitSpec(p1, p2, 0.5, 0.125, 256), n_paths=2000, seed=3)
+        rep = split_report(SplitSpec(p1, p2, 0.5, 0.125, 256), n_paths=2000, seed=3)
         assert rep.max_perp <= 1e-12
         assert rep.hit1_ok
 
@@ -144,7 +150,7 @@ def epsilon_curve(spec: SplitSpec, step_counts, n_paths: int = 10_000,
     """Reported epsilon(n) = E|X_{t+h} - Z_near| for each subinterval count."""
     out = []
     for n in step_counts:
-        rep = evaluate_split(replace(spec, steps=int(n)), n_paths=n_paths, seed=seed)
+        rep = split_report(replace(spec, steps=int(n)), n_paths=n_paths, seed=seed)
         out.append((int(n), rep.eps_mean))
     return out
 
@@ -217,7 +223,7 @@ class TestTerminalStates:
                       for lo, hi in sde._block_ranges(n, spec.steps))
         tracemalloc.start()
         try:
-            evaluate_split(spec, n_paths=n)
+            split_report(spec, n_paths=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
