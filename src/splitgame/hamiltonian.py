@@ -7,7 +7,10 @@ grids.  Finite action grids need not satisfy a pure-strategy minimax equality,
 so the mixed value (which always exists) is used as the discretization.  A game
 with a pure saddle point or a 2x2 kernel is solved in closed form; any other
 costs one HiGHS LP, whose duals give the second player's strategy.  Both
-answers pass one certificate, certificate_gap <= GAME_VALUE_TOL.
+answers pass one certificate, certificate_gap <= GAME_VALUE_TOL.  Each payoff
+tensor keeps a bounded memo from a game's bytes to its value, so a game that
+eval_H meets again (the solver's two alternation orders and its residuals
+evaluate the same nodes) is solved once per tensor.
 
 Running costs are HamiltonianFields with one elementwise evaluation fn(t, P, Q)
 over broadcasting belief arrays; on_grid (node lists, for the solver and the
@@ -27,6 +30,7 @@ checks use, and the lattice-cell lookup behind every interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -98,6 +102,15 @@ def matrix_game_value(m) -> tuple[float, np.ndarray, np.ndarray]:
 KERNEL_WORK = 1 << 20
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per action count and read-only."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def small_game_value(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
     """Closed-form value and strategies of a game (rows minimize, as in
     matrix_game_value) that has a pure saddle point or a certified 2x2 kernel
@@ -120,7 +133,7 @@ def small_game_value(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | No
     i, j = int(np.argmin(row_max)), int(np.argmax(col_min))
     if row_max[i] == col_min[j]:
         return float(m[i, j]), np.eye(nr)[i], np.eye(nc)[j]
-    rows, cols = np.triu_indices(nr, 1), np.triu_indices(nc, 1)
+    rows, cols = _pairs(nr), _pairs(nc)
     if rows[0].size * cols[0].size * (nr + nc) > KERNEL_WORK:
         return None
     r1, r2 = (r[:, None] for r in rows)
@@ -163,16 +176,35 @@ def maximin_value(m) -> tuple[float, np.ndarray, np.ndarray]:
 # payoff tensors
 # ---------------------------------------------------------------------------
 
+# A tensor's memo of solved games holds at most GAME_MEMO_BYTES.  An entry
+# counts its key's bytes plus MEMO_ENTRY_BYTES for the rest: the key's bytes
+# header, the float value and the entry's share of the dict's table, which
+# tracemalloc measured at up to 155 bytes in all (at the peak of a table
+# resize); the margin covers allocator rounding.
+GAME_MEMO_BYTES = 16 << 20
+MEMO_ENTRY_BYTES = 192
+
+
 @dataclass(frozen=True)
 class PayoffTensor:
     """Sampled payoff f_ij(t,k,l) on finite index and action grids.
 
     values has shape (n_times, nI, nJ, nK, nL) with finite entries in [0,1];
     time_samples is finite, sorted and lives in [0, horizon].
+
+    _games is eval_H's memo, game.tobytes() -> value.  All of one tensor's
+    games have the shape (nK, nL), so the bytes are the whole input of the
+    solve and a hit returns the bits a new solve would.  The memo is bounded
+    by GAME_MEMO_BYTES and cleared when a store passes it, so at worst it
+    holds 74,898 2x2 games, 63,550 3x3 games or 7,543 games of 2 x 127 (the
+    widest that KERNEL_WORK searches); a game whose entry alone passes the
+    bound (over two million action pairs) is cleared as soon as it is
+    stored.  The memo is left out of eq and repr, and dies with its tensor.
     """
 
     values: np.ndarray
     time_samples: np.ndarray
+    _games: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -217,7 +249,14 @@ class PayoffTensor:
 
 
 def eval_H(f: PayoffTensor, t: float, p, q) -> float:
-    """Mixed game value of the action matrix aggregated by beliefs (p, q)."""
+    """Mixed game value of the action matrix aggregated by beliefs (p, q),
+    from f's memo when f has solved the same game before.
+
+    The memo takes only dict get, set and clear, and needs no lock: two
+    threads that miss on one game store the same bits, and every store is
+    followed by its own size check, so the memo is within its bound
+    whenever no thread is inside eval_H.
+    """
     pv = np.asarray(p, dtype=float)
     qv = np.asarray(q, dtype=float)
     if pv.size != f.dim_p or qv.size != f.dim_q:
@@ -227,7 +266,13 @@ def eval_H(f: PayoffTensor, t: float, p, q) -> float:
         )
     ft = f.at_time(t)
     game = np.einsum("i,j,ijkl->kl", pv, qv, ft)
-    value, _, _ = maximin_value(game)
+    key = game.tobytes()
+    value = f._games.get(key)
+    if value is None:
+        value = maximin_value(game)[0]
+        f._games[key] = value
+        if len(f._games) * (len(key) + MEMO_ENTRY_BYTES) > GAME_MEMO_BYTES:
+            f._games.clear()
     return value
 
 

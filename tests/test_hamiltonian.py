@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -238,6 +242,12 @@ def raising_linprog(*args, **kwargs):
     raise AssertionError("the LP was called")
 
 
+def simplex3_tensor():
+    """The 3x1-index, 3x3-action tensor whose permutations the benchmark's
+    solve-simplex3 workload solves."""
+    return PayoffTensor(np.random.default_rng(1).random((1, 3, 1, 3, 3)), [0.0])
+
+
 ROCK_PAPER_SCISSORS = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 
 
@@ -294,14 +304,15 @@ class TestSmallGame:
 
     def test_lp_count_on_a_three_simplex_tensor(self, monkeypatch):
         # 3x3 action games on the 3-simplex: the kernels leave 12 of the
-        # Lipschitz probe's 45 nodes and 83 of the grid's 325 to the LP
+        # Lipschitz probe's 45 nodes and 83 of the grid's 325 to the LP.  The
+        # probe's nodes lie on the 24-grid, so its 12 games are among the 83
+        # and the tensor's memo answers them
         calls = []
         monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
-        f = PayoffTensor(np.random.default_rng(1).random((1, 3, 1, 3, 3)), [0.0])
-        h = tensor_field(f)
+        h = tensor_field(simplex3_tensor())
         assert len(calls) == 12
         h.on_grid(0.0, SimplexGrid.build(3, 24).nodes, np.array([[1.0]]))
-        assert len(calls) == 12 + 83
+        assert len(calls) == 83
 
 
 class TestPayoffTensor:
@@ -372,6 +383,95 @@ class TestEvalH:
             p1, p2 = w1 / w1.sum(), w2 / w2.sum()
             gap = abs(eval_H(f, 0.0, p1, q) - eval_H(f, 0.0, p2, q))
             assert gap <= np.abs(p1 - p2).sum() + 1e-9
+
+
+class TestGameMemo:
+    GRID = SimplexGrid.build(3, 24).nodes
+    Q = np.array([[1.0]])
+    ENTRY = 9 * 8 + hamiltonian.MEMO_ENTRY_BYTES  # one 3x3 game's memo entry
+
+    def test_second_grid_makes_no_lp(self, monkeypatch):
+        f = simplex3_tensor()
+        h = tensor_field(f)
+        first = h.on_grid(0.0, self.GRID, self.Q)
+        solved = [maximin_value(np.einsum("i,ikl->kl", p, f.values[0, :, 0]))[0] for p in self.GRID]
+        assert first[:, 0].tobytes() == np.array(solved).tobytes()
+        calls = []
+        monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
+        again = h.on_grid(0.0, self.GRID, self.Q)
+        assert calls == []
+        assert again.tobytes() == first.tobytes()
+
+    def test_equal_tensor_solves_again(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
+        first = tensor_field(simplex3_tensor()).on_grid(0.0, self.GRID, self.Q)
+        assert len(calls) == 83
+        again = tensor_field(simplex3_tensor()).on_grid(0.0, self.GRID, self.Q)
+        assert len(calls) == 2 * 83
+        assert again.tobytes() == first.tobytes()
+
+    def test_memo_stays_under_a_small_cap(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "GAME_MEMO_BYTES", 7 * self.ENTRY + self.ENTRY // 2)
+        f = simplex3_tensor()
+        nodes = SimplexGrid.build(3, 6).nodes
+        sizes = []
+        for p in np.concatenate([nodes, nodes[::-1], nodes]):
+            game = np.einsum("i,j,ijkl->kl", p, [1.0], f.values[0])
+            value = eval_H(f, 0.0, p, [1.0])
+            sizes.append(len(f._games))
+            assert len(f._games) * self.ENTRY <= hamiltonian.GAME_MEMO_BYTES
+            assert np.float64(value).tobytes() == np.float64(maximin_value(game)[0]).tobytes()
+        assert max(sizes) == 7 and 0 in sizes and sizes[-1] > 0  # full, cleared, refilled
+        monkeypatch.setattr(hamiltonian, "GAME_MEMO_BYTES", self.ENTRY - 1)
+        f = simplex3_tensor()
+        eval_H(f, 0.0, nodes[5], [1.0])
+        assert f._games == {}
+
+    def test_entry_bytes_cover_a_measured_entry(self):
+        # a memo of hj_two_sided's 10,201 2x2 games fits under the cap, and
+        # each entry costs what tracemalloc sees at most
+        count = 10_201
+        assert hamiltonian.GAME_MEMO_BYTES // (32 + hamiltonian.MEMO_ENTRY_BYTES) >= count
+        games = np.random.default_rng(3).random((count, 2, 2))
+        tracemalloc.start()
+        try:
+            memo = {}
+            for g in games:
+                memo[g.tobytes()] = float(g[0, 0]) + 0.5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * (32 + hamiltonian.MEMO_ENTRY_BYTES)
+
+    @pytest.mark.parametrize("cap_entries", [None, 3])
+    def test_thread_pool_gives_single_thread_bytes(self, monkeypatch, cap_entries):
+        # four threads on one memo, switching often; with a three-entry cap
+        # their stores and clears interleave
+        grid = SimplexGrid.build(3, 12).nodes
+        rng = np.random.default_rng(4)
+        P = np.concatenate([grid, rng.dirichlet(np.ones(3), size=40), grid[::7]])
+        Q = np.ones((P.shape[0], 1))
+        one = tensor_field(simplex3_tensor())
+        want_grid = one.on_grid(0.0, grid, self.Q).tobytes()
+        want_paths = one.on_paths(0.0, P, Q).tobytes()
+        if cap_entries:
+            monkeypatch.setattr(hamiltonian, "GAME_MEMO_BYTES", cap_entries * self.ENTRY)
+        f = simplex3_tensor()
+        h = tensor_field(f)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                grids = [pool.submit(h.on_grid, 0.0, grid, self.Q) for _ in range(4)]
+                paths = [pool.submit(h.on_paths, 0.0, P, Q) for _ in range(4)]
+                got_grids = [g.result(timeout=120).tobytes() for g in grids]
+                got_paths = [p.result(timeout=120).tobytes() for p in paths]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got_grids == [want_grid] * 4
+        assert got_paths == [want_paths] * 4
+        assert len(f._games) * self.ENTRY <= hamiltonian.GAME_MEMO_BYTES
 
 
 class TestLowerHull:

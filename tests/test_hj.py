@@ -288,6 +288,20 @@ class TestRegularity:
             rep = regularity_report(v)
             assert rep.time_lip <= 8.0 * h.bound * v.dt + 1e-3
 
+    @pytest.mark.parametrize("block_slices", [1, 2, 3, 1000])
+    def test_shape_extremes_by_blocks_match_one_pass(self, monkeypatch, block_slices):
+        # 7 time slices, so the last block is short for 2 and 3; the last
+        # slice holds both extremes, a spike in p and a dip in q
+        pg, qg = SimplexGrid.build(3, 6), SimplexGrid.build(2, 5)
+        vals = np.random.default_rng(8).normal(size=(7, pg.n_nodes, qg.n_nodes))
+        vals[-1, _interior_nodes(pg)[0], :] += 100.0
+        vals[-1, :, 2] -= 100.0
+        monkeypatch.setattr(hj, "SLICE_BLOCK_BYTES", block_slices * vals[0].nbytes)
+        for grid, axis, reduce, initial in ((pg, 1, np.fmin, np.inf), (qg, 2, np.fmax, -np.inf)):
+            one_pass = reduce.reduce(grid.second_differences(np.moveaxis(vals, axis, 0)),
+                                     axis=None, initial=initial)
+            assert hj._second_extreme(vals, grid, axis, reduce, initial) == one_pass
+
     @pytest.mark.parametrize("n, m, slope", [(2, 20, 20 / np.sqrt(2)), (3, 6, 6 / np.sqrt(2))])
     def test_lipschitz_sees_edges_off_the_face(self, n, m, slope):
         # a unit jump between the face p_1 = 0 and its neighbours
