@@ -2,7 +2,8 @@
 
 Each check returns a CheckResult with the measured quantity and its bound, so
 the CLI can print one pass/fail line per criterion and tests can assert them
-individually.  Tolerances are fixed here, not configurable.
+individually; run_all times each check.  Tolerances are fixed here, not
+configurable.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class CheckResult:
     measured: float
     bound: float
     detail: str
-    seconds: float
+    seconds: float = 0.0  # run_all adds the check's wall time
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -88,10 +89,9 @@ def check_closed_form_family(golden) -> CheckResult:
         env = vex_p(h.on_grid(0.0, v.p_grid.nodes, v.q_grid.nodes), v.p_grid)
         for k, t in enumerate(v.times):
             worst = max(worst, float(np.max(np.abs(v.values[k] - (1.0 - t) * env))))
-    dt_wall = time.time() - t0 + solve_seconds
-    ok = worst <= 2e-2 and dt_wall < 10.0
+    ok = worst <= 2e-2 and time.time() - t0 + solve_seconds < 10.0
     return CheckResult("closed-form-family", ok, worst, 2e-2,
-                       "3 one-sided costs, wall < 10s", dt_wall)
+                       "3 one-sided costs, wall < 10s", solve_seconds)
 
 
 def check_martingale_invariance(seed: int = 0, threads: int = 1) -> CheckResult:
@@ -121,18 +121,15 @@ def check_martingale_invariance(seed: int = 0, threads: int = 1) -> CheckResult:
         sum_err = max(sum_err, rep.max_sum_err)
         monotone = monotone and rep.support_monotone
         detail.append(f"{name}:{rep.worst_margin:.2f}")
-    dt_wall = time.time() - t0
     ok = (worst_margin <= 1.0 and min_coord >= 0.0 and sum_err <= SUM_TOL
-          and monotone and dt_wall < 20.0)
+          and monotone and time.time() - t0 < 20.0)
     return CheckResult("martingale-simplex-invariance", ok, worst_margin, 1.0,
-                       "max dev/3SE " + " ".join(detail) + ", wall < 20s",
-                       dt_wall)
+                       "max dev/3SE " + " ".join(detail) + ", wall < 20s")
 
 
 def check_lipschitz_coupling(seed: int = 0, threads: int = 1) -> CheckResult:
     """4. Coupled mean distance within the dimensional bound + 3 SE, for
     |I| in {2, 3} and three control presets each."""
-    t0 = time.time()
     cases = [
         (np.array([0.45, 0.55]), np.array([0.55, 0.45])),
         (np.array([0.4, 0.35, 0.25]), np.array([0.3, 0.45, 0.25])),
@@ -147,50 +144,41 @@ def check_lipschitz_coupling(seed: int = 0, threads: int = 1) -> CheckResult:
             out = lipschitz_p_check(p, pb, ctrl, noise, threads=threads)
             allowed = out.bound + 3.0 * out.std_error
             worst_ratio = max(worst_ratio, out.estimate / allowed)
-    dt_wall = time.time() - t0
     return CheckResult("lipschitz-p-coupling", worst_ratio <= 1.0, worst_ratio, 1.0,
-                       "max estimate/(bound+3SE) over |I| in {2,3} x 3 presets", dt_wall)
+                       "max estimate/(bound+3SE) over |I| in {2,3} x 3 presets")
 
 
 def check_time_lipschitz(regularity) -> CheckResult:
     """5. max_k |V[k+1]-V[k]| <= 8 C dt + 1e-3 on every golden config, read
     from one regularity report per solved grid."""
-    t0 = time.time()
     worst_excess = max(float(rep.time_lip - rep.time_lip_bound) for rep in regularity)
-    dt_wall = time.time() - t0
     return CheckResult("time-lipschitz-8C", worst_excess <= 1e-3, worst_excess, 1e-3,
-                       "max over configs of time_lip - 8*C*dt", dt_wall)
+                       "max over configs of time_lip - 8*C*dt")
 
 
 def check_value_shape(regularity) -> CheckResult:
     """6. Discrete convexity in p (second differences >= -1e-8) and concavity
     in q (<= 1e-8) on the bilinear and golden configs, read from the same
     reports."""
-    t0 = time.time()
     worst = max(0.0, *(max(-rep.min_p_second, rep.max_q_second) for rep in regularity))
-    dt_wall = time.time() - t0
     return CheckResult("value-convexity-concavity", worst <= 1e-8, worst, 1e-8,
-                       "max violation of p-convexity / q-concavity", dt_wall)
+                       "max violation of p-convexity / q-concavity")
 
 
 def check_splitting_realization(seed: int = 0, threads: int = 1) -> CheckResult:
     """7. Default split spec at 256 steps, 10^4 paths: landing error <= 0.05
     and p1 hit frequency within 3 SE of lam1."""
-    t0 = time.time()
     spec = unit_segment_spec(steps=256)
     rep = landing_report(spec, run_split(spec, n_paths=10_000, seed=seed, threads=threads))
     hit_gap = abs(rep.hit1_freq - rep.lam1)
     ok = rep.eps_mean <= 0.05 and rep.hit1_ok and rep.martingale_ok
-    dt_wall = time.time() - t0
     return CheckResult("splitting-lemma-realization", ok, rep.eps_mean, 0.05,
-                       f"eps={rep.eps_mean:.4f}, |hit-lam1|={hit_gap:.4f} vs 3SE={3*rep.hit1_se:.4f}",
-                       dt_wall)
+                       f"eps={rep.eps_mean:.4f}, |hit-lam1|={hit_gap:.4f} vs 3SE={3*rep.hit1_se:.4f}")
 
 
 def check_naive_hji_failure(golden) -> CheckResult:
     """8. Classical-equation residual -0.5 +/- 1e-3 at the tent peak while the
     constrained-equation residual stays within discretization size."""
-    t0 = time.time()
     h, v, _ = golden["tent"]
     center = GOLDEN_RES // 2
     naive = naive_hji_residual(v, h, 0, center)
@@ -199,16 +187,13 @@ def check_naive_hji_failure(golden) -> CheckResult:
     hji_res = abs(float(rep.residual[0, idx, 0]))
     hji_bound = 5.0 * (v.dt + v.p_grid.step_length())
     ok = abs(naive - (-0.5)) <= 1e-3 and hji_res <= hji_bound
-    dt_wall = time.time() - t0
     return CheckResult("naive-hji-failure", ok, naive, -0.5,
-                       f"classical={naive:.4f} (target -0.5), constrained={hji_res:.2e} <= {hji_bound:.2e}",
-                       dt_wall)
+                       f"classical={naive:.4f} (target -0.5), constrained={hji_res:.2e} <= {hji_bound:.2e}")
 
 
 def check_representation(golden, seed: int = 0, threads: int = 1) -> CheckResult:
     """9. Split-vs-freeze restricted upper value within 0.08 of the solved
     value at the tent peak, and the one-step DPP gap within +/- 0.05."""
-    t0 = time.time()
     tent, v_ref, _ = golden["tent"]
     spec = unit_segment_spec(steps=128, horizon=0.05)
     fam1 = {"freeze": zero_control(2), "split": make_split_control(spec)}
@@ -226,10 +211,8 @@ def check_representation(golden, seed: int = 0, threads: int = 1) -> CheckResult
                          threads=threads)
     dpp_gap = dpp.lower - dpp.reference
     ok = upper_gap <= 0.08 and abs(dpp_gap) <= 0.05
-    dt_wall = time.time() - t0
     return CheckResult("stochastic-representation", ok, upper_gap, 0.08,
-                       f"upper gap={upper_gap:.4f}, dpp gap={dpp_gap:+.4f} in [-0.05, 0.05]",
-                       dt_wall)
+                       f"upper gap={upper_gap:.4f}, dpp gap={dpp_gap:+.4f} in [-0.05, 0.05]")
 
 
 def check_determinism(seed: int = 0) -> CheckResult:
@@ -241,7 +224,6 @@ def check_determinism(seed: int = 0) -> CheckResult:
 
     from splitgame import cli
 
-    t0 = time.time()
     config = {
         "schema_version": 1,
         "seed": seed,
@@ -263,7 +245,7 @@ def check_determinism(seed: int = 0) -> CheckResult:
             code = cli.run("simulate", config, out_dir=out, threads=threads)
             if code != 0:
                 return CheckResult("determinism", False, float(code), 0.0,
-                                   "simulate subcommand failed", time.time() - t0)
+                                   "simulate subcommand failed")
             artifact_dir = next(out.iterdir())
             blob = b"".join(sorted_path.read_bytes()
                             for sorted_path in sorted(artifact_dir.iterdir()))
@@ -271,26 +253,31 @@ def check_determinism(seed: int = 0) -> CheckResult:
     finally:
         shutil.rmtree(base, ignore_errors=True)
     ok = all(b == blobs[0] for b in blobs[1:])
-    dt_wall = time.time() - t0
     return CheckResult("determinism", ok, float(len(set(blobs))), 1.0,
-                       "identical artifact bytes at 1/2/8 threads and rerun", dt_wall)
+                       "identical artifact bytes at 1/2/8 threads and rerun")
 
 
 def run_all(seed: int = 0, threads: int = 1) -> list[CheckResult]:
     """Run all acceptance criteria, sharing the solved golden configurations
-    and one regularity report per solved grid."""
+    and one regularity report per solved grid, and add each check's wall time
+    to its seconds."""
     golden = _golden_solves()
     grids = [v for _, v, _ in golden.values()] + [_bilinear_solve()]
     regularity = [regularity_report(v) for v in grids]
-    return [
-        check_envelope_golden_value(golden),
-        check_closed_form_family(golden),
-        check_martingale_invariance(seed, threads),
-        check_lipschitz_coupling(seed, threads),
-        check_time_lipschitz(regularity),
-        check_value_shape(regularity),
-        check_splitting_realization(seed, threads),
-        check_naive_hji_failure(golden),
-        check_representation(golden, seed, threads),
-        check_determinism(seed),
-    ]
+    results = []
+    for check, *args in [
+        (check_envelope_golden_value, golden),
+        (check_closed_form_family, golden),
+        (check_martingale_invariance, seed, threads),
+        (check_lipschitz_coupling, seed, threads),
+        (check_time_lipschitz, regularity),
+        (check_value_shape, regularity),
+        (check_splitting_realization, seed, threads),
+        (check_naive_hji_failure, golden),
+        (check_representation, golden, seed, threads),
+        (check_determinism, seed),
+    ]:
+        t0 = time.time()
+        results.append(check(*args))
+        results[-1].seconds += time.time() - t0
+    return results

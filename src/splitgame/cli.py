@@ -8,7 +8,8 @@ written through hj.write_atomic (a .tmp of its own beside it, then a
 rename).  Wall-clock timings go to stdout, never into artifacts.
 
 Payoff tensor files (hamiltonian.kind = "tensor") are JSON objects with two
-keys: "time_samples", a sorted list of times in [0, horizon], and "values", a
+keys: "time_samples", finite, strictly increasing times (not bound to [0,
+horizon]; the payoff holds its end values beyond them), and "values", a
 nested list of shape (n_times, nI, nJ, nK, nL) with entries in [0, 1] giving
 the payoff for index pair (i, j) and action pair (k, l).
 
@@ -16,8 +17,9 @@ Every config field is read once through a Reader, typed (a number is a JSON
 number, never true or false; a flag is true or false; a block is an object),
 and a missing field or a wrong type exits 2 naming its dotted path.
 
-Exit codes: 0 success, 1 check failure, 2 config/parse error, 3 internal
-error.
+Each subcommand returns its report payload and verdict; run writes
+report.json and maps the verdict to the exit code.  Exit codes: 0 success, 1
+check failure, 2 config/parse error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from splitgame.hj import write_atomic
 from splitgame.simplex import SimplexPoint
 
 SCHEMA_VERSION = 1
-SUBCOMMANDS = ("solve-hj", "simulate", "split-demo", "mc-game", "verify")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -154,9 +155,11 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file {p} does not exist")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {p} cannot be read: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     Reader(cfg).read("schema_version", lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
@@ -248,6 +251,7 @@ def _merge_registry(path: Path, key: str, entry: dict) -> None:
     """Add one entry to the mc-game registry.  The read-modify-write holds an
     exclusive flock on <name>.lock, so concurrent runs into one out root keep
     every entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path.with_name(path.name + ".lock"), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         registry = _load_registry(path)
@@ -259,7 +263,7 @@ def _merge_registry(path: Path, key: str, entry: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> int:
+def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict, bool]:
     from splitgame.hamiltonian import SimplexGrid
     from splitgame.hj import export_csv, order_gap, summary_dict
 
@@ -281,11 +285,10 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     export_csv(chosen, out / "values.csv")
     report = summary_dict(chosen, field)
     report["order_gap"] = gap
-    _write_json(out / "report.json", {"config_hash": out.name, "solve_hj": report})
-    return EXIT_OK
+    return report, True
 
 
-def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
+def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict, bool]:
     from splitgame.sde import (BundleSizeError, NoiseGrid, dump_trajectories, interval_starts,
                                simulate, simulation_report)
 
@@ -315,23 +318,18 @@ def _cmd_simulate(cfg: Reader, out: Path, threads: int, seed: int) -> int:
         raise ConfigError(f"{sim.where('n_paths')}: {e}") from None
     except ValueError as e:
         raise ConfigError(f"sim: {e}") from None
-    payload = {
-        "config_hash": out.name,
-        "simulate": {
-            "n_paths": rep.n_paths,
-            "martingale_ok": rep.martingale_ok,
-            "worst_dev": rep.worst_dev,
-            "worst_margin": rep.worst_margin,
-            "min_coord": rep.min_coord,
-            "max_sum_err": rep.max_sum_err,
-            "support_monotone": rep.support_monotone,
-        },
-    }
-    _write_json(out / "report.json", payload)
-    return EXIT_OK if rep.martingale_ok and rep.min_coord >= 0.0 else EXIT_CHECK_FAILED
+    return {
+        "n_paths": rep.n_paths,
+        "martingale_ok": rep.martingale_ok,
+        "worst_dev": rep.worst_dev,
+        "worst_margin": rep.worst_margin,
+        "min_coord": rep.min_coord,
+        "max_sum_err": rep.max_sum_err,
+        "support_monotone": rep.support_monotone,
+    }, rep.martingale_ok and rep.min_coord >= 0.0
 
 
-def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
+def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict, bool]:
     from splitgame.sde import BundleSizeError
     from splitgame.splitting import landing_report, run_split
 
@@ -351,23 +349,18 @@ def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> int:
     write_atomic(out / "histogram.csv", ["bin_left,bin_right,count\n"],
                  (f"{edges[i]:.17g},{edges[i+1]:.17g},{int(c)}\n" for i, c in enumerate(counts)))
 
-    payload = {
-        "config_hash": out.name,
-        "split_demo": {
-            "eps_mean": rep.eps_mean, "eps_se": rep.eps_se,
-            "hit1_freq": rep.hit1_freq, "hit1_se": rep.hit1_se,
-            "lam1": rep.lam1, "hit1_ok": rep.hit1_ok,
-            "unabsorbed_frac": rep.unabsorbed_frac,
-            "martingale_ok": rep.martingale_ok,
-            "segment_excess": rep.segment_excess,
-            "n_paths": rep.n_paths,
-        },
-    }
-    _write_json(out / "report.json", payload)
-    return EXIT_OK if rep.hit1_ok and rep.martingale_ok else EXIT_CHECK_FAILED
+    return {
+        "eps_mean": rep.eps_mean, "eps_se": rep.eps_se,
+        "hit1_freq": rep.hit1_freq, "hit1_se": rep.hit1_se,
+        "lam1": rep.lam1, "hit1_ok": rep.hit1_ok,
+        "unabsorbed_frac": rep.unabsorbed_frac,
+        "martingale_ok": rep.martingale_ok,
+        "segment_excess": rep.segment_excess,
+        "n_paths": rep.n_paths,
+    }, rep.hit1_ok and rep.martingale_ok
 
 
-def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
+def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict, bool]:
     from splitgame.arena import preset_family, value_bracket
     from splitgame.sde import NoiseGrid, interval_starts
 
@@ -396,29 +389,20 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> int:
         "names_1": br.names_1, "names_2": br.names_2,
         "table": br.table.tolist(),
     }
-    _write_json(out / "report.json", {"config_hash": out.name, "mc_game": result})
-
-    # cumulative results file keyed by config hash
+    # cumulative results file keyed by config hash, merged before run writes report.json
     _merge_registry(out.parent / "mc_game_results.json", out.name, result)
-    return EXIT_OK if br.ordered else EXIT_CHECK_FAILED
+    return result, br.ordered
 
 
-def _cmd_verify(cfg: Reader, out: Path, threads: int, seed: int) -> int:
+def _cmd_verify(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[list, bool]:
     from splitgame.acceptance import run_all
 
     results = run_all(seed=seed, threads=threads)
     for r in results:
         print(r.line())
-    payload = {
-        "config_hash": out.name,
-        "verify": [
-            {"name": r.name, "passed": bool(r.passed), "measured": float(r.measured),
-             "bound": float(r.bound), "detail": r.detail}
-            for r in results
-        ],
-    }
-    _write_json(out / "report.json", payload)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
+    payload = [{"name": r.name, "passed": bool(r.passed), "measured": float(r.measured),
+                "bound": float(r.bound), "detail": r.detail} for r in results]
+    return payload, all(r.passed for r in results)
 
 
 _DISPATCH = {
@@ -428,13 +412,14 @@ _DISPATCH = {
     "mc-game": _cmd_mc_game,
     "verify": _cmd_verify,
 }
+SUBCOMMANDS = tuple(_DISPATCH)
 
 
 def run(subcommand: str, config: dict, out_dir, threads: int = 1,
         seed: int | None = None) -> int:
-    """Programmatic entry point; returns the process exit code.  The hash is
-    taken over the raw config, plus the sha256 of a tensor file's bytes; the
-    file is read once, and the running cost is parsed from the bytes hashed."""
+    """Programmatic entry point: runs the subcommand, writes report.json and
+    returns the exit code.  The hash covers the raw config plus the sha256 of
+    a tensor file's bytes, which are read once and parsed as hashed."""
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = {k: v for k, v in config.items() if not k.startswith("_")}
@@ -452,7 +437,10 @@ def run(subcommand: str, config: dict, out_dir, threads: int = 1,
             sha = hashlib.sha256(cfg["_tensor_bytes"]).hexdigest()
             hashed["hamiltonian"] = {**block, "sha256": sha}
     out = Path(out_dir) / config_hash(hashed)
-    return _DISPATCH[subcommand](root, out, threads, seed)
+    payload, ok = _DISPATCH[subcommand](root, out, threads, seed)
+    _write_json(out / "report.json",
+                {"config_hash": out.name, subcommand.replace("-", "_"): payload})
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

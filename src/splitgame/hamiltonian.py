@@ -190,7 +190,8 @@ class PayoffTensor:
     """Sampled payoff f_ij(t,k,l) on finite index and action grids.
 
     values has shape (n_times, nI, nJ, nK, nL) with finite entries in [0,1];
-    time_samples is finite, sorted and lives in [0, horizon].
+    time_samples is finite and strictly increasing, but need not lie in
+    [0, horizon]: at_time holds the end values beyond the samples.
 
     _games is eval_H's memo, game.tobytes() -> value.  All of one tensor's
     games have the shape (nK, nL), so the bytes are the whole input of the

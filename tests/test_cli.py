@@ -3,11 +3,12 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from splitgame import cli
+from splitgame import acceptance, arena, cli, sde, splitting
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -55,6 +56,19 @@ class TestConfigValidation:
         bad.write_text("{not json")
         code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf-8"])
+    def test_unreadable_config_exit_2_naming_the_file(self, tmp_path, capsys, unreadable):
+        path = tmp_path / "configs"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        code = cli.main(["solve-hj", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: config file {path} cannot be read: ")
+        assert not (tmp_path / "o").exists()
 
     def test_negative_dt_exit_2_with_field_path(self, tmp_path, capsys):
         cfg = base_sim_config()
@@ -551,3 +565,62 @@ class TestMcGameCommand:
         registry = json.loads((out / "mc_game_results.json").read_text())
         assert sorted(registry) == sorted(d.name for d in out.iterdir() if d.is_dir())
         assert len(registry) == 8
+
+
+def fast_configs(tmp_path, monkeypatch):
+    """One small config per subcommand; verify runs one passing stub check."""
+    monkeypatch.setattr(acceptance, "run_all", lambda seed, threads: [
+        acceptance.CheckResult("stub", True, 0.0, 1.0, "stub check")])
+    cfg = base_sim_config()
+    cfg["sim"]["dump_trajectories"] = False
+    mc = mc_game_config()
+    mc["arena"]["n_paths"] = 20
+    return {
+        "solve-hj": {"schema_version": 1, "hamiltonian": {"kind": "analytic", "name": "zero"},
+                     "hj": {"p_resolution": 20, "time_steps": 16}},
+        "simulate": cfg,
+        "split-demo": {"schema_version": 1, "seed": 0, "split": {"steps": 64, "horizon": 0.125},
+                       "sim": {"n_paths": 500}},
+        "mc-game": mc,
+        "verify": {"schema_version": 1},
+    }
+
+
+def read_report(out):
+    (artifact,) = [d for d in out.iterdir() if d.is_dir()]
+    return artifact.name, json.loads((artifact / "report.json").read_text())
+
+
+class TestReport:
+    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+    def test_report_holds_the_hash_and_the_subcommand_key(self, tmp_path, monkeypatch,
+                                                          subcommand):
+        cfg = fast_configs(tmp_path, monkeypatch)[subcommand]
+        out = tmp_path / "o"
+        argv = [subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        name, report = read_report(out)
+        assert sorted(report) == sorted(["config_hash", subcommand.replace("-", "_")])
+        assert report["config_hash"] == name
+
+    @pytest.mark.parametrize("subcommand, module, attr, force, verdict", [
+        ("simulate", sde, "simulation_report",
+         lambda rep: replace(rep, mean_dev=rep.mean_dev + 1.0), lambda p: p["martingale_ok"]),
+        ("split-demo", splitting, "landing_report",
+         lambda rep: replace(rep, mean_dev=1.0), lambda p: p["martingale_ok"]),
+        ("mc-game", arena, "value_bracket",
+         lambda br: replace(br, lower=br.upper + 1.0, lower_se=0.0, upper_se=0.0),
+         lambda p: p["ordered"]),
+        ("verify", acceptance, "run_all",
+         lambda results: [replace(results[0], passed=False)], lambda p: p[0]["passed"]),
+    ], ids=["simulate", "split-demo", "mc-game", "verify"])
+    def test_failed_verdict_exit_1_with_the_report(self, tmp_path, monkeypatch, subcommand,
+                                                    module, attr, force, verdict):
+        cfg = fast_configs(tmp_path, monkeypatch)[subcommand]
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *args, **kwargs: force(real(*args, **kwargs)))
+        out = tmp_path / "o"
+        argv = [subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+        _, report = read_report(out)
+        assert verdict(report[subcommand.replace("-", "_")]) is False

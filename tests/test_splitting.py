@@ -215,9 +215,14 @@ class TestTerminalStates:
         assert xt.shape == (40, 2)
         assert xt.tobytes() == bundle.x_paths[:, -1].tobytes()
 
-    def test_split_run_keeps_terminal_states_only(self):
-        # a block's noise windows and the terminal states, never a full path
-        spec, n = unit_segment_spec(steps=256), 10_000
+    def test_split_run_keeps_terminal_states_only(self, monkeypatch):
+        # a block's noise windows and the terminal states, never a full path;
+        # a smaller noise cap splits 2,048 paths into four blocks of 512, each
+        # with its own window
+        monkeypatch.setattr(sde, "NOISE_CAP", 2**17)
+        spec, n = unit_segment_spec(steps=256), 2048
+        assert sde._block_ranges(n, spec.steps) == [(0, 512), (512, 1024), (1024, 1536),
+                                                    (1536, 2048)]
         noise = NoiseGrid(0.0, spec.horizon, spec.step, n, 0, 2, 1)
         windows = max(sum(w.nbytes for w in noise.increments(lo, hi).windows)
                       for lo, hi in sde._block_ranges(n, spec.steps))
