@@ -30,12 +30,9 @@ from splitgame.sde import (
     simulation_report,
 )
 from splitgame.simplex import (
-    DegeneratePointError,
-    RelEigenResult,
     SimplexPoint,
     rel_eigen_max,
     rel_eigen_min,
-    support,
     tangent_basis,
 )
 from splitgame.splitting import SplitSpec, make_split_control, unit_segment_spec
@@ -43,12 +40,10 @@ from splitgame.splitting import SplitSpec, make_split_control, unit_segment_spec
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegeneratePointError",
     "FeedbackControl",
     "HamiltonianField",
     "NoiseGrid",
     "PayoffTensor",
-    "RelEigenResult",
     "SimplexGrid",
     "SimplexPoint",
     "SplitSpec",
@@ -69,7 +64,6 @@ __all__ = [
     "simulate",
     "simulation_report",
     "solve",
-    "support",
     "tangent_basis",
     "tensor_field",
     "unit_segment_spec",

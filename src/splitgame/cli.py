@@ -28,6 +28,7 @@ import argparse
 import fcntl
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -266,6 +267,7 @@ def _merge_registry(path: Path, key: str, entry: dict) -> None:
 def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict, bool]:
     from splitgame.hamiltonian import SimplexGrid
     from splitgame.hj import export_csv, order_gap, summary_dict
+    from splitgame.sde import _check_kept
 
     horizon = cfg.positive("horizon", 1.0)
     field = build_field(cfg, horizon)
@@ -274,6 +276,12 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict
     q_res = hj.positive_int("q_resolution", 1)
     steps = hj.positive_int("time_steps", 128)
     order = hj.choice("order", ("vex_cav", "cav_vex"), "vex_cav")
+    # order_gap keeps both orders' value grids; refuse them before any grid is
+    # built (a dimension that no grid has counts no nodes, and build names it)
+    n_p, n_q = (math.comb(res + dim - 1, dim - 1) if dim <= 3 else 0
+                for res, dim in ((p_res, field.dim_p), (q_res, field.dim_q)))
+    hj.call(_check_kept, 2 * 8 * (steps + 1) * n_p * n_q,
+            f"two value grids of {steps + 1} x {n_p} x {n_q} nodes")
     try:
         pg = SimplexGrid.build(field.dim_p, p_res)
         qg = SimplexGrid.build(field.dim_q, q_res if field.dim_q > 1 else 1)
@@ -430,10 +438,16 @@ def run(subcommand: str, config: dict, out_dir, threads: int = 1,
     hashed = dict(cfg)
     cfg["_config_dir"] = config.get("_config_dir", ".")
     block = cfg.get("hamiltonian")
-    if isinstance(block, dict) and block.get("kind") == "tensor":
-        tensor = Path(cfg["_config_dir"]) / str(block.get("path", ""))
-        if tensor.is_file():  # otherwise build_field raises the ConfigError
+    name = block.get("path") if isinstance(block, dict) and block.get("kind") == "tensor" else None
+    if isinstance(name, str):  # otherwise build_field names the field at fault
+        tensor = Path(cfg["_config_dir"]) / name
+        try:
             cfg["_tensor_bytes"] = tensor.read_bytes()
+        except FileNotFoundError:  # build_field raises the ConfigError
+            pass
+        except OSError as e:
+            raise ConfigError(f"hamiltonian.path: cannot read tensor file {tensor}: {e}") from None
+        else:
             sha = hashlib.sha256(cfg["_tensor_bytes"]).hexdigest()
             hashed["hamiltonian"] = {**block, "sha256": sha}
     out = Path(out_dir) / config_hash(hashed)

@@ -149,7 +149,7 @@ def _curvature(values: np.ndarray, grid: SimplexGrid, nodes: np.ndarray,
     full = b @ np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2) @ b.T
     full = 0.5 * (full + np.swapaxes(full, -1, -2))
     rel_eigen = rel_eigen_max if want_max else rel_eigen_min
-    return rel_eigen(grid.nodes[nodes[0]], full).value.reshape(shape)
+    return rel_eigen(grid.nodes[nodes[0]], full).reshape(shape)
 
 
 def _interior_nodes(grid: SimplexGrid) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Geometry of probability simplices: supports, tangent spaces, projections,
-and eigenvalues of symmetric matrices restricted to tangent spaces (of one
-matrix or of a stack of them at one point).
+"""Geometry of probability simplices: simplex points, tangent bases, and the
+extreme eigenvalue of a symmetric matrix (or of a stack of them at one point)
+restricted to the tangent space.
 
 Conventions
 -----------
@@ -23,10 +23,6 @@ import numpy as np
 # by more than this are rejected rather than silently fixed.
 CONSTRUCT_TOL = 1e-9
 SUM_TOL = 1e-12
-
-
-class DegeneratePointError(ValueError):
-    """Raised when a support query finds no positive coordinate."""
 
 
 @dataclass(frozen=True)
@@ -88,35 +84,6 @@ class SimplexPoint:
         return SimplexPoint(np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
-class RelEigenResult:
-    """Extremal eigenvalue of a symmetric matrix restricted to a tangent space.
-
-    ``value`` follows the degenerate conventions +inf (min over an empty
-    tangent space) and -inf (max); ``witness`` is a full-space tangent vector
-    achieving the extremum, or None in the degenerate case.  For a stack of
-    matrices ``value`` is an array over the stack and ``witness`` has one row
-    per matrix.
-    """
-
-    value: float | np.ndarray
-    witness: np.ndarray | None
-
-
-def _as_coords(p) -> np.ndarray:
-    if isinstance(p, SimplexPoint):
-        return p.coords
-    return np.asarray(p, dtype=float)
-
-
-def support(p) -> frozenset[int]:
-    """Indices with positive mass.  Raises DegeneratePointError if there are none."""
-    idx = np.flatnonzero(_as_coords(p) > 0.0)
-    if idx.size == 0:
-        raise DegeneratePointError("degenerate point: no positive coordinate")
-    return frozenset(int(i) for i in idx)
-
-
 def tangent_basis(s, n: int) -> list[np.ndarray]:
     """Orthonormal basis of the tangent space determined by support ``s``.
 
@@ -149,44 +116,35 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rel_eigen(p, a, want_max: bool) -> RelEigenResult:
+def _rel_eigen(p, a, want_max: bool) -> float | np.ndarray:
     """One code path for a matrix (n, n) and a stack (..., n, n) at one point:
-    a single matrix is a stack of one, unwrapped to a float and a vector."""
+    a single matrix is a stack of one, unwrapped to a float."""
     a = _check_symmetric(a)
-    c = _as_coords(p)
+    c = np.asarray(p, dtype=float)
     if a.shape[-1] != c.size:
         raise ValueError("matrix size does not match point dimension")
     stack = a.reshape(-1, c.size, c.size)
-    basis = tangent_basis(support(p), c.size)
+    basis = tangent_basis(np.flatnonzero(c > 0.0), c.size)
     if not basis:
-        value, witness = np.full(stack.shape[0], -np.inf if want_max else np.inf), None
+        value = np.full(stack.shape[0], -np.inf if want_max else np.inf)
     else:
         b = np.column_stack(basis)
         reduced = b.T @ stack @ b
         reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
-        vals, vecs = np.linalg.eigh(reduced)
-        j = vals.argmax(axis=-1) if want_max else vals.argmin(axis=-1)
-        rows = np.arange(stack.shape[0])
-        # one matrix-vector product per matrix, whatever the stack size: numpy
-        # runs a (k, n-1) @ (n-1, n) product through another BLAS routine for
-        # k = 1 than for k > 1, and the witness bits would depend on k
-        value, witness = vals[rows, j], (b @ vecs[rows, :, j][..., None])[..., 0]
-    if a.ndim == 2:
-        return RelEigenResult(float(value[0]), None if witness is None else witness[0])
-    return RelEigenResult(value.reshape(a.shape[:-2]),
-                          None if witness is None else witness.reshape(a.shape[:-1]))
+        value = np.linalg.eigh(reduced)[0][..., -1 if want_max else 0]
+    return float(value[0]) if a.ndim == 2 else value.reshape(a.shape[:-2])
 
 
-def rel_eigen_min(p, a) -> RelEigenResult:
+def rel_eigen_min(p, a) -> float | np.ndarray:
     """Smallest eigenvalue of ``a`` restricted to the tangent space at ``p``.
 
-    ``a`` is one symmetric matrix (n, n) or a stack (..., n, n) of them, all
-    at the one point ``p``, so all sharing its support and tangent space; a
-    stack gives a value array (...) and a witness array (..., n)."""
+    ``a`` is one symmetric matrix (n, n), which gives a float, or a stack
+    (..., n, n) of them, all at the one point ``p`` and so all sharing its
+    support and tangent space, which gives an array (...)."""
     return _rel_eigen(p, a, want_max=False)
 
 
-def rel_eigen_max(q, b) -> RelEigenResult:
+def rel_eigen_max(q, b) -> float | np.ndarray:
     """Largest eigenvalue of ``b`` restricted to the tangent space at ``q``;
     ``b`` is one matrix or a stack at one point, as in rel_eigen_min."""
     return _rel_eigen(q, b, want_max=True)

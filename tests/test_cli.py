@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splitgame
 from splitgame import acceptance, arena, cli, sde, splitting
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -173,11 +179,16 @@ class TestConfigValidation:
         ("simulate", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
          "hamiltonian.params.dim_q: must be a positive integer, got 0"),
+        # ten coordinates at the default resolution would also exceed solve-hj's size
+        # limit; the unsupported dimension is named first
+        ("solve-hj", ["hamiltonian"],
+         {"kind": "analytic", "name": "zero", "params": {"dim_p": 10}},
+         "hamiltonian.params: only 1-, 2-, and 3-coordinate simplices are gridded, got 10x1"),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
             "dim-p", "dim-q", "split-past-horizon", "mc-game-split-past-horizon",
             "mc-game-split-off-grid", "simulate-hamiltonian",
-            "simulate-dim-q"])
+            "simulate-dim-q", "ungridded-dim"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
         # the solve-hj cases run on a tensor cost, whose field is built from the horizon
@@ -409,6 +420,28 @@ class TestSolveHj:
         assert cli.main(["solve-hj", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "permission"])
+    def test_tensor_file_that_cannot_be_read_exit_2(self, tmp_path, capsys, monkeypatch, case):
+        # a file that is there but cannot be read is named as such, not as missing
+        name = {"missing": "absent.json", "directory": ".", "permission": "tensor.json"}[case]
+        if case == "permission":  # read_bytes fails as for a file its user may not read
+            (tmp_path / name).write_text("{}")
+
+            def denied(self):
+                raise PermissionError(13, "Permission denied", str(self))
+            monkeypatch.setattr(Path, "read_bytes", denied)
+        path = write_config(tmp_path, {"schema_version": 1,
+                                       "hamiltonian": {"kind": "tensor", "path": name}})
+        code = cli.main(["solve-hj", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        if case == "missing":
+            assert line == f"config error: hamiltonian.path: file {tmp_path / name} does not exist"
+        else:
+            assert line.startswith("config error: hamiltonian.path: cannot read tensor file "
+                                   f"{tmp_path / name}: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestArtifactDeterminism:
     def test_rerun_bit_identical(self, tmp_path):
@@ -493,16 +526,28 @@ def test_json_artifacts_refuse_non_finite_numbers(tmp_path, value):
 
 
 class TestFullPathMemoryGuard:
-    @pytest.mark.parametrize("subcommand", ["simulate", "split-demo"])
-    def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, subcommand):
-        # simulate keeps full paths, split-demo only the terminal states
-        if subcommand == "simulate":
+    @pytest.mark.parametrize("case", ["simulate", "split-demo", "solve-hj-p_resolution",
+                                      "solve-hj-time_steps"])
+    def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, case):
+        # simulate keeps full paths, split-demo only the terminal states, and
+        # solve-hj two value grids, whose 3-simplex nodes are never built
+        subcommand = "solve-hj" if case.startswith("solve-hj") else case
+        if case == "simulate":
             cfg = base_sim_config(n_paths=10**9)
-            kept = "1000000000 full paths"
-        else:
+            kept = "sim.n_paths: 1000000000 full paths"
+        elif case == "split-demo":
             cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 64, "horizon": 0.125},
                    "sim": {"n_paths": 10**9}}
-            kept = "1000000000 terminal states"
+            kept = "sim.n_paths: 1000000000 terminal states"
+        elif case == "solve-hj-p_resolution":
+            cfg = json.loads((CONFIGS / "hj_simplex3.json").read_text())
+            cfg["hamiltonian"]["path"] = str(CONFIGS / cfg["hamiltonian"]["path"])
+            cfg["hj"]["p_resolution"] = 100_000
+            kept = "hj: two value grids of 33 x 5000150001 x 1 nodes"
+        else:
+            cfg = json.loads((CONFIGS / "hj_bilinear.json").read_text())
+            cfg["hj"]["time_steps"] = 10**7
+            kept = "hj: two value grids of 10000001 x 101 x 101 nodes"
         path = write_config(tmp_path, cfg)
         tracemalloc.start()
         try:
@@ -513,7 +558,8 @@ class TestFullPathMemoryGuard:
         finally:
             tracemalloc.stop()
         assert code == cli.EXIT_CONFIG
-        assert f"config error: sim.n_paths: {kept}" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {kept}") and line.endswith(" over the 2 GiB limit")
         assert elapsed < 1.0 and peak < 16 * 2**20
         assert not (tmp_path / "o").exists()
 
@@ -624,3 +670,21 @@ class TestReport:
         assert cli.main(argv) == cli.EXIT_CHECK_FAILED
         _, report = read_report(out)
         assert verdict(report[subcommand.replace("-", "_")]) is False
+
+
+class TestEntryPoints:
+    def test_python_m_splitgame_runs_main(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "splitgame", "solve-hj"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == cli.EXIT_CONFIG
+        assert done.stderr == "config error: --config is required for this subcommand\n"
+
+    def test_every_exported_name_resolves(self):
+        # a stale __all__ entry breaks only the star import
+        assert all(hasattr(splitgame, name) for name in splitgame.__all__)
+        namespace = {}
+        exec("from splitgame import *", namespace)
+        assert set(splitgame.__all__) <= set(namespace)

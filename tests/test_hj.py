@@ -376,10 +376,10 @@ class TestThreeCoordinate:
         assert lo.shape == hi.shape == (nodes.size, 2)
         for i, node in enumerate(nodes):
             p = g.nodes[node]
-            assert abs(lo[i, 0] - rel_eigen_min(p, 2 * a).value) <= 1e-9
-            assert abs(lo[i, 1] - rel_eigen_min(p, 2 * b).value) <= 1e-9
-            assert abs(hi[i, 0] - rel_eigen_max(p, -2 * b).value) <= 1e-9
-            assert abs(hi[i, 1] - rel_eigen_max(p, -2 * a).value) <= 1e-9
+            assert abs(lo[i, 0] - rel_eigen_min(p, 2 * a)) <= 1e-9
+            assert abs(lo[i, 1] - rel_eigen_min(p, 2 * b)) <= 1e-9
+            assert abs(hi[i, 0] - rel_eigen_max(p, -2 * b)) <= 1e-9
+            assert abs(hi[i, 1] - rel_eigen_max(p, -2 * a)) <= 1e-9
 
     def test_residuals_three_coordinates_both_slots(self):
         pg, qg = SimplexGrid.build(3, 6), SimplexGrid.build(3, 6)
@@ -413,7 +413,7 @@ def curvature_per_node(values, grid, nodes, want_max):
     per_node = int(np.prod(shape[1:]))
     for i, (a11, a12, a22) in enumerate(fits.T):
         full = b @ np.array([[a11, a12], [a12, a22]]) @ b.T
-        out[i] = rel_eigen(grid.nodes[nodes[i // per_node]], 0.5 * (full + full.T)).value
+        out[i] = rel_eigen(grid.nodes[nodes[i // per_node]], 0.5 * (full + full.T))
     return out.reshape(shape)
 
 

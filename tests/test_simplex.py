@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitgame.simplex import (
-    DegeneratePointError,
-    SimplexPoint,
-    rel_eigen_max,
-    rel_eigen_min,
-    support,
-    tangent_basis,
-)
+from splitgame.simplex import SimplexPoint, rel_eigen_max, rel_eigen_min, tangent_basis
 
 
 def project_tangent(p, y) -> np.ndarray:
@@ -27,7 +21,7 @@ def project_tangent(p, y) -> np.ndarray:
     mask = c > 0.0
     k = int(mask.sum())
     if k == 0:
-        raise DegeneratePointError("degenerate point: no coordinate above threshold")
+        raise ValueError("degenerate point: no coordinate above threshold")
     out = np.where(mask if yv.ndim == 1 else mask[:, None], yv, 0.0)
     mean = out.sum(axis=0) / k
     out = out - (mask[:, None] * mean if yv.ndim == 2 else mask * mean)
@@ -70,21 +64,6 @@ class TestSimplexPoint:
         p = SimplexPoint([0.5, 0.5])
         with pytest.raises(ValueError):
             p.coords[0] = 2.0
-
-
-class TestSupport:
-    def test_vertex(self):
-        assert support(SimplexPoint([1.0, 0.0])) == frozenset({0})
-
-    def test_interior(self):
-        assert support(SimplexPoint([0.5, 0.5])) == frozenset({0, 1})
-
-    def test_face_point(self):
-        assert support(SimplexPoint([0.2, 0.0, 0.8])) == frozenset({0, 2})
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegeneratePointError):
-            support(np.zeros(3))
 
 
 class TestProjectTangent:
@@ -133,7 +112,7 @@ class TestProjectTangent:
             y = rng.normal(size=n) * 5
             out = project_tangent(p, y)
             assert abs(out.sum()) <= 1e-12
-            off = sorted(set(range(n)) - support(p))
+            off = np.flatnonzero(p.coords == 0.0)
             assert np.all(out[off] == 0.0)
 
     def test_orthogonality_of_residual(self):
@@ -143,7 +122,7 @@ class TestProjectTangent:
             p = random_point(rng, n)
             y = rng.normal(size=n) * 3
             resid = y - project_tangent(p, y)
-            for z in tangent_basis(support(p), n):
+            for z in tangent_basis(np.flatnonzero(p.coords > 0.0), n):
                 assert abs(resid @ z) <= 1e-12
 
     def test_length_mismatch(self):
@@ -194,32 +173,31 @@ class TestRelEigen:
     def test_vertex_conventions(self):
         p = SimplexPoint([1.0, 0.0])
         a = np.eye(2)
-        assert rel_eigen_min(p, a).value == np.inf
-        assert rel_eigen_min(p, a).witness is None
-        assert rel_eigen_max(p, a).value == -np.inf
+        assert rel_eigen_min(p, a) == np.inf
+        assert rel_eigen_max(p, a) == -np.inf
 
     def test_identity_interior(self):
         p = SimplexPoint([0.25, 0.25, 0.5])
-        r = rel_eigen_min(p, np.eye(3))
-        assert abs(r.value - 1.0) <= 1e-12
-        assert abs(rel_eigen_max(p, np.eye(3)).value - 1.0) <= 1e-12
+        assert abs(rel_eigen_min(p, np.eye(3)) - 1.0) <= 1e-12
+        assert abs(rel_eigen_max(p, np.eye(3)) - 1.0) <= 1e-12
 
     def test_diag_plus_minus(self):
-        r = rel_eigen_min(SimplexPoint([0.5, 0.5]), np.diag([1.0, -1.0]))
-        assert abs(r.value) <= 1e-12
+        assert abs(rel_eigen_min(SimplexPoint([0.5, 0.5]), np.diag([1.0, -1.0]))) <= 1e-12
 
-    def test_witness_achieves_value(self):
+    def test_value_matches_null_space_basis(self):
+        # at a full-support point the tangent space is the null space of the
+        # all-ones row; scipy's SVD basis of it is built independently of
+        # tangent_basis, and the extreme eigenvalues do not depend on the basis
         rng = np.random.default_rng(6)
         for _ in range(100):
             n = int(rng.integers(2, 6))
             p = random_point(rng, n)
             m = rng.normal(size=(n, n))
             a = 0.5 * (m + m.T)
-            for f in (rel_eigen_min, rel_eigen_max):
-                r = f(p, a)
-                z = r.witness
-                assert abs(z @ a @ z / (z @ z) - r.value) <= 1e-10
-                assert abs(z.sum()) <= 1e-10
+            b = scipy.linalg.null_space(np.ones((1, n)))
+            vals = np.linalg.eigvalsh(b.T @ a @ b)
+            assert abs(rel_eigen_min(p, a) - vals[0]) <= 1e-10
+            assert abs(rel_eigen_max(p, a) - vals[-1]) <= 1e-10
 
     def test_rayleigh_bounds_random_tangent(self):
         rng = np.random.default_rng(7)
@@ -228,8 +206,8 @@ class TestRelEigen:
             p = random_point(rng, n)
             m = rng.normal(size=(n, n))
             a = 0.5 * (m + m.T)
-            lo = rel_eigen_min(p, a).value
-            hi = rel_eigen_max(p, a).value
+            lo = rel_eigen_min(p, a)
+            hi = rel_eigen_max(p, a)
             z = project_tangent(p, rng.normal(size=n))
             nz = z @ z
             if nz < 1e-20:
@@ -240,6 +218,11 @@ class TestRelEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             rel_eigen_min(SimplexPoint([0.5, 0.5]), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_all_zero_point_raises(self):
+        # no positive coordinate leaves no support to build a tangent basis on
+        with pytest.raises(ValueError, match="support must be nonempty"):
+            rel_eigen_min(np.zeros(3), np.eye(3))
 
 
 @st.composite
@@ -266,28 +249,24 @@ class TestRelEigenStack:
         p, a = case
         for f in (rel_eigen_min, rel_eigen_max):
             got = f(p, a)
-            each = [f(p, m) for m in a]
-            assert got.value.shape == (a.shape[0],) and got.witness.shape == a.shape[:2]
-            assert got.value.tobytes() == np.array([r.value for r in each]).tobytes()
-            assert got.witness.tobytes() == np.stack([r.witness for r in each]).tobytes()
+            assert got.shape == (a.shape[0],)
+            assert got.tobytes() == np.array([f(p, m) for m in a]).tobytes()
 
     def test_leading_axes_kept(self):
         a = np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (2, 4, 3, 3))
-        r = rel_eigen_max(SimplexPoint.uniform(3), a)
-        assert r.value.shape == (2, 4) and r.witness.shape == (2, 4, 3)
+        assert rel_eigen_max(SimplexPoint.uniform(3), a).shape == (2, 4)
 
     def test_vertex_stack(self):
         a = np.stack([np.eye(3), -np.eye(3)])
         p = SimplexPoint.vertex(1, 3)
-        lo, hi = rel_eigen_min(p, a), rel_eigen_max(p, a)
-        assert np.array_equal(lo.value, [np.inf, np.inf]) and lo.witness is None
-        assert np.array_equal(hi.value, [-np.inf, -np.inf]) and hi.witness is None
+        assert np.array_equal(rel_eigen_min(p, a), [np.inf, np.inf])
+        assert np.array_equal(rel_eigen_max(p, a), [-np.inf, -np.inf])
 
     @pytest.mark.parametrize("point", [SimplexPoint.uniform(3), SimplexPoint.vertex(0, 3)])
     def test_empty_stack(self, point):
         for f in (rel_eigen_min, rel_eigen_max):
             r = f(point, np.zeros((0, 3, 3)))
-            assert isinstance(r.value, np.ndarray) and r.value.shape == (0,)
+            assert isinstance(r, np.ndarray) and r.shape == (0,)
 
     def test_one_asymmetric_member_rejected(self):
         a = np.stack([np.eye(3)] * 4)
@@ -296,5 +275,7 @@ class TestRelEigenStack:
             rel_eigen_min(SimplexPoint.uniform(3), a)
 
     def test_one_matrix_gives_float_and_vector(self):
-        r = rel_eigen_min(SimplexPoint.uniform(3), np.eye(3))
-        assert type(r.value) is float and r.witness.shape == (3,)
+        # one matrix gives a float; the same matrix as a stack of one, a vector
+        p = SimplexPoint.uniform(3)
+        assert type(rel_eigen_min(p, np.eye(3))) is float
+        assert rel_eigen_min(p, np.eye(3)[None]).shape == (1,)
