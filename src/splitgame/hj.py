@@ -333,12 +333,16 @@ def format_rows(rows: list) -> list[str]:
 
 def export_csv(v: ValueGrid, path) -> None:
     """CSV columns: t, p coordinates, q coordinates, V.  Times and node
-    coordinates are formatted once; each time slice is written as one block."""
+    coordinates are formatted once, the nodes into one template of a slice's
+    rows, "<t>,<p>,<q>,%.17g\\n" per node; each time slice is written as one
+    block, one %-format of that template with its time in place of <t>."""
     nI, nJ = v.p_grid.nodes.shape[1], v.q_grid.nodes.shape[1]
     cols = ["t", *(f"p_{i+1}" for i in range(nI)), *(f"q_{j+1}" for j in range(nJ)), "V"]
     q_rows = format_rows(v.q_grid.nodes.tolist())
-    nodes = [f"{a},{b}," for a in format_rows(v.p_grid.nodes.tolist()) for b in q_rows]
-    blocks = ("".join([f"{t},{n}{x:.17g}\n" for n, x in zip(nodes, vals.ravel().tolist())])
+    # numbers hold no "\0" or "%", so the time's mark and the value fields are the only ones
+    rows = "".join([f"\0,{a},{b},%.17g\n" for a in format_rows(v.p_grid.nodes.tolist())
+                    for b in q_rows])
+    blocks = (rows.replace("\0", t) % tuple(vals.ravel().tolist())
               for t, vals in zip(format_rows(v.times[:, None].tolist()), v.values))
     write_atomic(path, [",".join(cols) + "\n"], blocks)
 

@@ -43,7 +43,11 @@ row is contiguous.  An active player's products u·dB are formed for up to
 _CHUNK steps at once, never past the end of the interval in force or of the
 noise window, with the bits of einsum on each row; the Euler step reads them
 and leaves them as they are, so a coupled copy (lipschitz_p_check) steps on
-the same products.
+the same products.  Two-coordinate states (every shipped Monte Carlo run's)
+step in their own kernel, _step_pair, with the general kernel's bits: a block
+of interior rows needs no support masks, and a row on a vertex or in the band
+steps by zero.  The general kernel steps every other state size, and a block
+off the interior whose products are not all finite.
 """
 
 from __future__ import annotations
@@ -402,25 +406,58 @@ def _products(u: np.ndarray, db: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shrink(x: np.ndarray, delta: np.ndarray, prop: np.ndarray) -> None:
+    """Shrink, in prop, each step x + delta that crosses a face to the first
+    face it reaches.  x lies in [0, 1] and each denominator is over 1e-300 or
+    1.0, so no division can overflow; a row that crosses two faces is listed
+    twice and shrunk twice to the same bits."""
+    rows = np.flatnonzero(prop < 0.0) // x.shape[1]
+    xb, db_ = x[rows], delta[rows]
+    ratios = np.where(db_ < -1e-300, xb / np.where(db_ < -1e-300, -db_, 1.0), np.inf)
+    prop[rows] = xb + np.minimum(1.0, ratios.min(axis=1))[:, None] * db_
+
+
+def _step_pair(x: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """_step_batch on two coordinates, with its bits, or None for the general
+    kernel.  A row with a coordinate at or below ETA (a vertex, or mass in the
+    band) steps by zero: there the general kernel's masked mean gives
+    w_a - w_a/1.0 = 0.0, which holds for finite products only.  The crossing
+    shrink and the band clamp run only when the proposal's least coordinate,
+    NaN skipped, calls for them."""
+    w0, w1 = w[:, 0], w[:, 1]
+    if not x.min() > ETA:  # a row off the interior, or a NaN
+        if not np.isfinite(w.sum()):
+            return None
+        inner = np.minimum(x[:, 0], x[:, 1]) > ETA
+        w0, w1 = np.where(inner, w0, 0.0), np.where(inner, w1, 0.0)
+    mean = np.add(w0, w1) / 2.0
+    delta = np.empty_like(x)
+    np.subtract(w0, mean, out=delta[:, 0])
+    np.subtract(w1, mean, out=delta[:, 1])
+    prop = x + delta
+    low = np.fmin.reduce(prop, axis=None)
+    if low < 0.0:
+        _shrink(x, delta, prop)
+    if low <= ETA:
+        np.putmask(prop, prop <= ETA, 0.0)
+    return _by_column(np.divide, prop, np.add(prop[:, 0], prop[:, 1]))
+
+
 def _step_batch(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Vectorized Euler step: project, detect face crossings, clamp, renormalize.
 
     x: (b, n) states, w: (b, n) products u·dB of the controls and the
-    increments, left as they are.
+    increments, left as they are.  Two coordinates go to _step_pair first.
     """
+    if x.shape[1] == 2 and (out := _step_pair(x, w)) is not None:
+        return out
     mask = x > ETA
     wm = np.where(mask, w, 0.0)
     mean = _row_sums(wm) / _row_sums(mask)
     delta = np.where(mask, _by_column(np.subtract, wm, mean), 0.0)
     prop = x + delta
-    neg = prop < 0.0
-    if neg.any():
-        # shrink only the rows that cross a face; x lies in [0, 1] and each
-        # denominator is over 1e-300 or 1.0, so no division can overflow
-        bad = _row_sums(neg) > 0
-        xb, db_ = x[bad], delta[bad]
-        ratios = np.where(db_ < -1e-300, xb / np.where(db_ < -1e-300, -db_, 1.0), np.inf)
-        prop[bad] = xb + np.minimum(1.0, ratios.min(axis=1))[:, None] * db_
+    if (prop < 0.0).any():
+        _shrink(x, delta, prop)
     prop = np.where(prop <= ETA, 0.0, prop)
     return _by_column(np.divide, prop, _row_sums(prop))
 

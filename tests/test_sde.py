@@ -325,8 +325,8 @@ class TestStepX:
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
     def test_projection_consistency(self):
-        # stepping with u equals stepping with its projected version
-        from test_simplex import project_tangent
+        # stepping with u equals stepping with its columns projected onto
+        # the tangent space, at full-support states
         rng = np.random.default_rng(1)
         for _ in range(200):
             w = rng.exponential(size=3)
@@ -334,7 +334,7 @@ class TestStepX:
             u = rng.normal(size=(3, 3))
             db = rng.normal(size=3) * 0.05
             a = step_x(x, u, db)
-            b = step_x(x, project_tangent(x, u), db)
+            b = step_x(x, u - u.mean(axis=0), db)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -775,6 +775,67 @@ class TestStepKernel:
             want = step_batch_reference(x.copy(), u, db[:, k], ETA)
             assert got.tobytes() == want.tobytes(), k
             assert w[k].tobytes() == kept.tobytes()  # the step leaves the products
+
+
+# a two-coordinate row of each kind, by name: a vertex, mass inside the band
+# and on its edge; "interior" rows are drawn
+_PAIR_ROWS = {"vertex": (1.0, 0.0), "half-band": (1.0 - ETA / 2, ETA / 2), "band": (1.0 - ETA, ETA)}
+
+
+class TestPairKernel:
+    """sde._step_pair, the two-coordinate kernel, against step_batch_reference,
+    bit for bit."""
+
+    @staticmethod
+    def assert_reference_bytes(x, u, db):
+        w = np.einsum("bij,bj->bi", u, db)
+        kept = w.copy()
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite products
+            got = sde._step_batch(x.copy(), w)
+            want = step_batch_reference(x.copy(), u, db, ETA)
+        assert got.tobytes() == want.tobytes()
+        assert w.tobytes() == kept.tobytes()
+        return got
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(kinds=st.lists(st.sampled_from(["interior", "interior", *_PAIR_ROWS]),
+                          min_size=1, max_size=64),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 0.05, 1.0, 30.0]),
+           zeros=st.integers(0, 2), bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+           bad_row=st.integers(0, 63))
+    def test_bytes_of_the_reference(self, kinds, seed, scale, zeros, bad, bad_row):
+        """Blocks of up to 64 rows: all interior (no masks), or with exact
+        vertices and mass inside or on the edge of the band, either way round
+        (zero increments); signed-zero matrix entries and increments; scale 30
+        crosses a face on almost every interior row; a non-finite increment
+        makes a row's products non-finite, which a block off the interior
+        sends to the general kernel."""
+        rng = np.random.default_rng(seed)
+        b = len(kinds)
+        x = rng.dirichlet(np.ones(2), size=b)
+        for r, kind in enumerate(kinds):
+            if kind != "interior":
+                x[r] = _PAIR_ROWS[kind][::rng.choice([1, -1])]
+        u = rng.standard_normal((b, 2, 2))
+        db = rng.standard_normal((b, 2)) * scale
+        if zeros:
+            u[rng.random(u.shape) < 0.3] = 0.0
+            db[rng.random(db.shape) < 0.3] = (0.0, -0.0)[zeros - 1]
+        if bad is not None:
+            db[bad_row % b, rng.integers(2)] = bad
+        self.assert_reference_bytes(x, u, db)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", ["non-finite", "crossing"])
+    def test_non_finite_product_hides_no_crossing(self, bad, first):
+        # an all-interior block: one row's products are non-finite, the other
+        # row's step crosses the face x_0 = 0 at a tenth of its length
+        x = np.array([[0.5, 0.5], [0.1, 0.9]])
+        db = np.array([[bad, 0.2], [-1.0, 1.0]])
+        if first == "crossing":
+            x, db = x[::-1].copy(), db[::-1].copy()
+        got = self.assert_reference_bytes(x, np.broadcast_to(np.eye(2), (2, 2, 2)), db)
+        assert got[1 if first == "non-finite" else 0].tolist() == [0.0, 1.0]
 
 
 class TestSupportMasks:

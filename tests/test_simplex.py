@@ -4,28 +4,26 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitgame import sde
+from splitgame.sde import ETA
 from splitgame.simplex import SimplexPoint, rel_eigen_max, rel_eigen_min, tangent_basis
 
 
-def project_tangent(p, y) -> np.ndarray:
-    """Orthogonal projection of ``y`` onto the tangent space at ``p``.
+def engine_step(x, w) -> np.ndarray:
+    """The increment of one Euler step of the engine, sde._step_batch, from
+    the (b, n) states x on the (b, n) products w."""
+    return sde._step_batch(x, w) - x
 
-    Off-support coordinates are zeroed; on-support coordinates get the mean
-    over the support subtracted.  A 2-D ``y`` is projected columnwise, which
-    turns a control matrix u into the effective volatility P_p u.
-    """
-    c = np.asarray(p, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if yv.shape[0] != c.size:
-        raise ValueError(f"length mismatch: point has {c.size} coordinates, y has {yv.shape[0]}")
-    mask = c > 0.0
-    k = int(mask.sum())
-    if k == 0:
-        raise ValueError("degenerate point: no coordinate above threshold")
-    out = np.where(mask if yv.ndim == 1 else mask[:, None], yv, 0.0)
-    mean = out.sum(axis=0) / k
-    out = out - (mask[:, None] * mean if yv.ndim == 2 else mask * mean)
-    return out
+
+def states(rng, n, b, dead):
+    """b states of the n-simplex, each coordinate but the first set to
+    exactly zero with probability dead, and a bound on the products that
+    steps them across no face: a quarter of each row's least positive
+    coordinate."""
+    x = rng.dirichlet(np.ones(n), size=b)
+    x[:, 1:][rng.random((b, n - 1)) < dead] = 0.0
+    x /= x.sum(axis=1, keepdims=True)
+    return x, np.where(x > 0.0, x, 1.0).min(axis=1, keepdims=True) / 4
 
 
 def random_point(rng, n):
@@ -67,67 +65,90 @@ class TestSimplexPoint:
 
 
 class TestProjectTangent:
+    """The tangent projection as the engine makes it: an Euler step of
+    sde._step_batch on 2 coordinates (its own kernel, on all-interior and on
+    mixed blocks) and on 3 (the general kernel).  Products bounded by
+    states() cross no face."""
+
     def test_hand_value(self):
-        out = project_tangent(SimplexPoint([0.5, 0.5]), [1.0, 0.0])
-        np.testing.assert_allclose(out, [0.5, -0.5], atol=1e-15)
+        for x, w, inc in (([0.5, 0.5], [0.2, 0.0], [0.1, -0.1]),
+                          ([0.25, 0.25, 0.5], [0.3, 0.0, 0.0], [0.2, -0.1, -0.1])):
+            np.testing.assert_allclose(engine_step(np.array([x]), np.array([w]))[0], inc,
+                                       atol=1e-15)
 
     def test_vertex_kills_everything(self):
-        out = project_tangent(SimplexPoint([1.0, 0.0]), [3.0, -7.0])
-        np.testing.assert_allclose(out, [0.0, 0.0], atol=0)
+        # an exact vertex is a fixed point, bit for bit, at any scale and with
+        # signed-zero products, next to interior rows or in a block of vertices
+        rng = np.random.default_rng(0)
+        for n in (2, 3):
+            vertices = np.tile(np.eye(n), (4, 1))
+            for interior in (0, 5):
+                x = np.concatenate([vertices, states(rng, n, interior, 0.0)[0]])
+                for scale in (1e-6, 1.0, 30.0):
+                    w = rng.standard_normal(x.shape) * scale
+                    w[rng.random(w.shape) < 0.3] = -0.0
+                    out = sde._step_batch(x, w)
+                    assert out[:len(vertices)].tobytes() == vertices.tobytes(), (n, interior, scale)
 
     def test_fixes_tangent_vectors(self):
-        rng = np.random.default_rng(0)
-        p = random_point(rng, 4)
-        y = rng.normal(size=4)
-        y -= y.mean()  # already tangent at an interior point
-        np.testing.assert_allclose(project_tangent(p, y), y, atol=1e-14)
+        rng = np.random.default_rng(1)
+        for n in (2, 3):
+            x, bound = states(rng, n, 200, 0.0)
+            w = rng.uniform(-1.0, 1.0, size=x.shape) * bound
+            w -= w.mean(axis=1, keepdims=True)  # tangent at a full-support point
+            np.testing.assert_allclose(engine_step(x, w), w, atol=1e-14)
 
     def test_matrix_projected_columnwise(self):
-        rng = np.random.default_rng(1)
-        p = random_point(rng, 3)
-        u = rng.normal(size=(3, 3))
-        pu = project_tangent(p, u)
-        for j in range(3):
-            np.testing.assert_allclose(pu[:, j], project_tangent(p, u[:, j]), atol=1e-14)
+        # the engine projects the product u·dB, which is the product of u
+        # projected column by column
+        rng = np.random.default_rng(2)
+        for n in (2, 3):
+            x, bound = states(rng, n, 200, 0.0)
+            u = rng.normal(size=(200, n, n))
+            db = rng.normal(size=(200, n)) * bound / (4 * n)
+            pu = u - u.mean(axis=1, keepdims=True)
+            np.testing.assert_allclose(engine_step(x, np.einsum("bij,bj->bi", u, db)),
+                                       np.einsum("bij,bj->bi", pu, db), atol=1e-14)
 
     def test_idempotent(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            n = rng.integers(2, 6)
-            p = random_point(rng, n)
-            y = rng.normal(size=n) * 10
-            once = project_tangent(p, y)
-            twice = project_tangent(p, once)
-            np.testing.assert_allclose(twice, once, atol=1e-12)
+        # a step's increment is tangent, so stepping on it moves by it again
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 5):
+            for dead in (0.0, 0.4):
+                x, bound = states(rng, n, 300, dead)
+                once = engine_step(x, rng.uniform(-1.0, 1.0, size=x.shape) * bound)
+                np.testing.assert_allclose(engine_step(x, once), once, atol=1e-14)
 
     def test_range(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            n = int(rng.integers(2, 6))
-            c = rng.exponential(size=n)
-            c[rng.random(size=n) < 0.3] = 0.0
-            if c.sum() == 0:
-                c[0] = 1.0
-            p = SimplexPoint(c / c.sum())
-            y = rng.normal(size=n) * 5
-            out = project_tangent(p, y)
-            assert abs(out.sum()) <= 1e-12
-            off = np.flatnonzero(p.coords == 0.0)
-            assert np.all(out[off] == 0.0)
+        # the increment sums to zero within rounding and is exactly zero off the support
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 5):
+            for dead in (0.0, 0.3):
+                x, bound = states(rng, n, 500, dead)
+                inc = engine_step(x, rng.uniform(-1.0, 1.0, size=x.shape) * bound)
+                assert np.abs(inc.sum(axis=1)).max() <= 1e-15
+                assert np.all(inc[x == 0.0] == 0.0)
 
     def test_orthogonality_of_residual(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            p = random_point(rng, n)
-            y = rng.normal(size=n) * 3
-            resid = y - project_tangent(p, y)
-            for z in tangent_basis(np.flatnonzero(p.coords > 0.0), n):
-                assert abs(resid @ z) <= 1e-12
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 5):
+            x, bound = states(rng, n, 200, 0.3)
+            w = rng.uniform(-1.0, 1.0, size=x.shape) * bound
+            resid = w - engine_step(x, w)
+            for r, c in zip(resid, x):
+                for z in tangent_basis(np.flatnonzero(c > 0.0), n):
+                    assert abs(r @ z) <= 1e-14
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            project_tangent(SimplexPoint([1.0, 0.0]), [1.0, 2.0, 3.0])
+    def test_band_coordinate_never_revives(self):
+        # mass at or below ETA is set to zero on the first step and stays zero
+        rng = np.random.default_rng(6)
+        for n in (2, 3):
+            for band in (ETA / 2, ETA):
+                x = np.full((50, n), (1.0 - band) / (n - 1))
+                x[:, -1] = band
+                for _ in range(100):
+                    x = sde._step_batch(x, rng.standard_normal(x.shape) * 0.05)
+                    assert np.all(x[:, -1] == 0.0), (n, band)
 
 
 class TestTangentBasis:
@@ -208,7 +229,8 @@ class TestRelEigen:
             a = 0.5 * (m + m.T)
             lo = rel_eigen_min(p, a)
             hi = rel_eigen_max(p, a)
-            z = project_tangent(p, rng.normal(size=n))
+            z = rng.normal(size=n)
+            z -= z.mean()  # tangent at a full-support point
             nz = z @ z
             if nz < 1e-20:
                 continue
