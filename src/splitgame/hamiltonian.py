@@ -398,27 +398,40 @@ class SimplexGrid:
 
 def lower_hull_1d(y: np.ndarray) -> np.ndarray:
     """Largest convex minorant of uniformly spaced samples: a monotone chain on
-    Python floats, then one chord fill in which the two ends keep their samples."""
+    Python floats whose top two vertices (a, b) live in locals and the rest in
+    a list, then one chord fill in which the two ends keep their samples.
+
+    b is popped unless slope(a, b) <= slope(b, i), so a NaN comparison pops.
+    The chord of node x runs between the stack entries around it; only the
+    last node can look past the stack, so only its index is clamped."""
     m = y.size
     if m <= 2:
         return y.copy()
     v = y.tolist()
-    stack = [0]
-    for i in range(1, m):
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            # pop b while slope(a,b) > slope(b,i)
-            if (v[b] - v[a]) * (i - b) <= (v[i] - v[b]) * (b - a):
-                break
-            stack.pop()
-        stack.append(i)
-    s, x = np.array(stack), np.arange(m)
-    end = np.minimum(np.searchsorted(s, x, "right"), s.size - 1)
-    a, b = s[end - 1], s[end]
-    t = (x - a) / (b - a)
-    out = (1.0 - t) * y[a] + t * y[b]
-    out[[0, -1]] = y[[0, -1]]
-    return np.minimum(out, y)
+    below = []
+    a, va, b, vb = 0, v[0], 1, v[1]
+    for i in range(2, m):
+        vi = v[i]
+        while not (vb - va) * (i - b) <= (vi - vb) * (b - a):
+            if not below:
+                break           # the stack is [a]: i takes b's place
+            b, vb = a, va
+            a = below.pop()
+            va = v[a]
+        else:
+            below.append(a)
+            a, va = b, vb
+        b, vb = i, vi
+    below += (a, b)
+    s, x = np.array(below), np.arange(m)
+    end = np.searchsorted(s, x, "right")
+    end[-1] = s.size - 1
+    ia, ib = s[end - 1], s[end]
+    t = (x - ia) / (ib - ia)
+    out = (1.0 - t) * y[ia]
+    out += t * y[ib]
+    out[0], out[-1] = y[0], y[-1]
+    return np.minimum(out, y, out=out)
 
 
 def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from splitgame import hamiltonian
+from splitgame import hamiltonian, hj
 from splitgame.hamiltonian import (
     PayoffTensor,
     SimplexGrid,
@@ -104,14 +104,18 @@ def hull_samples(draw):
     """1-D samples with m in [0, 300]: rough, affine, tied (rounded, so signed
     zeros occur), concave, scaled by +-1e12, rough with 10% infinite entries
     (the only inputs on which a chord through a hull vertex misses its sample),
-    or a non-contiguous column view."""
+    rough with 10% NaN entries (a pop test that compares NaN pops; infinite
+    and NaN samples alone tell `not <=` from `>`), or a non-contiguous column
+    view."""
     m = draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["rough", "affine", "tied", "concave", "scaled", "infinite",
-                                 "column"]))
+                                 "nan", "column"]))
     x = np.linspace(0.0, 1.0, m)
     if kind == "infinite":
         return np.where(rng.random(m) < 0.1, rng.choice([-np.inf, np.inf], m), rng.normal(size=m))
+    if kind == "nan":
+        return np.where(rng.random(m) < 0.1, np.nan, rng.normal(size=m))
     if kind == "affine":
         return rng.normal() + rng.normal() * x
     if kind == "tied":
@@ -509,6 +513,17 @@ class TestLowerHull:
     def test_bit_identical_to_reference_chain(self, y):
         with np.errstate(invalid="ignore"):  # 0 * inf in the chords of infinite samples
             assert lower_hull_1d(y).tobytes() == reference_lower_hull(y).tobytes()
+
+    @pytest.mark.parametrize("order", ["vex_cav", "cav_vex"])
+    @pytest.mark.parametrize("name", ["bilinear", "saddle_mix"])
+    def test_solve_bytes_of_reference_chain(self, monkeypatch, name, order):
+        # every slice of a 31 x 31 solve, in either order, through the
+        # reference chain: the value grids keep their bytes
+        pg, qg = SimplexGrid.build(2, 30), SimplexGrid.build(2, 30)
+        got = hj.solve(analytic_field(name), pg, qg, 1.0, 16, order).values
+        monkeypatch.setattr(hamiltonian, "lower_hull_1d", reference_lower_hull)
+        want = hj.solve(analytic_field(name), pg, qg, 1.0, 16, order).values
+        assert got.tobytes() == want.tobytes()
 
 
 def grid_fn(p_res, q_res, fn, n_p=2, n_q=2):

@@ -719,6 +719,46 @@ class TestSimulationReport:
             assert getattr(got, name) == getattr(want, name), name
 
 
+class TestColumnSums:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(b=st.integers(1, 5000), n=st.sampled_from([2, 2, 2, 1, 3, 8]),
+           seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["normal", "negative-zero", "signed-zeros", "infinite", "nan",
+                                 "scaled"]),
+           layout=st.sampled_from(["c", "c", "fortran", "sliced"]))
+    @example(b=3, n=2, seed=0, kind="negative-zero", layout="c")
+    def test_bytes_of_numpy_axis_sum(self, b, n, seed, kind, layout):
+        """sde._col_sums(a) against a.sum(axis=0): a column of -0.0 alone (its
+        sum is numpy's 0.0), columns of mixed signed zeros, infinities of
+        either sign (inf - inf is NaN), NaN, magnitudes from 1e-300 to 1e300;
+        Fortran order (numpy sums a contiguous column pairwise) and a
+        non-contiguous slice fall back to numpy, as does any n but 2.  The
+        scratch is a fresh array, or a itself."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((b, n))
+        if kind == "negative-zero":
+            a[:, rng.integers(n)] = -0.0
+        elif kind == "signed-zeros":
+            a = rng.choice([0.0, -0.0], size=(b, n))
+        elif kind == "infinite":
+            a[rng.random(a.shape) < 0.01] = np.inf
+            a[rng.random(a.shape) < 0.01] = -np.inf
+        elif kind == "nan":
+            a[rng.random(a.shape) < 0.01] = np.nan
+        elif kind == "scaled":
+            a *= 10.0 ** rng.integers(-300, 301, size=a.shape)
+        if layout == "fortran":
+            a = np.asfortranarray(a)
+        elif layout == "sliced":
+            a = np.repeat(a, 2, axis=1)[:, ::2]
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = a.sum(axis=0)
+            got = sde._col_sums(a, np.empty(a.shape))
+            assert got.tobytes() == want.tobytes()
+            if layout == "c":  # a temporary, its own scratch
+                assert sde._col_sums(a, a).tobytes() == want.tobytes()
+
+
 def step_batch_reference(x, u, db, eta):
     """The Euler step with numpy's axis-1 reductions, as the engine first
     computed it; shared controls arrive as broadcast (b, n, n) views."""
