@@ -435,13 +435,12 @@ def lower_hull_1d(y: np.ndarray) -> np.ndarray:
 
 
 def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
-    """Convex envelope of one slice (1-D array over grid nodes).  On the
-    3-simplex: the lower hull of the lifted points (i, j, value), i and j the
-    integer lattice coordinates; an apex above the centroid keeps affine data
-    full-dimensional.  Lower-hull vertices keep their values, other nodes take
-    the max of the lower-facet planes, capped by their own values."""
-    if grid.n == 1:
-        return values.copy()
+    """Convex envelope of one slice (1-D array over the nodes of a grid of two
+    or three coordinates).  On the 3-simplex: the lower hull of the lifted
+    points (i, j, value), i and j the integer lattice coordinates; an apex
+    above the centroid keeps affine data full-dimensional.  Lower-hull
+    vertices keep their values, other nodes take the max of the lower-facet
+    planes, capped by their own values."""
     if grid.n == 2:
         return lower_hull_1d(values)
     m = grid.resolution
@@ -465,6 +464,8 @@ def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
 def _vex_columns(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
     if values.shape[0] != grid.n_nodes:
         raise ValueError(f"values have {values.shape[0]} rows, the grid {grid.n_nodes} nodes")
+    if grid.n == 1:  # one node: each slice is its own envelope
+        return values.copy()
     out = np.empty_like(values)
     for j in range(values.shape[1]):
         out[:, j] = _grid_vex(values[:, j], grid)

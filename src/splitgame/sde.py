@@ -19,7 +19,13 @@ on which that player's control is non-zero, so a zero control draws nothing.
 They are drawn into a window of W rows per player, with b·W <= NOISE_CAP for
 a block of b paths; the next window continues each path's stream from its
 saved state, and rows that frozen stretches skip are drawn and thrown away,
-so windowed rows are byte-identical to one draw of the whole path.  Every
+so windowed rows are byte-identical to one draw of the whole path.  A path
+whose state sits on a vertex (at most one coordinate above ETA) has revealed
+its type and never moves again, and a vertex row steps by zero on any finite
+products, so a draw leaves that path out: its rows are 0.0 and its stream is
+not drawn again.  The estimators read states only and keep their bytes;
+lipschitz_p_check's coupled copy steps on the primary's products, so there a
+path is left out only where the copy sits on a vertex too.  Every
 estimator runs through one block driver, _ensemble, which simulates the paths
 in blocks and returns each block's partial result in block order; combining
 them in that order makes results bit-identical for any thread count.  The
@@ -47,7 +53,9 @@ the same products.  Two-coordinate states (every shipped Monte Carlo run's)
 step in their own kernel, _step_pair, with the general kernel's bits: a block
 of interior rows needs no support masks, and a row on a vertex or in the band
 steps by zero.  The general kernel steps every other state size, and a block
-off the interior whose products are not all finite.
+off the interior whose products are not all finite.  Products that overflow
+turn a state NaN, and it stays NaN: a block whose terminal states are not
+finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -209,6 +217,11 @@ class BlockNoise:
     to a window are drawn and thrown away.  A group of _DRAW_GROUP paths is
     drawn path by path into a scratch buffer, scaled there, and written into
     place with one transposed copy.
+
+    A draw leaves out the frozen paths, those on a vertex in every state
+    that steps on the rows: their rows are 0.0, and their streams are
+    neither restored, drawn nor saved.  A vertex is permanent, so a stream
+    left out is never needed again and its saved state may go stale.
     """
 
     def __init__(self, grid: NoiseGrid, lo: int, hi: int):
@@ -219,29 +232,40 @@ class BlockNoise:
         self.start, self.stop, self.pos = [0, 0], [0, 0], [0, 0]
         self._keys, self._saved = [None, None], [None, None]
 
-    def rows(self, i: int, k: int, end: int) -> np.ndarray:
+    def rows(self, i: int, k: int, end: int, states=()) -> np.ndarray:
         """Player i's increments from row k on: a (m, b, dim) view of rows
         [k, k + m), m >= 1, that ends by row end and by the window's end.  k
         never goes back.  A draw reaches _CHUNK rows past k and at least
         doubles the rows the window holds, so a window is drawn O(log W)
-        times and generates at most twice the rows it keeps."""
+        times and generates at most twice the rows it keeps.
+
+        states are the (b, n) states on step k that step on these rows; a
+        draw leaves out the paths on a vertex in all of them.  A path left
+        out must stay so: a later request passes states on the same
+        vertices."""
         s, stop, n = self.start[i], self.stop[i], self.grid.n_steps
         if k >= stop:
             if k >= s + self.width:
                 s = self.start[i] = k
-            self._draw(i, min(s + self.width, n, max(end, k + _CHUNK, 2 * stop - s)))
+            frozen = None
+            for x in states:
+                vertex = _row_sums(x > ETA) <= 1
+                frozen = vertex if frozen is None else frozen & vertex
+            self._draw(i, min(s + self.width, n, max(end, k + _CHUNK, 2 * stop - s)), frozen)
             stop = self.stop[i]
         return self.windows[i][k - s:min(end, stop) - s]
 
-    def _draw(self, i: int, end: int) -> None:
+    def _draw(self, i: int, end: int, frozen: np.ndarray | None) -> None:
         """Draw rows [start[i], end) of player i into its window, each stream
-        from its state saved at row pos[i]."""
+        from its state saved at row pos[i], except the paths that frozen (a
+        (b,) mask, or None) marks: their rows are 0.0."""
         s, pos, b, win = self.start[i], self.pos[i], self.b, self.windows[i]
         dim, keys, saved = win.shape[2], self._keys[i], self._saved[i]
         if keys is None:
             keys = self._keys[i] = self.grid.keys(i, self.lo, self.lo + b)
         save = end == s + self.width < self.grid.n_steps
-        states = np.empty((b, 9), dtype=np.uint64) if save else None
+        if save and saved is None:
+            saved = self._saved[i] = np.empty((b, 9), dtype=np.uint64)
         # a generator of this draw's own (blocks run in a thread pool), whose
         # state with nothing drawn is the template for every path's
         gen = np.random.Generator(np.random.Philox(0))
@@ -255,8 +279,12 @@ class BlockNoise:
         for g in range(0, b, _DRAW_GROUP):
             group = keys[g:g + _DRAW_GROUP].tolist()
             at = saved[g:g + _DRAW_GROUP].tolist() if pos else ()
-            got = []
+            still = frozen[g:g + _DRAW_GROUP].tolist() if frozen is not None else ()
+            got, kept = [], []
             for path, key in enumerate(group):
+                if still and still[path]:
+                    scratch[path] = 0.0
+                    continue
                 state["state"]["key"] = key
                 if pos:  # counter[4], buffer[4], buffer_pos
                     row = at[path]
@@ -268,17 +296,17 @@ class BlockNoise:
                 gen.standard_normal(out=scratch[path])
                 if save:
                     got.append(gen.bit_generator.state)
-            if save:
-                kept = states[g:g + len(group)]
-                kept[:, :4] = [st["state"]["counter"] for st in got]
-                kept[:, 4:8] = [st["buffer"] for st in got]
-                kept[:, 8] = [st["buffer_pos"] for st in got]
+                    kept.append(g + path)
+            if got:  # in place, after the group's saved states were read
+                saved[kept, :4] = [st["state"]["counter"] for st in got]
+                saved[kept, 4:8] = [st["buffer"] for st in got]
+                saved[kept, 8] = [st["buffer_pos"] for st in got]
             drawn = scratch[:len(group)]
             drawn *= np.sqrt(self.grid.dt)
             to[:end - s, g:g + len(group)] = drawn.view(item)[..., 0].T
         self.stop[i] = end
-        if save:
-            self.pos[i], self._saved[i] = end, states
+        if save:  # a path left out keeps its stale saved state
+            self.pos[i] = end
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +513,10 @@ class _BlockSim:
     1 for (q, v, B2): start states x0, controls ctrl and interval starts.  db
     holds both players' increments, drawn on demand.  While steps() runs,
     product[i] is player i's (b, n) products u·dB on the step just yielded
-    (None where it does not step).
+    (None where it does not step).  coupled[i] holds the other states that
+    step on those products (lipschitz_p_check's copy), kept current by their
+    owner: player i draws for every path that its state or one of them can
+    move.
     """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
@@ -503,6 +534,7 @@ class _BlockSim:
                                  f"its state has {x0.size} coordinates")
         self.starts = tuple(interval_starts(ctrl, noise) for ctrl in self.ctrl)
         self.db = noise.increments(lo, hi)
+        self.coupled = [(), ()]
 
     def _eval_feedback(self, i, j, k, state):
         """Player i's control matrices for interval j, which begins on step k,
@@ -522,9 +554,11 @@ class _BlockSim:
         An active step is a segment of one step.  A stretch on which both
         controls in force are exactly zero is one segment, ending where the
         next interval of either player begins.  The last yield, (N, N+1, X, Y),
-        carries the terminal state.  An active player's products are formed
-        _CHUNK steps at a time, never past the end of its interval or of its
-        noise window.
+        carries the terminal state; a ValueError instead if a state is not
+        finite, which only products u·dB that overflow can make (and a NaN
+        state stays NaN).  An active player's products are formed _CHUNK
+        steps at a time, never past the end of its interval or of its noise
+        window, from rows drawn for the paths that can still move.
         """
         n, starts = self.noise.n_steps, self.starts
         state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
@@ -550,7 +584,7 @@ class _BlockSim:
                 # a chunk ends by the interval's end and by the noise window's,
                 # so a new interval starts one
                 if k >= formed[i]:
-                    rows = self.db.rows(i, k, end)[:_CHUNK]
+                    rows = self.db.rows(i, k, end, (state[i], *self.coupled[i]))[:_CHUNK]
                     first[i], formed[i] = k, k + len(rows)
                     _products(mat[i], rows, buf[i][:len(rows)])
                 prod[i] = buf[i][k - first[i]]
@@ -561,7 +595,15 @@ class _BlockSim:
                     state[i] = _step_batch(state[i], prod[i])
             k = k1
         prod[:] = None, None
+        _check_finite(*state)
         yield n, n + 1, *state
+
+
+def _check_finite(*states: np.ndarray) -> None:
+    """ValueError unless every state is finite."""
+    if not all(np.isfinite(x).all() for x in states):
+        raise ValueError("a state is not finite: the products u·dB of a control's "
+                         "matrices and the increments overflow")
 
 
 def _split(n_paths: int, block: int) -> list[tuple[int, int]]:
@@ -781,6 +823,7 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
 
     def reduce(sim):
         xb = np.tile(pbv, (sim.b, 1))
+        sim.coupled[0] = (xb,)
         loc_s = np.zeros(nsteps + 1)
         loc_q = np.zeros(nsteps + 1)
         for k0, k1, x, _y in sim.steps():
@@ -792,6 +835,8 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
                 # the copy steps where the primary path steps, on the same
                 # products of its control matrices and increments
                 xb = _step_batch(xb, w)
+                sim.coupled[0] = (xb,)
+        _check_finite(xb)
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)

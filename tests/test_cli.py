@@ -525,6 +525,41 @@ def test_json_artifacts_refuse_non_finite_numbers(tmp_path, value):
     assert not (tmp_path / "report.json").exists()
 
 
+def overflow_config(subcommand, p=None):
+    """A shipped Monte Carlo config on two steps of 0.5 whose control scale of
+    1e308 makes products u·dB overflow; simulate's start p replaced if given."""
+    if subcommand == "simulate":
+        cfg = json.loads((CONFIGS / "simulate_directional.json").read_text())
+        cfg["sim"].update(dt=0.5, n_paths=50)
+        cfg["sim"]["controls"]["u"]["scale"] = 1e308
+        if p is not None:
+            cfg["sim"]["start"]["p"] = p
+    else:
+        cfg = json.loads((CONFIGS / "mc_game_tent.json").read_text())
+        cfg["arena"] = {"dt": 0.5, "n_paths": 50, "scale": 1e308}
+        cfg["split"] = {"steps": 1, "horizon": 0.5}
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("subcommand, block", [("simulate", "sim"), ("mc-game", "arena")])
+def test_overflowing_products_exit_2(tmp_path, capsys, subcommand, block):
+    path = write_config(tmp_path, overflow_config(subcommand))
+    out = tmp_path / "o"
+    assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"config error: {block}: a state is not finite: the products u·dB of "
+                    "a control's matrices and the increments overflow")
+    assert not list(out.rglob("*.json"))
+
+
+def test_overflowing_control_on_a_vertex_draws_nothing(tmp_path):
+    # a path on a vertex draws no noise, so its products are 0.0 whatever the scale
+    path = write_config(tmp_path, overflow_config("simulate", p=[1, 0]))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
 class TestFullPathMemoryGuard:
     @pytest.mark.parametrize("case", ["simulate", "split-demo", "solve-hj-p_resolution",
                                       "solve-hj-time_steps"])

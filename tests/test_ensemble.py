@@ -1,6 +1,7 @@
 """The block driver behind every Monte Carlo estimator: results must not
 depend on the thread count or on how the paths are split into blocks."""
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -292,3 +293,80 @@ def test_segments_match_per_step(monkeypatch, u_name, v_name, H):
         np.testing.assert_array_equal(got, want)
     # lipschitz_p_check runs u against zero, so only a directional u never freezes
     assert (max(lengths) > 1) == (u_name != "directional")
+
+
+def rows_without_states():
+    """A patch of BlockNoise.rows that passes no states: every draw fills
+    every path, as before paths on a vertex were left out."""
+    rows = sde.BlockNoise.rows
+    return mock.patch.object(sde.BlockNoise, "rows",
+                             lambda block, i, k, end, states=(): rows(block, i, k, end))
+
+
+def counting_draws():
+    """A patch of BlockNoise._draw, and the list [normals, most frozen] that
+    it keeps: the normals generated (each path drawn generates its thrown
+    rows and the window's, dim numbers a row) and the largest share of a
+    block's paths that one draw left out."""
+    seen, real = [0, 0.0], sde.BlockNoise._draw
+
+    def draw(block, i, end, frozen):
+        left_out = 0 if frozen is None else int(frozen.sum())
+        seen[0] += (block.b - left_out) * (end - block.pos[i]) * block.windows[i].shape[2]
+        seen[1] = max(seen[1], left_out / block.b)
+        real(block, i, end, frozen)
+
+    return mock.patch.object(sde.BlockNoise, "_draw", draw), seen
+
+
+def test_estimate_j_leaves_out_frozen_paths():
+    """estimate_j on one wide block of four noise windows, where both players'
+    controls drive paths to a vertex: a later draw leaves out at least 30 % of
+    the paths, fewer normals are drawn than with every path drawn, and every
+    path's value keeps its bits."""
+    noise = noise_grid(200, 64, seed=5)
+    args = (P, Q, directional_control(2, 1.5), directional_control(2, 1.2), BILINEAR, noise,
+            lambda x, y: x[:, 0] * y[:, 1])
+    runs = []
+    with mock.patch.object(sde, "NOISE_CAP", 200 * 16):
+        for patch in (contextlib.nullcontext(), rows_without_states()):
+            count, seen = counting_draws()
+            with patch, count:
+                runs.append((per_path_j(*args), seen))
+    ((j_on, est_on, blocks), (normals_on, frozen_on)), ((j_off, est_off, _), (normals_off, _)) \
+        = runs
+    assert blocks == [(0, 200)]
+    assert frozen_on >= 0.3
+    assert normals_on < normals_off
+    assert j_on.tobytes() == j_off.tobytes()
+    assert est_on == est_off
+
+
+def test_lipschitz_copy_draws_where_it_can_move():
+    """lipschitz_p_check on one-path blocks of three noise windows: the
+    coupled copy steps on the primary's products, so a path is left out only
+    where both sit on a vertex.  Every state that steps, the copy's on each
+    step included, keeps the bits of the run with every path drawn (the
+    estimate alone can match while the copy's paths differ), and the skip
+    still draws fewer normals."""
+    noise = NoiseGrid(0.0, 1.0, 1 / 256, 400, 7, 2, 1)
+    u = directional_control(2, 0.8)
+    runs = []
+    with mock.patch.object(sde, "NOISE_CAP", 100):
+        for patch in (contextlib.nullcontext(), rows_without_states()):
+            stepped, real = [], sde._step_batch
+
+            def step(x, w):
+                stepped.append(real(x, w))
+                return stepped[-1]
+
+            count, seen = counting_draws()
+            with patch, count, mock.patch.object(sde, "_step_batch", step):
+                lip = lipschitz_p_check([0.3, 0.7], [0.35, 0.65], u, noise)
+            runs.append((lip, stepped, seen))
+    (lip_on, stepped_on, seen_on), (lip_off, stepped_off, seen_off) = runs
+    assert seen_on[1] == 1.0 and seen_on[0] < seen_off[0]
+    assert len(stepped_on) == len(stepped_off)
+    for got, want in zip(stepped_on, stepped_off):
+        assert got.tobytes() == want.tobytes()
+    assert lip_on == lip_off

@@ -86,9 +86,9 @@ def record_noise(monkeypatch):
         streams.extend((i, path) for path in range(lo, hi))
         return real_keys(grid, i, lo, hi)
 
-    def draw(block, i, end):
+    def draw(block, i, end, frozen):
         draws.append((i, block.start[i], end))
-        real_draw(block, i, end)
+        real_draw(block, i, end, frozen)
 
     monkeypatch.setattr(NoiseGrid, "keys", keys)
     monkeypatch.setattr(sde.BlockNoise, "_draw", draw)
@@ -157,13 +157,18 @@ def test_block_keys_are_numpys(seed, stream, lo, size):
        cap=st.one_of(st.integers(1, 60), st.just(sde.NOISE_CAP)),
        requests=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 12), st.integers(1, 45),
                                    st.integers(1, 20)), max_size=10),
-       group=st.integers(1, 13))
-def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, cap, requests, group):
+       group=st.integers(1, 13),
+       freeze=st.lists(st.integers(0, 15), min_size=12, max_size=12))
+def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, cap, requests, group, freeze):
     """Rows drawn on demand into windows, for any window size, any block of
     paths, any number of paths drawn per scratch buffer and any increasing
     requests, skipped stretches included, carry the bytes of one eager draw
     of each path's whole stream.  Each request (player, rows skipped, rows
-    asked for, rows taken) asks for rows [k, end) and moves past the rows taken."""
+    asked for, rows taken) asks for rows [k, end) and moves past the rows taken.
+    Path p sits on a vertex from request freeze[p] on (a player of two or
+    three coordinates passes its states; one coordinate is always a vertex,
+    so that player passes none): the paths frozen when its window was last
+    drawn have rows of 0.0, the others keep the eager bytes."""
     grid = NoiseGrid(0.0, 1.0, 1 / n_steps, 12, 5, *dims)
     edges = [0, *sorted(set(cuts)), 12]
     with mock.patch.object(sde, "_DRAW_GROUP", group), mock.patch.object(sde, "NOISE_CAP", cap):
@@ -175,18 +180,27 @@ def test_lazy_rows_are_eager_bytes(dims, n_steps, cuts, cap, requests, group):
             want = [np.stack([eager_rows(grid, path, i, dims[i]) for path in range(lo, hi)],
                              axis=1) for i in (0, 1)]
             nxt = [0, 0]
+            drawn_frozen = [np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)]
             ends = [(0, 0, n_steps, n_steps), (1, 0, n_steps, n_steps)]
-            for i, skip, ask, take in requests + ends + ends:
+            for r, (i, skip, ask, take) in enumerate(requests + ends + ends):
                 k = nxt[i] + skip
                 if k >= n_steps:
                     continue
                 end = min(k + ask, n_steps)
+                frozen = np.array(freeze[lo:hi]) <= r if dims[i] > 1 else np.zeros(b, bool)
+                # a frozen path at vertex e_(p mod dim), a moving one at the centre
+                x = np.full((b, dims[i]), 1.0 / dims[i])
+                x[frozen] = np.eye(dims[i])[np.arange(lo, hi)[frozen] % dims[i]]
                 s0, stop0 = block.start[i], block.stop[i]
-                db = block.rows(i, k, end)
+                db = block.rows(i, k, end, (x,) if dims[i] > 1 else ())
                 s, stop = block.start[i], block.stop[i]
+                if (s, stop) != (s0, stop0):
+                    drawn_frozen[i] = frozen
+                expect = want[i].copy()
+                expect[:, drawn_frozen[i]] = 0.0
                 assert 1 <= len(db) <= end - k and k + len(db) <= s + width
-                assert db.tobytes() == want[i][k:k + len(db)].tobytes()
-                assert block.windows[i][:stop - s].tobytes() == want[i][s:stop].tobytes()
+                assert db.tobytes() == expect[k:k + len(db)].tobytes()
+                assert block.windows[i][:stop - s].tobytes() == expect[s:stop].tobytes()
                 if s == s0 and stop != stop0:  # a draw at least doubles its window's rows
                     assert stop - s >= min(2 * (stop0 - s), width, n_steps - s)
                 if width == n_steps:  # no stream is ever continued: keys only
@@ -232,8 +246,8 @@ class TestLazyNoise:
         streams, draws = record_noise(monkeypatch)
         saved, real = [], sde.BlockNoise._draw
 
-        def draw(block, i, end):
-            real(block, i, end)
+        def draw(block, i, end, frozen):
+            real(block, i, end, frozen)
             saved.append(block.pos[i])
 
         monkeypatch.setattr(sde.BlockNoise, "_draw", draw)
@@ -483,9 +497,9 @@ class TestStateFeedback:
         base = simulate_recording(*args)
         real = sde.BlockNoise._draw
 
-        def flipped(block, i, end):
+        def flipped(block, i, end, frozen):
             # a draw writes its window's rows afresh: those from step k on change sign
-            real(block, i, end)
+            real(block, i, end, frozen)
             s = block.start[i]
             block.windows[i][max(k - s, 0):end - s] *= -1.0
 
