@@ -23,19 +23,19 @@ so windowed rows are byte-identical to one draw of the whole path.  A path
 whose state sits on a vertex (at most one coordinate above ETA) has revealed
 its type and never moves again, and a vertex row steps by zero on any finite
 products, so a draw leaves that path out: its rows are 0.0 and its stream is
-not drawn again.  The estimators read states only and keep their bytes;
-lipschitz_p_check's coupled copy steps on the primary's products, so there a
-path is left out only where the copy sits on a vertex too.  Every
-estimator runs through one block driver, _ensemble, which simulates the paths
-in blocks and returns each block's partial result in block order; combining
-them in that order makes results bit-identical for any thread count.  The
-thread count never sets the split: a block steps all its paths while any
-path's control is non-zero, and renormalising an unmoved state can change
-its last bit, so each path, like any sum over a block, takes its bits from
-the split.  Sums run on _block_ranges, sized by the path length; estimate_j,
-which keeps one value per path, on wide blocks (_wide_ranges).  simulate
-keeps full paths and the report streamed from them, terminal_states only
-player 1's terminal states.
+not drawn again, nor keyed if no path of the block is drawn.  A coupled
+state (lipschitz_p_check's copy of player 1 from another start) steps on
+player 1's products, so there a path is left out only where the copy sits on
+a vertex too.  Every estimator runs through one block driver, _ensemble,
+which simulates the paths in blocks and returns each block's partial result
+in block order; combining them in that order makes results bit-identical for
+any thread count.  The thread count never sets the split: a block steps all
+its paths while any path's control is non-zero, and renormalising an unmoved
+state can change its last bit, so each path, like any sum over a block, takes
+its bits from the split.  Sums run on _block_ranges, sized by the path
+length; estimate_j, which keeps one value per path, on wide blocks
+(_wide_ranges).  simulate keeps full paths and the report streamed from them,
+terminal_states only player 1's terminal states.
 
 A block steps only what moves, and holds only the controls in force.  It
 yields segments of noise steps on which the state is constant: one step while
@@ -47,15 +47,15 @@ column, in numpy's own order.
 A block holds each player's increments time-major, (W, b, dim), so a step's
 row is contiguous.  An active player's products u·dB are formed for up to
 _CHUNK steps at once, never past the end of the interval in force or of the
-noise window, with the bits of einsum on each row; the Euler step reads them
-and leaves them as they are, so a coupled copy (lipschitz_p_check) steps on
-the same products.  Two-coordinate states (every shipped Monte Carlo run's)
-step in their own kernel, _step_pair, with the general kernel's bits: a block
-of interior rows needs no support masks, and a row on a vertex or in the band
-steps by zero.  The general kernel steps every other state size, and a block
-off the interior whose products are not all finite.  Products that overflow
-turn a state NaN, and it stays NaN: a block whose terminal states are not
-finite raises ValueError.
+noise window, with the bits of einsum on each row; the Euler step leaves them
+as they are, so the block steps a player's coupled states on them right after
+the player's own state.  Two-coordinate states (every shipped Monte Carlo
+run's) step in their own kernel, _step_pair, with the general kernel's bits:
+a block of interior rows needs no support masks, and a row on a vertex or in
+the band steps by zero.  The general kernel steps every other state size, and
+a block off the interior whose products are not all finite.  Products that
+overflow turn a state NaN, and it stays NaN: a block whose terminal states
+are not finite raises ValueError.
 """
 
 from __future__ import annotations
@@ -260,6 +260,10 @@ class BlockNoise:
         from its state saved at row pos[i], except the paths that frozen (a
         (b,) mask, or None) marks: their rows are 0.0."""
         s, pos, b, win = self.start[i], self.pos[i], self.b, self.windows[i]
+        if frozen is not None and frozen.all():  # nothing is drawn or keyed
+            win[:end - s] = 0.0
+            self.stop[i] = end
+            return
         dim, keys, saved = win.shape[2], self._keys[i], self._saved[i]
         if keys is None:
             keys = self._keys[i] = self.grid.keys(i, self.lo, self.lo + b)
@@ -404,22 +408,6 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _col_sums(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) of a (b, n) array, bit for bit: on a C-contiguous (b, 2)
-    float array numpy adds each column row by row, and so does a cumulative sum
-    of the rows read as complex numbers, without an inner loop of 2 elements
-    per row; + 0.0 turns an all -0.0 column's -0.0 into numpy's 0.0 (its sum
-    starts from 0.0).  The cumulative sum overwrites scratch, a C-contiguous
-    float array of a's shape (a itself if a is a temporary), so that no b-long
-    buffer is allocated.  Any other shape, type or layout is summed by numpy."""
-    if a.ndim != 2 or a.shape[1] != 2 or not a.shape[0] or a.dtype != np.float64 \
-            or not a.flags.c_contiguous:
-        return a.sum(axis=0)
-    rows = scratch.view(np.complex128)[:, 0]
-    s = np.cumsum(a.view(np.complex128)[:, 0], out=rows)[-1]
-    return np.array([s.real + 0.0, s.imag + 0.0])
-
-
 def _by_column(op, a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """op(a, s[:, None]) in place on a (b, n) array, one column at a time: the
     same operations on the same operands, but b-long column operations cost
@@ -511,12 +499,11 @@ class _BlockSim:
 
     Each per-player piece is a pair indexed by player, 0 for (p, u, B1) and
     1 for (q, v, B2): start states x0, controls ctrl and interval starts.  db
-    holds both players' increments, drawn on demand.  While steps() runs,
-    product[i] is player i's (b, n) products u·dB on the step just yielded
-    (None where it does not step).  coupled[i] holds the other states that
-    step on those products (lipschitz_p_check's copy), kept current by their
-    owner: player i draws for every path that its state or one of them can
-    move.
+    holds both players' increments, drawn on demand.  coupled[i] holds the
+    other (b, n) states that step on player i's products u·dB
+    (lipschitz_p_check's copy, set before steps() runs): steps() steps each
+    right after player i's state and checks that it ends finite, and player i
+    draws for every path that its state or one of them can move.
     """
 
     def __init__(self, p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
@@ -562,8 +549,8 @@ class _BlockSim:
         """
         n, starts = self.noise.n_steps, self.starts
         state = [np.tile(x0, (self.b, 1)) for x0 in self.x0]
-        j, mat = [-1, -1], [None, None]
-        self.product = prod = [None, None]
+        j, mat, prod = [-1, -1], [None, None], [None, None]
+        coupled = self.coupled
         zero = [False, False]
         # player i's products of steps [first[i], formed[i]) lead buf[i]
         buf = [np.empty((_CHUNK, self.b, x0.size)) for x0 in self.x0]
@@ -584,7 +571,7 @@ class _BlockSim:
                 # a chunk ends by the interval's end and by the noise window's,
                 # so a new interval starts one
                 if k >= formed[i]:
-                    rows = self.db.rows(i, k, end, (state[i], *self.coupled[i]))[:_CHUNK]
+                    rows = self.db.rows(i, k, end, (state[i], *coupled[i]))[:_CHUNK]
                     first[i], formed[i] = k, k + len(rows)
                     _products(mat[i], rows, buf[i][:len(rows)])
                 prod[i] = buf[i][k - first[i]]
@@ -593,9 +580,10 @@ class _BlockSim:
             for i in (0, 1):
                 if prod[i] is not None:
                     state[i] = _step_batch(state[i], prod[i])
+                    if coupled[i]:
+                        coupled[i] = tuple(_step_batch(c, prod[i]) for c in coupled[i])
             k = k1
-        prod[:] = None, None
-        _check_finite(*state)
+        _check_finite(*state, *coupled[0], *coupled[1])
         yield n, n + 1, *state
 
 
@@ -628,7 +616,9 @@ def _ensemble(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     """reduce(sim) for each block of paths, in block order; the blocks are
     wide if reduce keeps one value per path, and never set by the thread count."""
     def work(lo_hi):
-        return reduce(_BlockSim(p, q, u_ctrl, v_ctrl, noise, *lo_hi))
+        # products that overflow make a state NaN, which steps() reports itself
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return reduce(_BlockSim(p, q, u_ctrl, v_ctrl, noise, *lo_hi))
 
     ranges = (_wide_ranges(noise.n_paths) if per_path
               else _block_ranges(noise.n_paths, noise.n_steps))
@@ -711,18 +701,18 @@ class SimulationReport:
 def _report_block(x0, segments, n_steps: int) -> tuple:
     """simulation_report's reduction of one block: segments (k0, k1, X, Y)
     from start states x0 give player 1's sums and sums of squares at every
-    grid time (axis-0 sums with numpy's bits, by _col_sums), the least
-    coordinate, the worst sum error and whether no support grew."""
+    grid time, the least coordinate, the worst sum error and whether no
+    support grew.  The axis-0 sums are einsum's, which calls no BLAS and on
+    two or more columns has the bits of numpy's sum; a one-coordinate state is
+    1.0 on every path, so its sum is exact in any order."""
     loc_sum = np.zeros((n_steps + 1, x0[0].size))
     loc_sq = np.zeros_like(loc_sum)
     mn, serr, mono = np.inf, 0.0, True
     prev = [x > ETA for x in x0]
     for k0, k1, *state in segments:
         x = state[0]
-        sq = x * x
-        loc_sq[k0:k1] = _col_sums(sq, sq)
-        loc_sum[k0:k1] = _col_sums(x, sq)
-        del sq  # before the masks below take their own b-long buffers
+        loc_sum[k0:k1] = np.einsum("bi->i", x)
+        loc_sq[k0:k1] = np.einsum("bi->i", x * x)
         mn = min(mn, *(float(s.min()) for s in state))
         serr = max(serr, *(float(np.max(np.abs(_row_sums(s) - 1.0))) for s in state))
         sup = [s > ETA for s in state]
@@ -822,21 +812,13 @@ def lipschitz_p_check(p, p_bar, u_ctrl: FeedbackControl, noise: NoiseGrid,
     nsteps = noise.n_steps
 
     def reduce(sim):
-        xb = np.tile(pbv, (sim.b, 1))
-        sim.coupled[0] = (xb,)
+        sim.coupled[0] = (np.tile(pbv, (sim.b, 1)),)
         loc_s = np.zeros(nsteps + 1)
         loc_q = np.zeros(nsteps + 1)
         for k0, k1, x, _y in sim.steps():
-            d = np.linalg.norm(x - xb, axis=1)
+            d = np.linalg.norm(x - sim.coupled[0][0], axis=1)
             loc_s[k0:k1] = d.sum()
             loc_q[k0:k1] = (d * d).sum()
-            w = sim.product[0]
-            if w is not None:
-                # the copy steps where the primary path steps, on the same
-                # products of its control matrices and increments
-                xb = _step_batch(xb, w)
-                sim.coupled[0] = (xb,)
-        _check_finite(xb)
         return loc_s, loc_q
 
     q0 = np.full(noise.dim2, 1.0 / noise.dim2)

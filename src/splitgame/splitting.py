@@ -96,14 +96,12 @@ def make_split_control(spec: SplitSpec) -> FeedbackControl:
     d = spec.direction
     base = np.zeros((d.size, d.size))
     base[:, 0] = d  # harvest the first own-noise coordinate
-    p1c = spec.p1.coords
     delta, kappa, lam1 = spec.delta, spec.kappa, spec.lam1
-    l2 = float(d @ d)
 
     def feedback(j, view):
         if j >= n or lam1 == 0.0 or lam1 == 1.0:
             return np.zeros_like(base)
-        x = (view.own_state - p1c) @ d / l2
+        x = spec.scalar_of(view.own_state)
         tau = h - j * sub
         sigma_time = kappa * np.sqrt(sub / tau)
         cap = np.maximum(np.minimum(x, 1.0 - x), delta) / 3.0

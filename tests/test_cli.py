@@ -541,10 +541,10 @@ def overflow_config(subcommand, p=None):
     return cfg
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("subcommand, block", [("simulate", "sim"), ("mc-game", "arena")])
 def test_overflowing_products_exit_2(tmp_path, capsys, subcommand, block):
+    # numpy's warnings on the way to the NaN state stay silent: one line on stderr
     path = write_config(tmp_path, overflow_config(subcommand))
     out = tmp_path / "o"
     assert cli.main([subcommand, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
@@ -554,10 +554,19 @@ def test_overflowing_products_exit_2(tmp_path, capsys, subcommand, block):
     assert not list(out.rglob("*.json"))
 
 
-def test_overflowing_control_on_a_vertex_draws_nothing(tmp_path):
-    # a path on a vertex draws no noise, so its products are 0.0 whatever the scale
+def test_overflowing_control_on_a_vertex_draws_nothing(tmp_path, monkeypatch):
+    # a path on a vertex draws no noise, so its products are 0.0 whatever the
+    # scale; a block that draws no path does not key its streams either
+    keyed, keys = [], sde.NoiseGrid.keys
+
+    def recording(grid, stream, lo, hi):
+        keyed.append(stream)
+        return keys(grid, stream, lo, hi)
+
+    monkeypatch.setattr(sde.NoiseGrid, "keys", recording)
     path = write_config(tmp_path, overflow_config("simulate", p=[1, 0]))
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert keyed == [1]  # player 2 moves; player 1 on its vertex is never keyed
 
 
 class TestFullPathMemoryGuard:

@@ -214,12 +214,11 @@ def test_split_paths_do_not_depend_on_threads():
 
 def per_step(sim):
     """The engine's former generator: one yield per noise step, each step the
-    reference step on that step's row, exposing each player's products u·dB
-    (einsum's, one row at a time) as steps() does."""
+    reference step on that step's row, for each player's state and then for
+    the states coupled to it, as steps() does."""
     n = sim.noise.n_steps
     state = [np.tile(x0, (sim.b, 1)) for x0 in sim.x0]
     j, mat = [-1, -1], [None, None]
-    sim.product = [None, None]
     zero, row = [False, False], [None, None]
     for k in range(n):
         for i in (0, 1):
@@ -228,12 +227,12 @@ def per_step(sim):
                 mat[i] = sim._eval_feedback(i, j[i], k, state)
                 zero[i] = not mat[i].any()
             row[i] = None if zero[i] else sim.db.rows(i, k, k + 1)[0]
-            sim.product[i] = None if zero[i] else np.einsum("bij,bj->bi", mat[i], row[i])
         yield k, k + 1, *state
         for i in (0, 1):
             if not zero[i]:
                 state[i] = step_batch_reference(state[i], mat[i], row[i], ETA)
-    sim.product = [None, None]
+                sim.coupled[i] = tuple(step_batch_reference(c, mat[i], row[i], ETA)
+                                       for c in sim.coupled[i])
     yield n, n + 1, *state
 
 
@@ -349,7 +348,7 @@ def test_lipschitz_copy_draws_where_it_can_move():
     step included, keeps the bits of the run with every path drawn (the
     estimate alone can match while the copy's paths differ), and the skip
     still draws fewer normals."""
-    noise = NoiseGrid(0.0, 1.0, 1 / 256, 400, 7, 2, 1)
+    noise = NoiseGrid(0.0, 1.0, 1 / 256, 48, 7, 2, 1)
     u = directional_control(2, 0.8)
     runs = []
     with mock.patch.object(sde, "NOISE_CAP", 100):
