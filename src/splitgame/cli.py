@@ -370,7 +370,7 @@ def _cmd_split_demo(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[di
 
 def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict, bool]:
     from splitgame.arena import preset_family, value_bracket
-    from splitgame.sde import NoiseGrid, interval_starts
+    from splitgame.sde import BundleSizeError, NoiseGrid, interval_starts
 
     horizon = cfg.positive("horizon", 1.0)
     field = build_field(cfg, horizon)
@@ -389,7 +389,12 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict,
     noise = arena.call(NoiseGrid, 0.0, horizon, dt, n_paths, seed, p.size, q.size)
     for ctrl in [*fam1.values(), *fam2.values()]:
         split.call(interval_starts, ctrl, noise)
-    br = arena.call(value_bracket, p, q, field, fam1, fam2, noise, threads=threads)
+    try:
+        br = value_bracket(p, q, field, fam1, fam2, noise, threads=threads)
+    except BundleSizeError as e:
+        raise ConfigError(f"{arena.where('n_paths')}: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"arena: {e}") from None
     result = {
         "lower": br.lower, "lower_se": br.lower_se,
         "upper": br.upper, "upper_se": br.upper_se,

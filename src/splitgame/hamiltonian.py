@@ -3,10 +3,14 @@ convex/concave envelope operators on simplex grids.
 
 The running cost H(t,p,q) is the mixed value of the finite zero-sum game whose
 entries are the bilinear aggregation sum_ij p_i q_j f_ij(t,k,l) over the action
-grids.  Finite action grids need not satisfy a pure-strategy minimax equality,
-so the mixed value (which always exists) is used as the discretization.  A game
-with a pure saddle point or a 2x2 kernel is solved in closed form; any other
-costs one HiGHS LP, whose duals give the second player's strategy.  Both
+grids.  Every matrix game here has one convention: the row player, the k axis,
+maximizes, and the column player, the l axis, minimizes.  The shipped
+configs/payoff_tent.json has one k action and two l actions, f_0 = (1, 0) and
+f_1 = (0, 1), so its game is the row (p_1, p_2) and H = min(p_1, p_2), the tent.
+Finite action grids need not satisfy a pure-strategy minimax equality, so the
+mixed value (which always exists) is used as the discretization.  A game with
+a pure saddle point or a 2x2 kernel is solved in closed form; any other costs
+one HiGHS LP, whose duals give the column player's strategy.  Both
 answers pass one certificate, certificate_gap <= GAME_VALUE_TOL.  Each payoff
 tensor keeps a bounded memo from a game's bytes to its value, so a game that
 eval_H meets again (the solver's two alternation orders and its residuals
@@ -54,31 +58,32 @@ def _game_matrix(m) -> np.ndarray:
 
 
 def certificate_gap(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """max_j (x^T M)_j - min_i (M y)_i for a row strategy x and a column
-    strategy y (rows minimize); stacked pairs x (k, nr), y (k, nc) give k gaps.
+    """max_i (M y)_i - min_j (x^T M)_j for a row strategy x and a column
+    strategy y (rows maximize); stacked pairs x (k, nr), y (k, nc) give k gaps.
 
     The game's value lies between the two terms, so a gap at most
     GAME_VALUE_TOL certifies both strategies as optimal to that tolerance.
     """
-    return np.max(x @ m, axis=-1) - np.min(y @ m.T, axis=-1)
+    return (np.max(np.einsum("...j,ij->...i", y, m), axis=-1)
+            - np.min(np.einsum("...i,ij->...j", x, m), axis=-1))
 
 
 def matrix_game_value(m) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and optimal mixed strategies of a finite zero-sum matrix game.
 
-    Convention: the row player minimizes, the column player maximizes, i.e.
-    value = min_x max_j (x^T M)_j = max_y min_i (M y)_i.  One linear program is
-    solved, the row player's; by LP duality its constraint duals are the column
-    player's optimal strategy.  The pair is certified: its certificate_gap
-    must not exceed GAME_VALUE_TOL.
+    Convention, the running cost's: the row player maximizes, the column
+    player minimizes, i.e. value = max_x min_j (x^T M)_j = min_y max_i (M y)_i.
+    One linear program is solved, the row player's; by LP duality its
+    constraint duals are the column player's optimal strategy.  The pair is
+    certified: its certificate_gap must not exceed GAME_VALUE_TOL.
     """
     m = _game_matrix(m)
     nr, nc = m.shape
 
-    # row player: min v  s.t.  M^T x <= v, sum x = 1, x >= 0
+    # row player: min w  s.t.  -M^T x <= w, sum x = 1, x >= 0; the value is -w
     c = np.zeros(nr + 1)
     c[-1] = 1.0
-    a_ub = np.hstack([m.T, -np.ones((nc, 1))])
+    a_ub = np.hstack([-m.T, -np.ones((nc, 1))])
     a_eq = np.hstack([np.ones((1, nr)), np.zeros((1, 1))])
     bounds = [(0.0, None)] * nr + [(None, None)]
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(nc), A_eq=a_eq, b_eq=[1.0],
@@ -92,7 +97,7 @@ def matrix_game_value(m) -> tuple[float, np.ndarray, np.ndarray]:
     gap = float(certificate_gap(m, x, y))
     if not gap <= GAME_VALUE_TOL:  # also true on NaN
         raise RuntimeError(f"certificate gap {gap:.2e} exceeds {GAME_VALUE_TOL}")
-    return float(res.x[-1]), x, y
+    return -float(res.x[-1]), x, y
 
 
 # The kernel search stacks one strategy pair of nr + nc entries per candidate,
@@ -112,11 +117,11 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def small_game_value(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Closed-form value and strategies of a game (rows minimize, as in
+    """Closed-form value and strategies of a game (rows maximize, as in
     matrix_game_value) that has a pure saddle point or a certified 2x2 kernel
     (Shapley & Snow 1950); None when it has neither.
 
-    A pure saddle point is an exact tie of min_i max_j M and max_j min_i M.
+    A pure saddle point is an exact tie of max_i min_j M and min_j max_i M.
     Otherwise every submatrix [[a, b], [c, d]] on a pair of rows and a pair of
     columns is a candidate, with the equalising mixes x = (d - c, a - b) / D,
     y = (d - b, a - c) / D and value (ad - bc) / D, where D = a - b - c + d.
@@ -129,9 +134,9 @@ def small_game_value(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | No
     unsearched.
     """
     nr, nc = m.shape
-    row_max, col_min = m.max(axis=1), m.min(axis=0)
-    i, j = int(np.argmin(row_max)), int(np.argmax(col_min))
-    if row_max[i] == col_min[j]:
+    row_min, col_max = m.min(axis=1), m.max(axis=0)
+    i, j = int(np.argmax(row_min)), int(np.argmin(col_max))
+    if row_min[i] == col_max[j]:
         return float(m[i, j]), np.eye(nr)[i], np.eye(nc)[j]
     rows, cols = _pairs(nr), _pairs(nc)
     if rows[0].size * cols[0].size * (nr + nc) > KERNEL_WORK:
@@ -157,19 +162,6 @@ def small_game_value(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | No
     w = ok[0]
     a, c = a.ravel()[k[w]], c.ravel()[k[w]]
     return float(c + s[w] * (a - c)), x[w], y[w]
-
-
-def maximin_value(m) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value with the opposite convention: rows maximize, columns minimize.
-
-    This is the sup-inf form used for the running cost; it reduces to
-    -value(-M) with the strategies carried along, where value is the closed
-    form of small_game_value when the game has one and the certified LP of
-    matrix_game_value otherwise.
-    """
-    m = -_game_matrix(m)
-    v, x, y = small_game_value(m) or matrix_game_value(m)
-    return -v, x, y
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +262,7 @@ def eval_H(f: PayoffTensor, t: float, p, q) -> float:
     key = game.tobytes()
     value = f._games.get(key)
     if value is None:
-        value = maximin_value(game)[0]
+        value = (small_game_value(game) or matrix_game_value(game))[0]
         f._games[key] = value
         if len(f._games) * (len(key) + MEMO_ENTRY_BYTES) > GAME_MEMO_BYTES:
             f._games.clear()

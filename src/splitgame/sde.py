@@ -354,7 +354,9 @@ class FeedbackControl:
 
 def interval_starts(ctrl: FeedbackControl, noise: NoiseGrid) -> np.ndarray:
     """The noise steps on which ctrl's intervals begin, then the step count N:
-    interval j covers steps [starts[j], starts[j + 1])."""
+    interval j covers steps [starts[j], starts[j + 1]).  GridMismatchError for
+    a switch off the grid, past the horizon, or on the step where the interval
+    before it begins, which would leave that interval no step."""
     n, starts = noise.n_steps, [0]
     for s in ctrl.switches:
         k, where = s / noise.dt, f"control {ctrl.label!r} switches at {noise.t + s:g}"
@@ -362,6 +364,9 @@ def interval_starts(ctrl: FeedbackControl, noise: NoiseGrid) -> np.ndarray:
             raise GridMismatchError(f"{where}, past the horizon {noise.horizon:g}")
         if abs(k - round(k)) > 1e-6:
             raise GridMismatchError(f"{where}, off the noise grid of step {noise.dt:g}")
+        if round(k) <= starts[-1]:
+            raise GridMismatchError(f"{where}, on noise step {round(k)}, where interval "
+                                    f"{len(starts) - 1} begins: an interval needs a step")
         if round(k) < n:
             starts.append(round(k))
     return np.array(starts + [n])
@@ -645,11 +650,13 @@ def estimate_j(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     """Monte Carlo estimate of E[int_t^T H(s, X_s, Y_s) ds + terminal(X_T, Y_T)].
 
     Left-endpoint quadrature on the noise grid; paths stream through in
-    blocks, only the per-path integral is kept.  terminal, if given, maps the
-    batched terminal states (b, nI), (b, nJ) to (b,) values.
+    blocks, only the per-path integral is kept (BundleSizeError first if those
+    pass MAX_BUNDLE_BYTES).  terminal, if given, maps the batched terminal
+    states (b, nI), (b, nJ) to (b,) values.
     """
     if noise.n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
+    _check_kept(8 * noise.n_paths, f"{noise.n_paths} path integrals")
 
     def reduce(sim):
         acc = np.zeros(sim.b)

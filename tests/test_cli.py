@@ -175,6 +175,9 @@ class TestConfigValidation:
          "split: control 'split' switches at 1.125, past the horizon 1"),
         ("mc-game", ["arena"], {"n_paths": 20, "dt": 0.1},
          "split: control 'split' switches at 0.125, off the noise grid of step 0.1"),
+        # the one switch snaps to step 0, where the first interval begins
+        ("mc-game", ["split"], {"steps": 1, "horizon": 1e-10},
+         "split: control 'split' switches at 1e-10, on noise step 0, where interval 0 begins"),
         ("simulate", ["hamiltonian"], 5, "hamiltonian: must be an object"),
         ("simulate", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
@@ -187,7 +190,7 @@ class TestConfigValidation:
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
             "dim-p", "dim-q", "split-past-horizon", "mc-game-split-past-horizon",
-            "mc-game-split-off-grid", "simulate-hamiltonian",
+            "mc-game-split-off-grid", "mc-game-split-on-the-start", "simulate-hamiltonian",
             "simulate-dim-q", "ungridded-dim"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
@@ -209,7 +212,8 @@ class TestConfigValidation:
         code = cli.main([subcommand, "--config", str(write_config(tmp_path, cfg)),
                          "--out", str(out)])
         assert code == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {message}")
         assert not out.exists()
 
 
@@ -570,11 +574,12 @@ def test_overflowing_control_on_a_vertex_draws_nothing(tmp_path, monkeypatch):
 
 
 class TestFullPathMemoryGuard:
-    @pytest.mark.parametrize("case", ["simulate", "split-demo", "solve-hj-p_resolution",
-                                      "solve-hj-time_steps"])
+    @pytest.mark.parametrize("case", ["simulate", "split-demo", "mc-game",
+                                      "solve-hj-p_resolution", "solve-hj-time_steps"])
     def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, case):
-        # simulate keeps full paths, split-demo only the terminal states, and
-        # solve-hj two value grids, whose 3-simplex nodes are never built
+        # simulate keeps full paths, split-demo only the terminal states,
+        # mc-game one path integral per path, and solve-hj two value grids,
+        # whose 3-simplex nodes are never built
         subcommand = "solve-hj" if case.startswith("solve-hj") else case
         if case == "simulate":
             cfg = base_sim_config(n_paths=10**9)
@@ -583,6 +588,10 @@ class TestFullPathMemoryGuard:
             cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 64, "horizon": 0.125},
                    "sim": {"n_paths": 10**9}}
             kept = "sim.n_paths: 1000000000 terminal states"
+        elif case == "mc-game":
+            cfg = mc_game_config()
+            cfg["arena"]["n_paths"] = 10**9
+            kept = "arena.n_paths: 1000000000 path integrals"
         elif case == "solve-hj-p_resolution":
             cfg = json.loads((CONFIGS / "hj_simplex3.json").read_text())
             cfg["hamiltonian"]["path"] = str(CONFIGS / cfg["hamiltonian"]["path"])

@@ -18,11 +18,16 @@ from splitgame.hamiltonian import (
     eval_H,
     lower_hull_1d,
     matrix_game_value,
-    maximin_value,
     small_game_value,
     tensor_field,
     vex_p,
 )
+
+
+def solved(m):
+    """Value and strategies of a game as eval_H solves it: rows maximize."""
+    m = np.asarray(m, dtype=float)
+    return small_game_value(m) or matrix_game_value(m)
 
 
 def brute_force_minimax_2x2(m, steps=2000):
@@ -164,8 +169,9 @@ class TestMatrixGame:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(matrix_games())
     def test_one_lp_matches_two_lp_reference(self, m):
-        v, x, y = matrix_game_value(m)
-        assert v == two_lp_game_value(m)
+        # rows maximize on -m: the LP solved is the reference's row LP on m
+        v, x, y = matrix_game_value(-m)
+        assert v == -two_lp_game_value(m)
         assert np.max(x @ m) - np.min(m @ y) <= 1e-9
         for s, n in ((x, m.shape[0]), (y, m.shape[1])):
             assert s.shape == (n,) and np.all(s >= 0.0)
@@ -203,7 +209,8 @@ class TestMatrixGame:
         for _ in range(20):
             m = rng.uniform(-1, 1, size=(2, 2))
             v, _, _ = matrix_game_value(m)
-            assert abs(v - brute_force_minimax_2x2(m)) <= 2e-3
+            # max-min of m is minus the min-max of -m
+            assert abs(v + brute_force_minimax_2x2(-m)) <= 2e-3
 
     def test_zero_sum_duality_swap(self):
         rng = np.random.default_rng(12)
@@ -220,8 +227,8 @@ class TestMatrixGame:
         for _ in range(30):
             m = rng.normal(size=(3, 3))
             v, x, y = matrix_game_value(m)
-            assert np.max(x @ m) <= v + 1e-7   # row guarantee
-            assert np.min(m @ y) >= v - 1e-7   # column guarantee
+            assert np.min(x @ m) >= v - 1e-7   # row guarantee
+            assert np.max(m @ y) <= v + 1e-7   # column guarantee
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -230,7 +237,7 @@ class TestMatrixGame:
     def test_maximin_convention(self):
         # rows maximize: value of [[1,0],[0,1]] is still 1/2 by symmetry,
         # but for [[1,0]] (single row) it is min over columns
-        v, _, _ = maximin_value([[1.0, 0.0]])
+        v, _, _ = solved([[1.0, 0.0]])
         assert abs(v) <= 1e-9
 
 
@@ -272,24 +279,24 @@ class TestSmallGame:
     @given(matrix_games())
     def test_two_actions_on_a_side_need_no_lp(self, m):
         assume(min(m.shape) <= 2)
-        v_lp = -matrix_game_value(-m)[0]
+        v_lp = matrix_game_value(m)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hamiltonian, "linprog", raising_linprog)
-            v, _, _ = maximin_value(m)
+            v, _, _ = solved(m)
         assert abs(v - v_lp) <= 1e-9
 
     def test_pure_saddle_is_an_entry(self):
-        # rows minimize: row 0's worst case 4 meets column 2's best case 4
-        m = np.array([[3.0, 1.0, 4.0], [1.5, 0.5, 9.0], [2.0, 6.0, 5.0]])
+        # rows maximize: row 0's worst case -4 meets column 2's best case -4
+        m = -np.array([[3.0, 1.0, 4.0], [1.5, 0.5, 9.0], [2.0, 6.0, 5.0]])
         v, x, y = small_game_value(m)
-        assert v == 4.0
+        assert v == -4.0
         assert x.tolist() == [1.0, 0.0, 0.0] and y.tolist() == [0.0, 0.0, 1.0]
 
     def test_rock_paper_scissors_falls_back_to_the_lp(self, monkeypatch):
         calls = []
         monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
         assert small_game_value(ROCK_PAPER_SCISSORS) is None
-        v, x, y = maximin_value(ROCK_PAPER_SCISSORS)
+        v, x, y = solved(ROCK_PAPER_SCISSORS)
         assert len(calls) == 1
         assert abs(v) <= 1e-9
         np.testing.assert_allclose(x, np.full(3, 1 / 3), atol=1e-8)
@@ -302,7 +309,7 @@ class TestSmallGame:
         for n, lps in ((127, 0), (128, 1)):
             m = np.full((2, n), 0.75)
             m[:, :2] = np.eye(2)
-            v, _, _ = maximin_value(m)
+            v, _, _ = solved(m)
             assert len(calls) == lps
             assert abs(v - 0.5) <= 1e-9
 
@@ -350,7 +357,7 @@ class TestEvalH:
         act = rng.uniform(size=(3, 4))
         vals = np.broadcast_to(act, (1, 2, 2, 3, 4)).copy()
         f = PayoffTensor(vals, [0.0])
-        expect, _, _ = maximin_value(act)
+        expect, _, _ = solved(act)
         for p, q in [([1.0, 0.0], [0.3, 0.7]), ([0.5, 0.5], [1.0, 0.0])]:
             assert abs(eval_H(f, 0.0, p, q) - expect) <= 1e-9
 
@@ -398,8 +405,8 @@ class TestGameMemo:
         f = simplex3_tensor()
         h = tensor_field(f)
         first = h.on_grid(0.0, self.GRID, self.Q)
-        solved = [maximin_value(np.einsum("i,ikl->kl", p, f.values[0, :, 0]))[0] for p in self.GRID]
-        assert first[:, 0].tobytes() == np.array(solved).tobytes()
+        values = [solved(np.einsum("i,ikl->kl", p, f.values[0, :, 0]))[0] for p in self.GRID]
+        assert first[:, 0].tobytes() == np.array(values).tobytes()
         calls = []
         monkeypatch.setattr(hamiltonian, "linprog", counting_linprog(calls))
         again = h.on_grid(0.0, self.GRID, self.Q)
@@ -425,7 +432,7 @@ class TestGameMemo:
             value = eval_H(f, 0.0, p, [1.0])
             sizes.append(len(f._games))
             assert len(f._games) * self.ENTRY <= hamiltonian.GAME_MEMO_BYTES
-            assert np.float64(value).tobytes() == np.float64(maximin_value(game)[0]).tobytes()
+            assert np.float64(value).tobytes() == np.float64(solved(game)[0]).tobytes()
         assert max(sizes) == 7 and 0 in sizes and sizes[-1] > 0  # full, cleared, refilled
         monkeypatch.setattr(hamiltonian, "GAME_MEMO_BYTES", self.ENTRY - 1)
         f = simplex3_tensor()

@@ -419,6 +419,17 @@ class TestSimulate:
             simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), bad,
                      zero_control(2), noise)
 
+    @pytest.mark.parametrize("switches, where", [((1e-13, 0.5), "1e-13, on noise step 0"),
+                                                 ((0.25, 0.25 + 1e-13), "0.25, on noise step 128")],
+                             ids=["on-the-start", "two-on-one-step"])
+    def test_switch_on_a_begun_interval_rejected(self, switches, where):
+        # a switch within 1e-6 steps of a grid point snaps to it, so a switch
+        # can land where the interval before it begins and leave that one no step
+        noise = make_noise(n_paths=4, dt=1 / 512)
+        ctrl = FeedbackControl(switches, lambda j, view: pushes(0.5), 2, "snap")
+        with pytest.raises(GridMismatchError, match=f"'snap' switches at {where}, where interval"):
+            simulate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), ctrl, zero_control(2), noise)
+
     def test_nonfinite_feedback_rejected(self):
         noise = make_noise(n_paths=4)
         bad = FeedbackControl((),
