@@ -25,7 +25,6 @@ check failure, 2 config/parse error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import hashlib
 import json
 import math
@@ -230,36 +229,6 @@ def _write_json(path: Path, payload: dict) -> None:
     write_atomic(path, [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"])
 
 
-def _load_registry(path: Path) -> dict:
-    """The mc-game registry, {} if absent.  One that is not a JSON object is
-    moved aside to <name>.corrupt, with one line on stderr."""
-    if not path.exists():
-        return {}
-    try:
-        data = json.loads(path.read_text())
-        if isinstance(data, dict):
-            return data
-    except ValueError:  # JSONDecodeError, UnicodeDecodeError
-        pass
-    aside = path.with_name(path.name + ".corrupt")
-    os.replace(path, aside)
-    print(f"warning: {path.name} is not a JSON object; moved to {aside.name}, "
-          "starting a new registry", file=sys.stderr)
-    return {}
-
-
-def _merge_registry(path: Path, key: str, entry: dict) -> None:
-    """Add one entry to the mc-game registry.  The read-modify-write holds an
-    exclusive flock on <name>.lock, so concurrent runs into one out root keep
-    every entry."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path.with_name(path.name + ".lock"), "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-        registry = _load_registry(path)
-        registry[key] = entry
-        _write_json(path, registry)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -402,8 +371,6 @@ def _cmd_mc_game(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict,
         "names_1": br.names_1, "names_2": br.names_2,
         "table": br.table.tolist(),
     }
-    # cumulative results file keyed by config hash, merged before run writes report.json
-    _merge_registry(out.parent / "mc_game_results.json", out.name, result)
     return result, br.ordered
 
 

@@ -148,6 +148,8 @@ class NoiseGrid:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         n = (self.horizon - self.t) / self.dt
+        if not np.isfinite(n):
+            raise ValueError(f"(horizon - t) / dt = {n} steps is beyond float range")
         if abs(n - round(n)) > _GRID_SNAP * max(1.0, n):
             raise GridMismatchError(f"dt={self.dt} does not divide the horizon {self.horizon - self.t}")
         if self.n_paths < 1:
@@ -603,10 +605,15 @@ def _split(n_paths: int, block: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + block, n_paths)) for lo in range(0, n_paths, block)]
 
 
+def _block_size(n_paths: int, n_steps: int) -> int:
+    """As many whole paths as one noise window holds, or one path."""
+    return max(1, min(n_paths, NOISE_CAP // max(1, n_steps)))
+
+
 def _block_ranges(n_paths: int, n_steps: int) -> list[tuple[int, int]]:
-    """Blocks of as many whole paths as one noise window holds, or of one
-    path, for a reduction that sums over a block's paths."""
-    return _split(n_paths, max(1, min(n_paths, NOISE_CAP // max(1, n_steps))))
+    """Blocks of _block_size paths, for a reduction that sums over a block's
+    paths."""
+    return _split(n_paths, _block_size(n_paths, n_steps))
 
 
 def _wide_ranges(n_paths: int) -> list[tuple[int, int]]:
@@ -738,9 +745,20 @@ def _report(parts: list, p, times: np.ndarray, n: int) -> SimulationReport:
     return SimulationReport(times, np.abs(mean - pv), se, min(mns), max(serrs), all(monos), n)
 
 
+def _check_block_sums(noise: NoiseGrid) -> None:
+    """BundleSizeError if the blocks' two (N+1, nI) sums, which _report adds
+    up once every block is done, pass MAX_BUNDLE_BYTES."""
+    n, rows = noise.n_paths, noise.n_steps + 1
+    blocks = -(-n // _block_size(n, noise.n_steps))
+    _check_kept(16 * blocks * rows * noise.dim1,
+                f"{n} paths' sums over {blocks} blocks of {rows} x {noise.dim1}")
+
+
 def simulation_report(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
                       noise: NoiseGrid, threads: int = 1) -> SimulationReport:
-    """Run the ensemble keeping only martingale / invariance statistics."""
+    """Run the ensemble keeping only martingale / invariance statistics
+    (BundleSizeError first if the blocks' sums pass MAX_BUNDLE_BYTES)."""
+    _check_block_sums(noise)
     parts = _ensemble(p, q, u_ctrl, v_ctrl, noise,
                       lambda sim: _report_block(sim.x0, sim.steps(), noise.n_steps), threads)
     return _report(parts, p, noise.times(), noise.n_paths)
@@ -773,6 +791,7 @@ def simulate(p, q, u_ctrl: FeedbackControl, v_ctrl: FeedbackControl,
     n, nsteps = noise.n_paths, noise.n_steps
     dims = noise.dim1, noise.dim2
     _check_kept(8 * n * (nsteps + 1) * sum(dims), f"{n} full paths of {nsteps} steps")
+    _check_block_sums(noise)
     paths = [np.empty((n, nsteps + 1, d)) for d in dims]
 
     def kept(sim):

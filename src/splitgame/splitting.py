@@ -74,9 +74,10 @@ class SplitSpec:
         return self.p2.coords - self.p1.coords
 
     def scalar_of(self, states: np.ndarray) -> np.ndarray:
-        """Position along the segment: 0 at p1, 1 at p2."""
+        """Position along the segment: 0 at p1, 1 at p2.  einsum calls no
+        BLAS, so the bits do not depend on the CPU's BLAS kernel."""
         d = self.direction
-        return (states - self.p1.coords) @ d / (d @ d)
+        return np.einsum("bi,i->b", states - self.p1.coords, d) / np.einsum("i,i->", d, d)
 
 
 def unit_segment_spec(**fields) -> SplitSpec:

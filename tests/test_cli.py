@@ -178,6 +178,11 @@ class TestConfigValidation:
         # the one switch snaps to step 0, where the first interval begins
         ("mc-game", ["split"], {"steps": 1, "horizon": 1e-10},
          "split: control 'split' switches at 1e-10, on noise step 0, where interval 0 begins"),
+        # 1e308 / dt steps overflow to inf before any step is counted
+        ("simulate", ["horizon"], 1e308,
+         "sim: (horizon - t) / dt = inf steps is beyond float range"),
+        ("mc-game", ["horizon"], 1e308,
+         "arena: (horizon - t) / dt = inf steps is beyond float range"),
         ("simulate", ["hamiltonian"], 5, "hamiltonian: must be an object"),
         ("simulate", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
@@ -190,7 +195,8 @@ class TestConfigValidation:
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
             "dim-p", "dim-q", "split-past-horizon", "mc-game-split-past-horizon",
-            "mc-game-split-off-grid", "mc-game-split-on-the-start", "simulate-hamiltonian",
+            "mc-game-split-off-grid", "mc-game-split-on-the-start", "simulate-steps-overflow",
+            "mc-game-steps-overflow", "simulate-hamiltonian",
             "simulate-dim-q", "ungridded-dim"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
@@ -231,9 +237,8 @@ class TestMcGameSplitBlock:
         path = write_config(tmp_path, self.three_coordinate_config(split))
         out = tmp_path / "o"
         assert cli.main(["mc-game", "--config", str(path), "--out", str(out)]) == 0
-        registry = json.loads((out / "mc_game_results.json").read_text())
-        (result,) = registry.values()
-        assert result["names_1"] == ["zero", "directional", "split"]
+        _, report = read_report(out)
+        assert report["mc_game"]["names_1"] == ["zero", "directional", "split"]
 
     @pytest.mark.parametrize("split, message", [
         ({"lam1": True}, "split.lam1: must be a number in [0, 1], got True"),
@@ -574,16 +579,23 @@ def test_overflowing_control_on_a_vertex_draws_nothing(tmp_path, monkeypatch):
 
 
 class TestFullPathMemoryGuard:
-    @pytest.mark.parametrize("case", ["simulate", "split-demo", "mc-game",
-                                      "solve-hj-p_resolution", "solve-hj-time_steps"])
+    @pytest.mark.parametrize("case", ["simulate", "simulate-block-sums", "split-demo",
+                                      "mc-game", "solve-hj-p_resolution", "solve-hj-time_steps"])
     def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, case):
-        # simulate keeps full paths, split-demo only the terminal states,
-        # mc-game one path integral per path, and solve-hj two value grids,
-        # whose 3-simplex nodes are never built
-        subcommand = "solve-hj" if case.startswith("solve-hj") else case
+        # simulate keeps full paths, its report two sums per block of paths,
+        # split-demo only the terminal states, mc-game one path integral per
+        # path, and solve-hj two value grids, whose 3-simplex nodes are never built
+        subcommand = next(sub for sub in cli.SUBCOMMANDS if case.startswith(sub))
         if case == "simulate":
             cfg = base_sim_config(n_paths=10**9)
             kept = "sim.n_paths: 1000000000 full paths"
+        elif case == "simulate-block-sums":
+            # at 2**20 steps a block holds one path, and each keeps two
+            # (2**20 + 1, 2) sums until the report adds them up
+            cfg = base_sim_config(n_paths=400, dt=2**-20)
+            cfg["sim"]["controls"]["u"] = {"kind": "zero"}
+            cfg["sim"]["dump_trajectories"] = False
+            kept = "sim.n_paths: 400 paths' sums over 400 blocks of 1048577 x 2"
         elif case == "split-demo":
             cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 64, "horizon": 0.125},
                    "sim": {"n_paths": 10**9}}
@@ -622,33 +634,11 @@ class TestMcGameCommand:
         path = write_config(tmp_path, mc_game_config())
         out = tmp_path / "o"
         assert cli.main(["mc-game", "--config", str(path), "--out", str(out)]) == 0
-        registry = json.loads((out / "mc_game_results.json").read_text())
-        artifact = next(d for d in out.iterdir() if d.is_dir())
-        assert artifact.name in registry
-        assert registry[artifact.name]["lower"] <= registry[artifact.name]["upper"] + 1e-12
+        name, report = read_report(out)
+        assert report["config_hash"] == name
+        assert report["mc_game"]["lower"] <= report["mc_game"]["upper"] + 1e-12
 
-    @pytest.mark.parametrize("garbage", [b"{not json", b"[1, 2]", b"\xff\xfe"])
-    def test_corrupt_registry_moved_aside(self, tmp_path, capsys, garbage):
-        path = write_config(tmp_path, mc_game_config())
-        out = tmp_path / "o"
-        out.mkdir()
-        (out / "mc_game_results.json").write_bytes(garbage)
-        assert cli.main(["mc-game", "--config", str(path), "--out", str(out)]) == 0
-        assert (out / "mc_game_results.json.corrupt").read_bytes() == garbage
-        registry = json.loads((out / "mc_game_results.json").read_text())
-        artifact = next(d for d in out.iterdir() if d.is_dir())
-        assert list(registry) == [artifact.name]
-        assert sorted(p.name for p in artifact.iterdir()) == ["report.json"]
-        files = sorted(p.name for p in out.iterdir() if p.is_file())
-        assert files == ["mc_game_results.json", "mc_game_results.json.corrupt",
-                         "mc_game_results.json.lock"]
-        assert len(capsys.readouterr().err.splitlines()) == 1
-
-    def test_concurrent_runs_keep_every_entry(self, tmp_path, monkeypatch):
-        # a slow read widens the window in which an unlocked merge loses entries
-        real = cli._load_registry
-        monkeypatch.setattr(cli, "_load_registry",
-                            lambda path: (real(path), time.sleep(0.05))[0])
+    def test_concurrent_runs_keep_every_entry(self, tmp_path):
         cfg = mc_game_config()
         cfg["arena"]["n_paths"] = 20
         out = tmp_path / "o"
@@ -661,9 +651,12 @@ class TestMcGameCommand:
         finally:
             sys.setswitchinterval(interval)
         assert codes == [cli.EXIT_OK] * 8
-        registry = json.loads((out / "mc_game_results.json").read_text())
-        assert sorted(registry) == sorted(d.name for d in out.iterdir() if d.is_dir())
-        assert len(registry) == 8
+        artifacts = sorted(out.iterdir())
+        assert len(artifacts) == 8 and all(d.is_dir() for d in artifacts)
+        for d in artifacts:
+            assert sorted(p.name for p in d.iterdir()) == ["report.json"]
+            report = json.loads((d / "report.json").read_text())
+            assert report["config_hash"] == d.name and "table" in report["mc_game"]
 
 
 def fast_configs(tmp_path, monkeypatch):
@@ -701,6 +694,15 @@ class TestReport:
         name, report = read_report(out)
         assert sorted(report) == sorted(["config_hash", subcommand.replace("-", "_")])
         assert report["config_hash"] == name
+
+    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+    def test_out_root_holds_only_hash_directories(self, tmp_path, monkeypatch, subcommand):
+        cfg = fast_configs(tmp_path, monkeypatch)[subcommand]
+        out = tmp_path / "o"
+        argv = [subcommand, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        (artifact,) = out.iterdir()
+        assert artifact.is_dir() and artifact.name == cli.config_hash(cfg)
 
     @pytest.mark.parametrize("subcommand, module, attr, force, verdict", [
         ("simulate", sde, "simulation_report",
