@@ -26,15 +26,19 @@ Envelopes: vex_p(values, p_grid) and cav_q(values, q_grid) take and return
 values for each fixed q node, cav_q the concave envelope in q.  Both are exact
 on every grid: the lower hull of the samples on a two-coordinate simplex, and
 the lower hull of the lifted points (p_1, p_2, V) on the three-coordinate
-simplex.  Grids carry the lattice difference primitives (neighbour triples,
-second differences, edge slopes) that the solver's residual and regularity
-checks use, and the lattice-cell lookup behind every interpolation.
+simplex.  On two coordinates the monotone chain runs once per slice
+(lower_hull_1d, which returns the hull's vertices) and the chords between
+the vertices are filled once per call, for all slices at once.  Grids carry
+the lattice difference primitives (neighbour triples, second differences,
+edge slopes) that the solver's residual and regularity checks use, and the
+lattice-cell lookup behind every interpolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -388,17 +392,17 @@ class SimplexGrid:
 # envelopes
 # ---------------------------------------------------------------------------
 
-def lower_hull_1d(y: np.ndarray) -> np.ndarray:
-    """Largest convex minorant of uniformly spaced samples: a monotone chain on
-    Python floats whose top two vertices (a, b) live in locals and the rest in
-    a list, then one chord fill in which the two ends keep their samples.
+def lower_hull_1d(y: np.ndarray) -> list[int]:
+    """Vertices of the largest convex minorant of uniformly spaced samples,
+    ascending node indices from 0 to y.size - 1: a monotone chain on Python
+    floats whose top two vertices (a, b) live in locals and the rest in a
+    list.  It runs once per slice; the chords between its vertices are
+    filled once per envelope call, for all slices at once (_lower_envelopes).
 
-    b is popped unless slope(a, b) <= slope(b, i), so a NaN comparison pops.
-    The chord of node x runs between the stack entries around it; only the
-    last node can look past the stack, so only its index is clamped."""
+    b is popped unless slope(a, b) <= slope(b, i), so a NaN comparison pops."""
     m = y.size
     if m <= 2:
-        return y.copy()
+        return list(range(m))
     v = y.tolist()
     below = []
     a, va, b, vb = 0, v[0], 1, v[1]
@@ -415,26 +419,46 @@ def lower_hull_1d(y: np.ndarray) -> np.ndarray:
             a, va = b, vb
         b, vb = i, vi
     below += (a, b)
-    s, x = np.array(below), np.arange(m)
+    return below
+
+
+def _lower_envelopes(values: np.ndarray) -> np.ndarray:
+    """Largest convex minorant of each column of an (m, k) array: one
+    lower_hull_1d chain per column, then one chord fill for all columns, in
+    which the two ends of a column keep their samples.
+
+    Column j's vertices are numbered j * m + their local index, so one sorted
+    array holds every column's stack and the offsets cancel in each chord's
+    differences.  The chord of a node runs between the stack entries around
+    it; only a column's last node can look past its column's stack, so its
+    index is clamped to that column's last vertex."""
+    m, k = values.shape
+    cols = np.ascontiguousarray(values.T)
+    stacks = [lower_hull_1d(col) for col in cols]
+    if m <= 2:  # every node is an end
+        return values.copy()
+    sizes = np.fromiter(map(len, stacks), np.intp, k)
+    s = np.fromiter(chain.from_iterable(stacks), np.intp, sizes.sum())
+    s += np.repeat(np.arange(0, k * m, m), sizes)
+    x, y = np.arange(k * m), cols.ravel()
     end = np.searchsorted(s, x, "right")
-    end[-1] = s.size - 1
+    end[m - 1::m] = np.cumsum(sizes) - 1
     ia, ib = s[end - 1], s[end]
     t = (x - ia) / (ib - ia)
     out = (1.0 - t) * y[ia]
     out += t * y[ib]
-    out[0], out[-1] = y[0], y[-1]
-    return np.minimum(out, y, out=out)
+    out = out.reshape(k, m)
+    out[:, 0], out[:, -1] = cols[:, 0], cols[:, -1]
+    return np.minimum(out, cols, out=out).T
 
 
 def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
-    """Convex envelope of one slice (1-D array over the nodes of a grid of two
-    or three coordinates).  On the 3-simplex: the lower hull of the lifted
-    points (i, j, value), i and j the integer lattice coordinates; an apex
-    above the centroid keeps affine data full-dimensional.  Lower-hull
-    vertices keep their values, other nodes take the max of the lower-facet
-    planes, capped by their own values."""
-    if grid.n == 2:
-        return lower_hull_1d(values)
+    """Convex envelope of one slice (1-D array over the nodes of a
+    3-simplex grid): the lower hull of the lifted points (i, j, value), i and
+    j the integer lattice coordinates; an apex above the centroid keeps
+    affine data full-dimensional.  Lower-hull vertices keep their values,
+    other nodes take the max of the lower-facet planes, capped by their own
+    values."""
     m = grid.resolution
     xy = np.vstack([np.rint(grid.nodes[:, :2] * m), [m / 3.0, m / 3.0]])
     apex = np.max(values) + np.ptp(values) + 1.0
@@ -458,6 +482,8 @@ def _vex_columns(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
         raise ValueError(f"values have {values.shape[0]} rows, the grid {grid.n_nodes} nodes")
     if grid.n == 1:  # one node: each slice is its own envelope
         return values.copy()
+    if grid.n == 2:
+        return _lower_envelopes(values)
     out = np.empty_like(values)
     for j in range(values.shape[1]):
         out[:, j] = _grid_vex(values[:, j], grid)

@@ -82,19 +82,27 @@ def three_simplex_values(draw):
     return grid, rng.normal(size=grid.n_nodes) * (1e4 if kind == "steep" else 1.0)
 
 
-def reference_lower_hull(y):
-    """The per-segment monotone chain that lower_hull_1d reproduces bit for bit."""
-    m = y.size
-    if m <= 2:
-        return y.copy()
-    stack = [0]
-    for i in range(1, m):
+def reference_hull_vertices(y):
+    """The monotone chain's vertex stack, in its textbook per-pop form: the
+    stack that lower_hull_1d returns."""
+    stack = []
+    for i in range(y.size):
         while len(stack) >= 2:
             a, b = stack[-2], stack[-1]
             if (y[b] - y[a]) * (i - b) <= (y[i] - y[b]) * (b - a):
                 break
             stack.pop()
         stack.append(i)
+    return stack
+
+
+def reference_lower_hull(y):
+    """The per-segment chord fill of the reference chain, which the envelope
+    of each column reproduces bit for bit."""
+    m = y.size
+    if m <= 2:
+        return y.copy()
+    stack = reference_hull_vertices(y)
     out = np.empty(m)
     for a, b in zip(stack[:-1], stack[1:]):
         t = np.arange(0, b - a + 1) / (b - a)
@@ -102,6 +110,38 @@ def reference_lower_hull(y):
         out[b] = y[b]
     out[stack[0]] = y[stack[0]]
     return np.minimum(out, y)
+
+
+def reference_envelopes(values):
+    """reference_lower_hull of each column of an (m, k) array."""
+    out = np.empty(values.shape)
+    for j in range(values.shape[1]):
+        out[:, j] = reference_lower_hull(values[:, j])
+    return out
+
+
+def envelope(y):
+    """The one-column envelope of 1-D samples."""
+    return hamiltonian._lower_envelopes(y[:, None])[:, 0]
+
+
+HULL_KINDS = ["rough", "affine", "tied", "concave", "scaled", "infinite", "nan"]
+
+
+def hull_column(kind, m, rng):
+    """m samples of one of HULL_KINDS (see hull_samples)."""
+    x = np.linspace(0.0, 1.0, m)
+    if kind == "infinite":
+        return np.where(rng.random(m) < 0.1, rng.choice([-np.inf, np.inf], m), rng.normal(size=m))
+    if kind == "nan":
+        return np.where(rng.random(m) < 0.1, np.nan, rng.normal(size=m))
+    if kind == "affine":
+        return rng.normal() + rng.normal() * x
+    if kind == "tied":
+        return np.round(rng.normal(size=m) * 0.3, 1)
+    if kind == "concave":
+        return -(x - rng.uniform()) ** 2
+    return rng.normal(size=m) * (rng.choice([-1e12, 1e12]) if kind == "scaled" else 1.0)
 
 
 @st.composite
@@ -114,22 +154,29 @@ def hull_samples(draw):
     view."""
     m = draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["rough", "affine", "tied", "concave", "scaled", "infinite",
-                                 "nan", "column"]))
-    x = np.linspace(0.0, 1.0, m)
-    if kind == "infinite":
-        return np.where(rng.random(m) < 0.1, rng.choice([-np.inf, np.inf], m), rng.normal(size=m))
-    if kind == "nan":
-        return np.where(rng.random(m) < 0.1, np.nan, rng.normal(size=m))
-    if kind == "affine":
-        return rng.normal() + rng.normal() * x
-    if kind == "tied":
-        return np.round(rng.normal(size=m) * 0.3, 1)
-    if kind == "concave":
-        return -(x - rng.uniform()) ** 2
+    kind = draw(st.sampled_from(HULL_KINDS + ["column"]))
     if kind == "column":
         return rng.normal(size=(m, 3))[:, 1]
-    return rng.normal(size=m) * (rng.choice([-1e12, 1e12]) if kind == "scaled" else 1.0)
+    return hull_column(kind, m, rng)
+
+
+@st.composite
+def hull_columns(draw):
+    """(m, k) samples with m in [0, 120] and k in [1, 6], each column of its
+    own kind from HULL_KINDS, as a C-ordered array, a Fortran-ordered one or
+    a non-contiguous view of every other column of a wider array."""
+    m = draw(st.integers(0, 120))
+    kinds = draw(st.lists(st.sampled_from(HULL_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.column_stack([hull_column(kind, m, rng) for kind in kinds])
+    layout = draw(st.sampled_from(["c", "fortran", "view"]))
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "view":
+        wide = np.zeros((m, 2 * len(kinds)))
+        wide[:, 1::2] = values
+        return wide[:, 1::2]
+    return values
 
 
 def two_lp_game_value(m):
@@ -489,16 +536,16 @@ class TestLowerHull:
     def test_convex_fixed(self):
         x = np.linspace(0, 1, 21)
         y = (x - 0.3) ** 2
-        np.testing.assert_allclose(lower_hull_1d(y), y, atol=1e-15)
+        np.testing.assert_allclose(envelope(y), y, atol=1e-15)
 
     def test_tent_flattens_to_zero(self):
         x = np.linspace(0, 1, 201)
         y = 0.5 - np.abs(x - 0.5)
-        np.testing.assert_allclose(lower_hull_1d(y), 0.0, atol=1e-15)
+        np.testing.assert_allclose(envelope(y), 0.0, atol=1e-15)
 
     def test_negative_square_chord(self):
         x = np.linspace(0, 1, 11)
-        hull = lower_hull_1d(-x**2)
+        hull = envelope(-x**2)
         # chord from (0,0) to (1,-1): value -x
         np.testing.assert_allclose(hull, -x, atol=1e-12)
         assert abs(hull[5] - (-0.5)) <= 1e-12
@@ -507,19 +554,19 @@ class TestLowerHull:
         rng = np.random.default_rng(18)
         for _ in range(30):
             y = rng.normal(size=rng.integers(3, 40))
-            np.testing.assert_allclose(lower_hull_1d(y), oracle_lower_hull(y), atol=1e-10)
+            np.testing.assert_allclose(envelope(y), oracle_lower_hull(y), atol=1e-10)
 
     def test_below_input_exactly(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
             y = rng.normal(size=30)
-            assert np.all(lower_hull_1d(y) <= y)
+            assert np.all(envelope(y) <= y)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(hull_samples())
     def test_bit_identical_to_reference_chain(self, y):
         with np.errstate(invalid="ignore"):  # 0 * inf in the chords of infinite samples
-            assert lower_hull_1d(y).tobytes() == reference_lower_hull(y).tobytes()
+            assert envelope(y).tobytes() == reference_lower_hull(y).tobytes()
 
     @pytest.mark.parametrize("order", ["vex_cav", "cav_vex"])
     @pytest.mark.parametrize("name", ["bilinear", "saddle_mix"])
@@ -528,9 +575,25 @@ class TestLowerHull:
         # reference chain: the value grids keep their bytes
         pg, qg = SimplexGrid.build(2, 30), SimplexGrid.build(2, 30)
         got = hj.solve(analytic_field(name), pg, qg, 1.0, 16, order).values
-        monkeypatch.setattr(hamiltonian, "lower_hull_1d", reference_lower_hull)
+        monkeypatch.setattr(hamiltonian, "_lower_envelopes", reference_envelopes)
         want = hj.solve(analytic_field(name), pg, qg, 1.0, 16, order).values
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hull_samples())
+    def test_vertices_are_reference_stack(self, y):
+        with np.errstate(invalid="ignore"):  # inf - inf in the slopes of infinite samples
+            assert lower_hull_1d(y) == reference_hull_vertices(y)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(hull_columns())
+    def test_every_column_is_its_reference_envelope(self, values):
+        # one fill for all columns: no chord may cross into a neighbour column
+        with np.errstate(invalid="ignore"):
+            got = hamiltonian._lower_envelopes(values)
+            assert got.shape == values.shape
+            for j in range(values.shape[1]):
+                assert got[:, j].tobytes() == reference_lower_hull(values[:, j]).tobytes()
 
 
 def grid_fn(p_res, q_res, fn, n_p=2, n_q=2):
