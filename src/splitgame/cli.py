@@ -245,18 +245,14 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict
     q_res = hj.positive_int("q_resolution", 1)
     steps = hj.positive_int("time_steps", 128)
     order = hj.choice("order", ("vex_cav", "cav_vex"), "vex_cav")
-    # order_gap keeps both orders' value grids; refuse them before any grid is
-    # built (a dimension that no grid has counts no nodes, and build names it)
-    n_p, n_q = (math.comb(res + dim - 1, dim - 1) if dim <= 3 else 0
-                for res, dim in ((p_res, field.dim_p), (q_res, field.dim_q)))
-    hj.call(_check_kept, 2 * 8 * (steps + 1) * n_p * n_q,
-            f"two value grids of {steps + 1} x {n_p} x {n_q} nodes")
-    try:
-        pg = SimplexGrid.build(field.dim_p, p_res)
-        qg = SimplexGrid.build(field.dim_q, q_res if field.dim_q > 1 else 1)
-    except ValueError as e:
-        where = "hamiltonian.path" if field.name == "tensor" else "hamiltonian.params"
-        raise ConfigError(f"{where}: {e}, got {field.dim_p}x{field.dim_q}") from None
+    # order_gap keeps both orders' value grids, and each grid its dense lattice
+    # index of (res + 1)^(dim - 1) cells; refuse them before any grid is built
+    dims = ((p_res, field.dim_p), (q_res, field.dim_q))
+    n_p, n_q = (math.comb(res + dim - 1, dim - 1) for res, dim in dims)
+    cells = sum((res + 1) ** (dim - 1) for res, dim in dims)
+    hj.call(_check_kept, 2 * 8 * (steps + 1) * n_p * n_q + SimplexGrid.CELL_BYTES * cells,
+            f"two value grids of {steps + 1} x {n_p} x {n_q} nodes and {cells} lattice cells")
+    pg, qg = (SimplexGrid.build(dim, res) for res, dim in dims)
     a, b, gap = hj.call(order_gap, field, pg, qg, horizon, steps)
     chosen = a if order == "vex_cav" else b
     export_csv(chosen, out / "values.csv")

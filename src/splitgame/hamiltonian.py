@@ -24,20 +24,19 @@ two shapes.
 Envelopes: vex_p(values, p_grid) and cav_q(values, q_grid) take and return
 (n_p, n_q) arrays.  vex_p takes the convex envelope in the p slot of the node
 values for each fixed q node, cav_q the concave envelope in q.  Both are exact
-on every grid: the lower hull of the samples on a two-coordinate simplex, and
-the lower hull of the lifted points (p_1, p_2, V) on the three-coordinate
-simplex.  On two coordinates the monotone chain runs once per slice
-(lower_hull_1d, which returns the hull's vertices) and the chords between
-the vertices are filled once per call, for all slices at once.  Grids carry
-the lattice difference primitives (neighbour triples, second differences,
-edge slopes) that the solver's residual and regularity checks use, and the
-lattice-cell lookup behind every interpolation.
+on every grid: on two coordinates the lower hull of each slice's samples (a
+monotone chain per slice, lower_hull_1d, which returns the hull's vertices,
+then one chord fill per call for all slices), on more the lower hull of the
+lifted points (x, V), x the n-1 lattice coordinates.  Grids of any dimension
+carry the lattice difference primitives (neighbour triples, second
+differences, edge slopes) that the solver's residual and regularity checks
+use, and the Kuhn cell lookup behind every interpolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from typing import Callable
 
@@ -279,7 +278,7 @@ def eval_H(f: PayoffTensor, t: float, p, q) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SimplexGrid:
-    """Regular lattice on a simplex with 1, 2, or 3 coordinates.
+    """Regular lattice on a simplex with any number n of coordinates.
 
     resolution is the number of segments per edge; nodes are all lattice
     points with coordinates in {0, 1/res, ..., 1} summing to 1.  The grid
@@ -292,6 +291,7 @@ class SimplexGrid:
     nodes: np.ndarray = field(repr=False)
     _index: np.ndarray | None = field(repr=False, default=None)  # node id by first n-1 lattice coords
     _triples: dict = field(repr=False, default_factory=dict)
+    CELL_BYTES = 17  # per cell of _index: its int64, and build's int64 sum and bool mask
 
     @staticmethod
     def build(n: int, resolution: int) -> "SimplexGrid":
@@ -300,15 +300,13 @@ class SimplexGrid:
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
         m = resolution
-        if n == 2:
-            x = np.arange(m + 1) / m
-            return SimplexGrid(2, m, np.column_stack([x, 1.0 - x]), np.arange(m + 1))
-        if n == 3:
-            i, j = np.nonzero(np.add.outer(np.arange(m + 1), np.arange(m + 1)) <= m)
-            index = -np.ones((m + 1, m + 1), dtype=int)
-            index[i, j] = np.arange(i.size)
-            return SimplexGrid(3, m, np.column_stack([i / m, j / m, (m - i - j) / m]), index)
-        raise ValueError("only 1-, 2-, and 3-coordinate simplices are gridded")
+        # the first n-1 lattice coordinates, row-major, whose sum is at most m
+        lattice = np.nonzero(reduce(np.add.outer, [np.arange(m + 1)] * (n - 1)) <= m)
+        index = np.full((m + 1,) * (n - 1), -1)
+        index[lattice] = np.arange(lattice[0].size)
+        x = np.column_stack(lattice) / m
+        last = 1.0 - x[:, 0] if n == 2 else (m - sum(lattice)) / m
+        return SimplexGrid(n, m, np.column_stack([x, last]), index)
 
     @property
     def n_nodes(self) -> int:
@@ -369,23 +367,23 @@ class SimplexGrid:
 
     def cells(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Lattice cell of each point as (b, n) node indices and (b, n)
-        barycentric weights, coordinates clipped to [0, 1].  A 3-simplex cell
-        is the triangle (i, j), (i+1, j), (i, j+1) or (i+1, j+1), (i+1, j), (i, j+1)."""
+        barycentric weights, coordinates clipped to [0, 1]: the Kuhn simplex
+        (Freudenthal 1942) in z_k = m (p_1 + ... + p_k), whose vertices step
+        up from floor(z) one coordinate at a time, in descending order of z's
+        fractional parts, ties to the later coordinate so that each is a node."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.n == 1:
             return np.zeros((pts.shape[0], 1), dtype=int), np.ones((pts.shape[0], 1))
         m = self.resolution
-        x = np.clip(pts[:, :self.n - 1], 0.0, 1.0) * m
-        i = np.minimum(np.floor(x[:, 0]), m - 1).astype(int)
-        fa = x[:, 0] - i
-        if self.n == 2:
-            return np.column_stack([i, i + 1]), np.column_stack([1.0 - fa, fa])
-        j = np.minimum(np.floor(x[:, 1]), m - 1 - i).astype(int)
-        fb = x[:, 1] - j
-        up = (fa + fb > 1.0) & (i + j <= m - 2)
-        nodes = self._index[[i + up, i + 1, i], [j + up, j, j + 1]].T
-        weights = np.where(up, [fa + fb - 1.0, 1.0 - fb, 1.0 - fa], [1.0 - fa - fb, fa, fb]).T
-        return nodes, weights
+        z = np.cumsum(np.clip(pts[:, :self.n - 1], 0.0, 1.0) * m, axis=1)
+        base = np.minimum(np.floor(z), m - 1).astype(int)
+        frac = z - base
+        # the gaps between 1, the fractional parts in descending order, and 0
+        weights = np.diff(np.sort(-frac, axis=1), axis=1, prepend=-1.0, append=0.0)
+        order = np.argsort(frac, axis=1, kind="stable")[:, ::-1]
+        steps = np.argsort(order, axis=1)[:, None] < np.arange(self.n)[:, None]
+        vertices = np.diff(base[:, None] + steps, axis=2, prepend=0)
+        return self._index[tuple(np.moveaxis(vertices, 2, 0))], weights
 
 
 # ---------------------------------------------------------------------------
@@ -453,26 +451,26 @@ def _lower_envelopes(values: np.ndarray) -> np.ndarray:
 
 
 def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
-    """Convex envelope of one slice (1-D array over the nodes of a
-    3-simplex grid): the lower hull of the lifted points (i, j, value), i and
-    j the integer lattice coordinates; an apex above the centroid keeps
-    affine data full-dimensional.  Lower-hull vertices keep their values,
-    other nodes take the max of the lower-facet planes, capped by their own
-    values."""
+    """Convex envelope of one slice (1-D array over the nodes of a grid of
+    three or more coordinates): the lower hull of the lifted points (x,
+    value), x the n-1 integer lattice coordinates; an apex above the centroid
+    keeps affine data full-dimensional.  Lower-hull vertices keep their
+    values, other nodes take the max of the lower-facet planes, capped by
+    their own values."""
     m = grid.resolution
-    xy = np.vstack([np.rint(grid.nodes[:, :2] * m), [m / 3.0, m / 3.0]])
+    x = np.vstack([np.rint(grid.nodes[:, :-1] * m), np.full(grid.n - 1, m / grid.n)])
     apex = np.max(values) + np.ptp(values) + 1.0
-    hull = ConvexHull(np.column_stack([xy, np.append(values, apex)]))
-    # on integer (i, j) the vertical facets over the simplex edges get a
-    # normal z of exactly 0, so this keeps only the lower facets
-    lower = hull.equations[:, 2] < 0.0
+    hull = ConvexHull(np.column_stack([x, np.append(values, apex)]))
+    # on integer x the vertical facets over the simplex's faces get a value
+    # normal of exactly 0, so this keeps only the lower facets
+    lower = hull.equations[:, -2] < 0.0
     eq = hull.equations[lower]
     out = values.copy()
     rest = np.setdiff1d(np.arange(values.size), hull.simplices[lower])
     step = max(1, (1 << 18) // eq.shape[0])  # 2 MB blocks of plane values
     for s in range(0, rest.size, step):
         idx = rest[s:s + step]
-        planes = -(xy[idx] @ eq[:, :2].T + eq[:, 3]) / eq[:, 2]
+        planes = -(x[idx] @ eq[:, :-2].T + eq[:, -1]) / eq[:, -2]
         out[idx] = np.minimum(np.max(planes, axis=1), values[idx])
     return out
 

@@ -118,13 +118,12 @@ def _curvature(values: np.ndarray, grid: SimplexGrid, nodes: np.ndarray,
     result shape (nodes.size, *values.shape[1:]).
 
     A single-coordinate grid has no tangent space (+inf / -inf); a segment
-    has one direction, whose second difference is the curvature.  On the
-    3-simplex every interior node has full support, so one tangent basis and
-    one least-squares fit of the reduced Hessian to the three directional
-    second differences serve all nodes at once, and the reduced Hessians of
-    all nodes and columns go to one stacked eigenvalue call.  That call holds
-    one support for the whole stack, so nodes that do not all share one
-    support raise ValueError.
+    has one direction, whose second difference is the curvature.  On n >= 3
+    coordinates every interior node has full support, so one tangent basis and
+    one least-squares fit serve all nodes: the C(n, 2) edge second differences
+    fix the n(n-1)/2 entries of the reduced Hessian, as distances fix a
+    centred Gram matrix.  One stacked eigenvalue call holds one support for
+    all nodes and columns, so nodes that do not all share one raise ValueError.
     """
     shape = (nodes.size, *values.shape[1:])
     if grid.n == 1:
@@ -138,15 +137,15 @@ def _curvature(values: np.ndarray, grid: SimplexGrid, nodes: np.ndarray,
     if np.any(supports != supports[0]):
         raise ValueError("curvature nodes do not all share one support")
     b = np.column_stack(tangent_basis(range(grid.n), grid.n))
-    rows = []
-    for d in grid.directions():
-        u = np.zeros(grid.n)
-        u[list(d)] = 1.0, -1.0
-        c = b.T @ (u / np.linalg.norm(u))
-        rows.append([c[0] ** 2, 2.0 * c[0] * c[1], c[1] ** 2])
-    a11, a12, a22 = np.linalg.lstsq(np.asarray(rows), second.reshape(len(rows), -1),
-                                    rcond=None)[0]
-    full = b @ np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2) @ b.T
+    upper = np.triu_indices(grid.n - 1)
+    head, tail = np.array(grid.directions()).T
+    # a unit edge direction's tangent coordinates c give its row c_a c_b, doubled off the diagonal
+    c = np.array([b.T @ u for u in (np.eye(grid.n)[head] - np.eye(grid.n)[tail]) / np.sqrt(2.0)])
+    rows = c[:, upper[0]] * c[:, upper[1]] * np.where(upper[0] == upper[1], 1.0, 2.0)
+    fit = np.linalg.lstsq(rows, second.reshape(len(rows), -1), rcond=None)[0]
+    reduced = np.empty((fit.shape[1], grid.n - 1, grid.n - 1))
+    reduced[:, upper[0], upper[1]] = reduced[:, upper[1], upper[0]] = fit.T
+    full = b @ reduced @ b.T
     full = 0.5 * (full + np.swapaxes(full, -1, -2))
     rel_eigen = rel_eigen_max if want_max else rel_eigen_min
     return rel_eigen(grid.nodes[nodes[0]], full).reshape(shape)

@@ -152,6 +152,8 @@ class NoiseGrid:
             raise ValueError(f"(horizon - t) / dt = {n} steps is beyond float range")
         if abs(n - round(n)) > _GRID_SNAP * max(1.0, n):
             raise GridMismatchError(f"dt={self.dt} does not divide the horizon {self.horizon - self.t}")
+        if round(n) < 1:
+            raise ValueError(f"dt={self.dt} leaves no step on the horizon {self.horizon - self.t}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \

@@ -22,8 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from splitgame.sde import FeedbackControl, NoiseGrid, terminal_states, zero_control
+from splitgame.sde import FeedbackControl, NoiseGrid, _check_kept, terminal_states, zero_control
 from splitgame.simplex import SimplexPoint
+
+# bytes a switch: its time and its share of interval_starts' list and array,
+# a 64-byte peak in tracemalloc at 10^6 switches, with a margin for wider ints
+SWITCH_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,7 @@ class SplitSpec:
             raise ValueError("horizon must be positive")
         if self.steps < 1:
             raise ValueError("need at least one subinterval")
+        _check_kept(self.steps * SWITCH_BYTES, f"{self.steps} control switches")
         if not (0.0 < self.delta < 0.25):
             raise ValueError("delta must lie in (0, 1/4)")
         if self.kappa <= 0.0:

@@ -187,17 +187,17 @@ class TestConfigValidation:
         ("simulate", ["hamiltonian"],
          {"kind": "analytic", "name": "constant", "params": {"dim_q": 0}},
          "hamiltonian.params.dim_q: must be a positive integer, got 0"),
-        # ten coordinates at the default resolution would also exceed solve-hj's size
-        # limit; the unsupported dimension is named first
+        # ten coordinates at the default resolution pass solve-hj's size limit
         ("solve-hj", ["hamiltonian"],
          {"kind": "analytic", "name": "zero", "params": {"dim_p": 10}},
-         "hamiltonian.params: only 1-, 2-, and 3-coordinate simplices are gridded, got 10x1"),
+         "hj: two value grids of 129 x 4263421511271 x 1 nodes and "
+         "1093685272684360902 lattice cells need "),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
             "dim-p", "dim-q", "split-past-horizon", "mc-game-split-past-horizon",
             "mc-game-split-off-grid", "mc-game-split-on-the-start", "simulate-steps-overflow",
             "mc-game-steps-overflow", "simulate-hamiltonian",
-            "simulate-dim-q", "ungridded-dim"])
+            "simulate-dim-q", "ten-coordinate-size"])
     def test_malformed_field_exit_2_with_path(self, tmp_path, capsys, subcommand, path,
                                               value, message):
         # the solve-hj cases run on a tensor cost, whose field is built from the horizon
@@ -260,6 +260,36 @@ class TestMcGameSplitBlock:
         code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: split: split spec dimension 2 != 3\n"
+
+
+class TestNoStepGrid:
+    @pytest.mark.parametrize("subcommand, path, value, message", [
+        ("simulate", ["sim", "dt"], 1e10,
+         "sim: dt=10000000000.0 leaves no step on the horizon 1.0"),
+        ("simulate", ["horizon"], 1e-300,
+         "sim: dt=0.001953125 leaves no step on the horizon 1e-300"),
+        ("mc-game", ["arena", "dt"], 1e10,
+         "arena: dt=10000000000.0 leaves no step on the horizon 1.0"),
+    ], ids=["simulate-dt", "simulate-horizon", "mc-game-dt"])
+    def test_grid_of_no_step_exit_2(self, tmp_path, capsys, subcommand, path, value, message):
+        # (horizon - t) / dt rounds to 0 within the grid's snap tolerance
+        if subcommand == "simulate":
+            cfg = json.loads((CONFIGS / "simulate_directional.json").read_text())
+        else:
+            cfg = mc_game_config()
+            cfg["hamiltonian"] = {"kind": "analytic", "name": "zero", "params": {"dim_p": 3}}
+            cfg["sim"]["start"]["p"] = [0.3, 0.3, 0.4]
+            del cfg["split"]
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out = tmp_path / "o"
+        code = cli.main([subcommand, "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestThreadsFlag:
@@ -407,7 +437,7 @@ class TestSolveHj:
                          "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
         assert "hamiltonian.path" in capsys.readouterr().err
 
-    def test_four_coordinate_tensor_exit_2(self, tmp_path, capsys):
+    def test_four_coordinate_tensor_solves(self, tmp_path):
         (tmp_path / "tensor.json").write_text(json.dumps(
             {"time_samples": [0.0], "values": np.full((1, 4, 1, 1, 2), 0.5).tolist()}))
         cfg = {
@@ -416,9 +446,11 @@ class TestSolveHj:
             "hj": {"p_resolution": 20, "q_resolution": 1, "time_steps": 16},
         }
         path = write_config(tmp_path, cfg)
-        assert cli.main(["solve-hj", "--config", str(path),
-                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-        assert "hamiltonian.path" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert cli.main(["solve-hj", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        _, report = read_report(out)
+        assert report["solve_hj"]["p_nodes"] == 1771
+        assert report["solve_hj"]["regularity"]["all_ok"] is True
 
     def test_missing_tensor_file(self, tmp_path):
         cfg = {
@@ -580,11 +612,14 @@ def test_overflowing_control_on_a_vertex_draws_nothing(tmp_path, monkeypatch):
 
 class TestFullPathMemoryGuard:
     @pytest.mark.parametrize("case", ["simulate", "simulate-block-sums", "split-demo",
-                                      "mc-game", "solve-hj-p_resolution", "solve-hj-time_steps"])
+                                      "mc-game", "solve-hj-p_resolution", "solve-hj-time_steps",
+                                      "solve-hj-lattice-index", "split-demo-steps",
+                                      "mc-game-split-steps"])
     def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, case):
         # simulate keeps full paths, its report two sums per block of paths,
         # split-demo only the terminal states, mc-game one path integral per
-        # path, and solve-hj two value grids, whose 3-simplex nodes are never built
+        # path, solve-hj two value grids and each grid's dense lattice index,
+        # none of which is ever built, and a split its switch times
         subcommand = next(sub for sub in cli.SUBCOMMANDS if case.startswith(sub))
         if case == "simulate":
             cfg = base_sim_config(n_paths=10**9)
@@ -609,10 +644,24 @@ class TestFullPathMemoryGuard:
             cfg["hamiltonian"]["path"] = str(CONFIGS / cfg["hamiltonian"]["path"])
             cfg["hj"]["p_resolution"] = 100_000
             kept = "hj: two value grids of 33 x 5000150001 x 1 nodes"
-        else:
+        elif case == "solve-hj-time_steps":
             cfg = json.loads((CONFIGS / "hj_bilinear.json").read_text())
             cfg["hj"]["time_steps"] = 10**7
             kept = "hj: two value grids of 10000001 x 101 x 101 nodes"
+        elif case == "solve-hj-lattice-index":
+            # the value grids take 0.95 GB, the 51^5 cells of the index 2.8 GB
+            cfg = {"schema_version": 1,
+                   "hamiltonian": {"kind": "analytic", "name": "zero", "params": {"dim_p": 6}},
+                   "hj": {"p_resolution": 50, "time_steps": 16}}
+            kept = "hj: two value grids of 17 x 3478761 x 1 nodes and 345025252 lattice cells"
+        elif case == "split-demo-steps":
+            cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 10**13, "horizon": 0.125},
+                   "sim": {"n_paths": 100}}
+            kept = "split: 10000000000000 control switches"
+        else:
+            cfg = mc_game_config()
+            cfg["split"]["steps"] = 10**13
+            kept = "split: 10000000000000 control switches"
         path = write_config(tmp_path, cfg)
         tracemalloc.start()
         try:

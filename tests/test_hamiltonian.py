@@ -57,7 +57,7 @@ def oracle_lower_hull(y):
 def oracle_lp_envelope(grid, f):
     """Oracle: convex envelope at each node by one LP, min sum lam_i f_i
     s.t. sum lam_i x_i = x, lam >= 0, sum lam_i = 1 (integer lattice x)."""
-    x = np.rint(grid.nodes[:, :2] * grid.resolution)
+    x = np.rint(grid.nodes[:, :-1] * grid.resolution)
     a_eq = np.vstack([x.T, np.ones(grid.n_nodes)])
     tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     out = np.empty(grid.n_nodes)
@@ -70,13 +70,15 @@ def oracle_lp_envelope(grid, f):
 
 
 @st.composite
-def three_simplex_values(draw):
-    """A 3-simplex grid with m in [1, 16] and rough, affine, steep or tied values."""
-    grid = SimplexGrid.build(3, draw(st.integers(1, 16)))
+def simplex_values(draw):
+    """A grid of three coordinates with m in [1, 16] or of four with m in
+    [1, 6], and rough, affine, steep or tied values."""
+    n = draw(st.sampled_from([3, 4]))
+    grid = SimplexGrid.build(n, draw(st.integers(1, 16 if n == 3 else 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["rough", "affine", "steep", "tied"]))
     if kind == "affine":
-        return grid, grid.nodes @ rng.normal(size=3)
+        return grid, grid.nodes @ rng.normal(size=n)
     if kind == "tied":
         return grid, rng.integers(0, 3, size=grid.n_nodes).astype(float)
     return grid, rng.normal(size=grid.n_nodes) * (1e4 if kind == "steep" else 1.0)
@@ -649,8 +651,8 @@ class TestEnvelopes:
             vals = rng.normal(size=(21, qg.n_nodes))
             np.testing.assert_allclose(cav_q(vals, qg), -vex_p(-vals.T, qg).T, atol=1e-14)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(three_simplex_values())
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(simplex_values())
     def test_three_coord_matches_lp_oracle(self, data):
         pg, f = data
         out = vex_p(f[:, None], pg)[:, 0]
@@ -705,6 +707,49 @@ class TestSimplexGrid:
             nodes, weights = g.cells(pts)
             np.testing.assert_allclose(np.sum(vals[nodes] * weights, axis=1), pts @ w,
                                        rtol=0.0, atol=1e-10)
+
+    @staticmethod
+    def cell_points(n, rng):
+        """Dirichlet points of the simplex and of each facet and edge, and the
+        vertices."""
+        def on_face(support, k):
+            out = np.zeros((k, n))
+            out[:, support] = rng.dirichlet(np.ones(len(support)), k)
+            return out
+
+        facets = [on_face([i for i in range(n) if i != j], 60) for j in range(n)]
+        edges = [on_face([a, b], 60) for a in range(n) for b in range(a + 1, n)]
+        return np.vstack([on_face(list(range(n)), 300), *facets, *edges, np.eye(n)])
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 13), (3, 1), (3, 7), (3, 24), (4, 1), (4, 6),
+                                      (4, 12)])
+    def test_cells_are_kuhn_simplices(self, n, m):
+        rng = np.random.default_rng(26)
+        g = SimplexGrid.build(n, m)
+        pts = np.vstack([self.cell_points(n, rng), g.nodes])
+        nodes, weights = g.cells(pts)
+        assert nodes.shape == weights.shape == (pts.shape[0], n)
+        assert np.all((nodes >= 0) & (nodes < g.n_nodes))
+        assert np.min(weights) >= -1e-14
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+        # the weights reproduce every affine function, the coordinates among them
+        np.testing.assert_allclose(np.einsum("bk,bki->bi", weights, g.nodes[nodes]), pts,
+                                   rtol=0.0, atol=1e-14)
+        if n == 2:  # the segment's cell is (i, i + 1), weighted (1 - f, f)
+            x = np.clip(pts[:, 0], 0.0, 1.0) * m
+            i = np.minimum(np.floor(x), m - 1).astype(int)
+            f = x - i
+            assert nodes.tobytes() == np.column_stack([i, i + 1]).tobytes()
+            assert weights.tobytes() == np.column_stack([1.0 - f, f]).tobytes()
+
+    def test_build_beyond_three_coordinates(self):
+        g = SimplexGrid.build(5, 4)
+        assert g.n_nodes == 70 and g._index.shape == (5,) * 4
+        np.testing.assert_array_equal(np.rint(g.nodes * 4).sum(axis=1), 4)
+        lattice = np.rint(g.nodes[:, :-1] * 4).astype(int)
+        np.testing.assert_array_equal(g._index[tuple(lattice.T)], np.arange(70))
+        # row-major in the first four lattice coordinates
+        assert [tuple(row) for row in lattice] == sorted(map(tuple, lattice))
 
     def test_neighbor_triples_consistent(self):
         for n in (2, 3):

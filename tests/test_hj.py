@@ -34,8 +34,10 @@ from splitgame.hj import (
     write_atomic,
 )
 from splitgame.simplex import rel_eigen_max, rel_eigen_min, tangent_basis
+from test_hamiltonian import oracle_lp_envelope
 
-TWO_SIDED = Path(__file__).resolve().parents[1] / "configs" / "payoff_two_sided.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+TWO_SIDED = CONFIGS / "payoff_two_sided.json"
 
 
 def two_sided_tensor():
@@ -417,7 +419,37 @@ def curvature_per_node(values, grid, nodes, want_max):
     return out.reshape(shape)
 
 
+def curvature_two_by_two(values, grid, nodes, want_max):
+    """The 3-simplex curvature as _curvature assembled it before its fit took
+    any number of coordinates: three hand-written rows and a 2x2 stack."""
+    shape = (nodes.size, *values.shape[1:])
+    second = grid.second_differences(values)[:, nodes]
+    b = np.column_stack(tangent_basis(range(grid.n), grid.n))
+    rows = []
+    for d in grid.directions():
+        u = np.zeros(grid.n)
+        u[list(d)] = 1.0, -1.0
+        c = b.T @ (u / np.linalg.norm(u))
+        rows.append([c[0] ** 2, 2.0 * c[0] * c[1], c[1] ** 2])
+    a11, a12, a22 = np.linalg.lstsq(np.asarray(rows), second.reshape(len(rows), -1),
+                                    rcond=None)[0]
+    full = b @ np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2) @ b.T
+    full = 0.5 * (full + np.swapaxes(full, -1, -2))
+    rel_eigen = rel_eigen_max if want_max else rel_eigen_min
+    return rel_eigen(grid.nodes[nodes[0]], full).reshape(shape)
+
+
 class TestBatchedCurvature:
+    @pytest.mark.parametrize("want_max", [False, True])
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("m", [6, 24, 48])
+    def test_matches_two_by_two_assembly_bitwise(self, m, tail, want_max):
+        g = SimplexGrid.build(3, m)
+        nodes = _interior_nodes(g)
+        values = np.random.default_rng(m + 1).normal(size=(g.n_nodes, *tail))
+        got = _curvature(values, g, nodes, want_max)
+        assert got.tobytes() == curvature_two_by_two(values, g, nodes, want_max).tobytes()
+
     @pytest.mark.parametrize("want_max", [False, True])
     @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("m", [11, 24, 40])
@@ -460,6 +492,44 @@ class TestBatchedCurvature:
         g = SimplexGrid.build(3, 6)
         out = _curvature(np.zeros((g.n_nodes, *tail)), g, np.array([], dtype=int), True)
         assert out.shape == (0, *tail)
+
+
+class TestFourCoordinate:
+    """The shipped one-sided tensor of four types and 3x3 actions."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        tensor = PayoffTensor.from_dict(json.loads((CONFIGS / "payoff_simplex4.json").read_text()))
+        h = tensor_field(tensor)
+        v = solve(h, SimplexGrid.build(4, 12), SimplexGrid.build(1, 1), 1.0, 16)
+        return h, v
+
+    def test_closed_form_identity(self, solved):
+        # check 2's identity: a one-sided cost's value is (T - t) Vex H
+        h, v = solved
+        env = vex_p(h.on_grid(0.0, v.p_grid.nodes, v.q_grid.nodes), v.p_grid)
+        for k, t in enumerate(v.times):
+            np.testing.assert_allclose(v.values[k], (1.0 - t) * env, rtol=0.0, atol=1e-12)
+        assert regularity_report(v).all_ok
+
+    def test_value_matches_lp_oracle(self, solved):
+        h, v = solved
+        hv = h.on_grid(0.0, v.p_grid.nodes, v.q_grid.nodes)[:, 0]
+        np.testing.assert_allclose(v.values[0, :, 0], oracle_lp_envelope(v.p_grid, hv),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_curvature_exact_on_quadratics(self):
+        # six edge second differences fix the six entries of the reduced Hessian
+        g = SimplexGrid.build(4, 8)
+        nodes = _interior_nodes(g)
+        a = np.random.default_rng(34).normal(size=(4, 4))
+        a = a + a.T
+        quad = np.einsum("ni,ij,nj->n", g.nodes, a, g.nodes)
+        lo = _curvature(quad, g, nodes, want_max=False)
+        hi = _curvature(quad, g, nodes, want_max=True)
+        p = g.nodes[nodes[0]]
+        np.testing.assert_allclose(lo, rel_eigen_min(p, 2 * a), rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(hi, rel_eigen_max(p, 2 * a), rtol=0.0, atol=1e-9)
 
 
 class TestValueGridLookup:
