@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from splitgame.hamiltonian import GAME_MEMO_BYTES, SimplexGrid
 from splitgame.hj import write_atomic
 from splitgame.simplex import SimplexPoint
 
@@ -233,8 +234,14 @@ def _write_json(path: Path, payload: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# solve-hj's tracemalloc peak over 2 to 10 coordinates and 1 to 8,192 time
+# steps: 2.56 times the two value grids (max_slope's edge differences add 1.5),
+# 118 bytes a coordinate of each node pair of one slice (the curvature fit, the
+# CSV), 1.6 MiB and a tensor's game memo.  Qhull's C allocations are not traced.
+SOLVE_PEAK_FACTOR, SOLVE_PAIR_BYTES, SOLVE_PEAK_BYTES = 2.57, 118, 2 << 20
+
+
 def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict, bool]:
-    from splitgame.hamiltonian import SimplexGrid
     from splitgame.hj import export_csv, order_gap, summary_dict
     from splitgame.sde import _check_kept
 
@@ -245,13 +252,12 @@ def _cmd_solve_hj(cfg: Reader, out: Path, threads: int, seed: int) -> tuple[dict
     q_res = hj.positive_int("q_resolution", 1)
     steps = hj.positive_int("time_steps", 128)
     order = hj.choice("order", ("vex_cav", "cav_vex"), "vex_cav")
-    # order_gap keeps both orders' value grids, and each grid its dense lattice
-    # index of (res + 1)^(dim - 1) cells; refuse them before any grid is built
     dims = ((p_res, field.dim_p), (q_res, field.dim_q))
     n_p, n_q = (math.comb(res + dim - 1, dim - 1) for res, dim in dims)
-    cells = sum((res + 1) ** (dim - 1) for res, dim in dims)
-    hj.call(_check_kept, 2 * 8 * (steps + 1) * n_p * n_q + SimplexGrid.CELL_BYTES * cells,
-            f"two value grids of {steps + 1} x {n_p} x {n_q} nodes and {cells} lattice cells")
+    pair = SOLVE_PEAK_FACTOR * 2 * 8 * (steps + 1) + SOLVE_PAIR_BYTES * (field.dim_p + field.dim_q)
+    fixed = SOLVE_PEAK_BYTES + (GAME_MEMO_BYTES if field.name == "tensor" else 0)
+    hj.call(_check_kept, pair * n_p * n_q + fixed,
+            f"two value grids of {steps + 1} x {n_p} x {n_q} nodes and their solve's temporaries")
     pg, qg = (SimplexGrid.build(dim, res) for res, dim in dims)
     a, b, gap = hj.call(order_gap, field, pg, qg, horizon, steps)
     chosen = a if order == "vex_cav" else b

@@ -35,8 +35,9 @@ use, and the Kuhn cell lookup behind every interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
@@ -281,32 +282,41 @@ class SimplexGrid:
     """Regular lattice on a simplex with any number n of coordinates.
 
     resolution is the number of segments per edge; nodes are all lattice
-    points with coordinates in {0, 1/res, ..., 1} summing to 1.  The grid
-    carries the lattice differences along the edge directions e_a - e_b:
-    neighbour triples, second differences and edge slopes.
+    points with coordinates in {0, 1/res, ..., 1} summing to 1, row-major in
+    the first n-1 integer coordinates (lattice), so a point's node is its rank
+    (_rank).  The grid carries the lattice differences along the edge
+    directions e_a - e_b: neighbour triples, second differences and edge slopes.
     """
 
     n: int
     resolution: int
     nodes: np.ndarray = field(repr=False)
-    _index: np.ndarray | None = field(repr=False, default=None)  # node id by first n-1 lattice coords
+    lattice: np.ndarray = field(repr=False)  # (n_nodes, n-1) integer lattice coordinates
     _triples: dict = field(repr=False, default_factory=dict)
-    CELL_BYTES = 17  # per cell of _index: its int64, and build's int64 sum and bool mask
 
     @staticmethod
     def build(n: int, resolution: int) -> "SimplexGrid":
-        if n == 1:
-            return SimplexGrid(1, 1, np.array([[1.0]]), None)
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
         m = resolution
-        # the first n-1 lattice coordinates, row-major, whose sum is at most m
-        lattice = np.nonzero(reduce(np.add.outer, [np.arange(m + 1)] * (n - 1)) <= m)
-        index = np.full((m + 1,) * (n - 1), -1)
-        index[lattice] = np.arange(lattice[0].size)
-        x = np.column_stack(lattice) / m
-        last = 1.0 - x[:, 0] if n == 2 else (m - sum(lattice)) / m
-        return SimplexGrid(n, m, np.column_stack([x, last]), index)
+        lattice = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(n - 1):  # extend each row-major prefix by every coordinate it has room for
+            room = m - lattice.sum(axis=1) + 1
+            starts = np.repeat(np.cumsum(room) - room, room)
+            lattice = np.c_[np.repeat(lattice, room, axis=0), np.arange(starts.size) - starts]
+        last = 1.0 - lattice[:, 0] / m if n == 2 else (m - lattice.sum(axis=1)) / m
+        return SimplexGrid(n, m, np.column_stack([lattice / m, last]), lattice)
+
+    def _rank(self, x: np.ndarray) -> np.ndarray:
+        """Node of each row of n-1 lattice coordinates on x's last axis, -1 off
+        the grid: its row-major rank, C(m-s+r+1, r+1) - C(m-s-x_k+r+1, r+1) summed
+        in exact int64 over coordinates k, s the sum before k and r the count after
+        it: the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3)."""
+        m, r = self.resolution, np.arange(self.n - 1, 0, -1)  # r + 1 for each coordinate
+        comb = np.array([[math.comb(a, j) for j in range(self.n)] for a in range(m + self.n)])
+        after = m - np.cumsum(x, axis=-1)  # m - s - x_k
+        rank = np.sum(comb[np.clip(after + x, 0, m) + r, r] - comb[np.clip(after, 0, m) + r, r], -1)
+        return np.where(np.all(x >= 0, axis=-1) & np.all(after >= 0, axis=-1), rank, -1)
 
     @property
     def n_nodes(self) -> int:
@@ -322,11 +332,7 @@ class SimplexGrid:
             raise ValueError(f"unknown direction {direction} for a {self.n}-coordinate grid")
         step = np.zeros(self.n, dtype=int)
         step[list(direction)] = sign, -sign
-        to = np.rint(self.nodes * self.resolution).astype(int) + step
-        inside = np.all(to >= 0, axis=1)
-        out = np.full(self.n_nodes, -1)
-        out[inside] = self._index[tuple(to[inside, :-1].T)]
-        return out
+        return self._rank(self.lattice + step[:-1])
 
     def neighbor_triples(self, direction: tuple[int, int]) -> np.ndarray:
         """(center, plus, minus) node indices with both neighbors in-grid,
@@ -372,18 +378,15 @@ class SimplexGrid:
         up from floor(z) one coordinate at a time, in descending order of z's
         fractional parts, ties to the later coordinate so that each is a node."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.n == 1:
-            return np.zeros((pts.shape[0], 1), dtype=int), np.ones((pts.shape[0], 1))
-        m = self.resolution
-        z = np.cumsum(np.clip(pts[:, :self.n - 1], 0.0, 1.0) * m, axis=1)
-        base = np.minimum(np.floor(z), m - 1).astype(int)
+        z = np.cumsum(np.clip(pts[:, :self.n - 1], 0.0, 1.0) * self.resolution, axis=1)
+        base = np.minimum(np.floor(z), self.resolution - 1).astype(int)
         frac = z - base
         # the gaps between 1, the fractional parts in descending order, and 0
         weights = np.diff(np.sort(-frac, axis=1), axis=1, prepend=-1.0, append=0.0)
         order = np.argsort(frac, axis=1, kind="stable")[:, ::-1]
         steps = np.argsort(order, axis=1)[:, None] < np.arange(self.n)[:, None]
         vertices = np.diff(base[:, None] + steps, axis=2, prepend=0)
-        return self._index[tuple(np.moveaxis(vertices, 2, 0))], weights
+        return self._rank(vertices), weights
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +460,7 @@ def _grid_vex(values: np.ndarray, grid: SimplexGrid) -> np.ndarray:
     keeps affine data full-dimensional.  Lower-hull vertices keep their
     values, other nodes take the max of the lower-facet planes, capped by
     their own values."""
-    m = grid.resolution
-    x = np.vstack([np.rint(grid.nodes[:, :-1] * m), np.full(grid.n - 1, m / grid.n)])
+    x = np.vstack([grid.lattice, np.full(grid.n - 1, grid.resolution / grid.n)])
     apex = np.max(values) + np.ptp(values) + 1.0
     hull = ConvexHull(np.column_stack([x, np.append(values, apex)]))
     # on integer x the vertical facets over the simplex's faces get a value

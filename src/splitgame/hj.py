@@ -251,13 +251,13 @@ SLICE_BLOCK_BYTES = 1 << 18
 def _second_extreme(vals: np.ndarray, grid: SimplexGrid, axis: int, reduce, initial) -> float:
     """reduce (np.fmin or np.fmax, which skip the NaN off the centres) over
     every second difference of vals (n_t, n_p, n_q) along the grid on axis,
-    a block of time slices at a time; initial when there is none."""
+    a block of time slices at a time, from initial; 0.0 when there is none."""
     step = max(1, SLICE_BLOCK_BYTES // vals[0].nbytes)
     out = initial
     for s in range(0, vals.shape[0], step):
         second = grid.second_differences(np.moveaxis(vals[s:s + step], axis, 0))
         out = reduce.reduce(second, axis=None, initial=out)
-    return float(out)
+    return float(out) if np.isfinite(out) else 0.0
 
 
 def regularity_report(v: ValueGrid) -> RegularityReport:
@@ -269,10 +269,6 @@ def regularity_report(v: ValueGrid) -> RegularityReport:
 
     min_p = _second_extreme(vals, v.p_grid, 1, np.fmin, np.inf)
     max_q = _second_extreme(vals, v.q_grid, 2, np.fmax, -np.inf)
-    if not np.isfinite(min_p):
-        min_p = 0.0
-    if not np.isfinite(max_q):
-        max_q = 0.0
     lip_p = v.p_grid.max_slope(vals, axis=1)
     lip_q = v.q_grid.max_slope(vals, axis=2)
 

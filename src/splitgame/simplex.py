@@ -79,10 +79,6 @@ class SimplexPoint:
         c[i] = 1.0
         return SimplexPoint(c)
 
-    @staticmethod
-    def uniform(n: int) -> "SimplexPoint":
-        return SimplexPoint(np.full(n, 1.0 / n))
-
 
 def tangent_basis(s, n: int) -> list[np.ndarray]:
     """Orthonormal basis of the tangent space determined by support ``s``.

@@ -190,8 +190,8 @@ class TestConfigValidation:
         # ten coordinates at the default resolution pass solve-hj's size limit
         ("solve-hj", ["hamiltonian"],
          {"kind": "analytic", "name": "zero", "params": {"dim_p": 10}},
-         "hj: two value grids of 129 x 4263421511271 x 1 nodes and "
-         "1093685272684360902 lattice cells need "),
+         "hj: two value grids of 129 x 4263421511271 x 1 nodes and their solve's "
+         "temporaries need "),
     ], ids=["tensor-horizon", "matrix", "start", "controls", "control-u", "hamiltonian",
             "tensor-path", "dump-trajectories", "lam1", "missing-hamiltonian", "unknown-param",
             "dim-p", "dim-q", "split-past-horizon", "mc-game-split-past-horizon",
@@ -613,13 +613,13 @@ def test_overflowing_control_on_a_vertex_draws_nothing(tmp_path, monkeypatch):
 class TestFullPathMemoryGuard:
     @pytest.mark.parametrize("case", ["simulate", "simulate-block-sums", "split-demo",
                                       "mc-game", "solve-hj-p_resolution", "solve-hj-time_steps",
-                                      "solve-hj-lattice-index", "split-demo-steps",
+                                      "solve-hj-six-coordinates", "split-demo-steps",
                                       "mc-game-split-steps"])
     def test_oversized_run_exit_2_without_allocating(self, tmp_path, capsys, case):
         # simulate keeps full paths, its report two sums per block of paths,
         # split-demo only the terminal states, mc-game one path integral per
-        # path, solve-hj two value grids and each grid's dense lattice index,
-        # none of which is ever built, and a split its switch times
+        # path, solve-hj two value grids and its solve's temporaries, none of
+        # which is ever built, and a split its switch times
         subcommand = next(sub for sub in cli.SUBCOMMANDS if case.startswith(sub))
         if case == "simulate":
             cfg = base_sim_config(n_paths=10**9)
@@ -648,12 +648,13 @@ class TestFullPathMemoryGuard:
             cfg = json.loads((CONFIGS / "hj_bilinear.json").read_text())
             cfg["hj"]["time_steps"] = 10**7
             kept = "hj: two value grids of 10000001 x 101 x 101 nodes"
-        elif case == "solve-hj-lattice-index":
-            # the value grids take 0.95 GB, the 51^5 cells of the index 2.8 GB
+        elif case == "solve-hj-six-coordinates":
+            # the value grids take 0.95 GB, under the limit, and with the solve's
+            # temporaries 5.3 GB
             cfg = {"schema_version": 1,
                    "hamiltonian": {"kind": "analytic", "name": "zero", "params": {"dim_p": 6}},
                    "hj": {"p_resolution": 50, "time_steps": 16}}
-            kept = "hj: two value grids of 17 x 3478761 x 1 nodes and 345025252 lattice cells"
+            kept = "hj: two value grids of 17 x 3478761 x 1 nodes and their solve's temporaries"
         elif case == "split-demo-steps":
             cfg = {"schema_version": 1, "seed": 0, "split": {"steps": 10**13, "horizon": 0.125},
                    "sim": {"n_paths": 100}}
@@ -678,8 +679,37 @@ class TestFullPathMemoryGuard:
         assert not (tmp_path / "o").exists()
 
 
+class TestSolvePeakCounted:
+    @pytest.mark.parametrize("dim_p, resolution, steps", [(2, 100, 1024), (5, 12, 16)])
+    def test_refusal_counts_the_measured_peak(self, tmp_path, monkeypatch, dim_p, resolution,
+                                              steps):
+        # what solve-hj's size check counts bounds what the solve allocates
+        counted, check = [], sde._check_kept
+
+        def recording(size, what):
+            counted.append(size)
+            check(size, what)
+
+        monkeypatch.setattr(sde, "_check_kept", recording)
+
+        def config(res, n_steps):
+            return {"schema_version": 1,
+                    "hamiltonian": {"kind": "analytic", "name": "zero",
+                                    "params": {"dim_p": dim_p}},
+                    "hj": {"p_resolution": res, "time_steps": n_steps}}
+
+        assert cli.run("solve-hj", config(10, 16), tmp_path / "warm") == 0
+        tracemalloc.start()
+        try:
+            code = cli.run("solve-hj", config(resolution, steps), tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= counted[-1]
+
+
 class TestMcGameCommand:
-    def test_registry_keyed_by_hash(self, tmp_path):
+    def test_report_keyed_by_hash(self, tmp_path):
         path = write_config(tmp_path, mc_game_config())
         out = tmp_path / "o"
         assert cli.main(["mc-game", "--config", str(path), "--out", str(out)]) == 0

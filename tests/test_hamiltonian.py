@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -744,12 +745,73 @@ class TestSimplexGrid:
 
     def test_build_beyond_three_coordinates(self):
         g = SimplexGrid.build(5, 4)
-        assert g.n_nodes == 70 and g._index.shape == (5,) * 4
+        assert g.n_nodes == 70 and g.lattice.shape == (70, 4)
         np.testing.assert_array_equal(np.rint(g.nodes * 4).sum(axis=1), 4)
-        lattice = np.rint(g.nodes[:, :-1] * 4).astype(int)
-        np.testing.assert_array_equal(g._index[tuple(lattice.T)], np.arange(70))
+        np.testing.assert_array_equal(g.lattice, np.rint(g.nodes[:, :-1] * 4))
         # row-major in the first four lattice coordinates
-        assert [tuple(row) for row in lattice] == sorted(map(tuple, lattice))
+        assert [tuple(row) for row in g.lattice] == sorted(map(tuple, g.lattice))
+
+    @staticmethod
+    def dense_lookup(n, m, x):
+        """Node ids of the lattice coordinates x (..., n-1) from the dense
+        index of all (m + 1)^(n-1) cells that the grid once kept, -1 off the
+        grid: the oracle for the closed-form rank."""
+        out = np.full(x.shape[:-1], -1)
+        inside = np.all(x >= 0, axis=-1) & (x.sum(axis=-1) <= m)
+        if n == 1:
+            out[inside] = 0
+            return out
+        lattice = np.nonzero(reduce(np.add.outer, [np.arange(m + 1)] * (n - 1)) <= m)
+        index = np.full((m + 1,) * (n - 1), -1)
+        index[lattice] = np.arange(lattice[0].size)
+        out[inside] = index[tuple(np.moveaxis(x[inside], -1, 0))]
+        return out
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 100), (3, 12), (3, 48), (4, 12), (5, 12),
+                                      (6, 12)])
+    def test_rank_matches_dense_index(self, n, m):
+        g = SimplexGrid.build(n, m)
+        ids = np.arange(g.n_nodes)
+        assert g._rank(g.lattice).tobytes() == self.dense_lookup(n, m, g.lattice).tobytes()
+        assert g._rank(g.lattice).tobytes() == ids.tobytes()
+        for d in g.directions():
+            for sign in (1, -1):
+                step = np.zeros(n, dtype=int)
+                step[list(d)] = sign, -sign
+                want = self.dense_lookup(n, m, g.lattice + step[:-1])
+                assert g._shift(d, sign).tobytes() == want.tobytes()
+        # the Kuhn vertices of Dirichlet, face and node points, as cells finds them
+        pts = np.vstack([self.cell_points(n, np.random.default_rng(27)), g.nodes])
+        z = np.cumsum(np.clip(pts[:, :n - 1], 0.0, 1.0) * m, axis=1)
+        base = np.minimum(np.floor(z), m - 1).astype(int)
+        order = np.argsort(z - base, axis=1, kind="stable")[:, ::-1]
+        steps = np.argsort(order, axis=1)[:, None] < np.arange(n)[:, None]
+        vertices = np.diff(base[:, None] + steps, axis=2, prepend=0)
+        assert g.cells(pts)[0].tobytes() == self.dense_lookup(n, m, vertices).tobytes()
+
+    def test_rank_off_the_grid(self):
+        g = SimplexGrid.build(3, 4)
+        x = np.array([[-1, 0], [0, -1], [-1, 5], [5, 0], [2, 3], [4, 1], [4, 0], [0, 4], [2, 2]])
+        np.testing.assert_array_equal(g._rank(x), [-1] * 6 + [14, 4, 11])
+        assert SimplexGrid.build(1, 1)._rank(np.zeros((2, 0), dtype=int)).tolist() == [0, 0]
+
+    def test_one_coordinate_grid(self):
+        g = SimplexGrid.build(1, 5)
+        assert g.nodes.tolist() == [[1.0]] and g.resolution == 5
+        nodes, weights = g.cells([[1.0], [0.3]])
+        assert nodes.tolist() == [[0], [0]] and weights.tolist() == [[1.0], [1.0]]
+        with pytest.raises(ValueError, match="resolution"):
+            SimplexGrid.build(1, 0)
+
+    def test_build_costs_what_its_nodes_cost(self):
+        # the dense index of 31^5 cells and its sum array took 17 times the nodes
+        tracemalloc.start()
+        try:
+            g = SimplexGrid.build(6, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_nodes == 324632 and peak < 5 * g.nodes.nbytes
 
     def test_neighbor_triples_consistent(self):
         for n in (2, 3):

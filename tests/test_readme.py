@@ -2,9 +2,12 @@
 block lists every experiment config, so an API change or a new config
 cannot leave it stale."""
 
+import importlib
 import re
 from fnmatch import fnmatch
 from pathlib import Path
+
+import splitgame
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,3 +38,13 @@ def test_shipped_config_block_lists_every_config():
                      if not p.name.startswith("payoff_"))
     assert sorted(name for _, name in listed) == configs
     assert {name: sub for sub, name in listed} == {name: subcommand(name) for name in configs}
+
+
+def test_named_constants_exist():
+    """Every backticked `Name.UPPER_CASE` in the README is a constant of a
+    splitgame module or class, so a constant that goes cannot stay documented."""
+    named = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", README.read_text())
+    assert named, "expected the README to name constants"
+    for owner, constant in named:
+        scope = getattr(splitgame, owner, None) or importlib.import_module(f"splitgame.{owner}")
+        assert hasattr(scope, constant), f"{owner}.{constant} is not in splitgame"

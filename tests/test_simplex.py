@@ -276,7 +276,7 @@ class TestRelEigenStack:
 
     def test_leading_axes_kept(self):
         a = np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (2, 4, 3, 3))
-        assert rel_eigen_max(SimplexPoint.uniform(3), a).shape == (2, 4)
+        assert rel_eigen_max(SimplexPoint(np.full(3, 1 / 3)), a).shape == (2, 4)
 
     def test_vertex_stack(self):
         a = np.stack([np.eye(3), -np.eye(3)])
@@ -284,7 +284,7 @@ class TestRelEigenStack:
         assert np.array_equal(rel_eigen_min(p, a), [np.inf, np.inf])
         assert np.array_equal(rel_eigen_max(p, a), [-np.inf, -np.inf])
 
-    @pytest.mark.parametrize("point", [SimplexPoint.uniform(3), SimplexPoint.vertex(0, 3)])
+    @pytest.mark.parametrize("point", [SimplexPoint(np.full(3, 1 / 3)), SimplexPoint.vertex(0, 3)])
     def test_empty_stack(self, point):
         for f in (rel_eigen_min, rel_eigen_max):
             r = f(point, np.zeros((0, 3, 3)))
@@ -294,10 +294,10 @@ class TestRelEigenStack:
         a = np.stack([np.eye(3)] * 4)
         a[2, 0, 1] = 1.0
         with pytest.raises(ValueError, match="not symmetric"):
-            rel_eigen_min(SimplexPoint.uniform(3), a)
+            rel_eigen_min(SimplexPoint(np.full(3, 1 / 3)), a)
 
     def test_one_matrix_gives_float_and_vector(self):
         # one matrix gives a float; the same matrix as a stack of one, a vector
-        p = SimplexPoint.uniform(3)
+        p = SimplexPoint(np.full(3, 1 / 3))
         assert type(rel_eigen_min(p, np.eye(3))) is float
         assert rel_eigen_min(p, np.eye(3)[None]).shape == (1,)
